@@ -22,7 +22,6 @@ from .riccati import (
     solve_beta,
     solve_eta,
     solve_gamma,
-    solve_system,
 )
 from .equilibrium import (
     BlowUpError,

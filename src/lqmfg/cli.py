@@ -15,7 +15,6 @@ import configparser
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .model import (
     fmt_float,
     validate,
 )
-from .riccati import DEFAULT_BLOWUP_CAP, solve_eta
+from .riccati import DEFAULT_BLOWUP_CAP
 from .equilibrium import (
     BlowUpError,
     ConditionsReport,
@@ -95,7 +94,7 @@ class RunConfig:
     sweep_start: float = 0.0
     sweep_stop: float = 0.0
     sweep_count: int = 0
-    sweep_workers: int = 1
+    sweep_workers: int = 1   # accepted for old configs; rows run serially
 
 
 def _coefficient(text: str, key: str) -> Coefficient:
@@ -603,19 +602,13 @@ def _sweep_row(cfg: RunConfig, value: float) -> dict[str, str]:
     return row
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: Path, workers: int | None = None,
-              quiet: bool = False) -> int:
+def cmd_sweep(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     if cfg.sweep_parameter is None:
         print("config error: sweep command needs a [sweep] section", file=sys.stderr)
         return EXIT_CONFIG
     out_dir.mkdir(parents=True, exist_ok=True)
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
-    nwork = workers if workers is not None else cfg.sweep_workers
-    if nwork > 1:
-        with ThreadPoolExecutor(max_workers=nwork) as pool:
-            rows = list(pool.map(lambda v: _sweep_row(cfg, v), values))
-    else:
-        rows = [_sweep_row(cfg, v) for v in values]
+    rows = [_sweep_row(cfg, v) for v in values]
     cols = ["value", "admissible", "lipschitz_bound", "contraction",
             "value_at_0", "beta0", "blow_up_time", "code"]
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
@@ -645,6 +638,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--quiet", action="store_true")
         if name == "sweep":
+            # accepted for old scripts; the sweep runs serially
             sp.add_argument("--workers", type=int, default=None)
     return ap
 
@@ -684,7 +678,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, out_dir, quiet=args.quiet)
         if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, workers=args.workers, quiet=args.quiet)
+            return cmd_sweep(cfg, out_dir, quiet=args.quiet)
         if args.command == "check":
             return cmd_check(cfg, out_dir, quiet=args.quiet)
     except ConfigError as exc:

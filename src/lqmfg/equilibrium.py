@@ -161,16 +161,11 @@ def solve_equilibrium_closed_form(params: ModelParams, grid: TimeGrid,
 def admissibility_margin(params: ModelParams, grid: TimeGrid) -> float:
     """Min over nodes of the variant's admissibility expression.
 
-    Positive margin means: b^2/r > 0 (risk-neutral), or the variant's
-    effective quadratic coefficient b^2/r - c^2/s - theta sigma^2 stays
-    positive.
+    Positive margin means the variant's effective quadratic coefficient
+    kappa = b^2/r [- c^2/s] [- theta sigma^2] stays positive.
     """
     eff = effective_coefficients(params)
-    nodes = grid.nodes
-    if params.variant is Variant.RISK_NEUTRAL:
-        rv = np.asarray(params.r(nodes), dtype=float)
-        return float(np.min(params.b ** 2 / rv))
-    return float(np.min(np.asarray(eff.kappa(nodes), dtype=float)))
+    return float(np.min(np.asarray(eff.kappa(grid.nodes), dtype=float)))
 
 
 def check_conditions(params: ModelParams, beta: Trajectory,

@@ -271,11 +271,7 @@ class EffectiveCoefficients:
         self._robust = v.uses_disturbance
 
     def kappa(self, t):
-        p = self._p
-        out = p.b ** 2 / p.r(t)
-        if self._robust:
-            out = out - p.c ** 2 / p.s(t)
-        return out - self._theta_term
+        return self.lam(t) - self._theta_term
 
     def lam(self, t):
         p = self._p

@@ -11,8 +11,11 @@ coefficients, is
     eta'  + [2a + abar - (kappa+lam) beta] eta - lam eta^2
            + (abar beta - qbar) = 0,                    eta(T) = -qbarT
 
-Integration is classical RK4 on a uniform grid, backward in time.  Riccati
-blow-up is reported as a status, never as an overflow.
+Integration is classical RK4 on a uniform grid, backward in time.  Each
+equation is written as y' = c2(t) y^2 + c1(t) y + c0(t); its coefficients
+are tabulated once per solve on the substage times, and one scalar stepper
+runs on those tables.  Riccati blow-up is reported as a status, never as an
+overflow.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
 from .model import (
-    EffectiveCoefficients,
     ModelParams,
     TimeGrid,
     Trajectory,
@@ -40,13 +42,15 @@ __all__ = [
     "solve_alpha",
     "solve_gamma",
     "solve_eta",
-    "solve_system",
     "closed_form_constant_riccati",
     "assemble_value",
     "DEFAULT_BLOWUP_CAP",
 ]
 
 DEFAULT_BLOWUP_CAP = 1e12
+
+# t -> (c0, c1, c2) of y' = c2 y^2 + c1 y + c0, for an array of times
+_CoefFn = Callable[[np.ndarray], tuple]
 
 
 class FiniteEscapeError(Exception):
@@ -91,47 +95,69 @@ class ValueCoefficients:
     exp_value: float | None = None  # e^{theta * value_at_0}, risk-sensitive only
 
 
-def _rk4_backward(f: Callable[[float, float], float],
-                  yT: float,
-                  grid: TimeGrid,
-                  cap: float | None = None) -> tuple[np.ndarray, float | None]:
-    """Integrate y' = f(t, y) backward from y(T) = yT over the grid.
+def _substage_times(t1, step):
+    """RK4 substage times t1, t1 - step/2, t1 - step of backward steps ending at t1."""
+    return np.stack([t1, t1 - step / 2, t1 - step])
 
-    Returns (values, blow_up_time); values past a blow-up hold the last
-    finite iterate and must not be consumed.
+
+def _rk4_table(coefs: _CoefFn, t1, step: float) -> list:
+    """(c0, c1, c2) at the three substage times of each step, as floats.
+
+    One row of nine per step for an array t1, a single row for a scalar t1.
     """
-    nodes = grid.nodes
-    h = grid.dt
-    vals = np.zeros(grid.n_steps + 1)
-    vals[-1] = yT
-    for k in range(grid.n_steps - 1, -1, -1):
-        t1 = nodes[k + 1]
-        y = vals[k + 1]
-        k1 = f(t1, y)
-        k2 = f(t1 - h / 2, y - h / 2 * k1)
-        k3 = f(t1 - h / 2, y - h / 2 * k2)
-        k4 = f(t1 - h, y - h * k3)
-        ynew = y - h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if cap is not None and (not math.isfinite(ynew) or abs(ynew) > cap):
-            return vals, _refine_escape(f, t1, y, h, cap)
-        vals[k] = ynew
-    return vals, None
+    times = _substage_times(t1, step)
+    c0, c1, c2 = (np.broadcast_to(c, times.shape) for c in coefs(times))
+    # per step: (c0, c1, c2) at each substage in turn, as _rk4_step takes them
+    return np.stack([c[i] for i in range(3) for c in (c0, c1, c2)], axis=-1).tolist()
 
 
-def _rk4_partial(f, t1, y, step):
-    k1 = f(t1, y)
-    k2 = f(t1 - step / 2, y - step / 2 * k1)
-    k3 = f(t1 - step / 2, y - step / 2 * k2)
-    k4 = f(t1 - step, y - step * k3)
+def _rk4_step(y: float, step: float,
+              c0a: float, c1a: float, c2a: float,
+              c0b: float, c1b: float, c2b: float,
+              c0c: float, c1c: float, c2c: float) -> float:
+    """One RK4 step of y' = c2 y^2 + c1 y + c0 from t1 back to t1 - step.
+
+    The a, b and c coefficients are taken at t1, t1 - step/2 and t1 - step.
+    """
+    k1 = c2a * y * y + c1a * y + c0a
+    y2 = y - step / 2 * k1
+    k2 = c2b * y2 * y2 + c1b * y2 + c0b
+    y3 = y - step / 2 * k2
+    k3 = c2b * y3 * y3 + c1b * y3 + c0b
+    y4 = y - step * k3
+    k4 = c2c * y4 * y4 + c1c * y4 + c0c
     return y - step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _refine_escape(f, t1: float, y1: float, h: float, cap: float) -> float:
+def _rk4_backward(coefs: _CoefFn, yT: float, grid: TimeGrid,
+                  cap: float | None = None) -> tuple[np.ndarray, float | None]:
+    """Integrate y' = c2(t) y^2 + c1(t) y + c0(t) backward from y(T) = yT.
+
+    The coefficients are tabulated once on every substage time; the loop
+    then runs on floats.  Returns (values, blow_up_time); values past a
+    blow-up are zero and must not be consumed.
+    """
+    n, h = grid.n_steps, grid.dt
+    t1 = grid.nodes[1:]
+    rows = _rk4_table(coefs, t1, h)
+    vals = [0.0] * (n + 1)
+    y = vals[n] = float(yT)
+    for k in range(n - 1, -1, -1):
+        ynew = _rk4_step(y, h, *rows[k])
+        if cap is not None and (not math.isfinite(ynew) or abs(ynew) > cap):
+            return np.array(vals), _refine_escape(coefs, float(t1[k]), y, h, cap)
+        vals[k] = y = ynew
+    return np.array(vals), None
+
+
+def _refine_escape(coefs: _CoefFn, t1: float, y1: float, h: float,
+                   cap: float) -> float:
     """Bisect the step fraction at which |y| first exceeds the cap."""
     lo, hi = 0.0, 1.0  # fraction of the backward step from t1
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        ymid = _rk4_partial(f, t1, y1, mid * h)
+        step = mid * h
+        ymid = _rk4_step(y1, step, *_rk4_table(coefs, t1, step))
         if math.isfinite(ymid) and abs(ymid) <= cap:
             lo = mid
         else:
@@ -141,13 +167,10 @@ def _refine_escape(f, t1: float, y1: float, h: float, cap: float) -> float:
     return t1 - hi * h
 
 
-def _beta_rhs(params: ModelParams, eff: EffectiveCoefficients):
+def _beta_coefficients(params: ModelParams) -> _CoefFn:
+    eff = effective_coefficients(params)
     a, q, qbar = params.a, params.q, params.qbar
-
-    def f(t, y):
-        return eff.kappa(t) * y * y - 2 * a * y - (q(t) + qbar(t))
-
-    return f
+    return lambda t: (-(q(t) + qbar(t)), -2 * a, eff.kappa(t))
 
 
 def _hermite_beta(params: ModelParams, beta: Trajectory) -> CubicHermiteSpline:
@@ -156,19 +179,17 @@ def _hermite_beta(params: ModelParams, beta: Trajectory) -> CubicHermiteSpline:
     Substage evaluation through this interpolant keeps the dependent
     backward solves at fourth order.
     """
-    eff = effective_coefficients(params)
     nodes = beta.grid.nodes
     v = beta.values
-    dv = eff.kappa(nodes) * v * v - 2 * params.a * v - (params.q(nodes) + params.qbar(nodes))
-    return CubicHermiteSpline(nodes, v, dv)
+    c0, c1, c2 = _beta_coefficients(params)(nodes)
+    return CubicHermiteSpline(nodes, v, c2 * v * v + c1 * v + c0)
 
 
 def solve_beta(params: ModelParams, grid: TimeGrid,
                cap: float = DEFAULT_BLOWUP_CAP) -> tuple[Trajectory, SolveStatus]:
     """Solve the quadratic value-coefficient equation backward from T."""
-    eff = effective_coefficients(params)
     betaT = params.qT + params.qbarT
-    vals, t_blow = _rk4_backward(_beta_rhs(params, eff), betaT, grid, cap=cap)
+    vals, t_blow = _rk4_backward(_beta_coefficients(params), betaT, grid, cap=cap)
     status = SolveStatus.ok() if t_blow is None else SolveStatus.blow_up(t_blow)
     return Trajectory(grid, vals), status
 
@@ -180,18 +201,22 @@ def solve_alpha(params: ModelParams, beta: Trajectory, m: Trajectory,
     bspl = _hermite_beta(params, beta)
     a, abar, qbar = params.a, params.abar, params.qbar
 
-    def f(t, y):
+    def coefs(t):
         bv = bspl(t)
-        return -a * y - (abar * bv - qbar(t)) * m(t) + eff.kappa(t) * bv * y
+        return -(abar * bv - qbar(t)) * m(t), -a + eff.kappa(t) * bv, 0.0
 
     alphaT = -params.qbarT * m(params.T)
-    vals, _ = _rk4_backward(f, alphaT, grid)
+    vals, _ = _rk4_backward(coefs, alphaT, grid)
     return Trajectory(grid, vals)
 
 
 def solve_gamma(params: ModelParams, beta: Trajectory, alpha: Trajectory,
                 m: Trajectory, grid: TimeGrid) -> Trajectory:
-    """Backward quadrature for the constant value term."""
+    """Backward quadrature for the constant value term.
+
+    The right-hand side does not depend on gamma, so each RK4 step is
+    Simpson's rule and the whole solve is one backward cumulative sum.
+    """
     eff = effective_coefficients(params)
     bspl = _hermite_beta(params, beta)
     a, abar, qbar, sigma = params.a, params.abar, params.qbar, params.sigma
@@ -202,15 +227,17 @@ def solve_gamma(params: ModelParams, beta: Trajectory, alpha: Trajectory,
            + eff.kappa(nodes) * beta.values * av)
     aspl = CubicHermiteSpline(nodes, av, dav)
 
-    def f(t, y):
-        avt = aspl(t)
-        mt = m(t)
-        return (-abar * avt * mt - 0.5 * sigma ** 2 * bspl(t)
-                - 0.5 * qbar(t) * mt * mt + 0.5 * eff.kappa(t) * avt * avt)
-
+    h = grid.dt
+    t = _substage_times(nodes[1:], h)
+    avt, mt = aspl(t), m(t)
+    f = (-abar * avt * mt - 0.5 * sigma ** 2 * bspl(t)
+         - 0.5 * qbar(t) * mt * mt + 0.5 * eff.kappa(t) * avt * avt)
+    # k2 = k3 = f at the midpoint; summed in RK4's order to keep its rounding
+    incr = h / 6 * (f[0] + 2 * f[1] + 2 * f[1] + f[2])
     mT = m(params.T)
     gammaT = 0.5 * params.qbarT * mT * mT
-    vals, _ = _rk4_backward(f, gammaT, grid)
+    # np.cumsum adds in sequence, as the stepwise y - incr would
+    vals = np.cumsum(np.concatenate(([gammaT], -incr[::-1])))[::-1]
     return Trajectory(grid, vals)
 
 
@@ -226,31 +253,16 @@ def solve_eta(params: ModelParams, beta: Trajectory, grid: TimeGrid,
     bspl = _hermite_beta(params, beta)
     a, abar, qbar = params.a, params.abar, params.qbar
 
-    def f(t, y):
+    def coefs(t):
         bv = bspl(t)
-        return (-(2 * a + abar - (eff.kappa(t) + eff.lam(t)) * bv) * y
-                + eff.lam(t) * y * y - (abar * bv - qbar(t)))
+        lam = eff.lam(t)
+        return (-(abar * bv - qbar(t)),
+                -(2 * a + abar - (eff.kappa(t) + lam) * bv),
+                lam)
 
-    vals, t_blow = _rk4_backward(f, -params.qbarT, grid, cap=cap)
+    vals, t_blow = _rk4_backward(coefs, -params.qbarT, grid, cap=cap)
     status = SolveStatus.ok() if t_blow is None else SolveStatus.blow_up(t_blow)
     return Trajectory(grid, vals), status
-
-
-def solve_system(params: ModelParams, m: Trajectory, grid: TimeGrid,
-                 cap: float = DEFAULT_BLOWUP_CAP, with_eta: bool = False) -> RiccatiSolution:
-    """Solve beta, alpha, gamma (and optionally eta) for a given mean path."""
-    beta, status = solve_beta(params, grid, cap=cap)
-    if not status.admissible:
-        zero = Trajectory.zeros(grid)
-        return RiccatiSolution(beta, zero, zero, status)
-    alpha = solve_alpha(params, beta, m, grid)
-    gamma = solve_gamma(params, beta, alpha, m, grid)
-    eta = None
-    if with_eta:
-        eta, eta_status = solve_eta(params, beta, grid, cap=cap)
-        if not eta_status.admissible:
-            return RiccatiSolution(beta, alpha, gamma, eta_status, eta)
-    return RiccatiSolution(beta, alpha, gamma, status, eta)
 
 
 def closed_form_constant_riccati(a: float, kappa: float, Q: float,
@@ -282,10 +294,12 @@ def closed_form_constant_riccati(a: float, kappa: float, Q: float,
             s0 = math.atanh(-1.0 / c2) / w
             if 0.0 < s0 <= s:
                 raise FiniteEscapeError(T - s0)
-        ch, sh = math.cosh(w * s), math.sinh(w * s)
-        u = ch + c2 * sh
-        du = a * u + w * (sh + c2 * ch)
-        return du / (kappa * u)
+        # du/u in tanh form, which stays finite for any w s
+        th = math.tanh(w * s)
+        den = 1.0 + c2 * th
+        # den vanishes only for c2 = -1, where u = e^{(a-w)s} and du/u = a - w
+        ratio = (th + c2) / den if den != 0.0 else -1.0
+        return (a + w * ratio) / kappa
     if disc == 0:
         # u(s) = e^{as}(1 + c s)
         c = c2_num

@@ -359,8 +359,8 @@ def estimate_exponential_cost(ensemble: PathEnsemble, params: ModelParams) -> MC
     return _mc_estimate(expL, ensemble.antithetic, heavy_tail=heavy)
 
 
-def estimate_girsanov_normalization(ensemble: PathEnsemble, params: ModelParams,
-                                    riccati=None) -> MCEstimate:
+def estimate_girsanov_normalization(ensemble: PathEnsemble,
+                                    params: ModelParams) -> MCEstimate:
     """Sample mean of the stochastic exponential; the target is 1."""
     if ensemble.int_g_dB is None:
         raise ValueError("ensemble was simulated without beta/alpha accumulators")

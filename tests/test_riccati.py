@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
-from lqmfg.model import Coefficient, TimeGrid, Trajectory, Variant
+from lqmfg.equilibrium import solve_equilibrium_closed_form, solve_equilibrium_picard
+from lqmfg.model import Coefficient, TimeGrid, Trajectory, Variant, effective_coefficients
 from lqmfg.riccati import (
     FiniteEscapeError,
     assemble_value,
@@ -31,6 +33,25 @@ REF_B_ETA0 = -0.1210590379981056
 def instance_a():
     return make_params(a=-1.0, abar=0.5, q=0.5, qbar=0.5, qT=0.0, qbarT=0.0,
                        sigma=0.3)
+
+
+def tabulated(*values):
+    return Coefficient.tabulated(np.linspace(0.0, 1.0, len(values)), np.array(values))
+
+
+def rk4_reference(f, yT, grid):
+    """Classical RK4 backward from y(T) = yT, one f(t, y) call per substage."""
+    h, nodes = grid.dt, grid.nodes
+    vals = np.zeros(grid.n_steps + 1)
+    vals[-1] = yT
+    for k in range(grid.n_steps - 1, -1, -1):
+        t1, y = nodes[k + 1], vals[k + 1]
+        k1 = f(t1, y)
+        k2 = f(t1 - h / 2, y - h / 2 * k1)
+        k3 = f(t1 - h / 2, y - h / 2 * k2)
+        k4 = f(t1 - h, y - h * k3)
+        vals[k] = y - h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return vals
 
 
 class TestSolveBeta:
@@ -205,6 +226,72 @@ class TestSolveEta:
         assert eta.values[-1] == pytest.approx(-p.qbarT)
 
 
+class TestTabulatedCore:
+    """The tabulated solves against a per-substage RK4 on tabulated weights."""
+
+    def test_matches_per_substage_reference(self):
+        grid = TimeGrid(T=1.0, n_steps=200)
+        p = make_params(variant=Variant.ROBUST, c=0.5, sigma=0.3,
+                        q=tabulated(1.0, 1.5, 0.8, 1.2), r=tabulated(1.0, 0.8, 1.2))
+        eff = effective_coefficients(p)
+        a, abar, q, qbar = p.a, p.abar, p.q, p.qbar
+        m = Trajectory(grid, 1.0 + 0.3 * np.sin(3.0 * grid.nodes))
+
+        def f_beta(t, y):
+            return eff.kappa(t) * y * y - 2 * a * y - (q(t) + qbar(t))
+
+        beta, _ = solve_beta(p, grid)
+        ref_beta = rk4_reference(f_beta, p.qT + p.qbarT, grid)
+        assert np.max(np.abs(beta.values - ref_beta)) <= 1e-13
+        nodes, bv = grid.nodes, beta.values
+        bspl = CubicHermiteSpline(nodes, bv, f_beta(nodes, bv))
+
+        def f_alpha(t, y):
+            return -a * y - (abar * bspl(t) - qbar(t)) * m(t) + eff.kappa(t) * bspl(t) * y
+
+        alpha = solve_alpha(p, beta, m, grid)
+        ref_alpha = rk4_reference(f_alpha, -p.qbarT * m(p.T), grid)
+        assert np.max(np.abs(alpha.values - ref_alpha)) <= 1e-13
+
+        aspl = CubicHermiteSpline(nodes, alpha.values, f_alpha(nodes, alpha.values))
+
+        def f_gamma(t, y):
+            return (-abar * aspl(t) * m(t) - 0.5 * p.sigma ** 2 * bspl(t)
+                    - 0.5 * qbar(t) * m(t) ** 2 + 0.5 * eff.kappa(t) * aspl(t) ** 2)
+
+        gamma = solve_gamma(p, beta, alpha, m, grid)
+        ref_gamma = rk4_reference(f_gamma, 0.5 * p.qbarT * m(p.T) ** 2, grid)
+        assert np.max(np.abs(gamma.values - ref_gamma)) <= 1e-13
+
+        def f_eta(t, y):
+            return (-(2 * a + abar - (eff.kappa(t) + eff.lam(t)) * bspl(t)) * y
+                    + eff.lam(t) * y * y - (abar * bspl(t) - qbar(t)))
+
+        eta, status = solve_eta(p, beta, grid)
+        assert status.admissible
+        assert np.max(np.abs(eta.values - rk4_reference(f_eta, -p.qbarT, grid))) <= 1e-13
+
+    @pytest.mark.parametrize("overrides,iterations,picard_value,closed_value", [
+        ({}, 21, 0.44314187595164833, 0.44314187755177414),
+        ({"variant": Variant.RISK_SENSITIVE, "theta": 0.25},
+         21, 0.4444721664894019, 0.4444721681047764),
+        ({"variant": Variant.ROBUST, "c": 0.5,
+          "q": tabulated(1.0, 1.5, 0.8, 1.2), "r": tabulated(1.0, 0.8, 1.2)},
+         19, 0.5130712406417912, 0.5130712417105928),
+        ({"variant": Variant.ROBUST_RISK_SENSITIVE, "c": 0.5, "theta": 0.25},
+         19, 0.4916651976388565, 0.4916651990700771),
+    ], ids=["risk_neutral", "risk_sensitive", "robust", "robust_risk_sensitive"])
+    def test_pinned_equilibria(self, grid, overrides, iterations, picard_value,
+                               closed_value):
+        # the benchmark's four solve instances at n_steps = 1000
+        p = make_params(**overrides)
+        eq_p = solve_equilibrium_picard(p, grid)
+        eq_c = solve_equilibrium_closed_form(p, grid)
+        assert eq_p.iterations == iterations
+        assert eq_p.value.value_at_0 == pytest.approx(picard_value, abs=1e-13)
+        assert eq_c.value.value_at_0 == pytest.approx(closed_value, abs=1e-13)
+
+
 class TestClosedFormConstantRiccati:
     def test_linear_degenerate(self):
         assert closed_form_constant_riccati(0.0, 0.0, 1.0, 0.0, 1.0, 0.0) == pytest.approx(1.0)
@@ -229,6 +316,18 @@ class TestClosedFormConstantRiccati:
         # beta' = beta^2 + 1 with beta(T) = 0: beta(t) = -tan(T - t)
         out = closed_form_constant_riccati(0.0, 1.0, -1.0, 0.0, 1.0, 0.5)
         assert out == pytest.approx(-math.tan(0.5), abs=1e-12)
+
+    @pytest.mark.parametrize("a,kappa,Q,betaT", [(1e6, 1.0, 1.0, 1.0),
+                                                 (-1e3, 1.0, 1.0, 1.0)])
+    def test_large_horizon_reaches_stable_root(self, a, kappa, Q, betaT):
+        # w s is far beyond the range of cosh; beta sits at (a + w)/kappa
+        w = math.sqrt(a * a + kappa * Q)
+        out = closed_form_constant_riccati(a, kappa, Q, betaT, 1.0, 0.0)
+        assert out == pytest.approx((a + w) / kappa, rel=1e-12)
+
+    def test_unit_c2_stays_on_the_decaying_mode(self):
+        # a = w = 1, c2 = -1: u = e^{(a-w)s} and beta = 0 for every horizon
+        assert closed_form_constant_riccati(1.0, 1.0, 0.0, 0.0, 50.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("a,kappa,Q,betaT", [
         (0.3, 1.5, 2.0, 0.7),
