@@ -39,7 +39,6 @@ from .simulate import (
     MCEstimate,
     PathEnsemble,
     Policy,
-    PolicyKind,
     SaddleReport,
     SimConfig,
     estimate_exponential_cost,

@@ -97,26 +97,36 @@ class RunConfig:
     sweep_workers: int = 1   # accepted for old configs; rows run serially
 
 
-def _coefficient(text: str, key: str) -> Coefficient:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"[model] {key}: {exc}") from None
+def _floats(text: str) -> list[float]:
+    vals = [float(p) for p in (p.strip() for p in text.split(",")) if p]
     if not vals:
-        raise ConfigError(f"[model] {key}: empty value")
-    if len(vals) == 1:
-        return Coefficient.constant(vals[0])
-    return vals  # tabulated; times attached once T is known
+        raise ValueError("empty value")
+    return vals
 
 
-def _bool(text: str, where: str) -> bool:
+def _bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{where}: expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+_REQUIRED = object()
+
+
+def _value(cp: configparser.ConfigParser, section: str, key: str, conv,
+           default=_REQUIRED):
+    """`conv` of [section] key; `default` when absent, unless required."""
+    if section not in cp or key not in cp[section]:
+        if default is _REQUIRED:
+            raise ConfigError(f"[{section}] missing key {key!r}")
+        return default
+    try:
+        return conv(cp[section][key])
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -141,32 +151,18 @@ def parse_config(path: str | Path) -> RunConfig:
     if missing:
         raise ConfigError("missing [model] keys: " + ", ".join(sorted(missing)))
 
-    md = cp["model"]
-
     def mfloat(key: str, default: float | None = None) -> float:
-        if key not in md:
-            return default
-        try:
-            return float(md[key])
-        except ValueError as exc:
-            raise ConfigError(f"[model] {key}: {exc}") from None
+        return _value(cp, "model", key, float, default)
 
     T = mfloat("t")
-    if T is None or T <= 0:
-        raise ConfigError(f"[model] t must be positive, got {md.get('t')!r}")
+    if T <= 0:
+        raise ConfigError(f"[model] t must be positive, got {cp['model']['t']!r}")
 
     def coef(key: str, default: float | None = None) -> Coefficient:
-        if key not in md:
-            return Coefficient.constant(default)
-        out = _coefficient(md[key], key)
-        if isinstance(out, Coefficient):
-            return out
-        return Coefficient.tabulated(np.linspace(0.0, T, len(out)), np.array(out))
-
-    try:
-        variant = Variant.parse(md["variant"])
-    except ValueError as exc:
-        raise ConfigError(f"[model] variant: {exc}") from None
+        vals = _value(cp, "model", key, _floats, [default])
+        if len(vals) == 1:
+            return Coefficient.constant(vals[0])
+        return Coefficient.tabulated(np.linspace(0.0, T, len(vals)), np.array(vals))
 
     params = ModelParams(
         a=mfloat("a"), abar=mfloat("abar"), b=mfloat("b"),
@@ -174,79 +170,43 @@ def parse_config(path: str | Path) -> RunConfig:
         q=coef("q"), qbar=coef("qbar"), r=coef("r"), s=coef("s", 1.0),
         qT=mfloat("qt"), qbarT=mfloat("qbart"),
         theta=mfloat("theta", 0.0), T=T,
-        x0=mfloat("x0"), m0=mfloat("m0"), variant=variant,
+        x0=mfloat("x0"), m0=mfloat("m0"),
+        variant=_value(cp, "model", "variant", Variant.parse),
     )
 
-    n_steps = None
-    if "grid" in cp and "n_steps" in cp["grid"]:
-        try:
-            n_steps = int(cp["grid"]["n_steps"])
-        except ValueError as exc:
-            raise ConfigError(f"[grid] n_steps: {exc}") from None
+    n_steps = _value(cp, "grid", "n_steps", int, None)
     if n_steps is None:
         n_steps = max(2, round(DEFAULT_STEPS_PER_UNIT_TIME * T))
     grid = TimeGrid(T=T, n_steps=n_steps)
 
-    sd = cp["sim"] if "sim" in cp else {}
-
-    def sval(key, conv, default, where="sim"):
-        if key not in sd:
-            return default
-        try:
-            return conv(sd[key])
-        except ValueError as exc:
-            raise ConfigError(f"[{where}] {key}: {exc}") from None
-
     try:
         sim = SimConfig(
-            n_paths=sval("n_paths", int, 10000),
-            dt_sim=sval("dt_sim", float, 1e-3),
-            seed=sval("seed", int, 0),
-            antithetic=_bool(sd["antithetic"], "[sim] antithetic") if "antithetic" in sd else False,
+            n_paths=_value(cp, "sim", "n_paths", int, 10000),
+            dt_sim=_value(cp, "sim", "dt_sim", float, 1e-3),
+            seed=_value(cp, "sim", "seed", int, 0),
+            antithetic=_value(cp, "sim", "antithetic", _bool, False),
         )
     except ValueError as exc:
         raise ConfigError(f"[sim] {exc}") from None
 
-    so = cp["solve"] if "solve" in cp else {}
-
-    def oval(key, conv, default):
-        if key not in so:
-            return default
-        try:
-            return conv(so[key])
-        except ValueError as exc:
-            raise ConfigError(f"[solve] {key}: {exc}") from None
-
     cfg = RunConfig(
         params=params, grid=grid, sim=sim,
-        tol=oval("tol", float, 1e-10),
-        max_iter=oval("max_iter", int, 200),
-        blow_up_cap=oval("blow_up_cap", float, DEFAULT_BLOWUP_CAP),
+        tol=_value(cp, "solve", "tol", float, 1e-10),
+        max_iter=_value(cp, "solve", "max_iter", int, 200),
+        blow_up_cap=_value(cp, "solve", "blow_up_cap", float, DEFAULT_BLOWUP_CAP),
     )
 
     if "sweep" in cp:
-        sw = cp["sweep"]
-        if "parameter" not in sw:
-            raise ConfigError("[sweep] needs a 'parameter' key")
-        parameter = sw["parameter"].strip()
+        parameter = _value(cp, "sweep", "parameter", str.strip)
         if parameter not in SWEEP_PARAMETERS:
             raise ConfigError(f"[sweep] parameter must be one of {SWEEP_PARAMETERS}")
-
-        def wval(key, conv):
-            if key not in sw:
-                raise ConfigError(f"[sweep] missing key {key!r}")
-            try:
-                return conv(sw[key])
-            except ValueError as exc:
-                raise ConfigError(f"[sweep] {key}: {exc}") from None
-
         cfg.sweep_parameter = parameter
-        cfg.sweep_start = wval("start", float)
-        cfg.sweep_stop = wval("stop", float)
-        cfg.sweep_count = wval("count", int)
+        cfg.sweep_start = _value(cp, "sweep", "start", float)
+        cfg.sweep_stop = _value(cp, "sweep", "stop", float)
+        cfg.sweep_count = _value(cp, "sweep", "count", int)
         if cfg.sweep_count < 2:
             raise ConfigError("[sweep] count must be >= 2")
-        cfg.sweep_workers = int(sw.get("workers", "1"))
+        cfg.sweep_workers = _value(cp, "sweep", "workers", int, 1)
     return cfg
 
 
@@ -447,7 +407,11 @@ class CheckLine:
 
 
 def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
-    out = run_solve_pipeline(cfg)
+    out = run_solve_pipeline(cfg)     # a blow-up outranks a bad [sim] grid
+    try:
+        cfg.sim.record_stride(cfg.params.T, cfg.grid.n_steps)
+    except ValueError as exc:
+        raise ConfigError(f"[sim] {exc}") from None
     eq = out.eq_picard
     params = cfg.params
     lines: list[CheckLine] = []
@@ -564,19 +528,20 @@ def _sweep_params(cfg: RunConfig, value: float) -> tuple[ModelParams, TimeGrid]:
         n = max(2, round(grid.n_steps * value / grid.T))
         return replace(p, T=value), TimeGrid(T=value, n_steps=n)
     if name == "qbar-scale":
-        nodes = np.linspace(0.0, p.T, 9)
-        scaled = Coefficient.tabulated(nodes, value * np.asarray(p.qbar(nodes), dtype=float)) \
-            if not p.qbar.is_constant else Coefficient.constant(value * p.qbar(0.0))
-        return replace(p, qbar=scaled, qbarT=value * p.qbarT), grid
+        return replace(p, qbar=p.qbar.scaled(value), qbarT=value * p.qbarT), grid
     raise ConfigError(f"unknown sweep parameter {name!r}")
 
 
 def _sweep_row(cfg: RunConfig, value: float) -> dict[str, str]:
     from .equilibrium import admissibility_margin
-    params, grid = _sweep_params(cfg, value)
     row = {"value": fmt_float(value), "admissible": "", "lipschitz_bound": "",
            "contraction": "", "value_at_0": "", "beta0": "",
            "blow_up_time": "", "code": "0"}
+    try:
+        params, grid = _sweep_params(cfg, value)
+    except ValueError:          # no grid for this value, e.g. T <= 0
+        row["code"] = str(EXIT_CONFIG)
+        return row
     margin = admissibility_margin(params, grid)
     row["admissible"] = str(margin > 0).lower()
     res = validate(params)

@@ -99,6 +99,12 @@ class Coefficient:
             return self._const if np.isscalar(t) else np.full(np.shape(t), self._const)
         return np.interp(t, self._times, self._values)
 
+    def scaled(self, factor: float) -> "Coefficient":
+        """This coefficient times factor, on the same tabulation times."""
+        if self._const is not None:
+            return Coefficient.constant(factor * self._const)
+        return Coefficient.tabulated(self._times, factor * self._values)
+
     def on_grid(self, grid: "TimeGrid") -> np.ndarray:
         return np.asarray(self(grid.nodes), dtype=float)
 

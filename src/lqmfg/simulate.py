@@ -1,15 +1,18 @@
 """Forward Monte Carlo for the controlled SDE and the identity checks.
 
-Paths are partitioned into fixed-size blocks; each block owns its own
-deterministically derived random stream (seeded by [master_seed, block
+Under a linear feedback policy the drift is affine in the state and the
+running cost is quadratic in it, so every variant and policy reduces to
+per-time coefficients: the Euler step x <- e_k x + f_k + sigma dW and the
+trapezoid-weighted running cost (p_k x + q_k) x + r_k are tabulated once per
+call.  Paths are partitioned into blocks of BLOCK_SIZE; each block owns its
+own deterministically derived random stream (seeded by [master_seed, block
 index]) and blocks are reduced in index order, so results are bit-for-bit
-reproducible regardless of how blocks are scheduled.
+reproducible for a given seed.
 """
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import trapezoid
@@ -21,7 +24,6 @@ from .riccati import ValueCoefficients
 
 __all__ = [
     "SimConfig",
-    "PolicyKind",
     "Policy",
     "PathEnsemble",
     "MCEstimate",
@@ -35,7 +37,7 @@ __all__ = [
     "saddle_check",
 ]
 
-PATH_DUMP_GUARD = 10 ** 6  # max n_paths * n_nodes kept in memory / dumped
+BLOCK_SIZE = 16384  # paths per random stream; block b draws from default_rng([seed, b])
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,6 @@ class SimConfig:
     dt_sim: float
     seed: int
     antithetic: bool = False
-    block_size: int = 16384
-    keep_paths: bool = False
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -61,23 +61,23 @@ class SimConfig:
             raise ValueError(f"dt_sim = {self.dt_sim:g} does not divide T = {T:g}")
         return n
 
-
-class PolicyKind(enum.Enum):
-    EQUILIBRIUM = "equilibrium"
-    PERTURBED_CONTROL = "perturbed_control"
-    PERTURBED_DISTURBANCE = "perturbed_disturbance"
-    ZERO = "zero"
+    def record_stride(self, T: float, n_ode: int) -> int:
+        """Simulation steps per step of an n_ode-step grid on [0, T]."""
+        n_sim = self.n_sim_steps(T)
+        if n_sim % n_ode:
+            raise ValueError(f"simulation steps ({n_sim}) must be a multiple of "
+                             f"the ODE grid steps ({n_ode})")
+        return n_sim // n_ode
 
 
 @dataclass(frozen=True)
 class Policy:
-    """Feedback policy u = gain*x + offset (+ delta_u), likewise for v.
+    """Feedback policy u = gain*x + offset + delta_u, likewise for v.
 
-    beta/alpha are carried along so the exponential-martingale
-    accumulators can be formed with the same Brownian increments as the
-    state.
+    Without base coefficients the gains and offsets are zero.  beta/alpha
+    are carried along so the exponential-martingale accumulators can be
+    formed with the same Brownian increments as the state.
     """
-    kind: PolicyKind
     base: ValueCoefficients | None = None
     delta_u: float = 0.0
     delta_v: float = 0.0
@@ -85,23 +85,21 @@ class Policy:
     alpha: Trajectory | None = None
 
     @classmethod
-    def equilibrium(cls, eq: Equilibrium) -> "Policy":
-        return cls(PolicyKind.EQUILIBRIUM, base=eq.value,
-                   beta=eq.riccati.beta, alpha=eq.riccati.alpha)
+    def equilibrium(cls, eq: Equilibrium, delta_u: float = 0.0,
+                    delta_v: float = 0.0) -> "Policy":
+        return cls(eq.value, delta_u, delta_v, eq.riccati.beta, eq.riccati.alpha)
 
     @classmethod
     def perturbed_control(cls, eq: Equilibrium, delta_u: float) -> "Policy":
-        return cls(PolicyKind.PERTURBED_CONTROL, base=eq.value, delta_u=delta_u,
-                   beta=eq.riccati.beta, alpha=eq.riccati.alpha)
+        return cls.equilibrium(eq, delta_u=delta_u)
 
     @classmethod
     def perturbed_disturbance(cls, eq: Equilibrium, delta_v: float) -> "Policy":
-        return cls(PolicyKind.PERTURBED_DISTURBANCE, base=eq.value, delta_v=delta_v,
-                   beta=eq.riccati.beta, alpha=eq.riccati.alpha)
+        return cls.equilibrium(eq, delta_v=delta_v)
 
     @classmethod
     def zero(cls) -> "Policy":
-        return cls(PolicyKind.ZERO)
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,8 @@ class PathEnsemble:
     """Summary of a simulated ensemble.
 
     Per-node sums of x and x^2 support the mean-consistency check; the
-    per-path arrays hold the trapezoid-accumulated running-cost pieces,
+    per-path arrays hold the running cost
+    (1/2) int q x^2 + qbar (x-m)^2 + r u^2 [- s v^2] dt (trapezoid rule),
     terminal states and (when the policy carries beta/alpha) the
     stochastic-exponential accumulators int sigma(beta x+alpha) dB and
     int sigma^2 (beta x+alpha)^2 dt.
@@ -129,14 +128,10 @@ class PathEnsemble:
     m_values: np.ndarray          # mean path at the record times
     sum_x: np.ndarray
     sum_x2: np.ndarray
-    run_qx2: np.ndarray
-    run_qbar_dev: np.ndarray
-    run_ru2: np.ndarray
-    run_sv2: np.ndarray
+    run_cost: np.ndarray
     x_final: np.ndarray
     int_g_dB: np.ndarray | None = None
     int_g2_dt: np.ndarray | None = None
-    states: np.ndarray | None = None
 
     def mean_x(self) -> np.ndarray:
         return self.sum_x / self.n_paths
@@ -177,13 +172,6 @@ class SaddleReport:
     gaps_match_analytic: bool
 
 
-def _block_sizes(n_paths: int, block_size: int) -> list[int]:
-    sizes = [block_size] * (n_paths // block_size)
-    if n_paths % block_size:
-        sizes.append(n_paths % block_size)
-    return sizes
-
-
 def _normals(rng, n: int, antithetic: bool) -> np.ndarray:
     if not antithetic:
         return rng.standard_normal(n)
@@ -202,120 +190,109 @@ def simulate_paths(params: ModelParams, policy: Policy, m: Trajectory,
     simulation grid must refine exactly.
     """
     T = params.T
-    n_sim = config.n_sim_steps(T)
     n_ode = m.grid.n_steps
-    if n_sim % n_ode:
-        raise ValueError(f"simulation steps ({n_sim}) must be a multiple of "
-                         f"the ODE grid steps ({n_ode})")
-    stride = n_sim // n_ode
+    stride = config.record_stride(T, n_ode)
+    n_sim = stride * n_ode
     dt = T / n_sim
     t_sim = np.linspace(0.0, T, n_sim + 1)
 
-    # per-node policy / coefficient tables on the simulation grid
-    m_arr = m(t_sim)
-    q_arr = np.asarray(params.q(t_sim), dtype=float)
-    qbar_arr = np.asarray(params.qbar(t_sim), dtype=float)
-    r_arr = np.asarray(params.r(t_sim), dtype=float)
-    s_arr = np.asarray(params.s(t_sim), dtype=float)
+    def tab(fn) -> np.ndarray:
+        return np.asarray(fn(t_sim), dtype=float)
 
-    zero = np.zeros(n_sim + 1)
-    if policy.kind is PolicyKind.ZERO or policy.base is None:
-        gu, ou = zero, zero
-        gv, ov = zero, zero
-    else:
-        gu = np.asarray(policy.base.feedback_gain(t_sim), dtype=float)
-        ou = np.asarray(policy.base.feedback_offset(t_sim), dtype=float)
-        if params.variant.uses_disturbance and policy.base.disturbance_gain is not None:
-            gv = np.asarray(policy.base.disturbance_gain(t_sim), dtype=float)
-            ov = np.asarray(policy.base.disturbance_offset(t_sim), dtype=float)
-        else:
-            gv, ov = zero, zero
-    du, dv = policy.delta_u, policy.delta_v
+    # per-node tables on the simulation grid; outside the robust variants
+    # c = s = 0 switch the disturbance channel off
+    robust = params.variant.uses_disturbance
+    c = params.c if robust else 0.0
+    s = tab(params.s) if robust else 0.0
+    m_k = tab(m)
+    gu = ou = gv = ov = np.zeros(n_sim + 1)
+    base = policy.base
+    if base is not None:
+        gu, ou = tab(base.feedback_gain), tab(base.feedback_offset)
+        if base.disturbance_gain is not None:
+            gv, ov = tab(base.disturbance_gain), tab(base.disturbance_offset)
+    ou = ou + policy.delta_u          # u = gu x + ou
+    ov = ov + policy.delta_v          # v = gv x + ov
+
+    # x <- e x + f + sigma dW
+    e = (1.0 + (params.a + params.b * gu + c * gv) * dt).tolist()
+    f = ((params.abar * m_k + params.b * ou + c * ov) * dt).tolist()
+
+    # trapezoid weights times 1/2: the running cost at node k is
+    # w (q x^2 + qbar (x-m)^2 + r u^2 - s v^2) = (cost_p x + cost_q) x + r_k,
+    # and the r_k, free of x, are summed once into cost_r
+    w = np.full(n_sim + 1, 0.5 * dt)
+    w[0] = w[-1] = 0.25 * dt
+    q, qbar, r = tab(params.q), tab(params.qbar), tab(params.r)
+    cost_p = (w * (q + qbar + r * gu * gu - s * gv * gv)).tolist()
+    cost_q = (2.0 * w * (r * gu * ou - s * gv * ov - qbar * m_k)).tolist()
+    cost_r = float(np.sum(w * (qbar * m_k * m_k + r * ou * ou - s * ov * ov)))
 
     with_girsanov = policy.beta is not None and policy.alpha is not None
     if with_girsanov:
-        beta_arr = np.asarray(policy.beta(t_sim), dtype=float)
-        alpha_arr = np.asarray(policy.alpha(t_sim), dtype=float)
+        # g = sigma (beta x + alpha) = gb x + ga
+        gb = (params.sigma * tab(policy.beta)).tolist()
+        ga = (params.sigma * tab(policy.alpha)).tolist()
 
-    # trapezoid weights for the running-cost quadrature
-    w = np.full(n_sim + 1, dt)
-    w[0] = w[-1] = dt / 2
+    n = config.n_paths
+    sum_x = np.zeros(n_ode + 1)
+    sum_x2 = np.zeros(n_ode + 1)
+    run_cost = np.empty(n)
+    x_final = np.empty(n)
+    int_g_dB = np.zeros(n) if with_girsanov else None    # in units of sqrt(dt)
+    int_g2_dt = np.zeros(n) if with_girsanov else None   # in units of dt
+    sig_sqdt = params.sigma * math.sqrt(dt)
 
-    robust = params.variant.uses_disturbance
-    keep = config.keep_paths and config.n_paths * (n_ode + 1) <= PATH_DUMP_GUARD
-
-    n_rec = n_ode + 1
-    sum_x = np.zeros(n_rec)
-    sum_x2 = np.zeros(n_rec)
-    per_path: dict[str, list[np.ndarray]] = {k: [] for k in
-        ("qx2", "qbar", "ru2", "sv2", "xT", "gdB", "g2dt")}
-    states_blocks: list[np.ndarray] = []
-
-    sqdt = math.sqrt(dt)
-    a, abar, b, c, sig = params.a, params.abar, params.b, params.c, params.sigma
-
-    for bi, bn in enumerate(_block_sizes(config.n_paths, config.block_size)):
+    for bi, lo in enumerate(range(0, n, BLOCK_SIZE)):
+        blk = slice(lo, min(lo + BLOCK_SIZE, n))
         rng = np.random.default_rng([config.seed, bi])
-        x = np.full(bn, params.x0)
-        acc = {k: np.zeros(bn) for k in ("qx2", "qbar", "ru2", "sv2", "gdB", "g2dt")}
-        if keep:
-            st = np.empty((bn, n_rec))
+        x, cost = x_final[blk], run_cost[blk]
+        x.fill(params.x0)
+        cost.fill(cost_r)
+        tmp = np.empty_like(x)
+        if with_girsanov:
+            gdB, g2dt, g = int_g_dB[blk], int_g2_dt[blk], np.empty_like(x)
         for k in range(n_sim + 1):
-            u = gu[k] * x + ou[k] + du
-            if robust:
-                v = gv[k] * x + ov[k] + dv
-            wk = w[k]
-            acc["qx2"] += wk * q_arr[k] * x * x
-            dev = x - m_arr[k]
-            acc["qbar"] += wk * qbar_arr[k] * dev * dev
-            acc["ru2"] += wk * r_arr[k] * u * u
-            if robust:
-                acc["sv2"] += wk * s_arr[k] * v * v
+            np.multiply(x, cost_p[k], out=tmp)
+            tmp += cost_q[k]
+            tmp *= x
+            cost += tmp
             if k % stride == 0:
                 j = k // stride
                 sum_x[j] += x.sum()
-                sum_x2[j] += (x * x).sum()
-                if keep:
-                    st[:, j] = x
+                np.multiply(x, x, out=tmp)
+                sum_x2[j] += tmp.sum()
             if k == n_sim:
                 break
-            dW = sqdt * _normals(rng, bn, config.antithetic)
+            z = _normals(rng, x.size, config.antithetic)
             if with_girsanov:
                 # Ito (left-point) accumulation with the state's increments
-                g = sig * (beta_arr[k] * x + alpha_arr[k])
-                acc["gdB"] += g * dW
-                acc["g2dt"] += g * g * dt
-            drift = a * x + abar * m_arr[k] + b * u
-            if robust:
-                drift = drift + c * v
-            x = x + drift * dt + sig * dW
-        per_path["qx2"].append(acc["qx2"])
-        per_path["qbar"].append(acc["qbar"])
-        per_path["ru2"].append(acc["ru2"])
-        per_path["sv2"].append(acc["sv2"])
-        per_path["xT"].append(x.copy())
-        per_path["gdB"].append(acc["gdB"])
-        per_path["g2dt"].append(acc["g2dt"])
-        if keep:
-            states_blocks.append(st)
+                np.multiply(x, gb[k], out=g)
+                g += ga[k]
+                np.multiply(g, g, out=tmp)
+                g2dt += tmp
+                g *= z
+                gdB += g
+            x *= e[k]
+            x += f[k]
+            z *= sig_sqdt
+            x += z
 
-    cat = {k: np.concatenate(vs) for k, vs in per_path.items()}
+    if with_girsanov:
+        int_g_dB *= math.sqrt(dt)
+        int_g2_dt *= dt
     return PathEnsemble(
         record_times=m.grid.nodes,
-        n_paths=config.n_paths,
+        n_paths=n,
         seed=config.seed,
         antithetic=config.antithetic,
         m_values=m.values.copy(),
         sum_x=sum_x,
         sum_x2=sum_x2,
-        run_qx2=cat["qx2"],
-        run_qbar_dev=cat["qbar"],
-        run_ru2=cat["ru2"],
-        run_sv2=cat["sv2"],
-        x_final=cat["xT"],
-        int_g_dB=cat["gdB"] if with_girsanov else None,
-        int_g2_dt=cat["g2dt"] if with_girsanov else None,
-        states=np.concatenate(states_blocks) if states_blocks else None,
+        run_cost=run_cost,
+        x_final=x_final,
+        int_g_dB=int_g_dB,
+        int_g2_dt=int_g2_dt,
     )
 
 
@@ -337,10 +314,7 @@ def per_path_cost(ensemble: PathEnsemble, params: ModelParams) -> np.ndarray:
     mT = ensemble.m_values[-1]
     xT = ensemble.x_final
     terminal = 0.5 * (params.qT * xT * xT + params.qbarT * (xT - mT) ** 2)
-    run = 0.5 * (ensemble.run_qx2 + ensemble.run_qbar_dev + ensemble.run_ru2)
-    if params.variant.uses_disturbance:
-        run = run - 0.5 * ensemble.run_sv2
-    return run + terminal
+    return ensemble.run_cost + terminal
 
 
 def estimate_risk_neutral_cost(ensemble: PathEnsemble, params: ModelParams) -> MCEstimate:

@@ -14,7 +14,8 @@ from lqmfg.cli import (
     main,
     parse_config,
 )
-from lqmfg.model import Coefficient, TimeGrid
+from lqmfg.equilibrium import solve_equilibrium_closed_form
+from lqmfg.model import Coefficient, TimeGrid, fmt_float
 
 
 BENCH_CFG = """\
@@ -245,6 +246,18 @@ class TestVerifyCommand:
         assert main(["verify", "--config", path, "--out-dir",
                      str(tmp_path / "o"), "--quiet"]) == EXIT_BLOWUP
 
+    @pytest.mark.parametrize("dt_sim, message", [
+        ("0.003", "does not divide T"),
+        ("0.004", "must be a multiple of the ODE grid steps"),
+    ])
+    def test_bad_sim_grid_is_config_error(self, tmp_path, capsys, dt_sim, message):
+        path = write_cfg(tmp_path, BENCH_CFG + f"\n[sim]\ndt_sim = {dt_sim}\n")
+        assert main(["verify", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [sim]") and message in err
+        assert err.count("\n") == 1
+
 
 class TestCheckCommand:
     def test_writes_report(self, tmp_path, capsys):
@@ -295,3 +308,37 @@ count = 5
         path = write_cfg(tmp_path, BENCH_CFG)
         assert main(["sweep", "--config", path, "--out-dir",
                      str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+
+    def test_bad_worker_count_is_config_error(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, self.SWEEP + "workers = many\n")
+        assert main(["sweep", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: [sweep] workers:")
+
+    def sweep_rows(self, tmp_path, sweep: str) -> list[list[str]]:
+        path = write_cfg(tmp_path, BENCH_CFG + "\n[sweep]\n" + sweep)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out-dir", str(out),
+                     "--quiet"]) == EXIT_OK
+        return [ln.split(",") for ln in (out / "sweep.csv").read_text().splitlines()[1:]]
+
+    def test_horizon_through_zero_gives_row_codes(self, tmp_path):
+        rows = self.sweep_rows(
+            tmp_path, "parameter = T\nstart = -0.5\nstop = 0.5\ncount = 3\n")
+        assert [row[0] for row in rows] == ["-0.5", "0", "0.5"]
+        for row in rows[:2]:
+            assert row[1:] == [""] * 6 + [str(EXIT_CONFIG)]
+        assert rows[2][-1] == str(EXIT_OK) and rows[2][4] != ""
+
+    def test_qbar_scale_keeps_tabulation_times(self, tmp_path):
+        text = BENCH_CFG.replace("qbar = 0.5", "qbar = 0.5, 1.5, 0.2, 1.0")
+        cfg = parse_config(write_cfg(tmp_path, text, "unscaled.cfg"))
+        eq = solve_equilibrium_closed_form(cfg.params, cfg.grid)
+        path = write_cfg(tmp_path, text + "\n[sweep]\nparameter = qbar-scale\n"
+                         "start = 0.5\nstop = 1.5\ncount = 3\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out-dir", str(out),
+                     "--quiet"]) == EXIT_OK
+        row = (out / "sweep.csv").read_text().splitlines()[2].split(",")
+        assert row[0] == "1"
+        assert row[4] == fmt_float(eq.value.value_at_0)

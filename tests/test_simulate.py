@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from lqmfg.model import TimeGrid, Trajectory, Variant
+from lqmfg.model import Coefficient, TimeGrid, Trajectory, Variant
 from lqmfg.equilibrium import solve_equilibrium_picard
 from lqmfg.simulate import (
+    BLOCK_SIZE,
     InsufficientResolutionError,
     MCEstimate,
     Policy,
@@ -68,18 +71,118 @@ class TestDeterminism:
         assert not np.array_equal(e1.x_final, e2.x_final)
 
 
+def reference_paths(params, policy, m, config):
+    """Per-step Euler-Maruyama with u, v, x - m and four separate cost sums.
+
+    Draws the same per-block streams as simulate_paths: block b of
+    BLOCK_SIZE paths uses default_rng([seed, b]).
+    """
+    T = params.T
+    n_sim = config.n_sim_steps(T)
+    stride = n_sim // m.grid.n_steps
+    dt = T / n_sim
+    t = np.linspace(0.0, T, n_sim + 1)
+    robust = params.variant.uses_disturbance
+    zero = np.zeros(n_sim + 1)
+    gu = ou = gv = ov = zero
+    if policy.base is not None:
+        gu, ou = policy.base.feedback_gain(t), policy.base.feedback_offset(t)
+        if robust:
+            gv, ov = policy.base.disturbance_gain(t), policy.base.disturbance_offset(t)
+    girsanov = policy.beta is not None
+    w = np.full(n_sim + 1, dt)
+    w[0] = w[-1] = dt / 2
+    mt, q, qbar, r, s = m(t), params.q(t), params.qbar(t), params.r(t), params.s(t)
+    sum_x = np.zeros(m.grid.n_steps + 1)
+    out = {key: [] for key in ("cost", "x_final", "int_g_dB", "int_g2_dt")}
+    for bi, lo in enumerate(range(0, config.n_paths, BLOCK_SIZE)):
+        bn = min(BLOCK_SIZE, config.n_paths - lo)
+        rng = np.random.default_rng([config.seed, bi])
+        x = np.full(bn, params.x0)
+        qx2, qdev, ru2, sv2, gdB, g2dt = (np.zeros(bn) for _ in range(6))
+        for k in range(n_sim + 1):
+            u = gu[k] * x + ou[k] + policy.delta_u
+            v = gv[k] * x + ov[k] + policy.delta_v
+            dev = x - mt[k]
+            qx2 += w[k] * q[k] * x * x
+            qdev += w[k] * qbar[k] * dev * dev
+            ru2 += w[k] * r[k] * u * u
+            if robust:
+                sv2 += w[k] * s[k] * v * v
+            if k % stride == 0:
+                sum_x[k // stride] += x.sum()
+            if k == n_sim:
+                break
+            if config.antithetic:
+                half = rng.standard_normal(bn // 2)
+                z = np.empty(bn)
+                z[0::2], z[1::2] = half, -half
+            else:
+                z = rng.standard_normal(bn)
+            dW = math.sqrt(dt) * z
+            if girsanov:
+                g = params.sigma * (policy.beta(t[k]) * x + policy.alpha(t[k]))
+                gdB += g * dW
+                g2dt += g * g * dt
+            drift = params.a * x + params.abar * mt[k] + params.b * u
+            if robust:
+                drift = drift + params.c * v
+            x = x + drift * dt + params.sigma * dW
+        terminal = 0.5 * (params.qT * x * x + params.qbarT * (x - mt[-1]) ** 2)
+        out["cost"].append(0.5 * (qx2 + qdev + ru2 - sv2) + terminal)
+        out["x_final"].append(x)
+        out["int_g_dB"].append(gdB)
+        out["int_g2_dt"].append(g2dt)
+    out = {key: np.concatenate(parts) for key, parts in out.items()}
+    out["sum_x"] = sum_x
+    return out
+
+
+REFERENCE_INSTANCES = {
+    "risk_neutral": dict(),
+    "risk_sensitive": dict(variant=Variant.RISK_SENSITIVE, theta=0.25),
+    "robust": dict(variant=Variant.ROBUST, c=0.5,
+                   q=Coefficient.tabulated(np.linspace(0.0, 1.0, 4),
+                                           np.array([1.0, 1.5, 0.8, 1.2]))),
+    "robust_risk_sensitive": dict(variant=Variant.ROBUST_RISK_SENSITIVE,
+                                  c=0.5, theta=0.25),
+}
+
+
+class TestReferenceEuler:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+    def test_matches_per_step_reference(self, name):
+        p = make_params(**REFERENCE_INSTANCES[name])
+        eq = solve_equilibrium_picard(p, TimeGrid(T=1.0, n_steps=20))
+        cfg = SimConfig(n_paths=BLOCK_SIZE + 6, dt_sim=1.0 / 40, seed=4,
+                        antithetic=True)
+        policies = [Policy.equilibrium(eq), Policy.perturbed_control(eq, 0.5),
+                    Policy.perturbed_disturbance(eq, 0.5), Policy.zero()]
+        for policy in policies:
+            ens = simulate_paths(p, policy, eq.m, cfg)
+            ref = reference_paths(p, policy, eq.m, cfg)
+            got = {"cost": per_path_cost(ens, p), "x_final": ens.x_final,
+                   "sum_x": ens.sum_x, "int_g_dB": ens.int_g_dB,
+                   "int_g2_dt": ens.int_g2_dt}
+            if policy.beta is None:
+                assert got.pop("int_g_dB") is None and got.pop("int_g2_dt") is None
+            for key, value in got.items():
+                err = np.abs(value - ref[key]) / np.maximum(1.0, np.abs(ref[key]))
+                assert err.max() <= 1e-12, (key, policy)
+
+
 class TestDegenerateDynamics:
     def test_noise_free_uncontrolled_path(self):
         # sigma = 0, zero policy, abar = 0: exact Euler recursion x <- (1+a dt) x
         p = make_params(sigma=0.0, abar=0.0)
         g = TimeGrid(T=1.0, n_steps=100)
         m = Trajectory.zeros(g)
-        cfg = SimConfig(n_paths=3, dt_sim=0.01, seed=0, keep_paths=True)
+        cfg = SimConfig(n_paths=3, dt_sim=0.01, seed=0)
         ens = simulate_paths(p, Policy.zero(), m, cfg)
         dt = 0.01
         expected = p.x0 * (1.0 + p.a * dt) ** np.arange(101)
-        np.testing.assert_allclose(ens.states[0], expected, rtol=1e-13)
-        np.testing.assert_array_equal(ens.states[0], ens.states[1])
+        np.testing.assert_allclose(ens.mean_x(), expected, rtol=1e-13)
+        assert np.all(ens.x_final == ens.x_final[0])
 
     def test_antithetic_terminal_mean_exact_for_linear_sde(self):
         # zero policy keeps the SDE linear, so antithetic pair means of x(T)
@@ -194,13 +297,6 @@ class TestSaddle:
 
 
 class TestEnsembleOutput:
-    def test_keep_paths_guard(self, bench_eq):
-        p, eq = bench_eq
-        # n_paths * n_nodes above the guard: states silently omitted
-        ens = simulate_paths(p, Policy.equilibrium(eq), eq.m,
-                             small_config(n_paths=1200, keep_paths=True))
-        assert ens.states is None
-
     def test_summary_csv(self, tmp_path, bench_eq):
         p, eq = bench_eq
         ens = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config())
