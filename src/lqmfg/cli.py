@@ -97,11 +97,30 @@ class RunConfig:
     sweep_workers: int = 1   # accepted for old configs; rows run serially
 
 
+def _default_dt_sim(grid: TimeGrid) -> float:
+    """The largest simulation step <= 1/DEFAULT_STEPS_PER_UNIT_TIME that
+    refines the ODE grid."""
+    per_step = math.ceil(DEFAULT_STEPS_PER_UNIT_TIME * grid.T / grid.n_steps)
+    return grid.T / (grid.n_steps * per_step)
+
+
+def _spread(values, T: float) -> Coefficient:
+    """A tabulated weight: the values at equally spaced times on [0, T]."""
+    return Coefficient.tabulated(np.linspace(0.0, T, len(values)), np.array(values))
+
+
 def _floats(text: str) -> list[float]:
     vals = [float(p) for p in (p.strip() for p in text.split(",")) if p]
     if not vals:
         raise ValueError("empty value")
     return vals
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
 
 
 def _bool(text: str) -> bool:
@@ -155,14 +174,14 @@ def parse_config(path: str | Path) -> RunConfig:
         return _value(cp, "model", key, float, default)
 
     T = mfloat("t")
-    if T <= 0:
-        raise ConfigError(f"[model] t must be positive, got {cp['model']['t']!r}")
+    if not 0.0 < T < math.inf:
+        raise ConfigError(f"[model] t must be positive and finite, got {cp['model']['t']!r}")
 
     def coef(key: str, default: float | None = None) -> Coefficient:
         vals = _value(cp, "model", key, _floats, [default])
         if len(vals) == 1:
             return Coefficient.constant(vals[0])
-        return Coefficient.tabulated(np.linspace(0.0, T, len(vals)), np.array(vals))
+        return _spread(vals, T)
 
     params = ModelParams(
         a=mfloat("a"), abar=mfloat("abar"), b=mfloat("b"),
@@ -177,12 +196,15 @@ def parse_config(path: str | Path) -> RunConfig:
     n_steps = _value(cp, "grid", "n_steps", int, None)
     if n_steps is None:
         n_steps = max(2, round(DEFAULT_STEPS_PER_UNIT_TIME * T))
-    grid = TimeGrid(T=T, n_steps=n_steps)
+    try:
+        grid = TimeGrid(T=T, n_steps=n_steps)
+    except ValueError as exc:
+        raise ConfigError(f"[grid] {exc}") from None
 
     try:
         sim = SimConfig(
             n_paths=_value(cp, "sim", "n_paths", int, 10000),
-            dt_sim=_value(cp, "sim", "dt_sim", float, 1e-3),
+            dt_sim=_value(cp, "sim", "dt_sim", float, _default_dt_sim(grid)),
             seed=_value(cp, "sim", "seed", int, 0),
             antithetic=_value(cp, "sim", "antithetic", _bool, False),
         )
@@ -201,8 +223,8 @@ def parse_config(path: str | Path) -> RunConfig:
         if parameter not in SWEEP_PARAMETERS:
             raise ConfigError(f"[sweep] parameter must be one of {SWEEP_PARAMETERS}")
         cfg.sweep_parameter = parameter
-        cfg.sweep_start = _value(cp, "sweep", "start", float)
-        cfg.sweep_stop = _value(cp, "sweep", "stop", float)
+        cfg.sweep_start = _value(cp, "sweep", "start", _finite)
+        cfg.sweep_stop = _value(cp, "sweep", "stop", _finite)
         cfg.sweep_count = _value(cp, "sweep", "count", int)
         if cfg.sweep_count < 2:
             raise ConfigError("[sweep] count must be >= 2")
@@ -416,7 +438,19 @@ def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
     params = cfg.params
     lines: list[CheckLine] = []
 
-    ens = simulate_paths(params, Policy.equilibrium(eq), eq.m, cfg.sim)
+    # one simulation per instance: the robust variants reuse the saddle
+    # check's (u, v) ensemble, which shares its draws with the perturbed ones
+    rep = None
+    if params.variant.uses_disturbance:
+        try:
+            rep = saddle_check(params, eq, 0.5, cfg.sim)
+        except InsufficientResolutionError as exc:
+            rep = exc.report
+        ens = rep.base
+    else:
+        [ens] = simulate_paths(
+            params, [Policy.equilibrium(eq, girsanov=params.variant.uses_theta)],
+            eq.m, cfg.sim)
 
     # mean consistency: |sample mean - m| <= 3 se at every node with noise
     mean = ens.mean_x()
@@ -455,11 +489,7 @@ def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
             tolerance=tol, std_error=mart.std_error,
             passed=abs(mart.mean - 1.0) <= tol))
 
-    if params.variant.uses_disturbance:
-        try:
-            rep = saddle_check(params, eq, 0.5, cfg.sim)
-        except InsufficientResolutionError as exc:
-            rep = exc.report
+    if rep is not None:
         lines.append(CheckLine(
             name="saddle_gap_control", estimate=rep.gap_u.mean,
             theory=rep.analytic_gap_u,
@@ -526,7 +556,12 @@ def _sweep_params(cfg: RunConfig, value: float) -> tuple[ModelParams, TimeGrid]:
         return replace(p, c=value), grid
     if name == "T":
         n = max(2, round(grid.n_steps * value / grid.T))
-        return replace(p, T=value), TimeGrid(T=value, n_steps=n)
+        grid = TimeGrid(T=value, n_steps=n)
+        # tabulated weights are spread over the new [0, T], as a config does
+        coefs = {key: getattr(p, key) for key in ("q", "qbar", "r", "s")}
+        weights = {key: _spread(coef.node_values, value)
+                   for key, coef in coefs.items() if not coef.is_constant}
+        return replace(p, T=value, **weights), grid
     if name == "qbar-scale":
         return replace(p, qbar=p.qbar.scaled(value), qbarT=value * p.qbarT), grid
     raise ConfigError(f"unknown sweep parameter {name!r}")

@@ -6,6 +6,7 @@ threads; the operations are pure functions.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -229,18 +230,26 @@ def _check_sign(coef: Coefficient, name: str, T: float, strict: bool, out: list[
     pts = coef.sample_points(T)
     vals = np.atleast_1d(np.asarray(coef(pts), dtype=float))
     for i, v in enumerate(vals):
-        bad = (v <= 0) if strict else (v < 0)
-        if bad:
+        if not math.isfinite(v):
+            rel = "finite"
+        elif (v <= 0) if strict else (v < 0):
             rel = "strictly positive" if strict else "nonnegative"
-            where = "" if coef.is_constant else f" at node {i} (t={pts[i]:g})"
-            out.append(f"{name} must be {rel}{where}; got {v:g}")
-            if coef.is_constant:
-                break
+        else:
+            continue
+        where = "" if coef.is_constant else f" at node {i} (t={pts[i]:g})"
+        out.append(f"{name} must be {rel}{where}; got {v:g}")
+        if coef.is_constant:
+            break
 
 
 def validate(params: ModelParams) -> ValidationResult:
     """Check the sign and range constraints on a game instance."""
     bad: list[str] = []
+    for name in ("a", "abar", "b", "c", "sigma", "qT", "qbarT", "theta", "T",
+                 "x0", "m0"):
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            bad.append(f"{name} must be finite; got {value:g}")
     if params.T <= 0:
         bad.append(f"T must be positive; got {params.T:g}")
     if params.sigma < 0:

@@ -4,15 +4,18 @@ Under a linear feedback policy the drift is affine in the state and the
 running cost is quadratic in it, so every variant and policy reduces to
 per-time coefficients: the Euler step x <- e_k x + f_k + sigma dW and the
 trapezoid-weighted running cost (p_k x + q_k) x + r_k are tabulated once per
-call.  Paths are partitioned into blocks of BLOCK_SIZE; each block owns its
-own deterministically derived random stream (seeded by [master_seed, block
+call.  One call advances a stack of policies on common random numbers: each
+step's normals are drawn once and shared by every policy.  Paths are
+partitioned into blocks of BLOCK_SIZE; each block owns its own
+deterministically derived random stream (seeded by [master_seed, block
 index]) and blocks are reduced in index order, so results are bit-for-bit
 reproducible for a given seed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import trapezoid
@@ -74,9 +77,10 @@ class SimConfig:
 class Policy:
     """Feedback policy u = gain*x + offset + delta_u, likewise for v.
 
-    Without base coefficients the gains and offsets are zero.  beta/alpha
-    are carried along so the exponential-martingale accumulators can be
-    formed with the same Brownian increments as the state.
+    Without base coefficients the gains and offsets are zero.  A policy that
+    carries beta/alpha gets the exponential-martingale (Girsanov) sums,
+    formed with the same Brownian increments as the state; only the
+    estimators of theta read them.
     """
     base: ValueCoefficients | None = None
     delta_u: float = 0.0
@@ -84,18 +88,24 @@ class Policy:
     beta: Trajectory | None = None
     alpha: Trajectory | None = None
 
+    @property
+    def girsanov(self) -> bool:
+        return self.beta is not None and self.alpha is not None
+
     @classmethod
     def equilibrium(cls, eq: Equilibrium, delta_u: float = 0.0,
-                    delta_v: float = 0.0) -> "Policy":
+                    delta_v: float = 0.0, girsanov: bool = True) -> "Policy":
+        if not girsanov:
+            return cls(eq.value, delta_u, delta_v)
         return cls(eq.value, delta_u, delta_v, eq.riccati.beta, eq.riccati.alpha)
 
     @classmethod
     def perturbed_control(cls, eq: Equilibrium, delta_u: float) -> "Policy":
-        return cls.equilibrium(eq, delta_u=delta_u)
+        return cls.equilibrium(eq, delta_u=delta_u, girsanov=False)
 
     @classmethod
     def perturbed_disturbance(cls, eq: Equilibrium, delta_v: float) -> "Policy":
-        return cls.equilibrium(eq, delta_v=delta_v)
+        return cls.equilibrium(eq, delta_v=delta_v, girsanov=False)
 
     @classmethod
     def zero(cls) -> "Policy":
@@ -170,6 +180,7 @@ class SaddleReport:
     analytic_gap_v: float
     ordering_ok: bool
     gaps_match_analytic: bool
+    base: PathEnsemble = field(compare=False, repr=False)   # the (u, v) ensemble
 
 
 def _normals(rng, n: int, antithetic: bool) -> np.ndarray:
@@ -182,12 +193,22 @@ def _normals(rng, n: int, antithetic: bool) -> np.ndarray:
     return out
 
 
-def simulate_paths(params: ModelParams, policy: Policy, m: Trajectory,
-                   config: SimConfig) -> PathEnsemble:
-    """Euler-Maruyama forward integration under a linear feedback policy.
+def _columns(rows) -> np.ndarray:
+    """Stack per-policy tables (P, n) into per-step columns (n, P, 1)."""
+    return np.ascontiguousarray(np.stack(rows).T[:, :, None])
 
+
+def simulate_paths(params: ModelParams, policies: Sequence[Policy], m: Trajectory,
+                   config: SimConfig) -> list[PathEnsemble]:
+    """Euler-Maruyama forward integration of policies on common random numbers.
+
+    All policies are advanced together as a (P, block) stack: the normals of
+    each step are drawn once per block and broadcast to every policy, so each
+    ensemble equals the one a single-policy call would give, bit for bit.
+    Girsanov sums are formed only for the policies that carry beta/alpha.
     States are recorded (as sums) at the nodes of m's grid, which the
-    simulation grid must refine exactly.
+    simulation grid must refine exactly.  Returns one ensemble per policy,
+    in order.
     """
     T = params.T
     n_ode = m.grid.n_steps
@@ -199,59 +220,67 @@ def simulate_paths(params: ModelParams, policy: Policy, m: Trajectory,
     def tab(fn) -> np.ndarray:
         return np.asarray(fn(t_sim), dtype=float)
 
-    # per-node tables on the simulation grid; outside the robust variants
+    # model tables on the simulation grid; outside the robust variants
     # c = s = 0 switch the disturbance channel off
     robust = params.variant.uses_disturbance
     c = params.c if robust else 0.0
     s = tab(params.s) if robust else 0.0
     m_k = tab(m)
-    gu = ou = gv = ov = np.zeros(n_sim + 1)
-    base = policy.base
-    if base is not None:
-        gu, ou = tab(base.feedback_gain), tab(base.feedback_offset)
-        if base.disturbance_gain is not None:
-            gv, ov = tab(base.disturbance_gain), tab(base.disturbance_offset)
-    ou = ou + policy.delta_u          # u = gu x + ou
-    ov = ov + policy.delta_v          # v = gv x + ov
-
-    # x <- e x + f + sigma dW
-    e = (1.0 + (params.a + params.b * gu + c * gv) * dt).tolist()
-    f = ((params.abar * m_k + params.b * ou + c * ov) * dt).tolist()
-
-    # trapezoid weights times 1/2: the running cost at node k is
-    # w (q x^2 + qbar (x-m)^2 + r u^2 - s v^2) = (cost_p x + cost_q) x + r_k,
-    # and the r_k, free of x, are summed once into cost_r
+    q, qbar, r = tab(params.q), tab(params.qbar), tab(params.r)
+    # trapezoid weights times 1/2
     w = np.full(n_sim + 1, 0.5 * dt)
     w[0] = w[-1] = 0.25 * dt
-    q, qbar, r = tab(params.q), tab(params.qbar), tab(params.r)
-    cost_p = (w * (q + qbar + r * gu * gu - s * gv * gv)).tolist()
-    cost_q = (2.0 * w * (r * gu * ou - s * gv * ov - qbar * m_k)).tolist()
-    cost_r = float(np.sum(w * (qbar * m_k * m_k + r * ou * ou - s * ov * ov)))
 
-    with_girsanov = policy.beta is not None and policy.alpha is not None
-    if with_girsanov:
+    def tables(policy: Policy):
+        """(e, f, cost_p, cost_q, cost_r) of one policy: the step is
+        x <- e x + f + sigma dW, and the running cost at node k is
+        w (q x^2 + qbar (x-m)^2 + r u^2 - s v^2) = (cost_p x + cost_q) x + r_k,
+        whose x-free r_k are summed once into cost_r."""
+        gu = ou = gv = ov = np.zeros(n_sim + 1)
+        base = policy.base
+        if base is not None:
+            gu, ou = tab(base.feedback_gain), tab(base.feedback_offset)
+            if base.disturbance_gain is not None:
+                gv, ov = tab(base.disturbance_gain), tab(base.disturbance_offset)
+        ou = ou + policy.delta_u          # u = gu x + ou
+        ov = ov + policy.delta_v          # v = gv x + ov
+        return (1.0 + (params.a + params.b * gu + c * gv) * dt,
+                (params.abar * m_k + params.b * ou + c * ov) * dt,
+                w * (q + qbar + r * gu * gu - s * gv * gv),
+                2.0 * w * (r * gu * ou - s * gv * ov - qbar * m_k),
+                float(np.sum(w * (qbar * m_k * m_k + r * ou * ou - s * ov * ov))))
+
+    # policies with Girsanov sums lead the stack, so they are one slice of it
+    order = sorted(range(len(policies)), key=lambda i: not policies[i].girsanov)
+    stack = [policies[i] for i in order]
+    n_pol = len(stack)
+    n_gir = sum(pol.girsanov for pol in stack)
+    e, f, cost_p, cost_q, cost_r = zip(*map(tables, stack))
+    e, f, cost_p, cost_q = map(_columns, (e, f, cost_p, cost_q))
+    cost_r = np.array(cost_r)[:, None]
+    if n_gir:
         # g = sigma (beta x + alpha) = gb x + ga
-        gb = (params.sigma * tab(policy.beta)).tolist()
-        ga = (params.sigma * tab(policy.alpha)).tolist()
+        gb = _columns([params.sigma * tab(pol.beta) for pol in stack[:n_gir]])
+        ga = _columns([params.sigma * tab(pol.alpha) for pol in stack[:n_gir]])
 
     n = config.n_paths
-    sum_x = np.zeros(n_ode + 1)
-    sum_x2 = np.zeros(n_ode + 1)
-    run_cost = np.empty(n)
-    x_final = np.empty(n)
-    int_g_dB = np.zeros(n) if with_girsanov else None    # in units of sqrt(dt)
-    int_g2_dt = np.zeros(n) if with_girsanov else None   # in units of dt
+    sum_x = np.zeros((n_pol, n_ode + 1))
+    sum_x2 = np.zeros((n_pol, n_ode + 1))
+    run_cost = np.empty((n_pol, n))
+    x_final = np.empty((n_pol, n))
+    int_g_dB = np.zeros((n_gir, n))     # in units of sqrt(dt)
+    int_g2_dt = np.zeros((n_gir, n))    # in units of dt
     sig_sqdt = params.sigma * math.sqrt(dt)
 
     for bi, lo in enumerate(range(0, n, BLOCK_SIZE)):
-        blk = slice(lo, min(lo + BLOCK_SIZE, n))
+        hi = min(lo + BLOCK_SIZE, n)
         rng = np.random.default_rng([config.seed, bi])
-        x, cost = x_final[blk], run_cost[blk]
-        x.fill(params.x0)
-        cost.fill(cost_r)
-        tmp = np.empty_like(x)
-        if with_girsanov:
-            gdB, g2dt, g = int_g_dB[blk], int_g2_dt[blk], np.empty_like(x)
+        x, cost = x_final[:, lo:hi], run_cost[:, lo:hi]
+        x[...] = params.x0
+        cost[...] = cost_r
+        tmp = np.empty(x.shape)
+        xg, tmpg, g = x[:n_gir], tmp[:n_gir], np.empty((n_gir, hi - lo))
+        gdB, g2dt = int_g_dB[:, lo:hi], int_g2_dt[:, lo:hi]
         for k in range(n_sim + 1):
             np.multiply(x, cost_p[k], out=tmp)
             tmp += cost_q[k]
@@ -259,18 +288,18 @@ def simulate_paths(params: ModelParams, policy: Policy, m: Trajectory,
             cost += tmp
             if k % stride == 0:
                 j = k // stride
-                sum_x[j] += x.sum()
+                sum_x[:, j] += x.sum(axis=1)
                 np.multiply(x, x, out=tmp)
-                sum_x2[j] += tmp.sum()
+                sum_x2[:, j] += tmp.sum(axis=1)
             if k == n_sim:
                 break
-            z = _normals(rng, x.size, config.antithetic)
-            if with_girsanov:
+            z = _normals(rng, hi - lo, config.antithetic)
+            if n_gir:
                 # Ito (left-point) accumulation with the state's increments
-                np.multiply(x, gb[k], out=g)
+                np.multiply(xg, gb[k], out=g)
                 g += ga[k]
-                np.multiply(g, g, out=tmp)
-                g2dt += tmp
+                np.multiply(g, g, out=tmpg)
+                g2dt += tmpg
                 g *= z
                 gdB += g
             x *= e[k]
@@ -278,22 +307,27 @@ def simulate_paths(params: ModelParams, policy: Policy, m: Trajectory,
             z *= sig_sqdt
             x += z
 
-    if with_girsanov:
-        int_g_dB *= math.sqrt(dt)
-        int_g2_dt *= dt
-    return PathEnsemble(
-        record_times=m.grid.nodes,
-        n_paths=n,
-        seed=config.seed,
-        antithetic=config.antithetic,
-        m_values=m.values.copy(),
-        sum_x=sum_x,
-        sum_x2=sum_x2,
-        run_cost=run_cost,
-        x_final=x_final,
-        int_g_dB=int_g_dB,
-        int_g2_dt=int_g2_dt,
-    )
+    int_g_dB *= math.sqrt(dt)
+    int_g2_dt *= dt
+
+    def ensemble(row: int) -> PathEnsemble:
+        gir = row < n_gir
+        return PathEnsemble(
+            record_times=m.grid.nodes,
+            n_paths=n,
+            seed=config.seed,
+            antithetic=config.antithetic,
+            m_values=m.values.copy(),
+            sum_x=sum_x[row],
+            sum_x2=sum_x2[row],
+            run_cost=run_cost[row],
+            x_final=x_final[row],
+            int_g_dB=int_g_dB[row] if gir else None,
+            int_g2_dt=int_g2_dt[row] if gir else None,
+        )
+
+    # back to the callers' order: policy i sits in the row r with order[r] = i
+    return [ensemble(row) for row in sorted(range(n_pol), key=order.__getitem__)]
 
 
 def _mc_estimate(values: np.ndarray, antithetic: bool,
@@ -352,18 +386,19 @@ def saddle_check(params: ModelParams, equilibrium: Equilibrium,
                  perturbation_scale: float, config: SimConfig) -> SaddleReport:
     """Verify the saddle ordering under common random numbers.
 
-    Estimates the cost for (u, v), (u+du, v), (u, v+dv) with the same
-    seed, so pathwise differences isolate the completed-square gaps
-    int (r/2) du^2 dt and int (s/2) dv^2 dt.
+    Simulates (u, v), (u+du, v), (u, v+dv) in one pass on the same draws,
+    so pathwise differences isolate the completed-square gaps
+    int (r/2) du^2 dt and int (s/2) dv^2 dt.  The (u, v) ensemble is
+    returned in the report; it carries the Girsanov sums when the variant
+    uses theta.
     """
     if not params.variant.uses_disturbance:
         raise ValueError("saddle_check applies to the robust variants")
-    m = equilibrium.m
-    base = simulate_paths(params, Policy.equilibrium(equilibrium), m, config)
-    up = simulate_paths(params, Policy.perturbed_control(equilibrium, perturbation_scale),
-                        m, config)
-    vp = simulate_paths(params, Policy.perturbed_disturbance(equilibrium, perturbation_scale),
-                        m, config)
+    base, up, vp = simulate_paths(params, [
+        Policy.equilibrium(equilibrium, girsanov=params.variant.uses_theta),
+        Policy.perturbed_control(equilibrium, perturbation_scale),
+        Policy.perturbed_disturbance(equilibrium, perturbation_scale),
+    ], equilibrium.m, config)
 
     L_base = per_path_cost(base, params)
     L_up = per_path_cost(up, params)
@@ -388,6 +423,7 @@ def saddle_check(params: ModelParams, equilibrium: Equilibrium,
         analytic_gap_v=analytic_v,
         ordering_ok=ordering_ok,
         gaps_match_analytic=match,
+        base=base,
     )
     if perturbation_scale != 0.0 and (analytic_u <= 3 * gap_u.std_error
                                       or analytic_v <= 3 * gap_v.std_error):

@@ -58,7 +58,8 @@ def bench_eq(grid):
 def bench_ensemble(bench_eq):
     p, eq = bench_eq
     cfg = SimConfig(n_paths=N_PATHS, dt_sim=1e-3, seed=SEED)
-    return simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
+    [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, cfg)
+    return ens
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,8 @@ def rs_setup(grid):
     p = make_params(variant=Variant.RISK_SENSITIVE, theta=0.25)
     eq = solve_equilibrium_picard(p, grid)
     cfg = SimConfig(n_paths=N_PATHS, dt_sim=1e-3, seed=SEED)
-    return p, eq, simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
+    [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, cfg)
+    return p, eq, ens
 
 
 def test_criterion_01_analytic_riccati_and_order(grid):
@@ -130,7 +132,7 @@ def test_criterion_05_value_identity_and_control_gap(bench_eq, bench_ensemble):
     # common random numbers isolate the completed-square gap (r/2) du^2 T
     delta = 0.5
     cfg = SimConfig(n_paths=N_PATHS, dt_sim=1e-3, seed=SEED)
-    pert = simulate_paths(p, Policy.perturbed_control(eq, delta), eq.m, cfg)
+    [pert] = simulate_paths(p, [Policy.perturbed_control(eq, delta)], eq.m, cfg)
     gap = _mc_estimate(per_path_cost(pert, p) - per_path_cost(bench_ensemble, p),
                        antithetic=False)
     gap_theory = 0.5 * 1.0 * delta ** 2 * p.T

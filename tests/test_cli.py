@@ -1,8 +1,12 @@
 import argparse
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lqmfg
 from lqmfg.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -220,6 +224,18 @@ max_iter = 20
         path = write_cfg(tmp_path, BENCH_CFG + "bogus = 1\n")
         assert main(["solve", "--config", path, "--quiet"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("old, new", [
+        ("a = -0.5", "a = nan"),
+        ("sigma = 0.2", "sigma = inf"),
+        ("n_steps = 200", "n_steps = 1"),
+    ])
+    def test_bad_input_is_one_line_config_error(self, tmp_path, capsys, old, new):
+        path = write_cfg(tmp_path, BENCH_CFG.replace(old, new))
+        assert main(["solve", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_byte_identical_reruns(self, tmp_path):
         path = write_cfg(tmp_path, BENCH_CFG)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -257,6 +273,31 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: [sim]") and message in err
         assert err.count("\n") == 1
+
+    def test_default_dt_sim_refines_the_grid(self, tmp_path):
+        # no [sim] section: 1000 steps would not refine a 400-step grid
+        path = write_cfg(tmp_path, BENCH_CFG.replace("n_steps = 200", "n_steps = 400"))
+        assert parse_config(path).sim.dt_sim == 1.0 / 1200
+        out = tmp_path / "out"
+        assert main(["verify", "--config", path, "--out-dir", str(out),
+                     "--paths", "2000", "--quiet"]) == EXIT_OK
+        assert "value_identity_quadratic" in (out / "verify_report.txt").read_text()
+
+    def test_default_dt_sim_is_one_thousandth_where_it_refines(self, tmp_path):
+        assert parse_config(write_cfg(tmp_path, BENCH_CFG)).sim.dt_sim == 1e-3
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_check(self, tmp_path):
+        src = str(Path(lqmfg.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lqmfg", "check", "--config",
+             write_cfg(tmp_path, BENCH_CFG), "--out-dir", str(tmp_path / "o"), "--quiet"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (tmp_path / "o" / "check_report.txt").is_file()
 
 
 class TestCheckCommand:
@@ -315,6 +356,14 @@ count = 5
                      str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: [sweep] workers:")
 
+    def test_non_finite_range_is_config_error(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, BENCH_CFG + "\n[sweep]\nparameter = T\n"
+                         "start = 0.5\nstop = inf\ncount = 2\n")
+        assert main(["sweep", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: [sweep] stop: expected a finite number, got 'inf'\n")
+
     def sweep_rows(self, tmp_path, sweep: str) -> list[list[str]]:
         path = write_cfg(tmp_path, BENCH_CFG + "\n[sweep]\n" + sweep)
         out = tmp_path / "out"
@@ -341,4 +390,18 @@ count = 5
                      "--quiet"]) == EXIT_OK
         row = (out / "sweep.csv").read_text().splitlines()[2].split(",")
         assert row[0] == "1"
+        assert row[4] == fmt_float(eq.value.value_at_0)
+
+    def test_horizon_sweep_spreads_tabulated_weights(self, tmp_path):
+        text = BENCH_CFG.replace("qbar = 0.5", "qbar = 0.5, 1.5, 0.2, 1.0")
+        at_half = text.replace("\nT = 1.0", "\nT = 0.5").replace("n_steps = 200", "n_steps = 100")
+        cfg = parse_config(write_cfg(tmp_path, at_half, "half.cfg"))
+        eq = solve_equilibrium_closed_form(cfg.params, cfg.grid)
+        path = write_cfg(tmp_path, text + "\n[sweep]\nparameter = T\n"
+                         "start = 0.5\nstop = 1.0\ncount = 2\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out-dir", str(out),
+                     "--quiet"]) == EXIT_OK
+        row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert row[0] == "0.5"
         assert row[4] == fmt_float(eq.value.value_at_0)

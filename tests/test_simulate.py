@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from lqmfg.model import Coefficient, TimeGrid, Trajectory, Variant
-from lqmfg.equilibrium import solve_equilibrium_picard
+from lqmfg.equilibrium import (BlowUpError, solve_equilibrium_closed_form,
+                               solve_equilibrium_picard)
 from lqmfg.simulate import (
     BLOCK_SIZE,
     InsufficientResolutionError,
@@ -51,23 +54,23 @@ class TestSimConfig:
         p, eq = bench_eq
         cfg = SimConfig(n_paths=4, dt_sim=1.0 / 1500, seed=0)
         with pytest.raises(ValueError):
-            simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
+            simulate_paths(p, [Policy.equilibrium(eq)], eq.m, cfg)
 
 
 class TestDeterminism:
     def test_bit_identical_reruns(self, bench_eq):
         p, eq = bench_eq
         cfg = small_config()
-        e1 = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
-        e2 = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
+        [e1] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, cfg)
+        [e2] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, cfg)
         np.testing.assert_array_equal(e1.x_final, e2.x_final)
         np.testing.assert_array_equal(e1.sum_x, e2.sum_x)
         np.testing.assert_array_equal(e1.int_g_dB, e2.int_g_dB)
 
     def test_seed_changes_draws(self, bench_eq):
         p, eq = bench_eq
-        e1 = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config(seed=1))
-        e2 = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config(seed=2))
+        [e1] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config(seed=1))
+        [e2] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config(seed=2))
         assert not np.array_equal(e1.x_final, e2.x_final)
 
 
@@ -159,7 +162,7 @@ class TestReferenceEuler:
         policies = [Policy.equilibrium(eq), Policy.perturbed_control(eq, 0.5),
                     Policy.perturbed_disturbance(eq, 0.5), Policy.zero()]
         for policy in policies:
-            ens = simulate_paths(p, policy, eq.m, cfg)
+            [ens] = simulate_paths(p, [policy], eq.m, cfg)
             ref = reference_paths(p, policy, eq.m, cfg)
             got = {"cost": per_path_cost(ens, p), "x_final": ens.x_final,
                    "sum_x": ens.sum_x, "int_g_dB": ens.int_g_dB,
@@ -171,6 +174,40 @@ class TestReferenceEuler:
                 assert err.max() <= 1e-12, (key, policy)
 
 
+class TestSharedPass:
+    """One stacked call equals separate single-policy calls, bit for bit."""
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+    def test_stacked_equals_separate(self, name, antithetic):
+        p = make_params(**REFERENCE_INSTANCES[name])
+        eq = solve_equilibrium_picard(p, TimeGrid(T=1.0, n_steps=20))
+        cfg = SimConfig(n_paths=BLOCK_SIZE + 6, dt_sim=1.0 / 40, seed=4,
+                        antithetic=antithetic)
+        # Girsanov sums present and absent, interleaved
+        policies = [Policy.perturbed_control(eq, 0.5), Policy.equilibrium(eq),
+                    Policy.zero(), Policy.equilibrium(eq, delta_u=0.3),
+                    Policy.perturbed_disturbance(eq, 0.5)]
+        stacked = simulate_paths(p, policies, eq.m, cfg)
+        assert len(stacked) == len(policies)
+        for policy, ens in zip(policies, stacked):
+            [alone] = simulate_paths(p, [policy], eq.m, cfg)
+            np.testing.assert_array_equal(per_path_cost(ens, p), per_path_cost(alone, p))
+            for key in ("x_final", "sum_x", "sum_x2", "int_g_dB", "int_g2_dt"):
+                got, want = getattr(ens, key), getattr(alone, key)
+                if want is None:
+                    assert got is None and not policy.girsanov, key
+                else:
+                    np.testing.assert_array_equal(got, want, err_msg=key)
+
+    def test_perturbed_policies_carry_no_girsanov_sums(self, bench_eq):
+        p, eq = bench_eq
+        assert Policy.equilibrium(eq).girsanov
+        assert not Policy.equilibrium(eq, girsanov=False).girsanov
+        assert not Policy.perturbed_control(eq, 0.5).girsanov
+        assert not Policy.perturbed_disturbance(eq, 0.5).girsanov
+
+
 class TestDegenerateDynamics:
     def test_noise_free_uncontrolled_path(self):
         # sigma = 0, zero policy, abar = 0: exact Euler recursion x <- (1+a dt) x
@@ -178,7 +215,7 @@ class TestDegenerateDynamics:
         g = TimeGrid(T=1.0, n_steps=100)
         m = Trajectory.zeros(g)
         cfg = SimConfig(n_paths=3, dt_sim=0.01, seed=0)
-        ens = simulate_paths(p, Policy.zero(), m, cfg)
+        [ens] = simulate_paths(p, [Policy.zero()], m, cfg)
         dt = 0.01
         expected = p.x0 * (1.0 + p.a * dt) ** np.arange(101)
         np.testing.assert_allclose(ens.mean_x(), expected, rtol=1e-13)
@@ -189,16 +226,16 @@ class TestDegenerateDynamics:
         # are deterministic and the pair-based standard error collapses
         p = make_params(abar=0.0)
         g = TimeGrid(T=1.0, n_steps=100)
-        ens = simulate_paths(p, Policy.zero(), Trajectory.zeros(g),
-                             SimConfig(n_paths=512, dt_sim=0.01, seed=3,
-                                       antithetic=True))
+        [ens] = simulate_paths(p, [Policy.zero()], Trajectory.zeros(g),
+                               SimConfig(n_paths=512, dt_sim=0.01, seed=3,
+                                         antithetic=True))
         pair_means = ens.x_final.reshape(-1, 2).mean(axis=1)
         assert np.ptp(pair_means) <= 1e-12
 
     def test_mean_consistency_smoke(self, bench_eq):
         p, eq = bench_eq
-        ens = simulate_paths(p, Policy.equilibrium(eq), eq.m,
-                             small_config(n_paths=4096, seed=7))
+        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m,
+                               small_config(n_paths=4096, seed=7))
         err = np.abs(ens.mean_x() - eq.m.values)
         # 4 SE plus a small discretization allowance
         assert np.all(err <= 4.0 * ens.se_x() + 5e-3)
@@ -207,14 +244,14 @@ class TestDegenerateDynamics:
 class TestEstimators:
     def test_theta_zero_exponential_cost_is_one(self, bench_eq):
         p, eq = bench_eq
-        ens = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config())
+        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config())
         est = estimate_exponential_cost(ens, p)
         assert est.mean == 1.0
         assert est.std_error == 0.0
 
     def test_theta_zero_girsanov_is_one(self, bench_eq):
         p, eq = bench_eq
-        ens = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config())
+        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config())
         est = estimate_girsanov_normalization(ens, p)
         assert est.mean == 1.0
 
@@ -222,15 +259,15 @@ class TestEstimators:
         p = make_params(sigma=0.0, theta=0.3, variant=Variant.RISK_SENSITIVE)
         g = TimeGrid(T=1.0, n_steps=200)
         eq = solve_equilibrium_picard(p, g)
-        ens = simulate_paths(p, Policy.equilibrium(eq), eq.m,
-                             SimConfig(n_paths=16, dt_sim=1.0 / 200, seed=0))
+        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m,
+                               SimConfig(n_paths=16, dt_sim=1.0 / 200, seed=0))
         est = estimate_girsanov_normalization(ens, p)
         assert est.mean == 1.0
         assert est.std_error == 0.0
 
     def test_girsanov_requires_accumulators(self, bench_eq):
         p, eq = bench_eq
-        ens = simulate_paths(p, Policy.zero(), eq.m, small_config())
+        [ens] = simulate_paths(p, [Policy.zero()], eq.m, small_config())
         with pytest.raises(ValueError):
             estimate_girsanov_normalization(ens, p)
 
@@ -239,20 +276,20 @@ class TestEstimators:
         p = make_params(sigma=0.0)
         g = TimeGrid(T=1.0, n_steps=2000)
         eq = solve_equilibrium_picard(p, g)
-        ens = simulate_paths(p, Policy.equilibrium(eq), eq.m,
-                             SimConfig(n_paths=2, dt_sim=1.0 / 2000, seed=0))
+        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m,
+                               SimConfig(n_paths=2, dt_sim=1.0 / 2000, seed=0))
         est = estimate_risk_neutral_cost(ens, p)
         assert est.std_error <= 1e-12
         assert est.mean == pytest.approx(eq.value.value_at_0, abs=2e-3)
 
     def test_per_path_cost_nonnegative_risk_neutral(self, bench_eq):
         p, eq = bench_eq
-        ens = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config())
+        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config())
         assert np.all(per_path_cost(ens, p) >= 0.0)
 
     def test_estimate_type(self, bench_eq):
         p, eq = bench_eq
-        ens = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config())
+        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config())
         est = estimate_risk_neutral_cost(ens, p)
         assert isinstance(est, MCEstimate)
         assert est.n_paths == 256
@@ -296,10 +333,33 @@ class TestSaddle:
         assert rep.analytic_gap_v == pytest.approx(0.125)
 
 
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(robust_risk_sensitive=st.booleans(),
+           a=st.floats(-1.0, 1.0), abar=st.floats(-0.5, 0.5),
+           c=st.floats(0.0, 0.8), sigma=st.floats(0.0, 0.6),
+           theta=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 31),
+           antithetic=st.booleans())
+    def test_zero_perturbation_gaps_exactly_zero(self, robust_risk_sensitive, a, abar,
+                                                 c, sigma, theta, seed, antithetic):
+        variant = (Variant.ROBUST_RISK_SENSITIVE if robust_risk_sensitive
+                   else Variant.ROBUST)
+        p = make_params(variant=variant, a=a, abar=abar, c=c, sigma=sigma, theta=theta)
+        try:
+            eq = solve_equilibrium_closed_form(p, TimeGrid(T=1.0, n_steps=20))
+        except BlowUpError:
+            assume(False)
+        cfg = SimConfig(n_paths=64, dt_sim=1.0 / 40, seed=seed, antithetic=antithetic)
+        rep = saddle_check(p, eq, 0.0, cfg)
+        assert rep.gap_u.mean == 0.0 and rep.gap_u.std_error == 0.0
+        assert rep.gap_v.mean == 0.0 and rep.gap_v.std_error == 0.0
+        assert (rep.base.int_g_dB is not None) == p.variant.uses_theta
+
+
 class TestEnsembleOutput:
     def test_summary_csv(self, tmp_path, bench_eq):
         p, eq = bench_eq
-        ens = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config())
+        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config())
         out = tmp_path / "paths.csv"
         ens.write_summary_csv(out)
         lines = out.read_text().splitlines()
