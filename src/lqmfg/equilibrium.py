@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .model import ModelParams, TimeGrid, Trajectory, Variant, effective_coefficients
 from .riccati import (
@@ -16,6 +15,8 @@ from .riccati import (
     RiccatiSolution,
     SolveStatus,
     ValueCoefficients,
+    _AlphaTables,
+    _alpha_tables,
     assemble_value,
     solve_alpha,
     solve_beta,
@@ -84,28 +85,35 @@ class ConditionsReport:
     alt_lipschitz_bound: float | None = None
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid-rule integral of y over x, starting from 0 at x[0]."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def apply_phi(params: ModelParams, beta: Trajectory, m: Trajectory,
-              grid: TimeGrid) -> Trajectory:
+              grid: TimeGrid, *, tables: _AlphaTables | None = None) -> Trajectory:
     """One application of the best-response mean map.
 
     Phi[m](t) = m0 + int_0^t [(a+abar) m - lam (beta m + alpha[m])] ds,
     with alpha[m] the linear backward solve and the integral by the
-    trapezoid rule on the grid.
+    trapezoid rule on the grid.  tables, when given, are alpha's beta-only
+    coefficient tables for this params, beta and grid.
     """
     eff = effective_coefficients(params)
-    alpha = solve_alpha(params, beta, m, grid)
+    alpha = solve_alpha(params, beta, m, grid, tables=tables)
     nodes = grid.nodes
     lam = np.asarray(eff.lam(nodes), dtype=float)
     integrand = (params.a + params.abar) * m.values - lam * (beta.values * m.values + alpha.values)
-    vals = params.m0 + cumulative_trapezoid(integrand, nodes, initial=0.0)
+    vals = params.m0 + _cumulative_trapezoid(integrand, nodes)
     return Trajectory(grid, vals)
 
 
 def _finalize(params: ModelParams, beta: Trajectory, m: Trajectory,
-              grid: TimeGrid, status: SolveStatus, iterations: int,
+              grid: TimeGrid, tables: _AlphaTables,
+              status: SolveStatus, iterations: int,
               residual: float, eta: Trajectory | None = None,
               history: tuple[float, ...] = ()) -> Equilibrium:
-    alpha = solve_alpha(params, beta, m, grid)
+    alpha = solve_alpha(params, beta, m, grid, tables=tables)
     gamma = solve_gamma(params, beta, alpha, m, grid)
     sol = RiccatiSolution(beta, alpha, gamma, status, eta)
     value = assemble_value(params, beta, alpha, gamma)
@@ -124,17 +132,18 @@ def solve_equilibrium_picard(params: ModelParams, grid: TimeGrid,
     if not status.admissible:
         raise BlowUpError(status)
     m = initial if initial is not None else Trajectory.constant(grid, params.m0)
+    tables = _alpha_tables(params, beta, grid)
     history: list[float] = []
     for it in range(1, max_iter + 1):
-        phi = apply_phi(params, beta, m, grid)
+        phi = apply_phi(params, beta, m, grid, tables=tables)
         res = float(np.max(np.abs(phi.values - m.values)))
         history.append(res)
         m = phi
         if res <= tol:
             # residual of the returned iterate itself
-            final = apply_phi(params, beta, m, grid)
+            final = apply_phi(params, beta, m, grid, tables=tables)
             res = float(np.max(np.abs(final.values - m.values)))
-            return _finalize(params, beta, m, grid, status, it, res,
+            return _finalize(params, beta, m, grid, tables, status, it, res,
                              history=tuple(history))
     raise NonConvergenceError(history)
 
@@ -152,10 +161,11 @@ def solve_equilibrium_closed_form(params: ModelParams, grid: TimeGrid,
     nodes = grid.nodes
     lam = np.asarray(eff.lam(nodes), dtype=float)
     exponent = (params.a + params.abar) - lam * (beta.values + eta.values)
-    m = Trajectory(grid, params.m0 * np.exp(cumulative_trapezoid(exponent, nodes, initial=0.0)))
-    phi = apply_phi(params, beta, m, grid)
+    m = Trajectory(grid, params.m0 * np.exp(_cumulative_trapezoid(exponent, nodes)))
+    tables = _alpha_tables(params, beta, grid)
+    phi = apply_phi(params, beta, m, grid, tables=tables)
     residual = float(np.max(np.abs(phi.values - m.values)))
-    return _finalize(params, beta, m, grid, status, 0, residual, eta=eta)
+    return _finalize(params, beta, m, grid, tables, status, 0, residual, eta=eta)
 
 
 def admissibility_margin(params: ModelParams, grid: TimeGrid) -> float:

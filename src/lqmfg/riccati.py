@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .model import (
     ModelParams,
@@ -51,6 +50,10 @@ DEFAULT_BLOWUP_CAP = 1e12
 
 # t -> (c0, c1, c2) of y' = c2 y^2 + c1 y + c0, for an array of times
 _CoefFn = Callable[[np.ndarray], tuple]
+# t -> interpolated values, for a scalar or an array of times
+_Interpolant = Callable[[np.ndarray], np.ndarray]
+# (w, c1) of alpha' = c1 alpha + w m on the RK4 substage times
+_AlphaTables = tuple[np.ndarray, np.ndarray]
 
 
 class FiniteEscapeError(Exception):
@@ -173,7 +176,34 @@ def _beta_coefficients(params: ModelParams) -> _CoefFn:
     return lambda t: (-(q(t) + qbar(t)), -2 * a, eff.kappa(t))
 
 
-def _hermite_beta(params: ModelParams, beta: Trajectory) -> CubicHermiteSpline:
+def _hermite(nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> _Interpolant:
+    """Piecewise cubic Hermite interpolant through values and slopes at nodes.
+
+    The returned function takes a scalar or an array of times; times outside
+    [nodes[0], nodes[-1]] are extrapolated by the end cubics.  Each cubic is
+    kept in powers of u = t - t_i, with the coefficients of the Hermite basis
+    expansion y_i h00 + dx y'_i h10 + y_{i+1} h01 + dx y'_{i+1} h11.
+    """
+    dx = np.diff(nodes)
+    secant = np.diff(values) / dx
+    bend = (slopes[:-1] + slopes[1:] - 2 * secant) / dx
+    c3 = bend / dx
+    c2 = (secant - slopes[:-1]) / dx - bend
+    c1 = slopes[:-1]
+    c0 = values[:-1]
+    last = dx.size - 1
+
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, last)
+        u = t - nodes[i]
+        u2 = u * u
+        return c0[i] + c1[i] * u + c2[i] * u2 + c3[i] * (u2 * u)
+
+    return evaluate
+
+
+def _hermite_beta(params: ModelParams, beta: Trajectory) -> _Interpolant:
     """Cubic Hermite interpolant of beta using its own ODE for derivatives.
 
     Substage evaluation through this interpolant keeps the dependent
@@ -182,7 +212,7 @@ def _hermite_beta(params: ModelParams, beta: Trajectory) -> CubicHermiteSpline:
     nodes = beta.grid.nodes
     v = beta.values
     c0, c1, c2 = _beta_coefficients(params)(nodes)
-    return CubicHermiteSpline(nodes, v, c2 * v * v + c1 * v + c0)
+    return _hermite(nodes, v, c2 * v * v + c1 * v + c0)
 
 
 def solve_beta(params: ModelParams, grid: TimeGrid,
@@ -194,19 +224,29 @@ def solve_beta(params: ModelParams, grid: TimeGrid,
     return Trajectory(grid, vals), status
 
 
-def solve_alpha(params: ModelParams, beta: Trajectory, m: Trajectory,
-                grid: TimeGrid) -> Trajectory:
-    """Solve the linear value-coefficient equation for a given mean path."""
+def _alpha_tables(params: ModelParams, beta: Trajectory, grid: TimeGrid) -> _AlphaTables:
+    """The parts of alpha' = c1 alpha + w m that do not depend on m.
+
+    (w, c1) on the RK4 substage times of the grid.  They depend on beta
+    only, so a solve that applies Phi to many mean paths builds them once.
+    """
     eff = effective_coefficients(params)
-    bspl = _hermite_beta(params, beta)
-    a, abar, qbar = params.a, params.abar, params.qbar
+    t = _substage_times(grid.nodes[1:], grid.dt)
+    bv = _hermite_beta(params, beta)(t)
+    return -(params.abar * bv - params.qbar(t)), -params.a + eff.kappa(t) * bv
 
-    def coefs(t):
-        bv = bspl(t)
-        return -(abar * bv - qbar(t)) * m(t), -a + eff.kappa(t) * bv, 0.0
 
+def solve_alpha(params: ModelParams, beta: Trajectory, m: Trajectory,
+                grid: TimeGrid, *, tables: _AlphaTables | None = None) -> Trajectory:
+    """Solve the linear value-coefficient equation for a given mean path.
+
+    tables, when given, are _alpha_tables(params, beta, grid).
+    """
+    w, c1 = _alpha_tables(params, beta, grid) if tables is None else tables
     alphaT = -params.qbarT * m(params.T)
-    vals, _ = _rk4_backward(coefs, alphaT, grid)
+    # with no cap there is no escape bisection: _rk4_backward takes the
+    # coefficients once, on the substage times the tables hold
+    vals, _ = _rk4_backward(lambda t: (w * m(t), c1, 0.0), alphaT, grid)
     return Trajectory(grid, vals)
 
 
@@ -225,7 +265,7 @@ def solve_gamma(params: ModelParams, beta: Trajectory, alpha: Trajectory,
     # alpha's own ODE supplies Hermite derivatives for substage evaluation
     dav = (-a * av - (abar * beta.values - qbar(nodes)) * m(nodes)
            + eff.kappa(nodes) * beta.values * av)
-    aspl = CubicHermiteSpline(nodes, av, dav)
+    aspl = _hermite(nodes, av, dav)
 
     h = grid.dt
     t = _substage_times(nodes[1:], h)

@@ -18,8 +18,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.stats import kurtosis
 
 from .equilibrium import Equilibrium
 from .model import ModelParams, Trajectory, fmt_float
@@ -361,9 +359,7 @@ HEAVY_TAIL_KURTOSIS = 100.0
 def estimate_exponential_cost(ensemble: PathEnsemble, params: ModelParams) -> MCEstimate:
     """Sample mean of e^{theta L}; flags heavy-tailed samples, never truncates."""
     expL = np.exp(params.theta * per_path_cost(ensemble, params))
-    heavy = False
-    if expL.size > 3 and np.ptp(expL) > 0.0:
-        heavy = bool(kurtosis(expL, fisher=True) > HEAVY_TAIL_KURTOSIS)
+    heavy = bool(_excess_kurtosis(expL) > HEAVY_TAIL_KURTOSIS)
     return _mc_estimate(expL, ensemble.antithetic, heavy_tail=heavy)
 
 
@@ -377,9 +373,23 @@ def estimate_girsanov_normalization(ensemble: PathEnsemble,
     return _mc_estimate(np.exp(logE), ensemble.antithetic)
 
 
+def _excess_kurtosis(x: np.ndarray) -> float:
+    """Fisher excess kurtosis m4 / m2^2 - 3 from the biased central moments.
+
+    NaN when the sample is constant to within the rounding of its mean.
+    """
+    mean = x.mean()
+    d2 = (x - mean) ** 2
+    m2 = d2.mean()
+    if not m2 > (np.finfo(float).eps * mean) ** 2:
+        return math.nan
+    return float((d2 ** 2).mean() / m2 ** 2 - 3.0)
+
+
 def _trapz_weight_integral(coef, T: float, n: int = 4096) -> float:
     t = np.linspace(0.0, T, n + 1)
-    return float(trapezoid(np.asarray(coef(t), dtype=float), t))
+    y = np.asarray(coef(t), dtype=float)
+    return float(np.sum(np.diff(t) * (y[1:] + y[:-1]) / 2.0))
 
 
 def saddle_check(params: ModelParams, equilibrium: Equilibrium,

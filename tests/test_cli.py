@@ -12,6 +12,7 @@ from lqmfg.cli import (
     EXIT_CONFIG,
     EXIT_NONCONVERGENCE,
     EXIT_OK,
+    EXIT_VERIFY_FAIL,
     ConfigError,
     _apply_overrides,
     echo_instance,
@@ -298,6 +299,42 @@ class TestModuleEntryPoint:
             env=env, capture_output=True, text=True)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (tmp_path / "o" / "check_report.txt").is_file()
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """Run code in a fresh interpreter; the scipy modules it left loaded."""
+    src = str(Path(lqmfg.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\n"
+         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+class TestNumpyOnlyRuntime:
+    """The package runs on numpy alone: no command loads scipy."""
+
+    def test_import_loads_no_scipy(self):
+        assert scipy_modules_after("import lqmfg") == []
+
+    def test_commands_load_no_scipy(self, tmp_path):
+        # robust risk-sensitive reaches every routine that once came from
+        # scipy: the Hermite interpolant, the cumulative trapezoid, the
+        # kurtosis of the heavy-tail flag and the saddle's trapezoid sum
+        cfg = BENCH_CFG.replace("risk_neutral", "robust_risk_sensitive\nc = 0.5\ntheta = 0.25")
+        cfg = write_cfg(tmp_path, cfg.replace("n_steps = 200", "n_steps = 50")
+                        + "\n[sim]\nn_paths = 200\nseed = 3\n")
+        runs = [[cmd, "--config", cfg, "--out-dir", str(tmp_path / cmd), "--quiet"]
+                for cmd in ("check", "solve", "verify")]
+        code = ("from lqmfg.cli import main\n"
+                f"codes = [main(argv) for argv in {runs!r}]\n"
+                f"assert codes[:2] == [{EXIT_OK}, {EXIT_OK}], codes\n"
+                f"assert codes[2] in ({EXIT_OK}, {EXIT_VERIFY_FAIL}), codes")
+        assert scipy_modules_after(code) == []
+        assert (tmp_path / "verify" / "verify_report.txt").is_file()
 
 
 class TestCheckCommand:

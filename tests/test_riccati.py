@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
 from lqmfg.equilibrium import solve_equilibrium_closed_form, solve_equilibrium_picard
 from lqmfg.model import Coefficient, TimeGrid, Trajectory, Variant, effective_coefficients
 from lqmfg.riccati import (
     FiniteEscapeError,
+    _hermite,
     assemble_value,
     closed_form_constant_riccati,
     solve_alpha,
@@ -290,6 +293,45 @@ class TestTabulatedCore:
         assert eq_p.iterations == iterations
         assert eq_p.value.value_at_0 == pytest.approx(picard_value, abs=1e-13)
         assert eq_c.value.value_at_0 == pytest.approx(closed_value, abs=1e-13)
+
+
+class TestHermite:
+    """The numpy cubic Hermite interpolant behind every substage evaluation."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        nodes = np.sort(rng.uniform(-2.0, 3.0, 15))
+        values, slopes = rng.normal(size=15), rng.normal(size=15)
+        ours = _hermite(nodes, values, slopes)
+        ref = CubicHermiteSpline(nodes, values, slopes)
+        # nodes, midpoints, interior points, and past both ends (end cubics)
+        t = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]),
+                            rng.uniform(nodes[0], nodes[-1], 200),
+                            [nodes[0] - 0.1, nodes[-1] + 0.1]])
+        expect = ref(t)
+        np.testing.assert_allclose(ours(t), expect, rtol=1e-14,
+                                   atol=1e-14 * np.max(np.abs(expect)))
+        # 2-d times, as the substage tables pass them
+        np.testing.assert_allclose(ours(t[1:].reshape(2, -1)), expect[1:].reshape(2, -1),
+                                   rtol=1e-14, atol=1e-14 * np.max(np.abs(expect)))
+        for scalar in (nodes[0], 0.3, nodes[-1]):
+            out = ours(scalar)
+            assert np.ndim(out) == 0
+            assert out == pytest.approx(float(ref(scalar)), rel=1e-14, abs=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coef=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+           nodes=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=12, unique=True),
+           frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_reproduces_any_cubic(self, coef, nodes, frac):
+        x = np.sort(np.array(nodes))
+        assume(np.min(np.diff(x)) >= 1e-2)
+        p = np.polynomial.Polynomial(coef)
+        f = _hermite(x, p(x), p.deriv()(x))
+        t = x[0] + np.array(frac) * (x[-1] - x[0])
+        scale = sum(abs(c) * 5.0 ** k for k, c in enumerate(coef))
+        assert np.max(np.abs(f(t) - p(t))) <= 1e-12 * (1.0 + scale)
 
 
 class TestClosedFormConstantRiccati:

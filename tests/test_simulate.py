@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.stats
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +20,8 @@ from lqmfg.simulate import (
     estimate_exponential_cost,
     estimate_girsanov_normalization,
     estimate_risk_neutral_cost,
+    _excess_kurtosis,
+    _trapz_weight_integral,
     per_path_cost,
     saddle_check,
     simulate_paths,
@@ -294,6 +299,42 @@ class TestEstimators:
         assert isinstance(est, MCEstimate)
         assert est.n_paths == 256
         assert est.std_error > 0.0
+
+
+class TestMomentHelpers:
+    """The numpy kurtosis and trapezoid sum against scipy's."""
+
+    @staticmethod
+    def scipy_kurtosis(x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # precision-loss notice
+            return float(scipy.stats.kurtosis(x, fisher=True))
+
+    @pytest.mark.parametrize("sample", ["normal", "lognormal", "four_points"])
+    def test_kurtosis_matches_scipy(self, sample):
+        rng = np.random.default_rng(3)
+        x = {"normal": rng.normal(size=5000),
+             "lognormal": np.exp(3.0 * rng.normal(size=5000)),
+             "four_points": np.array([0.5, 2.0, -1.0, 0.25])}[sample]
+        assert _excess_kurtosis(x) == pytest.approx(self.scipy_kurtosis(x), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [
+        np.full(6, 2.5),                                        # constant
+        1.0 + np.array([0.0, 0.0, 0.0, np.finfo(float).eps]),   # below rounding
+        1.0 + np.finfo(float).eps * np.arange(8.0),             # just above it
+    ], ids=["constant", "near_constant", "barely_varying"])
+    def test_near_constant_sample(self, x):
+        ref = self.scipy_kurtosis(x)
+        ours = _excess_kurtosis(x)
+        assert (math.isnan(ours) and math.isnan(ref)) or ours == pytest.approx(ref, rel=1e-12)
+
+    def test_trapezoid_weight_integral_matches_scipy(self):
+        r = Coefficient.tabulated(np.linspace(0.0, 2.0, 5), np.array([1.0, 0.8, 1.2, 0.5, 2.0]))
+        t = np.linspace(0.0, 2.0, 4097)
+        assert _trapz_weight_integral(r, 2.0) == pytest.approx(
+            float(scipy.integrate.trapezoid(r(t), t)), rel=1e-14)
+        assert _trapz_weight_integral(Coefficient.constant(1.5), 2.0) == pytest.approx(
+            3.0, rel=1e-14)
 
 
 @pytest.fixture(scope="module")
