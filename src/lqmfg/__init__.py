@@ -35,7 +35,6 @@ from .equilibrium import (
     solve_equilibrium_picard,
 )
 from .simulate import (
-    InsufficientResolutionError,
     MCEstimate,
     PathEnsemble,
     Policy,

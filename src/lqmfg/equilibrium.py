@@ -11,7 +11,6 @@ import numpy as np
 
 from .model import ModelParams, TimeGrid, Trajectory, Variant, effective_coefficients
 from .riccati import (
-    DEFAULT_BLOWUP_CAP,
     RiccatiSolution,
     SolveStatus,
     ValueCoefficients,
@@ -125,10 +124,9 @@ def _finalize(params: ModelParams, beta: Trajectory, m: Trajectory,
 def solve_equilibrium_picard(params: ModelParams, grid: TimeGrid,
                              tol: float = DEFAULT_TOL,
                              max_iter: int = DEFAULT_MAX_ITER,
-                             cap: float = DEFAULT_BLOWUP_CAP,
                              initial: Trajectory | None = None) -> Equilibrium:
     """Banach-Picard iteration m <- Phi[m] to the fixed-point mean path."""
-    beta, status = solve_beta(params, grid, cap=cap)
+    beta, status = solve_beta(params, grid)
     if not status.admissible:
         raise BlowUpError(status)
     m = initial if initial is not None else Trajectory.constant(grid, params.m0)
@@ -148,13 +146,12 @@ def solve_equilibrium_picard(params: ModelParams, grid: TimeGrid,
     raise NonConvergenceError(history)
 
 
-def solve_equilibrium_closed_form(params: ModelParams, grid: TimeGrid,
-                                  cap: float = DEFAULT_BLOWUP_CAP) -> Equilibrium:
+def solve_equilibrium_closed_form(params: ModelParams, grid: TimeGrid) -> Equilibrium:
     """Equilibrium via the refined coefficient: m = m0 e^{int (a+abar-lam(beta+eta))}."""
-    beta, status = solve_beta(params, grid, cap=cap)
+    beta, status = solve_beta(params, grid)
     if not status.admissible:
         raise BlowUpError(status)
-    eta, eta_status = solve_eta(params, beta, grid, cap=cap)
+    eta, eta_status = solve_eta(params, beta, grid)
     if not eta_status.admissible:
         raise BlowUpError(eta_status, which="eta")
     eff = effective_coefficients(params)

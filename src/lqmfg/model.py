@@ -106,9 +106,6 @@ class Coefficient:
             return Coefficient.constant(factor * self._const)
         return Coefficient.tabulated(self._times, factor * self._values)
 
-    def on_grid(self, grid: "TimeGrid") -> np.ndarray:
-        return np.asarray(self(grid.nodes), dtype=float)
-
     def sample_points(self, T: float) -> np.ndarray:
         """Times at which sign constraints are checked."""
         if self._const is not None:
@@ -172,13 +169,6 @@ class Trajectory:
 
     def __call__(self, t):
         return np.interp(t, self.grid.nodes, self.values)
-
-    def sup_norm(self, upto: float | None = None) -> float:
-        """max |value| over grid nodes <= upto (all nodes by default)."""
-        if upto is None:
-            return float(np.max(np.abs(self.values)))
-        mask = self.grid.nodes <= upto + 1e-15 * self.grid.T
-        return float(np.max(np.abs(self.values[mask])))
 
     def write_csv(self, path, name: str = "value") -> None:
         with open(path, "w", newline="") as fh:

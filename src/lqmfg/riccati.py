@@ -11,11 +11,14 @@ coefficients, is
     eta'  + [2a + abar - (kappa+lam) beta] eta - lam eta^2
            + (abar beta - qbar) = 0,                    eta(T) = -qbarT
 
-Integration is classical RK4 on a uniform grid, backward in time.  Each
-equation is written as y' = c2(t) y^2 + c1(t) y + c0(t); its coefficients
-are tabulated once per solve on the substage times, and one scalar stepper
-runs on those tables.  Riccati blow-up is reported as a status, never as an
-overflow.
+Each of beta, alpha and eta is written as y' = c2(t) y^2 + c1(t) y + c0(t)
+and integrated backward on a uniform grid by one propagator: with y = p/q
+the pair (p, q) solves a linear system, each step is the exponential of a
+fourth-order Magnus exponent built from the coefficients at the step's end,
+midpoint and start, and the loop applies the resulting Moebius map to y.
+The propagator is exact for constant coefficients.  A finite escape
+("blow-up") is a pole of y, i.e. q reaching zero, located inside its step;
+it is reported as a status, never as an overflow.  gamma is a quadrature.
 """
 from __future__ import annotations
 
@@ -43,16 +46,13 @@ __all__ = [
     "solve_eta",
     "closed_form_constant_riccati",
     "assemble_value",
-    "DEFAULT_BLOWUP_CAP",
 ]
-
-DEFAULT_BLOWUP_CAP = 1e12
 
 # t -> (c0, c1, c2) of y' = c2 y^2 + c1 y + c0, for an array of times
 _CoefFn = Callable[[np.ndarray], tuple]
 # t -> interpolated values, for a scalar or an array of times
 _Interpolant = Callable[[np.ndarray], np.ndarray]
-# (w, c1) of alpha' = c1 alpha + w m on the RK4 substage times
+# (w, c1) of alpha' = c1 alpha + w m on the substage times
 _AlphaTables = tuple[np.ndarray, np.ndarray]
 
 
@@ -99,75 +99,73 @@ class ValueCoefficients:
 
 
 def _substage_times(t1, step):
-    """RK4 substage times t1, t1 - step/2, t1 - step of backward steps ending at t1."""
+    """Substage times t1, t1 - step/2, t1 - step of backward steps ending at t1."""
     return np.stack([t1, t1 - step / 2, t1 - step])
 
 
-def _rk4_table(coefs: _CoefFn, t1, step: float) -> list:
-    """(c0, c1, c2) at the three substage times of each step, as floats.
+def _first_zero(g: float, delta: float) -> float:
+    """First tau in (0, 1] where q(tau) = C(tau) + g S(tau) vanishes.
 
-    One row of nine per step for an array t1, a single row for a scalar t1.
+    C, S are cosh/cos(tau theta) and sinh/sin(tau theta)/theta with
+    theta = sqrt(|delta|): the q component of exp(tau Omega)(y, 1), up to a
+    positive factor.  The caller knows that q reaches 0 within the step;
+    where only rounding says so, the zero is put at the step's end.
     """
-    times = _substage_times(t1, step)
-    c0, c1, c2 = (np.broadcast_to(c, times.shape) for c in coefs(times))
-    # per step: (c0, c1, c2) at each substage in turn, as _rk4_step takes them
-    return np.stack([c[i] for i in range(3) for c in (c0, c1, c2)], axis=-1).tolist()
+    theta = math.sqrt(abs(delta))
+    if delta < 0.0:
+        return (math.pi / 2 + math.atan2(g, theta)) / theta
+    if delta == 0.0:
+        return -1.0 / g
+    return math.atanh(-theta / g) / theta if g < -theta else 1.0
 
 
-def _rk4_step(y: float, step: float,
-              c0a: float, c1a: float, c2a: float,
-              c0b: float, c1b: float, c2b: float,
-              c0c: float, c1c: float, c2c: float) -> float:
-    """One RK4 step of y' = c2 y^2 + c1 y + c0 from t1 back to t1 - step.
-
-    The a, b and c coefficients are taken at t1, t1 - step/2 and t1 - step.
-    """
-    k1 = c2a * y * y + c1a * y + c0a
-    y2 = y - step / 2 * k1
-    k2 = c2b * y2 * y2 + c1b * y2 + c0b
-    y3 = y - step / 2 * k2
-    k3 = c2b * y3 * y3 + c1b * y3 + c0b
-    y4 = y - step * k3
-    k4 = c2c * y4 * y4 + c1c * y4 + c0c
-    return y - step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _rk4_backward(coefs: _CoefFn, yT: float, grid: TimeGrid,
-                  cap: float | None = None) -> tuple[np.ndarray, float | None]:
+def _propagate(coefs: _CoefFn, yT: float, grid: TimeGrid) -> tuple[np.ndarray, float | None]:
     """Integrate y' = c2(t) y^2 + c1(t) y + c0(t) backward from y(T) = yT.
 
-    The coefficients are tabulated once on every substage time; the loop
-    then runs on floats.  Returns (values, blow_up_time); values past a
-    blow-up are zero and must not be consumed.
+    With y = p/q, (p, q)' = A(t) (p, q) for A = [[c1, c0], [-c2, 0]], which
+    is linear.  Each backward step from t1 to t1 - h is exp(Omega) with the
+    fourth-order Magnus exponent
+        Omega = -(h/6)(A(t1) + 4 A(t1 - h/2) + A(t1 - h))
+                - (h^2/12) [A(t1), A(t1 - h)],
+    built for every step at once; the loop then applies the Moebius map
+    y <- (E00 y + E01) / (E10 y + E11) on floats.  A finite escape is q
+    reaching 0, located on the step's own flow exp(tau Omega).  Returns
+    (values, escape_time); values past an escape are zero and must not be
+    consumed.
     """
     n, h = grid.n_steps, grid.dt
     t1 = grid.nodes[1:]
-    rows = _rk4_table(coefs, t1, h)
+    c0, c1, c2 = (np.broadcast_to(c, (3, n)) for c in coefs(_substage_times(t1, h)))
+    # Omega = [[tr/2 + nn, w12], [w21, tr/2 - nn]]; the trace only scales (p, q)
+    nn = -h / 12 * (c1[0] + 4 * c1[1] + c1[2]) - h * h / 12 * (c2[0] * c0[2] - c0[0] * c2[2])
+    w12 = -h / 6 * (c0[0] + 4 * c0[1] + c0[2]) - h * h / 12 * (c1[0] * c0[2] - c1[2] * c0[0])
+    w21 = h / 6 * (c2[0] + 4 * c2[1] + c2[2]) - h * h / 12 * (c2[2] * c1[0] - c2[0] * c1[2])
+    delta = nn * nn + w12 * w21
+    theta = np.sqrt(np.abs(delta))
+    hyperbolic = delta >= 0.0
+    # exp(Omega) / e^{tr/2} = C I + S (Omega - tr/2 I); only ratios enter the
+    # map, so for delta >= 0 it is also divided by cosh(theta) to stay finite
+    cosine = np.where(hyperbolic, 1.0, np.cos(theta))
+    sine = np.divide(np.where(hyperbolic, np.tanh(theta), np.sin(theta)), theta,
+                     out=np.ones(n), where=theta > 0.0)
+    # a step spanning half a period of the trigonometric flow holds a pole
+    wraps = np.flatnonzero(~hyperbolic & (theta >= math.pi))
+    stop = int(wraps[-1]) if wraps.size else -1
+    # the steps the loop takes, last step first, as float lists
+    e00, e01, e10, e11 = (e[stop + 1:][::-1].tolist() for e in (
+        cosine + sine * nn, sine * w12, sine * w21, cosine - sine * nn))
+
+    def escape(k: int, y: float) -> float:
+        return float(t1[k]) - h * _first_zero(float(w21[k]) * y - float(nn[k]), float(delta[k]))
+
     vals = [0.0] * (n + 1)
     y = vals[n] = float(yT)
-    for k in range(n - 1, -1, -1):
-        ynew = _rk4_step(y, h, *rows[k])
-        if cap is not None and (not math.isfinite(ynew) or abs(ynew) > cap):
-            return np.array(vals), _refine_escape(coefs, float(t1[k]), y, h, cap)
-        vals[k] = y = ynew
-    return np.array(vals), None
-
-
-def _refine_escape(coefs: _CoefFn, t1: float, y1: float, h: float,
-                   cap: float) -> float:
-    """Bisect the step fraction at which |y| first exceeds the cap."""
-    lo, hi = 0.0, 1.0  # fraction of the backward step from t1
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        step = mid * h
-        ymid = _rk4_step(y1, step, *_rk4_table(coefs, t1, step))
-        if math.isfinite(ymid) and abs(ymid) <= cap:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) * h < 1e-6 * h:
-            break
-    return t1 - hi * h
+    for k, a, b, c, d in zip(range(n - 1, stop, -1), e00, e01, e10, e11):
+        den = c * y + d
+        if not den > 0.0:
+            return np.array(vals), escape(k, y)
+        vals[k] = y = (a * y + b) / den
+    return np.array(vals), (escape(stop, y) if stop >= 0 else None)
 
 
 def _beta_coefficients(params: ModelParams) -> _CoefFn:
@@ -215,11 +213,10 @@ def _hermite_beta(params: ModelParams, beta: Trajectory) -> _Interpolant:
     return _hermite(nodes, v, c2 * v * v + c1 * v + c0)
 
 
-def solve_beta(params: ModelParams, grid: TimeGrid,
-               cap: float = DEFAULT_BLOWUP_CAP) -> tuple[Trajectory, SolveStatus]:
+def solve_beta(params: ModelParams, grid: TimeGrid) -> tuple[Trajectory, SolveStatus]:
     """Solve the quadratic value-coefficient equation backward from T."""
     betaT = params.qT + params.qbarT
-    vals, t_blow = _rk4_backward(_beta_coefficients(params), betaT, grid, cap=cap)
+    vals, t_blow = _propagate(_beta_coefficients(params), betaT, grid)
     status = SolveStatus.ok() if t_blow is None else SolveStatus.blow_up(t_blow)
     return Trajectory(grid, vals), status
 
@@ -227,7 +224,7 @@ def solve_beta(params: ModelParams, grid: TimeGrid,
 def _alpha_tables(params: ModelParams, beta: Trajectory, grid: TimeGrid) -> _AlphaTables:
     """The parts of alpha' = c1 alpha + w m that do not depend on m.
 
-    (w, c1) on the RK4 substage times of the grid.  They depend on beta
+    (w, c1) on the substage times of the grid.  They depend on beta
     only, so a solve that applies Phi to many mean paths builds them once.
     """
     eff = effective_coefficients(params)
@@ -244,9 +241,9 @@ def solve_alpha(params: ModelParams, beta: Trajectory, m: Trajectory,
     """
     w, c1 = _alpha_tables(params, beta, grid) if tables is None else tables
     alphaT = -params.qbarT * m(params.T)
-    # with no cap there is no escape bisection: _rk4_backward takes the
-    # coefficients once, on the substage times the tables hold
-    vals, _ = _rk4_backward(lambda t: (w * m(t), c1, 0.0), alphaT, grid)
+    # linear (c2 = 0): the propagator's map is affine and q never vanishes;
+    # the coefficients are taken on the substage times the tables hold
+    vals, _ = _propagate(lambda t: (w * m(t), c1, 0.0), alphaT, grid)
     return Trajectory(grid, vals)
 
 
@@ -254,8 +251,9 @@ def solve_gamma(params: ModelParams, beta: Trajectory, alpha: Trajectory,
                 m: Trajectory, grid: TimeGrid) -> Trajectory:
     """Backward quadrature for the constant value term.
 
-    The right-hand side does not depend on gamma, so each RK4 step is
-    Simpson's rule and the whole solve is one backward cumulative sum.
+    The right-hand side does not depend on gamma, so each step is Simpson's
+    rule on the substage times and the whole solve is one backward
+    cumulative sum.
     """
     eff = effective_coefficients(params)
     bspl = _hermite_beta(params, beta)
@@ -272,7 +270,7 @@ def solve_gamma(params: ModelParams, beta: Trajectory, alpha: Trajectory,
     avt, mt = aspl(t), m(t)
     f = (-abar * avt * mt - 0.5 * sigma ** 2 * bspl(t)
          - 0.5 * qbar(t) * mt * mt + 0.5 * eff.kappa(t) * avt * avt)
-    # k2 = k3 = f at the midpoint; summed in RK4's order to keep its rounding
+    # the midpoint weight 4 summed as 2 + 2, in the order RK4 summed it
     incr = h / 6 * (f[0] + 2 * f[1] + 2 * f[1] + f[2])
     mT = m(params.T)
     gammaT = 0.5 * params.qbarT * mT * mT
@@ -281,8 +279,8 @@ def solve_gamma(params: ModelParams, beta: Trajectory, alpha: Trajectory,
     return Trajectory(grid, vals)
 
 
-def solve_eta(params: ModelParams, beta: Trajectory, grid: TimeGrid,
-              cap: float = DEFAULT_BLOWUP_CAP) -> tuple[Trajectory, SolveStatus]:
+def solve_eta(params: ModelParams, beta: Trajectory,
+              grid: TimeGrid) -> tuple[Trajectory, SolveStatus]:
     """Solve the refined equation for eta with alpha = eta * m.
 
     For the risk-neutral variant (kappa = lam = b^2/r) this is exactly the
@@ -300,7 +298,7 @@ def solve_eta(params: ModelParams, beta: Trajectory, grid: TimeGrid,
                 -(2 * a + abar - (eff.kappa(t) + lam) * bv),
                 lam)
 
-    vals, t_blow = _rk4_backward(coefs, -params.qbarT, grid, cap=cap)
+    vals, t_blow = _propagate(coefs, -params.qbarT, grid)
     status = SolveStatus.ok() if t_blow is None else SolveStatus.blow_up(t_blow)
     return Trajectory(grid, vals), status
 

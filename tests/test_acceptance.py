@@ -30,7 +30,7 @@ from lqmfg.simulate import (
     simulate_paths,
 )
 from lqmfg.cli import main as cli_main
-from conftest import make_params
+from conftest import beta_orders_on_kinked_weights, make_params
 
 N_PATHS = 100_000
 SEED = 20240817
@@ -72,21 +72,17 @@ def rs_setup(grid):
 
 
 def test_criterion_01_analytic_riccati_and_order(grid):
-    # constant coefficients, zero terminal weight: beta(t) = tanh(T - t)
+    # constant coefficients, zero terminal weight: beta(t) = tanh(T - t),
+    # which the propagator meets to rounding
     p = make_params(a=0.0, abar=0.0, q=1.0, qbar=0.0, qT=0.0, qbarT=0.0)
     beta, _ = solve_beta(p, grid)
     exact = np.tanh(1.0 - grid.nodes)
     err_fine = float(np.max(np.abs(beta.values - exact)))
-
-    def sup_err(n):
-        g = TimeGrid(T=1.0, n_steps=n)
-        b, _ = solve_beta(p, g)
-        return float(np.max(np.abs(b.values - np.tanh(1.0 - g.nodes))))
-
-    ratio = sup_err(50) / sup_err(100)
-    ok = err_fine <= 1e-8 and 12.0 <= ratio <= 20.0
+    # the order shows on time-varying coefficients
+    order = min(beta_orders_on_kinked_weights())
+    ok = err_fine <= 1e-13 and order >= 3.8
     report("criterion 1: analytic hyperbolic-tangent solution and 4th-order "
-           "convergence", ok, f"sup error {err_fine:.2e}, halving ratio {ratio:.2f}")
+           "convergence", ok, f"sup error {err_fine:.2e}, observed order {order:.2f}")
 
 
 def test_criterion_02_variant_reductions(grid):
@@ -162,9 +158,12 @@ def test_criterion_07_robust_saddle(grid):
     eq = solve_equilibrium_picard(p, grid)
     cfg = SimConfig(n_paths=N_PATHS, dt_sim=1e-3, seed=SEED)
     rep = saddle_check(p, eq, 0.5, cfg)
+    # the verdict of lqmfg verify: each gap resolved and within 3 se of theory
+    ok = all(gap.mean > 3 * gap.std_error and abs(gap.mean - theory) <= 3 * gap.std_error
+             for gap, theory in ((rep.gap_u, rep.analytic_gap_u),
+                                 (rep.gap_v, rep.analytic_gap_v)))
     report("criterion 7: perturbing the control raises the cost, perturbing "
-           "the disturbance lowers it, by the predicted amounts",
-           rep.ordering_ok and rep.gaps_match_analytic,
+           "the disturbance lowers it, by the predicted amounts", ok,
            f"gap_u {rep.gap_u.mean:.5f} vs {rep.analytic_gap_u:.5f}, "
            f"gap_v {rep.gap_v.mean:.5f} vs {rep.analytic_gap_v:.5f}")
 

@@ -21,6 +21,7 @@ from lqmfg.cli import (
 )
 from lqmfg.equilibrium import solve_equilibrium_closed_form
 from lqmfg.model import Coefficient, TimeGrid, fmt_float
+from lqmfg.riccati import FiniteEscapeError, closed_form_constant_riccati
 
 
 BENCH_CFG = """\
@@ -237,6 +238,14 @@ max_iter = 20
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    def test_blow_up_cap_is_config_error(self, tmp_path, capsys):
+        # an escape is a pole of the solution; no magnitude cap finds it
+        path = write_cfg(tmp_path, BENCH_CFG + "\n[solve]\nblow_up_cap = 1e12\n")
+        assert main(["solve", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: unknown key 'blow_up_cap' in section [solve]\n")
+
     def test_byte_identical_reruns(self, tmp_path):
         path = write_cfg(tmp_path, BENCH_CFG)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -401,8 +410,8 @@ count = 5
         assert capsys.readouterr().err == (
             "config error: [sweep] stop: expected a finite number, got 'inf'\n")
 
-    def sweep_rows(self, tmp_path, sweep: str) -> list[list[str]]:
-        path = write_cfg(tmp_path, BENCH_CFG + "\n[sweep]\n" + sweep)
+    def sweep_rows(self, tmp_path, sweep: str, base: str = BENCH_CFG) -> list[list[str]]:
+        path = write_cfg(tmp_path, base + "\n[sweep]\n" + sweep)
         out = tmp_path / "out"
         assert main(["sweep", "--config", path, "--out-dir", str(out),
                      "--quiet"]) == EXIT_OK
@@ -415,6 +424,22 @@ count = 5
         for row in rows[:2]:
             assert row[1:] == [""] * 6 + [str(EXIT_CONFIG)]
         assert rows[2][-1] == str(EXIT_OK) and rows[2][4] != ""
+
+    def test_escape_rows_match_closed_form(self, tmp_path):
+        # the benchmark sweep: risk-sensitive, sigma = 1, so kappa = 1 - theta
+        # with constant coefficients, and beta has a pole inside [0, T]
+        # exactly for theta = 1.8, 1.9 and 2.0
+        base = (BENCH_CFG.replace("risk_neutral", "risk_sensitive")
+                .replace("sigma = 0.2", "sigma = 1.0").replace("n_steps = 200", "n_steps = 1000"))
+        rows = self.sweep_rows(tmp_path, "parameter = theta\nstart = 0.0\nstop = 2.0\n"
+                               "count = 21\n", base)
+        escapes = {float(row[0]): float(row[6]) for row in rows if row[7] == str(EXIT_BLOWUP)}
+        assert sorted(escapes) == pytest.approx([1.8, 1.9, 2.0], abs=1e-12)
+        assert sum(row[7] == str(EXIT_OK) for row in rows) == 18
+        for theta, at in escapes.items():
+            with pytest.raises(FiniteEscapeError) as exc:
+                closed_form_constant_riccati(-0.5, 1.0 - theta, 1.5, 1.5, 1.0, 0.0)
+            assert at == pytest.approx(exc.value.escape_time, abs=1e-9)
 
     def test_qbar_scale_keeps_tabulation_times(self, tmp_path):
         text = BENCH_CFG.replace("qbar = 0.5", "qbar = 0.5, 1.5, 0.2, 1.0")

@@ -47,12 +47,6 @@ class TestTimeGrid:
 
 
 class TestTrajectory:
-    def test_sup_norm(self):
-        g = TimeGrid(T=1.0, n_steps=4)
-        tr = Trajectory(g, np.array([0.0, -3.0, 1.0, 2.0, 0.5]))
-        assert tr.sup_norm() == 3.0
-        assert tr.sup_norm(upto=0.1) == 0.0
-
     def test_length_checked(self):
         g = TimeGrid(T=1.0, n_steps=4)
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
 from lqmfg.equilibrium import solve_equilibrium_closed_form, solve_equilibrium_picard
-from lqmfg.model import Coefficient, TimeGrid, Trajectory, Variant, effective_coefficients
+from lqmfg.model import TimeGrid, Trajectory, Variant, effective_coefficients
 from lqmfg.riccati import (
     FiniteEscapeError,
     _hermite,
@@ -18,7 +18,7 @@ from lqmfg.riccati import (
     solve_eta,
     solve_gamma,
 )
-from conftest import make_params
+from conftest import beta_orders_on_kinked_weights, dop853_reference, make_params, tabulated
 
 # Frozen reference values, computed once with scipy.integrate.solve_ivp
 # (DOP853, rtol 1e-13, atol 1e-14) on the coupled backward system.
@@ -36,10 +36,6 @@ REF_B_ETA0 = -0.1210590379981056
 def instance_a():
     return make_params(a=-1.0, abar=0.5, q=0.5, qbar=0.5, qT=0.0, qbarT=0.0,
                        sigma=0.3)
-
-
-def tabulated(*values):
-    return Coefficient.tabulated(np.linspace(0.0, 1.0, len(values)), np.array(values))
 
 
 def rk4_reference(f, yT, grid):
@@ -73,14 +69,43 @@ class TestSolveBeta:
         assert np.max(np.abs(beta.values - exact)) <= 1e-8
 
     def test_fourth_order_convergence(self):
+        # constant coefficients: each step is the exact flow, so the tanh
+        # solution is met to rounding and a halving ratio would be noise
         p = make_params(a=0.0, q=0.5, qbar=0.5, qT=0.0, qbarT=0.0)
-        errs = []
         for n in (50, 100):
             g = TimeGrid(T=1.0, n_steps=n)
             beta, _ = solve_beta(p, g)
-            errs.append(np.max(np.abs(beta.values - np.tanh(1.0 - g.nodes))))
-        ratio = errs[0] / errs[1]
-        assert 12.0 < ratio < 20.0
+            assert np.max(np.abs(beta.values - np.tanh(1.0 - g.nodes))) <= 1e-13
+        # the order shows on time-varying coefficients; with the commutator
+        # term of the Magnus exponent flipped in sign it drops to 2
+        assert min(beta_orders_on_kinked_weights()) >= 3.8
+
+    def test_stiff_decay_is_not_escape(self, grid):
+        # a = 3000: beta relaxes within ~1e-4 of T onto the stable root
+        # (a + sqrt(a^2 + kappa Q)) / kappa; no pole anywhere
+        p = make_params(a=3000.0)
+        beta, status = solve_beta(p, grid)
+        assert status.admissible
+        exact = closed_form_constant_riccati(3000.0, 1.0, 1.5, 1.5, 1.0, 0.0)
+        assert exact == pytest.approx(6000.00025, rel=1e-12)
+        assert beta.values[0] == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("n_steps", [50, 1000])
+    @pytest.mark.parametrize("a,kappa,Q,betaT", [
+        (0.0, -1.0, 25.0, 0.0),      # tan branch, pole at 1 - pi/10
+        (0.5, -2.0, 0.1, 1.0),       # tanh branch with c2 < -1
+        (0.5, -2.0, 0.0, 1.0),       # Q = 0, tanh branch with c2 < -1
+        (0.0, -500.0, 200.0, 0.0),   # at n = 50 a step spans a whole period
+    ])
+    def test_escape_time_matches_closed_form(self, n_steps, a, kappa, Q, betaT):
+        # risk-sensitive with b = r = sigma = 1: kappa = 1 - theta
+        p = make_params(variant=Variant.RISK_SENSITIVE, sigma=1.0, theta=1.0 - kappa,
+                        a=a, q=Q, qbar=0.0, qT=betaT, qbarT=0.0)
+        with pytest.raises(FiniteEscapeError) as exc:
+            closed_form_constant_riccati(a, kappa, Q, betaT, 1.0, 0.0)
+        _, status = solve_beta(p, TimeGrid(T=1.0, n_steps=n_steps))
+        assert not status.admissible
+        assert status.blow_up_time == pytest.approx(exc.value.escape_time, abs=1e-9)
 
     def test_nonnegative_when_kappa_positive(self, grid):
         beta, _ = solve_beta(make_params(), grid)
@@ -230,7 +255,8 @@ class TestSolveEta:
 
 
 class TestTabulatedCore:
-    """The tabulated solves against a per-substage RK4 on tabulated weights."""
+    """The tabulated solves on tabulated weights, against DOP853 with classical
+    RK4 as the yardstick, and the pinned equilibria of the benchmark."""
 
     def test_matches_per_substage_reference(self):
         grid = TimeGrid(T=1.0, n_steps=200)
@@ -243,9 +269,16 @@ class TestTabulatedCore:
         def f_beta(t, y):
             return eff.kappa(t) * y * y - 2 * a * y - (q(t) + qbar(t))
 
+        # q kinks at 1/3 and 2/3, off the grid; r at 1/2
+        kinks = (1 / 3, 2 / 3)
+
+        def assert_no_worse_than_rk4(values, f, yT):
+            exact = dop853_reference(f, yT, grid, kinks)
+            err = np.max(np.abs(values - exact))
+            assert err <= np.max(np.abs(rk4_reference(f, yT, grid) - exact))
+
         beta, _ = solve_beta(p, grid)
-        ref_beta = rk4_reference(f_beta, p.qT + p.qbarT, grid)
-        assert np.max(np.abs(beta.values - ref_beta)) <= 1e-13
+        assert_no_worse_than_rk4(beta.values, f_beta, p.qT + p.qbarT)
         nodes, bv = grid.nodes, beta.values
         bspl = CubicHermiteSpline(nodes, bv, f_beta(nodes, bv))
 
@@ -253,8 +286,7 @@ class TestTabulatedCore:
             return -a * y - (abar * bspl(t) - qbar(t)) * m(t) + eff.kappa(t) * bspl(t) * y
 
         alpha = solve_alpha(p, beta, m, grid)
-        ref_alpha = rk4_reference(f_alpha, -p.qbarT * m(p.T), grid)
-        assert np.max(np.abs(alpha.values - ref_alpha)) <= 1e-13
+        assert_no_worse_than_rk4(alpha.values, f_alpha, -p.qbarT * m(p.T))
 
         aspl = CubicHermiteSpline(nodes, alpha.values, f_alpha(nodes, alpha.values))
 
@@ -272,7 +304,7 @@ class TestTabulatedCore:
 
         eta, status = solve_eta(p, beta, grid)
         assert status.admissible
-        assert np.max(np.abs(eta.values - rk4_reference(f_eta, -p.qbarT, grid))) <= 1e-13
+        assert_no_worse_than_rk4(eta.values, f_eta, -p.qbarT)
 
     @pytest.mark.parametrize("overrides,iterations,picard_value,closed_value", [
         ({}, 21, 0.44314187595164833, 0.44314187755177414),

@@ -13,7 +13,6 @@ from lqmfg.equilibrium import (BlowUpError, solve_equilibrium_closed_form,
                                solve_equilibrium_picard)
 from lqmfg.simulate import (
     BLOCK_SIZE,
-    InsufficientResolutionError,
     MCEstimate,
     Policy,
     SimConfig,
@@ -357,19 +356,14 @@ class TestSaddle:
         assert rep.gap_v.mean == 0.0 and rep.gap_v.std_error == 0.0
         assert rep.cost_base.mean == rep.cost_control_pert.mean
 
-    def test_unresolvable_scale_raises(self, robust_eq):
-        p, eq = robust_eq
-        cfg = SimConfig(n_paths=128, dt_sim=2e-3, seed=5)
-        with pytest.raises(InsufficientResolutionError) as exc:
-            saddle_check(p, eq, 1e-6, cfg)
-        assert exc.value.report.analytic_gap_u == pytest.approx(0.5e-12)
-
     def test_resolvable_scale_orders_and_matches(self, robust_eq):
         p, eq = robust_eq
         cfg = SimConfig(n_paths=4096, dt_sim=2e-3, seed=5)
         rep = saddle_check(p, eq, 0.5, cfg)
-        assert rep.ordering_ok
-        assert rep.gaps_match_analytic
+        # the verdict of lqmfg verify: each gap resolved and within 3 se of theory
+        for gap, theory in ((rep.gap_u, rep.analytic_gap_u), (rep.gap_v, rep.analytic_gap_v)):
+            assert gap.mean > 3 * gap.std_error
+            assert abs(gap.mean - theory) <= 3 * gap.std_error
         assert rep.analytic_gap_u == pytest.approx(0.125)
         assert rep.analytic_gap_v == pytest.approx(0.125)
 
@@ -396,16 +390,3 @@ class TestSaddle:
         assert rep.gap_v.mean == 0.0 and rep.gap_v.std_error == 0.0
         assert (rep.base.int_g_dB is not None) == p.variant.uses_theta
 
-
-class TestEnsembleOutput:
-    def test_summary_csv(self, tmp_path, bench_eq):
-        p, eq = bench_eq
-        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config())
-        out = tmp_path / "paths.csv"
-        ens.write_summary_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t,mean_x,std_error_x,m"
-        assert len(lines) == 1 + ens.record_times.size
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.0
-        assert float(first[1]) == p.x0  # all paths start at x0
