@@ -3,7 +3,11 @@ workflows, CSV emission and plain-text reports.
 
 Config files are flat key=value text with one section per concern
 ([model], [grid], [sim], [solve], [sweep]); unknown keys or sections are
-rejected.  Seed precedence: --seed flag > MFG_SEED env var > config.
+rejected.  The [model] keys are the fields of ModelParams.  The flags
+--seed, --paths, --dt-sim and --tol and the MFG_SEED environment variable
+are written into [sim]/[solve] before the typed build, so they pass the
+same checks as config values.  Seed precedence: --seed flag > MFG_SEED env
+var > config.
 
 Exit codes: 0 success, 1 config error, 2 Riccati blow-up,
 3 fixed-point non-convergence, 4 verification failure.
@@ -12,19 +16,20 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .model import (
+    PARAM_TYPES,
     Coefficient,
     ModelParams,
     TimeGrid,
-    Trajectory,
     Variant,
     fmt_float,
     validate,
@@ -67,20 +72,17 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # config schema
 
-_MODEL_KEYS = {
-    "variant", "a", "abar", "b", "c", "sigma", "q", "qbar", "r", "s",
-    "qt", "qbart", "theta", "t", "x0", "m0",
-}
-_MODEL_REQUIRED = {"variant", "a", "abar", "b", "sigma", "q", "qbar", "r",
-                   "qt", "qbart", "t", "x0", "m0"}
 _GRID_KEYS = {"n_steps"}
 _SIM_KEYS = {"n_paths", "dt_sim", "seed", "antithetic"}
 _SOLVE_KEYS = {"tol", "max_iter"}
 _SWEEP_KEYS = {"parameter", "start", "stop", "count", "workers"}
-_SECTIONS = {"model": _MODEL_KEYS, "grid": _GRID_KEYS, "sim": _SIM_KEYS,
-             "solve": _SOLVE_KEYS, "sweep": _SWEEP_KEYS}
+# configparser lowercases keys
+_SECTIONS = {"model": {name.lower() for name in PARAM_TYPES}, "grid": _GRID_KEYS,
+             "sim": _SIM_KEYS, "solve": _SOLVE_KEYS, "sweep": _SWEEP_KEYS}
 
 SWEEP_PARAMETERS = ("theta", "c", "T", "qbar-scale")
+SWEEP_COLUMNS = ["value", "admissible", "lipschitz_bound", "contraction",
+                 "value_at_0", "beta0", "blow_up_time", "code"]
 DEFAULT_STEPS_PER_UNIT_TIME = 1000
 
 
@@ -105,8 +107,11 @@ def _default_dt_sim(grid: TimeGrid) -> float:
     return grid.T / (grid.n_steps * per_step)
 
 
-def _spread(values, T: float) -> Coefficient:
-    """A tabulated weight: the values at equally spaced times on [0, T]."""
+def _weight(values, T: float) -> Coefficient:
+    """A weight from its node values: one is a constant, several are spread
+    over equally spaced times on [0, T]."""
+    if len(values) == 1:
+        return Coefficient.constant(values[0])
     return Coefficient.tabulated(np.linspace(0.0, T, len(values)), np.array(values))
 
 
@@ -133,6 +138,12 @@ def _bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+# per [model] field type: the parser of its text (a weight parses to its node
+# values, which _weight spreads once T is known) and its echo
+_PARSE = {float: float, Variant: Variant.parse, Coefficient: _floats}
+_ECHO = {float: fmt_float, Variant: lambda v: v.value,
+         Coefficient: lambda w: ", ".join(fmt_float(v) for v in w.node_values)}
+
 _REQUIRED = object()
 
 
@@ -149,8 +160,13 @@ def _value(cp: configparser.ConfigParser, section: str, key: str, conv,
         raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
-def parse_config(path: str | Path) -> RunConfig:
-    """Strict parse of a run configuration file."""
+def parse_config(path: str | Path,
+                 overrides: dict[str, dict[str, str]] | None = None) -> RunConfig:
+    """Strict parse of a run configuration file.
+
+    overrides are [section] key values that replace the file's before the
+    typed build, so they pass the same checks.
+    """
     cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(path)
@@ -167,32 +183,21 @@ def parse_config(path: str | Path) -> RunConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
     if "model" not in cp:
         raise ConfigError("missing required section [model]")
-    missing = _MODEL_REQUIRED - set(cp["model"])
+    missing = {f.name.lower() for f in fields(ModelParams)
+               if f.default is MISSING and f.default_factory is MISSING}
+    missing -= set(cp["model"])
     if missing:
         raise ConfigError("missing [model] keys: " + ", ".join(sorted(missing)))
+    cp.read_dict(overrides or {})   # known keys, so only their values need checks
 
-    def mfloat(key: str, default: float | None = None) -> float:
-        return _value(cp, "model", key, float, default)
-
-    T = mfloat("t")
+    values = {name: _value(cp, "model", name.lower(), _PARSE[kind])
+              for name, kind in PARAM_TYPES.items() if name.lower() in cp["model"]}
+    T = values["T"]
     if not 0.0 < T < math.inf:
         raise ConfigError(f"[model] t must be positive and finite, got {cp['model']['t']!r}")
-
-    def coef(key: str, default: float | None = None) -> Coefficient:
-        vals = _value(cp, "model", key, _floats, [default])
-        if len(vals) == 1:
-            return Coefficient.constant(vals[0])
-        return _spread(vals, T)
-
-    params = ModelParams(
-        a=mfloat("a"), abar=mfloat("abar"), b=mfloat("b"),
-        c=mfloat("c", 0.0), sigma=mfloat("sigma"),
-        q=coef("q"), qbar=coef("qbar"), r=coef("r"), s=coef("s", 1.0),
-        qT=mfloat("qt"), qbarT=mfloat("qbart"),
-        theta=mfloat("theta", 0.0), T=T,
-        x0=mfloat("x0"), m0=mfloat("m0"),
-        variant=_value(cp, "model", "variant", Variant.parse),
-    )
+    params = ModelParams(**{
+        name: _weight(v, T) if PARAM_TYPES[name] is Coefficient else v
+        for name, v in values.items()})
 
     n_steps = _value(cp, "grid", "n_steps", int, None)
     if n_steps is None:
@@ -212,11 +217,13 @@ def parse_config(path: str | Path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[sim] {exc}") from None
 
-    cfg = RunConfig(
-        params=params, grid=grid, sim=sim,
-        tol=_value(cp, "solve", "tol", float, DEFAULT_TOL),
-        max_iter=_value(cp, "solve", "max_iter", int, DEFAULT_MAX_ITER),
-    )
+    tol = _value(cp, "solve", "tol", _finite, DEFAULT_TOL)
+    if not tol > 0.0:
+        raise ConfigError(f"[solve] tol must be positive, got {fmt_float(tol)}")
+    max_iter = _value(cp, "solve", "max_iter", int, DEFAULT_MAX_ITER)
+    if max_iter < 1:
+        raise ConfigError(f"[solve] max_iter must be >= 1, got {max_iter}")
+    cfg = RunConfig(params=params, grid=grid, sim=sim, tol=tol, max_iter=max_iter)
 
     if "sweep" in cp:
         parameter = _value(cp, "sweep", "parameter", str.strip)
@@ -235,37 +242,12 @@ def parse_config(path: str | Path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # emission helpers
 
-def _coef_text(coef: Coefficient) -> str:
-    if coef.is_constant:
-        return fmt_float(coef(0.0))
-    return ", ".join(fmt_float(v) for v in coef.node_values)
-
-
 def echo_instance(params: ModelParams, grid: TimeGrid) -> str:
     """Render the instance as config text that re-parses identically."""
-    lines = [
-        "[model]",
-        f"variant = {params.variant.value}",
-        f"a = {fmt_float(params.a)}",
-        f"abar = {fmt_float(params.abar)}",
-        f"b = {fmt_float(params.b)}",
-        f"c = {fmt_float(params.c)}",
-        f"sigma = {fmt_float(params.sigma)}",
-        f"q = {_coef_text(params.q)}",
-        f"qbar = {_coef_text(params.qbar)}",
-        f"r = {_coef_text(params.r)}",
-        f"s = {_coef_text(params.s)}",
-        f"qT = {fmt_float(params.qT)}",
-        f"qbarT = {fmt_float(params.qbarT)}",
-        f"theta = {fmt_float(params.theta)}",
-        f"T = {fmt_float(params.T)}",
-        f"x0 = {fmt_float(params.x0)}",
-        f"m0 = {fmt_float(params.m0)}",
-        "",
-        "[grid]",
-        f"n_steps = {grid.n_steps}",
-        "",
-    ]
+    lines = ["[model]"]
+    lines += [f"{name} = {_ECHO[kind](getattr(params, name))}"
+              for name, kind in PARAM_TYPES.items()]
+    lines += ["", "[grid]", f"n_steps = {grid.n_steps}", ""]
     return "\n".join(lines)
 
 
@@ -273,18 +255,22 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, newline="\n")
 
 
-def _gains_csv(path: Path, eq: Equilibrium, robust: bool) -> None:
-    v = eq.value
-    nodes = eq.m.grid.nodes
-    cols = ["t", "feedback_gain", "feedback_offset"]
-    arrays = [nodes, v.feedback_gain.values, v.feedback_offset.values]
-    if robust:
-        cols += ["disturbance_gain", "disturbance_offset"]
-        arrays += [v.disturbance_gain.values, v.disturbance_offset.values]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(fmt_float(x) for x in row) + "\n")
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A CSV of already formatted fields: the header, then one line per row."""
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(",".join(row) + "\n" for row in itertools.chain([header], rows))
+
+
+def _float_rows(*columns: np.ndarray):
+    """The rows of float columns, each field rendered by fmt_float."""
+    return zip(*(map(fmt_float, col.tolist()) for col in columns))
+
+
+def _require_valid(params: ModelParams) -> None:
+    """Every violation of the model's constraints, as one config error."""
+    res = validate(params)
+    if not res.ok:
+        raise ConfigError("invalid model: " + "; ".join(res.violations))
 
 
 def _conditions_lines(rep: ConditionsReport) -> list[str]:
@@ -318,9 +304,7 @@ class SolveOutput:
 
 def run_solve_pipeline(cfg: RunConfig) -> SolveOutput:
     """validate -> riccati -> both equilibrium routes -> conditions."""
-    res = validate(cfg.params)
-    if not res.ok:
-        raise ConfigError("invalid model: " + "; ".join(res.violations))
+    _require_valid(cfg.params)
     eq_p = solve_equilibrium_picard(cfg.params, cfg.grid, tol=cfg.tol,
                                     max_iter=cfg.max_iter)
     eq_c = solve_equilibrium_closed_form(cfg.params, cfg.grid)
@@ -356,14 +340,19 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         return EXIT_NONCONVERGENCE
 
     eq = out.eq_picard
-    robust = cfg.params.variant.uses_disturbance
-    files = ["m.csv", "beta.csv", "alpha.csv", "gamma.csv", "eta.csv", "gains.csv"]
-    eq.m.write_csv(out_dir / "m.csv", "m")
-    eq.riccati.beta.write_csv(out_dir / "beta.csv", "beta")
-    eq.riccati.alpha.write_csv(out_dir / "alpha.csv", "alpha")
-    eq.riccati.gamma.write_csv(out_dir / "gamma.csv", "gamma")
-    out.eq_closed.riccati.eta.write_csv(out_dir / "eta.csv", "eta")
-    _gains_csv(out_dir / "gains.csv", eq, robust)
+    nodes = cfg.grid.nodes
+    curves = {"m": eq.m, "beta": eq.riccati.beta, "alpha": eq.riccati.alpha,
+              "gamma": eq.riccati.gamma, "eta": out.eq_closed.riccati.eta}
+    for name, curve in curves.items():
+        _write_csv(out_dir / f"{name}.csv", ["t", name], _float_rows(nodes, curve.values))
+    v = eq.value
+    gains = {"feedback_gain": v.feedback_gain, "feedback_offset": v.feedback_offset}
+    if cfg.params.variant.uses_disturbance:
+        gains |= {"disturbance_gain": v.disturbance_gain,
+                  "disturbance_offset": v.disturbance_offset}
+    _write_csv(out_dir / "gains.csv", ["t", *gains],
+               _float_rows(nodes, *(g.values for g in gains.values())))
+    files = [f"{name}.csv" for name in curves] + ["gains.csv"]
 
     report += [
         "status = ok",
@@ -461,35 +450,28 @@ def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
         estimate=worst, theory=0.0, tolerance=1.0,
         passed=worst <= 1.0 and exact_ok))
 
-    bias_allowance = cfg.sim.dt_sim  # Euler-Maruyama / quadrature bias, O(dt_sim)
-
-    cost = estimate_risk_neutral_cost(ens, params)
-    theory = eq.value.value_at_0
-    tol = 3 * cost.std_error + bias_allowance * max(1.0, abs(theory))
-    lines.append(CheckLine(
-        name="value_identity_quadratic", estimate=cost.mean, theory=theory,
-        tolerance=tol, std_error=cost.std_error,
-        passed=abs(cost.mean - theory) <= tol))
-
+    bias = cfg.sim.dt_sim  # Euler-Maruyama / quadrature bias, O(dt_sim)
+    lines.append(_mc_line("value_identity_quadratic",
+                          estimate_risk_neutral_cost(ens, params),
+                          eq.value.value_at_0, bias))
     if params.variant.uses_theta:
-        exp_cost = estimate_exponential_cost(ens, params)
-        etheory = eq.value.exp_value
-        tol = 3 * exp_cost.std_error + bias_allowance * max(1.0, abs(etheory))
-        lines.append(CheckLine(
-            name="value_identity_exponential", estimate=exp_cost.mean,
-            theory=etheory, tolerance=tol, std_error=exp_cost.std_error,
-            passed=abs(exp_cost.mean - etheory) <= tol))
-        mart = estimate_girsanov_normalization(ens, params)
-        tol = 3 * mart.std_error + bias_allowance
-        lines.append(CheckLine(
-            name="martingale_normalization", estimate=mart.mean, theory=1.0,
-            tolerance=tol, std_error=mart.std_error,
-            passed=abs(mart.mean - 1.0) <= tol))
+        lines.append(_mc_line("value_identity_exponential",
+                              estimate_exponential_cost(ens, params),
+                              eq.value.exp_value, bias))
+        lines.append(_mc_line("martingale_normalization",
+                              estimate_girsanov_normalization(ens, params), 1.0, bias))
 
     if rep is not None:
         lines.append(_saddle_line("saddle_gap_control", rep.gap_u, rep.analytic_gap_u))
         lines.append(_saddle_line("saddle_gap_disturbance", rep.gap_v, rep.analytic_gap_v))
     return lines
+
+
+def _mc_line(name: str, est: MCEstimate, theory: float, bias: float) -> CheckLine:
+    """A Monte Carlo mean passes within 3 se plus bias * max(1, |theory|)."""
+    tol = 3 * est.std_error + bias * max(1.0, abs(theory))
+    return CheckLine(name=name, estimate=est.mean, theory=theory, tolerance=tol,
+                     std_error=est.std_error, passed=abs(est.mean - theory) <= tol)
 
 
 def _saddle_line(name: str, gap: MCEstimate, theory: float) -> CheckLine:
@@ -520,11 +502,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 # check / sweep
 
 def cmd_check(cfg: RunConfig, out_dir: Path | None, quiet: bool = False) -> int:
-    res = validate(cfg.params)
-    if not res.ok:
-        for v in res.violations:
-            print(f"config error: {v}", file=sys.stderr)
-        return EXIT_CONFIG
+    _require_valid(cfg.params)
     beta, status = solve_beta(cfg.params, cfg.grid)
     lines: list[str]
     if not status.admissible:
@@ -553,9 +531,8 @@ def _sweep_params(cfg: RunConfig, value: float) -> tuple[ModelParams, TimeGrid]:
         n = max(2, round(grid.n_steps * value / grid.T))
         grid = TimeGrid(T=value, n_steps=n)
         # tabulated weights are spread over the new [0, T], as a config does
-        coefs = {key: getattr(p, key) for key in ("q", "qbar", "r", "s")}
-        weights = {key: _spread(coef.node_values, value)
-                   for key, coef in coefs.items() if not coef.is_constant}
+        weights = {name: _weight(getattr(p, name).node_values, value)
+                   for name, kind in PARAM_TYPES.items() if kind is Coefficient}
         return replace(p, T=value, **weights), grid
     if name == "qbar-scale":
         return replace(p, qbar=p.qbar.scaled(value), qbarT=value * p.qbarT), grid
@@ -563,9 +540,8 @@ def _sweep_params(cfg: RunConfig, value: float) -> tuple[ModelParams, TimeGrid]:
 
 
 def _sweep_row(cfg: RunConfig, value: float) -> dict[str, str]:
-    row = {"value": fmt_float(value), "admissible": "", "lipschitz_bound": "",
-           "contraction": "", "value_at_0": "", "beta0": "",
-           "blow_up_time": "", "code": "0"}
+    row = dict.fromkeys(SWEEP_COLUMNS, "")
+    row.update(value=fmt_float(value), code="0")
     try:
         params, grid = _sweep_params(cfg, value)
     except ValueError:          # no grid for this value, e.g. T <= 0
@@ -603,12 +579,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     rows = [_sweep_row(cfg, v) for v in values]
-    cols = ["value", "admissible", "lipschitz_bound", "contraction",
-            "value_at_0", "beta0", "blow_up_time", "code"]
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(row[c] for c in cols) + "\n")
+    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, (row.values() for row in rows))
     if not quiet:
         print(f"swept {cfg.sweep_parameter} over {len(values)} values -> "
               f"{out_dir / 'sweep.csv'}")
@@ -618,6 +589,11 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+# flag -> the [section] key it sets
+_FLAGS = {"seed": ("sim", "seed"), "paths": ("sim", "n_paths"),
+          "dt_sim": ("sim", "dt_sim"), "tol": ("solve", "tol")}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="lqmfg",
                                  description="scalar LQ mean-field game solver")
@@ -626,10 +602,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out-dir", default="out")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--paths", type=int, default=None)
-        sp.add_argument("--dt-sim", type=float, default=None)
-        sp.add_argument("--tol", type=float, default=None)
+        # the flags are config values: text, parsed and checked by parse_config
+        for flag in _FLAGS:
+            sp.add_argument("--" + flag.replace("_", "-"), default=None)
         sp.add_argument("--quiet", action="store_true")
         if name == "sweep":
             # accepted for old scripts; the sweep runs serially
@@ -637,48 +612,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    sim = cfg.sim
-    seed = sim.seed
-    env_seed = os.environ.get("MFG_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"MFG_SEED must be an integer, got {env_seed!r}")
-    if args.seed is not None:
-        seed = args.seed
-    sim = replace(sim,
-                  seed=seed,
-                  n_paths=args.paths if args.paths is not None else sim.n_paths,
-                  dt_sim=args.dt_sim if args.dt_sim is not None else sim.dt_sim)
-    cfg.sim = sim
-    if args.tol is not None:
-        cfg.tol = args.tol
-    return cfg
+def _overrides(args: argparse.Namespace) -> dict[str, dict[str, str]]:
+    """MFG_SEED and the flags as [section] key values; a flag beats MFG_SEED."""
+    out: dict[str, dict[str, str]] = {"sim": {}, "solve": {}}
+    if "MFG_SEED" in os.environ:
+        out["sim"]["seed"] = os.environ["MFG_SEED"]
+    for flag, (section, key) in _FLAGS.items():
+        if getattr(args, flag) is not None:
+            out[section][key] = getattr(args, flag)
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    command = {"solve": cmd_solve, "verify": cmd_verify, "sweep": cmd_sweep,
+               "check": cmd_check}[args.command]
     try:
-        cfg = _apply_overrides(parse_config(args.config), args)
+        cfg = parse_config(args.config, _overrides(args))
+        return command(cfg, Path(args.out_dir), quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out_dir)
-    try:
-        if args.command == "solve":
-            return cmd_solve(cfg, out_dir, quiet=args.quiet)
-        if args.command == "verify":
-            return cmd_verify(cfg, out_dir, quiet=args.quiet)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, quiet=args.quiet)
-        if args.command == "check":
-            return cmd_check(cfg, out_dir, quiet=args.quiet)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

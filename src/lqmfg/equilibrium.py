@@ -108,13 +108,12 @@ def apply_phi(params: ModelParams, beta: Trajectory, m: Trajectory,
 
 
 def _finalize(params: ModelParams, beta: Trajectory, m: Trajectory,
-              grid: TimeGrid, tables: _AlphaTables,
-              status: SolveStatus, iterations: int,
+              grid: TimeGrid, tables: _AlphaTables, iterations: int,
               residual: float, eta: Trajectory | None = None,
               history: tuple[float, ...] = ()) -> Equilibrium:
     alpha = solve_alpha(params, beta, m, grid, tables=tables)
     gamma = solve_gamma(params, beta, alpha, m, grid)
-    sol = RiccatiSolution(beta, alpha, gamma, status, eta)
+    sol = RiccatiSolution(beta, alpha, gamma, eta)
     value = assemble_value(params, beta, alpha, gamma)
     return Equilibrium(m=m, riccati=sol, value=value,
                        iterations=iterations, residual=residual,
@@ -141,7 +140,7 @@ def solve_equilibrium_picard(params: ModelParams, grid: TimeGrid,
             # residual of the returned iterate itself
             final = apply_phi(params, beta, m, grid, tables=tables)
             res = float(np.max(np.abs(final.values - m.values)))
-            return _finalize(params, beta, m, grid, tables, status, it, res,
+            return _finalize(params, beta, m, grid, tables, it, res,
                              history=tuple(history))
     raise NonConvergenceError(history)
 
@@ -162,7 +161,7 @@ def solve_equilibrium_closed_form(params: ModelParams, grid: TimeGrid) -> Equili
     tables = _alpha_tables(params, beta, grid)
     phi = apply_phi(params, beta, m, grid, tables=tables)
     residual = float(np.max(np.abs(phi.values - m.values)))
-    return _finalize(params, beta, m, grid, tables, status, 0, residual, eta=eta)
+    return _finalize(params, beta, m, grid, tables, 0, residual, eta=eta)
 
 
 def admissibility_margin(params: ModelParams, grid: TimeGrid) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Union, get_type_hints
 
 import numpy as np
 
@@ -18,6 +18,7 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "ModelParams",
+    "PARAM_TYPES",
     "EffectiveCoefficients",
     "ValidationResult",
     "validate",
@@ -92,8 +93,10 @@ class Coefficient:
         return self._const is not None
 
     @property
-    def node_values(self) -> np.ndarray | None:
-        return self._values
+    def node_values(self) -> np.ndarray:
+        """The values that define it: one for a constant, else one per
+        tabulation time."""
+        return np.array([self._const]) if self._const is not None else self._values
 
     def __call__(self, t):
         if self._const is not None:
@@ -170,12 +173,6 @@ class Trajectory:
     def __call__(self, t):
         return np.interp(t, self.grid.nodes, self.values)
 
-    def write_csv(self, path, name: str = "value") -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(f"t,{name}\n")
-            for t, v in zip(self.grid.nodes, self.values):
-                fh.write(f"{fmt_float(t)},{fmt_float(v)}\n")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trajectory):
             return NotImplemented
@@ -185,29 +182,35 @@ class Trajectory:
         return f"Trajectory(n={self.grid.n_steps}, T={self.grid.T})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ModelParams:
     """All coefficients of one game instance.
 
+    The fields are also the [model] section of a config file, one key each
+    and in this order; a field without a default is a required key.
     theta is ignored by the risk-neutral and robust variants; c and s are
     ignored by the risk-neutral and risk-sensitive variants.
     """
+    variant: Variant
     a: float
     abar: float
     b: float
+    c: float = 0.0
     sigma: float
     q: Coefficient
     qbar: Coefficient
     r: Coefficient
+    s: Coefficient = field(default_factory=lambda: Coefficient.constant(1.0))
     qT: float
     qbarT: float
+    theta: float = 0.0
     T: float
     x0: float
     m0: float
-    variant: Variant
-    c: float = 0.0
-    s: Coefficient = field(default_factory=lambda: Coefficient.constant(1.0))
-    theta: float = 0.0
+
+
+# the declared type of each ModelParams field, in field order
+PARAM_TYPES: dict[str, type] = get_type_hints(ModelParams)
 
 
 @dataclass(frozen=True)
@@ -235,10 +238,9 @@ def _check_sign(coef: Coefficient, name: str, T: float, strict: bool, out: list[
 def validate(params: ModelParams) -> ValidationResult:
     """Check the sign and range constraints on a game instance."""
     bad: list[str] = []
-    for name in ("a", "abar", "b", "c", "sigma", "qT", "qbarT", "theta", "T",
-                 "x0", "m0"):
+    for name, kind in PARAM_TYPES.items():
         value = getattr(params, name)
-        if not math.isfinite(value):
+        if kind is float and not math.isfinite(value):
             bad.append(f"{name} must be finite; got {value:g}")
     if params.T <= 0:
         bad.append(f"T must be positive; got {params.T:g}")

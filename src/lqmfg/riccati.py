@@ -83,7 +83,6 @@ class RiccatiSolution:
     beta: Trajectory
     alpha: Trajectory
     gamma: Trajectory
-    status: SolveStatus
     eta: Trajectory | None = None
 
 

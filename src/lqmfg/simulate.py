@@ -50,8 +50,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if self.dt_sim <= 0:
-            raise ValueError("dt_sim must be positive")
+        if not 0 < self.dt_sim < math.inf:
+            raise ValueError("dt_sim must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic sampling needs an even n_paths")
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import lqmfg
+from lqmfg import cli
 from lqmfg.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -14,7 +15,7 @@ from lqmfg.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAIL,
     ConfigError,
-    _apply_overrides,
+    _overrides,
     echo_instance,
     main,
     parse_config,
@@ -152,17 +153,22 @@ class TestSeedPrecedence:
 
     def test_flag_beats_env_beats_config(self, tmp_path, monkeypatch):
         path = write_cfg(tmp_path, BENCH_CFG + "\n[sim]\nseed = 5\n")
-        assert _apply_overrides(parse_config(path), self.make_args()).sim.seed == 5
+        assert parse_config(path, _overrides(self.make_args())).sim.seed == 5
         monkeypatch.setenv("MFG_SEED", "6")
-        assert _apply_overrides(parse_config(path), self.make_args()).sim.seed == 6
-        assert _apply_overrides(parse_config(path),
-                                self.make_args(seed=7)).sim.seed == 7
+        assert parse_config(path, _overrides(self.make_args())).sim.seed == 6
+        assert parse_config(path, _overrides(self.make_args(seed="7"))).sim.seed == 7
 
     def test_bad_env_seed(self, tmp_path, monkeypatch):
         path = write_cfg(tmp_path, BENCH_CFG)
         monkeypatch.setenv("MFG_SEED", "many")
         with pytest.raises(ConfigError):
-            _apply_overrides(parse_config(path), self.make_args())
+            parse_config(path, _overrides(self.make_args()))
+
+    def test_flags_set_sim_and_solve_values(self, tmp_path):
+        path = write_cfg(tmp_path, BENCH_CFG + "\n[sim]\nn_paths = 10\n")
+        cfg = parse_config(path, _overrides(self.make_args(
+            paths="64", dt_sim="0.0025", tol="1e-8")))
+        assert (cfg.sim.n_paths, cfg.sim.dt_sim, cfg.tol) == (64, 0.0025, 1e-8)
 
 
 class TestSolveCommand:
@@ -230,13 +236,45 @@ max_iter = 20
         ("a = -0.5", "a = nan"),
         ("sigma = 0.2", "sigma = inf"),
         ("n_steps = 200", "n_steps = 1"),
+        ("n_steps = 200", "n_steps = 200\n[solve]\nmax_iter = 0"),
+        ("n_steps = 200", "n_steps = 200\n[solve]\nmax_iter = -4"),
+        ("n_steps = 200", "n_steps = 200\n[solve]\ntol = nan"),
+        ("n_steps = 200", "n_steps = 200\n[solve]\ntol = -1"),
+        ("n_steps = 200", "n_steps = 200\n[sim]\nseed = -1"),
+        ("n_steps = 200", "n_steps = 200\n[sim]\ndt_sim = nan"),
     ])
-    def test_bad_input_is_one_line_config_error(self, tmp_path, capsys, old, new):
+    def test_bad_input_is_one_line_config_error(self, tmp_path, capsys, monkeypatch,
+                                                old, new):
+        # any solve would be a failure: the error comes before it
+        monkeypatch.setattr(cli, "solve_equilibrium_picard", None)
         path = write_cfg(tmp_path, BENCH_CFG.replace(old, new))
         assert main(["solve", "--config", path, "--out-dir",
                      str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, env_seed", [
+        (["--paths", "0"], None),
+        (["--dt-sim", "-1"], None),
+        (["--dt-sim", "nan"], None),
+        (["--paths", "7"], None),          # the config asks for antithetic pairs
+        (["--seed", "-3"], None),
+        (["--seed", "many"], None),
+        (["--tol", "-1"], None),
+        ([], "-2"),
+        (["--seed", "-3"], "4"),           # a bad flag is not hidden by MFG_SEED
+    ])
+    def test_bad_flag_is_one_line_config_error(self, tmp_path, capsys, monkeypatch,
+                                               flags, env_seed):
+        monkeypatch.setattr(cli, "solve_equilibrium_picard", None)
+        if env_seed is not None:
+            monkeypatch.setenv("MFG_SEED", env_seed)
+        path = write_cfg(tmp_path, BENCH_CFG + "\n[sim]\nantithetic = true\n")
+        for command in ("solve", "verify"):
+            assert main([command, "--config", path, "--out-dir",
+                         str(tmp_path / "o"), "--quiet", *flags]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: [") and err.count("\n") == 1
 
     def test_blow_up_cap_is_config_error(self, tmp_path, capsys):
         # an escape is a pole of the solution; no magnitude cap finds it
@@ -355,6 +393,15 @@ class TestCheckCommand:
         assert "admissible = True" in report
         assert "lipschitz_bound" in report
         assert "conditions:" in capsys.readouterr().out
+
+    def test_invalid_model_is_one_line(self, tmp_path, capsys):
+        text = BENCH_CFG.replace("b = 1.0", "b = 0").replace("sigma = 0.2", "sigma = -0.2")
+        path = write_cfg(tmp_path, text)
+        assert main(["check", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid model: ") and err.count("\n") == 1
+        assert "sigma must be nonnegative" in err and "b must be nonzero" in err
 
     def test_blow_up_reported(self, tmp_path):
         path = write_cfg(tmp_path, BLOWUP_CFG)
