@@ -2,13 +2,10 @@
 
 from .model import (
     Coefficient,
-    EffectiveCoefficients,
     ModelParams,
     TimeGrid,
     Trajectory,
-    ValidationResult,
     Variant,
-    effective_coefficients,
     validate,
 )
 from .riccati import (

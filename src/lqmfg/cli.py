@@ -97,7 +97,6 @@ class RunConfig:
     sweep_start: float = 0.0
     sweep_stop: float = 0.0
     sweep_count: int = 0
-    sweep_workers: int = 1   # accepted for old configs; rows run serially
 
 
 def _default_dt_sim(grid: TimeGrid) -> float:
@@ -235,7 +234,8 @@ def parse_config(path: str | Path,
         cfg.sweep_count = _value(cp, "sweep", "count", int)
         if cfg.sweep_count < 2:
             raise ConfigError("[sweep] count must be >= 2")
-        cfg.sweep_workers = _value(cp, "sweep", "workers", int, 1)
+        # checked and dropped: accepted for old configs; rows run serially
+        _value(cp, "sweep", "workers", int, 1)
     return cfg
 
 
@@ -268,9 +268,9 @@ def _float_rows(*columns: np.ndarray):
 
 def _require_valid(params: ModelParams) -> None:
     """Every violation of the model's constraints, as one config error."""
-    res = validate(params)
-    if not res.ok:
-        raise ConfigError("invalid model: " + "; ".join(res.violations))
+    violations = validate(params)
+    if violations:
+        raise ConfigError("invalid model: " + "; ".join(violations))
 
 
 def _conditions_lines(rep: ConditionsReport) -> list[str]:
@@ -314,7 +314,6 @@ def run_solve_pipeline(cfg: RunConfig) -> SolveOutput:
 
 
 def cmd_solve(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     report: list[str] = [f"variant = {cfg.params.variant.value}", ""]
     summary: dict[str, str] = {"variant": cfg.params.variant.value}
     try:
@@ -483,7 +482,6 @@ def _saddle_line(name: str, gap: MCEstimate, theory: float) -> CheckLine:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         lines = run_verify_checks(cfg)
     except BlowUpError:
@@ -501,7 +499,7 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 # ---------------------------------------------------------------------------
 # check / sweep
 
-def cmd_check(cfg: RunConfig, out_dir: Path | None, quiet: bool = False) -> int:
+def cmd_check(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     _require_valid(cfg.params)
     beta, status = solve_beta(cfg.params, cfg.grid)
     lines: list[str]
@@ -511,9 +509,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path | None, quiet: bool = False) -> int:
     else:
         rep = check_conditions(cfg.params, beta, cfg.grid)
         lines = _conditions_lines(rep)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write(out_dir / "check_report.txt", "\n".join(lines) + "\n")
+    _write(out_dir / "check_report.txt", "\n".join(lines) + "\n")
     if not quiet:
         for ln in lines:
             print(ln)
@@ -549,8 +545,7 @@ def _sweep_row(cfg: RunConfig, value: float) -> dict[str, str]:
         return row
     margin = admissibility_margin(params, grid)
     row["admissible"] = str(margin > 0).lower()
-    res = validate(params)
-    if not res.ok:
+    if validate(params):
         row["code"] = str(EXIT_CONFIG)
         return row
     beta, status = solve_beta(params, grid)
@@ -574,9 +569,7 @@ def _sweep_row(cfg: RunConfig, value: float) -> dict[str, str]:
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     if cfg.sweep_parameter is None:
-        print("config error: sweep command needs a [sweep] section", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir.mkdir(parents=True, exist_ok=True)
+        raise ConfigError("sweep command needs a [sweep] section")
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     rows = [_sweep_row(cfg, v) for v in values]
     _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, (row.values() for row in rows))
@@ -594,9 +587,16 @@ _FLAGS = {"seed": ("sim", "seed"), "paths": ("sim", "n_paths"),
           "dt_sim": ("sim", "dt_sim"), "tol": ("solve", "tol")}
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error: exit 1, not argparse's 2, which is
+    the blow-up code.  The subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="lqmfg",
-                                 description="scalar LQ mean-field game solver")
+    ap = _Parser(prog="lqmfg", description="scalar LQ mean-field game solver")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("solve", "verify", "sweep", "check"):
         sp = sub.add_parser(name)
@@ -624,12 +624,17 @@ def _overrides(args: argparse.Namespace) -> dict[str, dict[str, str]]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    command = {"solve": cmd_solve, "verify": cmd_verify, "sweep": cmd_sweep,
-               "check": cmd_check}[args.command]
     try:
+        args = _build_parser().parse_args(argv)
         cfg = parse_config(args.config, _overrides(args))
-        return command(cfg, Path(args.out_dir), quiet=args.quiet)
+        out_dir = Path(args.out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from None
+        command = {"solve": cmd_solve, "verify": cmd_verify, "sweep": cmd_sweep,
+                   "check": cmd_check}[args.command]
+        return command(cfg, out_dir, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, TimeGrid, Trajectory, Variant, effective_coefficients
+from .model import ModelParams, TimeGrid, Trajectory, Variant
 from .riccati import (
     RiccatiSolution,
     SolveStatus,
@@ -70,7 +70,6 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class ConditionsReport:
-    variant: Variant
     admissible: bool
     margin: float          # min over nodes of the variant's admissibility expression
     g: float
@@ -98,10 +97,9 @@ def apply_phi(params: ModelParams, beta: Trajectory, m: Trajectory,
     trapezoid rule on the grid.  tables, when given, are alpha's beta-only
     coefficient tables for this params, beta and grid.
     """
-    eff = effective_coefficients(params)
     alpha = solve_alpha(params, beta, m, grid, tables=tables)
     nodes = grid.nodes
-    lam = np.asarray(eff.lam(nodes), dtype=float)
+    lam = np.asarray(params.lam(nodes), dtype=float)
     integrand = (params.a + params.abar) * m.values - lam * (beta.values * m.values + alpha.values)
     vals = params.m0 + _cumulative_trapezoid(integrand, nodes)
     return Trajectory(grid, vals)
@@ -153,9 +151,8 @@ def solve_equilibrium_closed_form(params: ModelParams, grid: TimeGrid) -> Equili
     eta, eta_status = solve_eta(params, beta, grid)
     if not eta_status.admissible:
         raise BlowUpError(eta_status, which="eta")
-    eff = effective_coefficients(params)
     nodes = grid.nodes
-    lam = np.asarray(eff.lam(nodes), dtype=float)
+    lam = np.asarray(params.lam(nodes), dtype=float)
     exponent = (params.a + params.abar) - lam * (beta.values + eta.values)
     m = Trajectory(grid, params.m0 * np.exp(_cumulative_trapezoid(exponent, nodes)))
     tables = _alpha_tables(params, beta, grid)
@@ -170,8 +167,7 @@ def admissibility_margin(params: ModelParams, grid: TimeGrid) -> float:
     Positive margin means the variant's effective quadratic coefficient
     kappa = b^2/r [- c^2/s] [- theta sigma^2] stays positive.
     """
-    eff = effective_coefficients(params)
-    return float(np.min(np.asarray(eff.kappa(grid.nodes), dtype=float)))
+    return float(np.min(np.asarray(params.kappa(grid.nodes), dtype=float)))
 
 
 def check_conditions(params: ModelParams, beta: Trajectory,
@@ -181,11 +177,10 @@ def check_conditions(params: ModelParams, beta: Trajectory,
     The bound is T [g + g_tilde (qbarT + eps e^{T |exponent|})] with the
     sup-norms taken as maxima over grid nodes.
     """
-    eff = effective_coefficients(params)
     nodes = grid.nodes
     bv = beta.values
-    lam = np.asarray(eff.lam(nodes), dtype=float)
-    kap = np.asarray(eff.kappa(nodes), dtype=float)
+    lam = np.asarray(params.lam(nodes), dtype=float)
+    kap = np.asarray(params.kappa(nodes), dtype=float)
     qbar = np.asarray(params.qbar(nodes), dtype=float)
     T = params.T
 
@@ -195,7 +190,7 @@ def check_conditions(params: ModelParams, beta: Trajectory,
     exponent_norm = float(np.max(np.abs(params.a - kap * bv)))
     bound = T * (g + g_tilde * (params.qbarT + eps * math.exp(T * exponent_norm)))
 
-    margin = admissibility_margin(params, grid)
+    margin = float(np.min(kap))
 
     alt_g_tilde = alt_bound = None
     if params.variant is Variant.RISK_SENSITIVE:
@@ -203,7 +198,6 @@ def check_conditions(params: ModelParams, beta: Trajectory,
         alt_bound = T * (g + alt_g_tilde * (params.qbarT + eps * math.exp(T * exponent_norm)))
 
     return ConditionsReport(
-        variant=params.variant,
         admissible=margin > 0.0,
         margin=margin,
         g=g,

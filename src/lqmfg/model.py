@@ -19,10 +19,7 @@ __all__ = [
     "Trajectory",
     "ModelParams",
     "PARAM_TYPES",
-    "EffectiveCoefficients",
-    "ValidationResult",
     "validate",
-    "effective_coefficients",
     "fmt_float",
 ]
 
@@ -166,10 +163,6 @@ class Trajectory:
     def constant(cls, grid: TimeGrid, value: float) -> "Trajectory":
         return cls(grid, np.full(grid.n_steps + 1, float(value)))
 
-    @classmethod
-    def zeros(cls, grid: TimeGrid) -> "Trajectory":
-        return cls.constant(grid, 0.0)
-
     def __call__(self, t):
         return np.interp(t, self.grid.nodes, self.values)
 
@@ -190,6 +183,12 @@ class ModelParams:
     and in this order; a field without a default is a required key.
     theta is ignored by the risk-neutral and robust variants; c and s are
     ignored by the risk-neutral and risk-sensitive variants.
+
+    kappa(t) and lam(t) are the two derived coefficients that unify the four
+    variants: kappa is the quadratic coefficient of the backward Riccati
+    equation, lam the coefficient in the state/mean loop.  Setting c^2/s
+    equal to theta*sigma^2 makes the robust pair coincide with the
+    risk-sensitive one, which is what justifies the shared form.
     """
     variant: Variant
     a: float
@@ -208,15 +207,21 @@ class ModelParams:
     x0: float
     m0: float
 
+    def kappa(self, t):
+        """b^2/r [- c^2/s] [- theta sigma^2] at t."""
+        theta_term = self.theta * self.sigma ** 2 if self.variant.uses_theta else 0.0
+        return self.lam(t) - theta_term
+
+    def lam(self, t):
+        """b^2/r [- c^2/s] at t."""
+        out = self.b ** 2 / self.r(t)
+        if self.variant.uses_disturbance:
+            out = out - self.c ** 2 / self.s(t)
+        return out
+
 
 # the declared type of each ModelParams field, in field order
 PARAM_TYPES: dict[str, type] = get_type_hints(ModelParams)
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    violations: tuple[str, ...] = ()
 
 
 def _check_sign(coef: Coefficient, name: str, T: float, strict: bool, out: list[str]):
@@ -235,8 +240,9 @@ def _check_sign(coef: Coefficient, name: str, T: float, strict: bool, out: list[
             break
 
 
-def validate(params: ModelParams) -> ValidationResult:
-    """Check the sign and range constraints on a game instance."""
+def validate(params: ModelParams) -> tuple[str, ...]:
+    """The violations of the sign and range constraints on a game instance;
+    empty when it is valid."""
     bad: list[str] = []
     for name, kind in PARAM_TYPES.items():
         value = getattr(params, name)
@@ -259,34 +265,5 @@ def validate(params: ModelParams) -> ValidationResult:
     _check_sign(params.qbar, "qbar", T, strict=False, out=bad)
     _check_sign(params.r, "r", T, strict=True, out=bad)
     _check_sign(params.s, "s", T, strict=True, out=bad)
-    return ValidationResult(ok=not bad, violations=tuple(bad))
+    return tuple(bad)
 
-
-class EffectiveCoefficients:
-    """The two derived coefficients that unify the four variants.
-
-    kappa(t) is the quadratic coefficient of the backward Riccati equation;
-    lam(t) is the coefficient in the state/mean loop.  Setting c^2/s equal
-    to theta*sigma^2 makes the robust pair coincide with the risk-sensitive
-    one, which is what justifies the shared form.
-    """
-
-    def __init__(self, params: ModelParams):
-        self._p = params
-        v = params.variant
-        self._theta_term = params.theta * params.sigma ** 2 if v.uses_theta else 0.0
-        self._robust = v.uses_disturbance
-
-    def kappa(self, t):
-        return self.lam(t) - self._theta_term
-
-    def lam(self, t):
-        p = self._p
-        out = p.b ** 2 / p.r(t)
-        if self._robust:
-            out = out - p.c ** 2 / p.s(t)
-        return out
-
-
-def effective_coefficients(params: ModelParams) -> EffectiveCoefficients:
-    return EffectiveCoefficients(params)

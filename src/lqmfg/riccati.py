@@ -1,7 +1,7 @@
 """Backward integration of the scalar Riccati system and the value assembly.
 
-The unified system, with kappa and lam from the variant's effective
-coefficients, is
+The unified system, with the variant's effective coefficients kappa and
+lam (ModelParams.kappa, ModelParams.lam), is
 
     beta' + 2a beta - kappa beta^2 + q + qbar = 0,      beta(T) = qT + qbarT
     alpha' + a alpha + (abar beta - qbar) m - kappa alpha beta = 0,
@@ -28,12 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (
-    ModelParams,
-    TimeGrid,
-    Trajectory,
-    effective_coefficients,
-)
+from .model import ModelParams, TimeGrid, Trajectory
 
 __all__ = [
     "SolveStatus",
@@ -66,16 +61,11 @@ class FiniteEscapeError(Exception):
 
 @dataclass(frozen=True)
 class SolveStatus:
-    admissible: bool
-    blow_up_time: float | None = None
+    blow_up_time: float | None   # None when the solve reached t = 0
 
-    @classmethod
-    def ok(cls) -> "SolveStatus":
-        return cls(True, None)
-
-    @classmethod
-    def blow_up(cls, at: float) -> "SolveStatus":
-        return cls(False, at)
+    @property
+    def admissible(self) -> bool:
+        return self.blow_up_time is None
 
 
 @dataclass(frozen=True)
@@ -168,9 +158,8 @@ def _propagate(coefs: _CoefFn, yT: float, grid: TimeGrid) -> tuple[np.ndarray, f
 
 
 def _beta_coefficients(params: ModelParams) -> _CoefFn:
-    eff = effective_coefficients(params)
     a, q, qbar = params.a, params.q, params.qbar
-    return lambda t: (-(q(t) + qbar(t)), -2 * a, eff.kappa(t))
+    return lambda t: (-(q(t) + qbar(t)), -2 * a, params.kappa(t))
 
 
 def _hermite(nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> _Interpolant:
@@ -216,8 +205,7 @@ def solve_beta(params: ModelParams, grid: TimeGrid) -> tuple[Trajectory, SolveSt
     """Solve the quadratic value-coefficient equation backward from T."""
     betaT = params.qT + params.qbarT
     vals, t_blow = _propagate(_beta_coefficients(params), betaT, grid)
-    status = SolveStatus.ok() if t_blow is None else SolveStatus.blow_up(t_blow)
-    return Trajectory(grid, vals), status
+    return Trajectory(grid, vals), SolveStatus(t_blow)
 
 
 def _alpha_tables(params: ModelParams, beta: Trajectory, grid: TimeGrid) -> _AlphaTables:
@@ -226,10 +214,9 @@ def _alpha_tables(params: ModelParams, beta: Trajectory, grid: TimeGrid) -> _Alp
     (w, c1) on the substage times of the grid.  They depend on beta
     only, so a solve that applies Phi to many mean paths builds them once.
     """
-    eff = effective_coefficients(params)
     t = _substage_times(grid.nodes[1:], grid.dt)
     bv = _hermite_beta(params, beta)(t)
-    return -(params.abar * bv - params.qbar(t)), -params.a + eff.kappa(t) * bv
+    return -(params.abar * bv - params.qbar(t)), -params.a + params.kappa(t) * bv
 
 
 def solve_alpha(params: ModelParams, beta: Trajectory, m: Trajectory,
@@ -254,21 +241,20 @@ def solve_gamma(params: ModelParams, beta: Trajectory, alpha: Trajectory,
     rule on the substage times and the whole solve is one backward
     cumulative sum.
     """
-    eff = effective_coefficients(params)
     bspl = _hermite_beta(params, beta)
     a, abar, qbar, sigma = params.a, params.abar, params.qbar, params.sigma
     nodes = grid.nodes
     av = alpha.values
     # alpha's own ODE supplies Hermite derivatives for substage evaluation
     dav = (-a * av - (abar * beta.values - qbar(nodes)) * m(nodes)
-           + eff.kappa(nodes) * beta.values * av)
+           + params.kappa(nodes) * beta.values * av)
     aspl = _hermite(nodes, av, dav)
 
     h = grid.dt
     t = _substage_times(nodes[1:], h)
     avt, mt = aspl(t), m(t)
     f = (-abar * avt * mt - 0.5 * sigma ** 2 * bspl(t)
-         - 0.5 * qbar(t) * mt * mt + 0.5 * eff.kappa(t) * avt * avt)
+         - 0.5 * qbar(t) * mt * mt + 0.5 * params.kappa(t) * avt * avt)
     # the midpoint weight 4 summed as 2 + 2, in the order RK4 summed it
     incr = h / 6 * (f[0] + 2 * f[1] + 2 * f[1] + f[2])
     mT = m(params.T)
@@ -286,20 +272,18 @@ def solve_eta(params: ModelParams, beta: Trajectory,
     refined equation; the other variants use the same substitution carried
     through their state loop, validated against the fixed-point route.
     """
-    eff = effective_coefficients(params)
     bspl = _hermite_beta(params, beta)
     a, abar, qbar = params.a, params.abar, params.qbar
 
     def coefs(t):
         bv = bspl(t)
-        lam = eff.lam(t)
+        lam = params.lam(t)
         return (-(abar * bv - qbar(t)),
-                -(2 * a + abar - (eff.kappa(t) + lam) * bv),
+                -(2 * a + abar - (params.kappa(t) + lam) * bv),
                 lam)
 
     vals, t_blow = _propagate(coefs, -params.qbarT, grid)
-    status = SolveStatus.ok() if t_blow is None else SolveStatus.blow_up(t_blow)
-    return Trajectory(grid, vals), status
+    return Trajectory(grid, vals), SolveStatus(t_blow)
 
 
 def closed_form_constant_riccati(a: float, kappa: float, Q: float,

@@ -98,18 +98,6 @@ class Policy:
             return cls(eq.value, delta_u, delta_v)
         return cls(eq.value, delta_u, delta_v, eq.riccati.beta, eq.riccati.alpha)
 
-    @classmethod
-    def perturbed_control(cls, eq: Equilibrium, delta_u: float) -> "Policy":
-        return cls.equilibrium(eq, delta_u=delta_u, girsanov=False)
-
-    @classmethod
-    def perturbed_disturbance(cls, eq: Equilibrium, delta_v: float) -> "Policy":
-        return cls.equilibrium(eq, delta_v=delta_v, girsanov=False)
-
-    @classmethod
-    def zero(cls) -> "Policy":
-        return cls()
-
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -130,11 +118,9 @@ class PathEnsemble:
     stochastic-exponential accumulators int sigma(beta x+alpha) dB and
     int sigma^2 (beta x+alpha)^2 dt.
     """
-    record_times: np.ndarray
     n_paths: int
-    seed: int
     antithetic: bool
-    m_values: np.ndarray          # mean path at the record times
+    m_values: np.ndarray          # mean path at the nodes where x is recorded
     sum_x: np.ndarray
     sum_x2: np.ndarray
     run_cost: np.ndarray
@@ -154,9 +140,6 @@ class PathEnsemble:
 
 @dataclass(frozen=True)
 class SaddleReport:
-    cost_base: MCEstimate
-    cost_control_pert: MCEstimate
-    cost_disturbance_pert: MCEstimate
     gap_u: MCEstimate            # pathwise cost(u+du, v) - cost(u, v)
     gap_v: MCEstimate            # pathwise cost(u, v) - cost(u, v+dv)
     analytic_gap_u: float
@@ -294,9 +277,7 @@ def simulate_paths(params: ModelParams, policies: Sequence[Policy], m: Trajector
     def ensemble(row: int) -> PathEnsemble:
         gir = row < n_gir
         return PathEnsemble(
-            record_times=m.grid.nodes,
             n_paths=n,
-            seed=config.seed,
             antithetic=config.antithetic,
             m_values=m.values.copy(),
             sum_x=sum_x[row],
@@ -390,26 +371,16 @@ def saddle_check(params: ModelParams, equilibrium: Equilibrium,
         raise ValueError("saddle_check applies to the robust variants")
     base, up, vp = simulate_paths(params, [
         Policy.equilibrium(equilibrium, girsanov=params.variant.uses_theta),
-        Policy.perturbed_control(equilibrium, perturbation_scale),
-        Policy.perturbed_disturbance(equilibrium, perturbation_scale),
+        Policy.equilibrium(equilibrium, delta_u=perturbation_scale, girsanov=False),
+        Policy.equilibrium(equilibrium, delta_v=perturbation_scale, girsanov=False),
     ], equilibrium.m, config)
 
     L_base = per_path_cost(base, params)
-    L_up = per_path_cost(up, params)
-    L_vp = per_path_cost(vp, params)
-
-    gap_u = _mc_estimate(L_up - L_base, config.antithetic)
-    gap_v = _mc_estimate(L_base - L_vp, config.antithetic)
     d2 = perturbation_scale ** 2
-    analytic_u = 0.5 * d2 * _trapz_weight_integral(params.r, params.T)
-    analytic_v = 0.5 * d2 * _trapz_weight_integral(params.s, params.T)
     return SaddleReport(
-        cost_base=_mc_estimate(L_base, config.antithetic),
-        cost_control_pert=_mc_estimate(L_up, config.antithetic),
-        cost_disturbance_pert=_mc_estimate(L_vp, config.antithetic),
-        gap_u=gap_u,
-        gap_v=gap_v,
-        analytic_gap_u=analytic_u,
-        analytic_gap_v=analytic_v,
+        gap_u=_mc_estimate(per_path_cost(up, params) - L_base, config.antithetic),
+        gap_v=_mc_estimate(L_base - per_path_cost(vp, params), config.antithetic),
+        analytic_gap_u=0.5 * d2 * _trapz_weight_integral(params.r, params.T),
+        analytic_gap_v=0.5 * d2 * _trapz_weight_integral(params.s, params.T),
         base=base,
     )

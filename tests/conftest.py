@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from lqmfg.model import Coefficient, ModelParams, TimeGrid, Variant, effective_coefficients
+from lqmfg.model import Coefficient, ModelParams, TimeGrid, Variant
 from lqmfg.riccati import solve_beta
 
 
@@ -61,10 +61,9 @@ def beta_orders_on_kinked_weights(steps=(40, 80, 160, 320)) -> list[float]:
     """
     p = make_params(variant=Variant.ROBUST, c=0.5, a=0.8,
                     q=tabulated(1.0, 3.0, 0.5, 2.5, 1.0), r=tabulated(1.0, 0.4, 1.5))
-    eff = effective_coefficients(p)
     coarse = TimeGrid(T=1.0, n_steps=4)
     ref = dop853_reference(
-        lambda t, y: eff.kappa(t) * y * y - 2 * p.a * y - (p.q(t) + p.qbar(t)),
+        lambda t, y: p.kappa(t) * y * y - 2 * p.a * y - (p.q(t) + p.qbar(t)),
         p.qT + p.qbarT, coarse)
     errs = []
     for n in steps:

@@ -128,7 +128,7 @@ def test_criterion_05_value_identity_and_control_gap(bench_eq, bench_ensemble):
     # common random numbers isolate the completed-square gap (r/2) du^2 T
     delta = 0.5
     cfg = SimConfig(n_paths=N_PATHS, dt_sim=1e-3, seed=SEED)
-    [pert] = simulate_paths(p, [Policy.perturbed_control(eq, delta)], eq.m, cfg)
+    [pert] = simulate_paths(p, [Policy.equilibrium(eq, delta_u=delta, girsanov=False)], eq.m, cfg)
     gap = _mc_estimate(per_path_cost(pert, p) - per_path_cost(bench_ensemble, p),
                        antithetic=False)
     gap_theory = 0.5 * 1.0 * delta ** 2 * p.T

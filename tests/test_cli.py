@@ -292,6 +292,47 @@ max_iter = 20
         assert read_tree(out1) == read_tree(out2)
 
 
+class TestUsageErrors:
+    """argparse's usage errors are config errors: exit 1, since 2 is the
+    blow-up code."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve"], "the following arguments are required: --config"),
+        (["solve", "--config", "run.cfg", "--bogus"], "unrecognized arguments: --bogus"),
+        (["sweep", "--config", "run.cfg", "--workers", "many"],
+         "argument --workers: invalid int value: 'many'"),
+    ])
+    def test_usage_error_is_one_line_config_error(self, capsys, argv, message):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "-h"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+
+class TestOutDir:
+    @pytest.mark.parametrize("command", ["solve", "verify", "sweep", "check"])
+    @pytest.mark.parametrize("below_file", [False, True])
+    def test_unusable_out_dir_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                              command, below_file):
+        # the directory is made before any command runs
+        for name in ("solve_beta", "solve_equilibrium_picard"):
+            monkeypatch.setattr(cli, name, None)
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker / "x" if below_file else blocker
+        path = write_cfg(tmp_path, TestSweepCommand.SWEEP)
+        assert main([command, "--config", path, "--out-dir", str(out),
+                     "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output directory")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "keep\n"
+
+
 class TestVerifyCommand:
     def test_benchmark_passes(self, tmp_path):
         text = BENCH_CFG.replace("n_steps = 200", "n_steps = 500") + \

@@ -34,7 +34,7 @@ class TestApplyPhi:
     def test_zero_fixed_point(self, grid):
         p = make_params(m0=0.0)
         beta, _ = solve_beta(p, grid)
-        phi = apply_phi(p, beta, Trajectory.zeros(grid), grid)
+        phi = apply_phi(p, beta, Trajectory.constant(grid, 0.0), grid)
         np.testing.assert_array_equal(phi.values, 0.0)
 
     def test_decoupled_linear_ode(self, grid):

@@ -6,7 +6,6 @@ from lqmfg.model import (
     TimeGrid,
     Trajectory,
     Variant,
-    effective_coefficients,
     validate,
 )
 from conftest import make_params
@@ -55,66 +54,60 @@ class TestTrajectory:
 
 class TestValidate:
     def test_valid_instance(self):
-        assert validate(make_params()).ok
+        assert validate(make_params()) == ()
 
     def test_zero_r_rejected(self):
-        res = validate(make_params(r=0.0))
-        assert not res.ok
-        assert any("r must be strictly positive" in v for v in res.violations)
+        violations = validate(make_params(r=0.0))
+        assert violations
+        assert any("r must be strictly positive" in v for v in violations)
 
     def test_negative_tabulated_qbar_names_node(self):
         qbar = Coefficient.tabulated(np.array([0.0, 0.5, 1.0]),
                                      np.array([0.5, -0.1, 0.5]))
-        res = validate(make_params(qbar=qbar))
-        assert not res.ok
-        assert any("qbar" in v and "node 1" in v for v in res.violations)
+        violations = validate(make_params(qbar=qbar))
+        assert violations
+        assert any("qbar" in v and "node 1" in v for v in violations)
 
     def test_zero_b_rejected(self):
-        res = validate(make_params(b=0.0))
-        assert not res.ok
+        assert validate(make_params(b=0.0))
 
     @pytest.mark.parametrize("field,value", [
         ("sigma", -0.1), ("theta", -0.1), ("qT", -1.0), ("qbarT", -1.0), ("T", 0.0),
     ])
     def test_sign_constraints(self, field, value):
-        assert not validate(make_params(**{field: value})).ok
+        assert validate(make_params(**{field: value}))
 
 
 class TestEffectiveCoefficients:
     def test_risk_neutral(self):
-        eff = effective_coefficients(make_params(b=1.0, r=1.0))
-        assert eff.kappa(0.3) == 1.0
-        assert eff.lam(0.3) == 1.0
+        p = make_params(b=1.0, r=1.0)
+        assert p.kappa(0.3) == 1.0
+        assert p.lam(0.3) == 1.0
 
     def test_risk_sensitive(self):
         p = make_params(variant=Variant.RISK_SENSITIVE, b=1.0, r=1.0,
                         theta=0.5, sigma=1.0)
-        eff = effective_coefficients(p)
-        assert eff.kappa(0.0) == pytest.approx(0.5)
-        assert eff.lam(0.0) == pytest.approx(1.0)
+        assert p.kappa(0.0) == pytest.approx(0.5)
+        assert p.lam(0.0) == pytest.approx(1.0)
 
     def test_robust(self):
         p = make_params(variant=Variant.ROBUST, b=1.0, r=1.0, c=0.5, s=1.0)
-        eff = effective_coefficients(p)
-        assert eff.kappa(0.0) == pytest.approx(0.75)
-        assert eff.lam(0.0) == pytest.approx(0.75)
+        assert p.kappa(0.0) == pytest.approx(0.75)
+        assert p.lam(0.0) == pytest.approx(0.75)
 
     def test_robust_matches_risk_sensitive_when_c2_over_s_is_theta_sigma2(self):
         theta0, sigma = 0.5, 0.8
-        rs = effective_coefficients(make_params(
-            variant=Variant.RISK_SENSITIVE, theta=theta0, sigma=sigma))
+        rs = make_params(variant=Variant.RISK_SENSITIVE, theta=theta0, sigma=sigma)
         c = np.sqrt(theta0) * sigma  # c^2/s = theta0 sigma^2 with s = 1
-        rob = effective_coefficients(make_params(
-            variant=Variant.ROBUST, c=c, sigma=sigma))
+        rob = make_params(variant=Variant.ROBUST, c=c, sigma=sigma)
         t = np.linspace(0.0, 1.0, 11)
         np.testing.assert_allclose(rob.kappa(t), rs.kappa(t), atol=1e-15)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_kappa_le_lam_le_b2_over_r(self, variant):
         p = make_params(variant=variant, theta=0.3, sigma=0.5, c=0.4)
-        eff = effective_coefficients(p)
         t = np.linspace(0.0, 1.0, 21)
-        kap, lam = np.asarray(eff.kappa(t)), np.asarray(eff.lam(t))
+        kap, lam = np.asarray(p.kappa(t)), np.asarray(p.lam(t))
         b2r = p.b ** 2 / np.asarray(p.r(t))
         assert np.all(kap <= lam + 1e-15)
         assert np.all(lam <= b2r + 1e-15)
@@ -123,15 +116,14 @@ class TestEffectiveCoefficients:
 
     def test_reductions_to_risk_neutral(self):
         t = np.linspace(0.0, 1.0, 11)
-        rn = effective_coefficients(make_params())
+        rn = make_params()
         for variant in (Variant.RISK_SENSITIVE, Variant.ROBUST,
                         Variant.ROBUST_RISK_SENSITIVE):
-            eff = effective_coefficients(make_params(variant=variant, theta=0.0, c=0.0))
-            np.testing.assert_array_equal(eff.kappa(t), rn.kappa(t))
-            np.testing.assert_array_equal(eff.lam(t), rn.lam(t))
+            p = make_params(variant=variant, theta=0.0, c=0.0)
+            np.testing.assert_array_equal(p.kappa(t), rn.kappa(t))
+            np.testing.assert_array_equal(p.lam(t), rn.lam(t))
 
     def test_pure(self):
         p = make_params(variant=Variant.ROBUST_RISK_SENSITIVE, theta=0.2, c=0.3)
         t = np.linspace(0.0, 1.0, 7)
-        e1, e2 = effective_coefficients(p), effective_coefficients(p)
-        np.testing.assert_array_equal(e1.kappa(t), e2.kappa(t))
+        np.testing.assert_array_equal(p.kappa(t), p.kappa(t))

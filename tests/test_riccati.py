@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
 from lqmfg.equilibrium import solve_equilibrium_closed_form, solve_equilibrium_picard
-from lqmfg.model import TimeGrid, Trajectory, Variant, effective_coefficients
+from lqmfg.model import TimeGrid, Trajectory, Variant
 from lqmfg.riccati import (
     FiniteEscapeError,
     _hermite,
@@ -166,7 +166,7 @@ class TestSolveAlpha:
     def test_zero_mean_gives_zero(self, grid):
         p = make_params()
         beta, _ = solve_beta(p, grid)
-        alpha = solve_alpha(p, beta, Trajectory.zeros(grid), grid)
+        alpha = solve_alpha(p, beta, Trajectory.constant(grid, 0.0), grid)
         np.testing.assert_array_equal(alpha.values, 0.0)
 
     def test_zero_source_gives_zero(self, grid):
@@ -204,7 +204,7 @@ class TestSolveGamma:
     def test_all_sources_vanish(self, grid):
         p = make_params(sigma=0.0, qbarT=0.0)
         beta, _ = solve_beta(p, grid)
-        m = Trajectory.zeros(grid)
+        m = Trajectory.constant(grid, 0.0)
         alpha = solve_alpha(p, beta, m, grid)
         gamma = solve_gamma(p, beta, alpha, m, grid)
         np.testing.assert_array_equal(gamma.values, 0.0)
@@ -216,7 +216,7 @@ class TestSolveGamma:
                         m0=0.0, x0=0.0)
         beta, _ = solve_beta(p, grid)
         np.testing.assert_allclose(beta.values, 1.0, atol=1e-12)
-        m = Trajectory.zeros(grid)
+        m = Trajectory.constant(grid, 0.0)
         alpha = solve_alpha(p, beta, m, grid)
         gamma = solve_gamma(p, beta, alpha, m, grid)
         exact = 0.5 * 0.25 * (1.0 - grid.nodes)
@@ -262,12 +262,11 @@ class TestTabulatedCore:
         grid = TimeGrid(T=1.0, n_steps=200)
         p = make_params(variant=Variant.ROBUST, c=0.5, sigma=0.3,
                         q=tabulated(1.0, 1.5, 0.8, 1.2), r=tabulated(1.0, 0.8, 1.2))
-        eff = effective_coefficients(p)
         a, abar, q, qbar = p.a, p.abar, p.q, p.qbar
         m = Trajectory(grid, 1.0 + 0.3 * np.sin(3.0 * grid.nodes))
 
         def f_beta(t, y):
-            return eff.kappa(t) * y * y - 2 * a * y - (q(t) + qbar(t))
+            return p.kappa(t) * y * y - 2 * a * y - (q(t) + qbar(t))
 
         # q kinks at 1/3 and 2/3, off the grid; r at 1/2
         kinks = (1 / 3, 2 / 3)
@@ -283,7 +282,7 @@ class TestTabulatedCore:
         bspl = CubicHermiteSpline(nodes, bv, f_beta(nodes, bv))
 
         def f_alpha(t, y):
-            return -a * y - (abar * bspl(t) - qbar(t)) * m(t) + eff.kappa(t) * bspl(t) * y
+            return -a * y - (abar * bspl(t) - qbar(t)) * m(t) + p.kappa(t) * bspl(t) * y
 
         alpha = solve_alpha(p, beta, m, grid)
         assert_no_worse_than_rk4(alpha.values, f_alpha, -p.qbarT * m(p.T))
@@ -292,15 +291,15 @@ class TestTabulatedCore:
 
         def f_gamma(t, y):
             return (-abar * aspl(t) * m(t) - 0.5 * p.sigma ** 2 * bspl(t)
-                    - 0.5 * qbar(t) * m(t) ** 2 + 0.5 * eff.kappa(t) * aspl(t) ** 2)
+                    - 0.5 * qbar(t) * m(t) ** 2 + 0.5 * p.kappa(t) * aspl(t) ** 2)
 
         gamma = solve_gamma(p, beta, alpha, m, grid)
         ref_gamma = rk4_reference(f_gamma, 0.5 * p.qbarT * m(p.T) ** 2, grid)
         assert np.max(np.abs(gamma.values - ref_gamma)) <= 1e-13
 
         def f_eta(t, y):
-            return (-(2 * a + abar - (eff.kappa(t) + eff.lam(t)) * bspl(t)) * y
-                    + eff.lam(t) * y * y - (abar * bspl(t) - qbar(t)))
+            return (-(2 * a + abar - (p.kappa(t) + p.lam(t)) * bspl(t)) * y
+                    + p.lam(t) * y * y - (abar * bspl(t) - qbar(t)))
 
         eta, status = solve_eta(p, beta, grid)
         assert status.admissible
@@ -421,7 +420,7 @@ class TestClosedFormConstantRiccati:
 class TestAssembleValue:
     def test_zero_solution(self, grid):
         p = make_params()
-        z = Trajectory.zeros(grid)
+        z = Trajectory.constant(grid, 0.0)
         v = assemble_value(p, z, z, z)
         assert v.value_at_0 == 0.0
         np.testing.assert_array_equal(v.feedback_gain.values, 0.0)

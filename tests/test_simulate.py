@@ -163,8 +163,8 @@ class TestReferenceEuler:
         eq = solve_equilibrium_picard(p, TimeGrid(T=1.0, n_steps=20))
         cfg = SimConfig(n_paths=BLOCK_SIZE + 6, dt_sim=1.0 / 40, seed=4,
                         antithetic=True)
-        policies = [Policy.equilibrium(eq), Policy.perturbed_control(eq, 0.5),
-                    Policy.perturbed_disturbance(eq, 0.5), Policy.zero()]
+        policies = [Policy.equilibrium(eq), Policy.equilibrium(eq, delta_u=0.5, girsanov=False),
+                    Policy.equilibrium(eq, delta_v=0.5, girsanov=False), Policy()]
         for policy in policies:
             [ens] = simulate_paths(p, [policy], eq.m, cfg)
             ref = reference_paths(p, policy, eq.m, cfg)
@@ -189,9 +189,9 @@ class TestSharedPass:
         cfg = SimConfig(n_paths=BLOCK_SIZE + 6, dt_sim=1.0 / 40, seed=4,
                         antithetic=antithetic)
         # Girsanov sums present and absent, interleaved
-        policies = [Policy.perturbed_control(eq, 0.5), Policy.equilibrium(eq),
-                    Policy.zero(), Policy.equilibrium(eq, delta_u=0.3),
-                    Policy.perturbed_disturbance(eq, 0.5)]
+        policies = [Policy.equilibrium(eq, delta_u=0.5, girsanov=False), Policy.equilibrium(eq),
+                    Policy(), Policy.equilibrium(eq, delta_u=0.3),
+                    Policy.equilibrium(eq, delta_v=0.5, girsanov=False)]
         stacked = simulate_paths(p, policies, eq.m, cfg)
         assert len(stacked) == len(policies)
         for policy, ens in zip(policies, stacked):
@@ -208,8 +208,8 @@ class TestSharedPass:
         p, eq = bench_eq
         assert Policy.equilibrium(eq).girsanov
         assert not Policy.equilibrium(eq, girsanov=False).girsanov
-        assert not Policy.perturbed_control(eq, 0.5).girsanov
-        assert not Policy.perturbed_disturbance(eq, 0.5).girsanov
+        assert not Policy.equilibrium(eq, delta_u=0.5, girsanov=False).girsanov
+        assert not Policy.equilibrium(eq, delta_v=0.5, girsanov=False).girsanov
 
 
 class TestDegenerateDynamics:
@@ -217,9 +217,9 @@ class TestDegenerateDynamics:
         # sigma = 0, zero policy, abar = 0: exact Euler recursion x <- (1+a dt) x
         p = make_params(sigma=0.0, abar=0.0)
         g = TimeGrid(T=1.0, n_steps=100)
-        m = Trajectory.zeros(g)
+        m = Trajectory.constant(g, 0.0)
         cfg = SimConfig(n_paths=3, dt_sim=0.01, seed=0)
-        [ens] = simulate_paths(p, [Policy.zero()], m, cfg)
+        [ens] = simulate_paths(p, [Policy()], m, cfg)
         dt = 0.01
         expected = p.x0 * (1.0 + p.a * dt) ** np.arange(101)
         np.testing.assert_allclose(ens.mean_x(), expected, rtol=1e-13)
@@ -230,7 +230,7 @@ class TestDegenerateDynamics:
         # are deterministic and the pair-based standard error collapses
         p = make_params(abar=0.0)
         g = TimeGrid(T=1.0, n_steps=100)
-        [ens] = simulate_paths(p, [Policy.zero()], Trajectory.zeros(g),
+        [ens] = simulate_paths(p, [Policy()], Trajectory.constant(g, 0.0),
                                SimConfig(n_paths=512, dt_sim=0.01, seed=3,
                                          antithetic=True))
         pair_means = ens.x_final.reshape(-1, 2).mean(axis=1)
@@ -271,7 +271,7 @@ class TestEstimators:
 
     def test_girsanov_requires_accumulators(self, bench_eq):
         p, eq = bench_eq
-        [ens] = simulate_paths(p, [Policy.zero()], eq.m, small_config())
+        [ens] = simulate_paths(p, [Policy()], eq.m, small_config())
         with pytest.raises(ValueError):
             estimate_girsanov_normalization(ens, p)
 
@@ -354,7 +354,6 @@ class TestSaddle:
         rep = saddle_check(p, eq, 0.0, cfg)
         assert rep.gap_u.mean == 0.0 and rep.gap_u.std_error == 0.0
         assert rep.gap_v.mean == 0.0 and rep.gap_v.std_error == 0.0
-        assert rep.cost_base.mean == rep.cost_control_pert.mean
 
     def test_resolvable_scale_orders_and_matches(self, robust_eq):
         p, eq = robust_eq
