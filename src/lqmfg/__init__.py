@@ -9,12 +9,9 @@ from .model import (
     validate,
 )
 from .riccati import (
-    FiniteEscapeError,
-    RiccatiSolution,
     SolveStatus,
     ValueCoefficients,
     assemble_value,
-    closed_form_constant_riccati,
     solve_alpha,
     solve_beta,
     solve_eta,
@@ -25,6 +22,7 @@ from .equilibrium import (
     ConditionsReport,
     Equilibrium,
     NonConvergenceError,
+    admissible_beta,
     admissibility_margin,
     apply_phi,
     check_conditions,

@@ -42,8 +42,8 @@ from .equilibrium import (
     Equilibrium,
     NonConvergenceError,
     admissibility_margin,
+    admissible_beta,
     check_conditions,
-    solve_beta,
     solve_equilibrium_closed_form,
     solve_equilibrium_picard,
 )
@@ -110,8 +110,8 @@ def _weight(values, T: float) -> Coefficient:
     """A weight from its node values: one is a constant, several are spread
     over equally spaced times on [0, T]."""
     if len(values) == 1:
-        return Coefficient.constant(values[0])
-    return Coefficient.tabulated(np.linspace(0.0, T, len(values)), np.array(values))
+        return Coefficient(values[0])
+    return Coefficient(np.array(values), np.linspace(0.0, T, len(values)))
 
 
 def _floats(text: str) -> list[float]:
@@ -303,12 +303,13 @@ class SolveOutput:
 
 
 def run_solve_pipeline(cfg: RunConfig) -> SolveOutput:
-    """validate -> riccati -> both equilibrium routes -> conditions."""
+    """validate -> beta -> both equilibrium routes -> conditions."""
     _require_valid(cfg.params)
-    eq_p = solve_equilibrium_picard(cfg.params, cfg.grid, tol=cfg.tol,
+    beta = admissible_beta(cfg.params, cfg.grid)
+    eq_p = solve_equilibrium_picard(cfg.params, beta, cfg.grid, tol=cfg.tol,
                                     max_iter=cfg.max_iter)
-    eq_c = solve_equilibrium_closed_form(cfg.params, cfg.grid)
-    conds = check_conditions(cfg.params, eq_p.riccati.beta, cfg.grid)
+    eq_c = solve_equilibrium_closed_form(cfg.params, beta, cfg.grid)
+    conds = check_conditions(cfg.params, beta, cfg.grid)
     gap = float(np.max(np.abs(eq_p.m.values - eq_c.m.values)))
     return SolveOutput(eq_p, eq_c, conds, gap)
 
@@ -340,8 +341,8 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 
     eq = out.eq_picard
     nodes = cfg.grid.nodes
-    curves = {"m": eq.m, "beta": eq.riccati.beta, "alpha": eq.riccati.alpha,
-              "gamma": eq.riccati.gamma, "eta": out.eq_closed.riccati.eta}
+    curves = {"m": eq.m, "beta": eq.beta, "alpha": eq.alpha,
+              "gamma": eq.gamma, "eta": out.eq_closed.eta}
     for name, curve in curves.items():
         _write_csv(out_dir / f"{name}.csv", ["t", name], _float_rows(nodes, curve.values))
     v = eq.value
@@ -373,7 +374,7 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         "iterations": str(eq.iterations),
         "residual": fmt_float(eq.residual),
         "route_gap": fmt_float(out.route_gap),
-        "beta0": fmt_float(eq.riccati.beta.values[0]),
+        "beta0": fmt_float(eq.beta.values[0]),
         "admissible": str(out.conditions.admissible).lower(),
         "margin": fmt_float(out.conditions.margin),
         "lipschitz_bound": fmt_float(out.conditions.lipschitz_bound),
@@ -501,14 +502,12 @@ def cmd_verify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 
 def cmd_check(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     _require_valid(cfg.params)
-    beta, status = solve_beta(cfg.params, cfg.grid)
-    lines: list[str]
-    if not status.admissible:
-        lines = [f"status = blow_up",
-                 f"blow_up_time = {fmt_float(status.blow_up_time)}"]
-    else:
-        rep = check_conditions(cfg.params, beta, cfg.grid)
-        lines = _conditions_lines(rep)
+    try:
+        beta = admissible_beta(cfg.params, cfg.grid)
+        lines = _conditions_lines(check_conditions(cfg.params, beta, cfg.grid))
+    except BlowUpError as exc:
+        lines = ["status = blow_up",
+                 f"blow_up_time = {fmt_float(exc.status.blow_up_time)}"]
     _write(out_dir / "check_report.txt", "\n".join(lines) + "\n")
     if not quiet:
         for ln in lines:
@@ -519,6 +518,7 @@ def cmd_check(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 def _sweep_params(cfg: RunConfig, value: float) -> tuple[ModelParams, TimeGrid]:
     p, grid = cfg.params, cfg.grid
     name = cfg.sweep_parameter
+    value = float(value)    # not np.float64, whose overflowing square warns
     if name == "theta":
         return replace(p, theta=value), grid
     if name == "c":
@@ -548,22 +548,17 @@ def _sweep_row(cfg: RunConfig, value: float) -> dict[str, str]:
     if validate(params):
         row["code"] = str(EXIT_CONFIG)
         return row
-    beta, status = solve_beta(params, grid)
-    if not status.admissible:
-        row["code"] = str(EXIT_BLOWUP)
-        row["blow_up_time"] = fmt_float(status.blow_up_time)
-        return row
-    rep = check_conditions(params, beta, grid)
-    row["lipschitz_bound"] = fmt_float(rep.lipschitz_bound)
-    row["contraction"] = str(rep.contraction).lower()
-    row["beta0"] = fmt_float(beta.values[0])
     try:
-        eq = solve_equilibrium_closed_form(params, grid)
+        beta = admissible_beta(params, grid)
+        rep = check_conditions(params, beta, grid)
+        row["lipschitz_bound"] = fmt_float(rep.lipschitz_bound)
+        row["contraction"] = str(rep.contraction).lower()
+        row["beta0"] = fmt_float(beta.values[0])
+        eq = solve_equilibrium_closed_form(params, beta, grid)
+        row["value_at_0"] = fmt_float(eq.value.value_at_0)
     except BlowUpError as exc:
         row["code"] = str(EXIT_BLOWUP)
         row["blow_up_time"] = fmt_float(exc.status.blow_up_time)
-        return row
-    row["value_at_0"] = fmt_float(eq.value.value_at_0)
     return row
 
 

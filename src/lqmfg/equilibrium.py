@@ -11,7 +11,6 @@ import numpy as np
 
 from .model import ModelParams, TimeGrid, Trajectory, Variant
 from .riccati import (
-    RiccatiSolution,
     SolveStatus,
     ValueCoefficients,
     _AlphaTables,
@@ -28,6 +27,7 @@ __all__ = [
     "ConditionsReport",
     "BlowUpError",
     "NonConvergenceError",
+    "admissible_beta",
     "admissibility_margin",
     "apply_phi",
     "solve_equilibrium_picard",
@@ -61,10 +61,13 @@ class NonConvergenceError(Exception):
 @dataclass(frozen=True)
 class Equilibrium:
     m: Trajectory
-    riccati: RiccatiSolution
+    beta: Trajectory
+    alpha: Trajectory
+    gamma: Trajectory
     value: ValueCoefficients
     iterations: int
     residual: float
+    eta: Trajectory | None = None      # the closed form's refined coefficient
     residual_history: tuple[float, ...] = ()
 
 
@@ -111,21 +114,27 @@ def _finalize(params: ModelParams, beta: Trajectory, m: Trajectory,
               history: tuple[float, ...] = ()) -> Equilibrium:
     alpha = solve_alpha(params, beta, m, grid, tables=tables)
     gamma = solve_gamma(params, beta, alpha, m, grid)
-    sol = RiccatiSolution(beta, alpha, gamma, eta)
     value = assemble_value(params, beta, alpha, gamma)
-    return Equilibrium(m=m, riccati=sol, value=value,
-                       iterations=iterations, residual=residual,
+    return Equilibrium(m=m, beta=beta, alpha=alpha, gamma=gamma, value=value,
+                       iterations=iterations, residual=residual, eta=eta,
                        residual_history=history)
 
 
-def solve_equilibrium_picard(params: ModelParams, grid: TimeGrid,
-                             tol: float = DEFAULT_TOL,
-                             max_iter: int = DEFAULT_MAX_ITER,
-                             initial: Trajectory | None = None) -> Equilibrium:
-    """Banach-Picard iteration m <- Phi[m] to the fixed-point mean path."""
+def admissible_beta(params: ModelParams, grid: TimeGrid) -> Trajectory:
+    """beta on the grid, on which both routes and the conditions are built;
+    BlowUpError when it escapes, as then no feedback law is admissible."""
     beta, status = solve_beta(params, grid)
     if not status.admissible:
         raise BlowUpError(status)
+    return beta
+
+
+def solve_equilibrium_picard(params: ModelParams, beta: Trajectory, grid: TimeGrid,
+                             tol: float = DEFAULT_TOL,
+                             max_iter: int = DEFAULT_MAX_ITER,
+                             initial: Trajectory | None = None) -> Equilibrium:
+    """Banach-Picard iteration m <- Phi[m] to the fixed-point mean path,
+    with beta = admissible_beta(params, grid)."""
     m = initial if initial is not None else Trajectory.constant(grid, params.m0)
     tables = _alpha_tables(params, beta, grid)
     history: list[float] = []
@@ -143,11 +152,10 @@ def solve_equilibrium_picard(params: ModelParams, grid: TimeGrid,
     raise NonConvergenceError(history)
 
 
-def solve_equilibrium_closed_form(params: ModelParams, grid: TimeGrid) -> Equilibrium:
-    """Equilibrium via the refined coefficient: m = m0 e^{int (a+abar-lam(beta+eta))}."""
-    beta, status = solve_beta(params, grid)
-    if not status.admissible:
-        raise BlowUpError(status)
+def solve_equilibrium_closed_form(params: ModelParams, beta: Trajectory,
+                                  grid: TimeGrid) -> Equilibrium:
+    """Equilibrium via the refined coefficient: m = m0 e^{int (a+abar-lam(beta+eta))},
+    with beta = admissible_beta(params, grid); BlowUpError when eta escapes."""
     eta, eta_status = solve_eta(params, beta, grid)
     if not eta_status.admissible:
         raise BlowUpError(eta_status, which="eta")
@@ -180,7 +188,7 @@ def check_conditions(params: ModelParams, beta: Trajectory,
     nodes = grid.nodes
     bv = beta.values
     lam = np.asarray(params.lam(nodes), dtype=float)
-    kap = np.asarray(params.kappa(nodes), dtype=float)
+    kap = lam - params.theta_term
     qbar = np.asarray(params.qbar(nodes), dtype=float)
     T = params.T
 

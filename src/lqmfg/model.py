@@ -77,14 +77,6 @@ class Coefficient:
             self._times = times
             self._values = values
 
-    @classmethod
-    def constant(cls, value: float) -> "Coefficient":
-        return cls(value)
-
-    @classmethod
-    def tabulated(cls, times: np.ndarray, values: np.ndarray) -> "Coefficient":
-        return cls(values, times=times)
-
     @property
     def is_constant(self) -> bool:
         return self._const is not None
@@ -103,8 +95,8 @@ class Coefficient:
     def scaled(self, factor: float) -> "Coefficient":
         """This coefficient times factor, on the same tabulation times."""
         if self._const is not None:
-            return Coefficient.constant(factor * self._const)
-        return Coefficient.tabulated(self._times, factor * self._values)
+            return Coefficient(factor * self._const)
+        return Coefficient(factor * self._values, self._times)
 
     def sample_points(self, T: float) -> np.ndarray:
         """Times at which sign constraints are checked."""
@@ -124,8 +116,8 @@ class Coefficient:
 
     def __repr__(self) -> str:
         if self.is_constant:
-            return f"Coefficient.constant({self._const!r})"
-        return f"Coefficient.tabulated(<{self._times.size} nodes>)"
+            return f"Coefficient({self._const!r})"
+        return f"Coefficient(<{self._times.size} values>, <{self._times.size} times>)"
 
 
 @dataclass(frozen=True)
@@ -199,7 +191,7 @@ class ModelParams:
     q: Coefficient
     qbar: Coefficient
     r: Coefficient
-    s: Coefficient = field(default_factory=lambda: Coefficient.constant(1.0))
+    s: Coefficient = field(default_factory=lambda: Coefficient(1.0))
     qT: float
     qbarT: float
     theta: float = 0.0
@@ -207,16 +199,20 @@ class ModelParams:
     x0: float
     m0: float
 
+    @property
+    def theta_term(self) -> float:
+        """theta sigma^2 in the theta variants, else 0: lam(t) - kappa(t)."""
+        return self.theta * (self.sigma * self.sigma) if self.variant.uses_theta else 0.0
+
     def kappa(self, t):
         """b^2/r [- c^2/s] [- theta sigma^2] at t."""
-        theta_term = self.theta * self.sigma ** 2 if self.variant.uses_theta else 0.0
-        return self.lam(t) - theta_term
+        return self.lam(t) - self.theta_term
 
     def lam(self, t):
         """b^2/r [- c^2/s] at t."""
-        out = self.b ** 2 / self.r(t)
+        out = self.b * self.b / self.r(t)
         if self.variant.uses_disturbance:
-            out = out - self.c ** 2 / self.s(t)
+            out = out - self.c * self.c / self.s(t)
         return out
 
 
@@ -248,6 +244,9 @@ def validate(params: ModelParams) -> tuple[str, ...]:
         value = getattr(params, name)
         if kind is float and not math.isfinite(value):
             bad.append(f"{name} must be finite; got {value:g}")
+        elif name in ("b", "c", "sigma", "x0") and not math.isfinite(value * value):
+            # the solvers square these
+            bad.append(f"{name} must have a finite square; got {value:g}")
     if params.T <= 0:
         bad.append(f"T must be positive; got {params.T:g}")
     if params.sigma < 0:

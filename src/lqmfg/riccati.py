@@ -32,14 +32,11 @@ from .model import ModelParams, TimeGrid, Trajectory
 
 __all__ = [
     "SolveStatus",
-    "RiccatiSolution",
     "ValueCoefficients",
-    "FiniteEscapeError",
     "solve_beta",
     "solve_alpha",
     "solve_gamma",
     "solve_eta",
-    "closed_form_constant_riccati",
     "assemble_value",
 ]
 
@@ -51,14 +48,6 @@ _Interpolant = Callable[[np.ndarray], np.ndarray]
 _AlphaTables = tuple[np.ndarray, np.ndarray]
 
 
-class FiniteEscapeError(Exception):
-    """Raised when a closed-form Riccati solution has a pole inside [t, T]."""
-
-    def __init__(self, escape_time: float):
-        self.escape_time = escape_time
-        super().__init__(f"finite escape at t = {escape_time:g}")
-
-
 @dataclass(frozen=True)
 class SolveStatus:
     blow_up_time: float | None   # None when the solve reached t = 0
@@ -66,14 +55,6 @@ class SolveStatus:
     @property
     def admissible(self) -> bool:
         return self.blow_up_time is None
-
-
-@dataclass(frozen=True)
-class RiccatiSolution:
-    beta: Trajectory
-    alpha: Trajectory
-    gamma: Trajectory
-    eta: Trajectory | None = None
 
 
 @dataclass(frozen=True)
@@ -278,71 +259,11 @@ def solve_eta(params: ModelParams, beta: Trajectory,
     def coefs(t):
         bv = bspl(t)
         lam = params.lam(t)
-        return (-(abar * bv - qbar(t)),
-                -(2 * a + abar - (params.kappa(t) + lam) * bv),
-                lam)
+        kap = lam - params.theta_term
+        return -(abar * bv - qbar(t)), -(2 * a + abar - (kap + lam) * bv), lam
 
     vals, t_blow = _propagate(coefs, -params.qbarT, grid)
     return Trajectory(grid, vals), SolveStatus(t_blow)
-
-
-def closed_form_constant_riccati(a: float, kappa: float, Q: float,
-                                 betaT: float, T: float, t: float) -> float:
-    """Exact solution of beta' = kappa beta^2 - 2a beta - Q, beta(T) = betaT.
-
-    Evaluates at time t <= T via the Moebius/hyperbolic closed form of the
-    constant-coefficient equation.  Raises FiniteEscapeError when the
-    solution has a pole inside (t, T].
-    """
-    if t > T:
-        raise ValueError("t must be <= T")
-    s = T - t  # backward time
-    if kappa == 0.0:
-        # linear equation: backward flow d beta/ds = 2a beta + Q
-        if a == 0.0:
-            return betaT + Q * s
-        e = math.exp(2 * a * s)
-        return e * betaT + Q * (e - 1.0) / (2 * a)
-
-    # beta = u'/(kappa u) with u'' - 2a u' - kappa Q u = 0, u(0)=1, u'(0)=kappa betaT
-    disc = a * a + kappa * Q
-    c2_num = kappa * betaT - a
-    if disc > 0:
-        w = math.sqrt(disc)
-        c2 = c2_num / w
-        # u(s) = e^{as}(cosh ws + c2 sinh ws); zero iff tanh(ws) = -1/c2 with c2 < -1
-        if c2 < -1.0:
-            s0 = math.atanh(-1.0 / c2) / w
-            if 0.0 < s0 <= s:
-                raise FiniteEscapeError(T - s0)
-        # du/u in tanh form, which stays finite for any w s
-        th = math.tanh(w * s)
-        den = 1.0 + c2 * th
-        # den vanishes only for c2 = -1, where u = e^{(a-w)s} and du/u = a - w
-        ratio = (th + c2) / den if den != 0.0 else -1.0
-        return (a + w * ratio) / kappa
-    if disc == 0:
-        # u(s) = e^{as}(1 + c s)
-        c = c2_num
-        if c < 0:
-            s0 = -1.0 / c
-            if 0.0 < s0 <= s:
-                raise FiniteEscapeError(T - s0)
-        u = 1.0 + c * s
-        du = a * u + c
-        return du / (kappa * u)
-    # disc < 0: trigonometric branch, poles are unavoidable for large horizons
-    w = math.sqrt(-disc)
-    c2 = c2_num / w
-    s0 = math.atan2(-1.0, c2) / w
-    while s0 <= 0.0:
-        s0 += math.pi / w
-    if s0 <= s:
-        raise FiniteEscapeError(T - s0)
-    cs, sn = math.cos(w * s), math.sin(w * s)
-    u = cs + c2 * sn
-    du = a * u + w * (-sn + c2 * cs)
-    return du / (kappa * u)
 
 
 def assemble_value(params: ModelParams, beta: Trajectory, alpha: Trajectory,
@@ -353,7 +274,7 @@ def assemble_value(params: ModelParams, beta: Trajectory, alpha: Trajectory,
     rv = np.asarray(params.r(nodes), dtype=float)
     gain = Trajectory(grid, -params.b * beta.values / rv)
     offset = Trajectory(grid, -params.b * alpha.values / rv)
-    value0 = (0.5 * beta.values[0] * params.x0 ** 2
+    value0 = (0.5 * beta.values[0] * (params.x0 * params.x0)
               + alpha.values[0] * params.x0 + gamma.values[0])
     dist_gain = dist_offset = None
     if params.variant.uses_disturbance:

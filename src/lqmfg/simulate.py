@@ -96,7 +96,7 @@ class Policy:
                     delta_v: float = 0.0, girsanov: bool = True) -> "Policy":
         if not girsanov:
             return cls(eq.value, delta_u, delta_v)
-        return cls(eq.value, delta_u, delta_v, eq.riccati.beta, eq.riccati.alpha)
+        return cls(eq.value, delta_u, delta_v, eq.beta, eq.alpha)
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,14 @@ def make_params(**overrides) -> ModelParams:
     """Benchmark instance; override any field."""
     fields = dict(
         a=-0.5, abar=0.3, b=1.0, sigma=0.2,
-        q=Coefficient.constant(1.0), qbar=Coefficient.constant(0.5),
-        r=Coefficient.constant(1.0), s=Coefficient.constant(1.0),
+        q=Coefficient(1.0), qbar=Coefficient(0.5),
+        r=Coefficient(1.0), s=Coefficient(1.0),
         qT=1.0, qbarT=0.5, T=1.0, x0=1.0, m0=1.0,
         c=0.0, theta=0.0, variant=Variant.RISK_NEUTRAL,
     )
     for key, val in overrides.items():
         if key in ("q", "qbar", "r", "s") and not isinstance(val, Coefficient):
-            val = Coefficient.constant(val)
+            val = Coefficient(val)
         fields[key] = val
     return ModelParams(**fields)
 
@@ -36,7 +36,7 @@ def grid():
 
 def tabulated(*values) -> Coefficient:
     """A weight tabulated at equally spaced times on [0, 1]."""
-    return Coefficient.tabulated(np.linspace(0.0, 1.0, len(values)), np.array(values))
+    return Coefficient(np.array(values), np.linspace(0.0, 1.0, len(values)))
 
 
 def dop853_reference(f, yT: float, grid: TimeGrid, breaks=()) -> np.ndarray:

@@ -14,6 +14,7 @@ import pytest
 from lqmfg.model import TimeGrid, Trajectory, Variant
 from lqmfg.riccati import solve_beta
 from lqmfg.equilibrium import (
+    admissible_beta,
     check_conditions,
     solve_equilibrium_closed_form,
     solve_equilibrium_picard,
@@ -51,7 +52,7 @@ def grid():
 @pytest.fixture(scope="module")
 def bench_eq(grid):
     p = make_params()
-    return p, solve_equilibrium_picard(p, grid)
+    return p, solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +66,7 @@ def bench_ensemble(bench_eq):
 @pytest.fixture(scope="module")
 def rs_setup(grid):
     p = make_params(variant=Variant.RISK_SENSITIVE, theta=0.25)
-    eq = solve_equilibrium_picard(p, grid)
+    eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
     cfg = SimConfig(n_paths=N_PATHS, dt_sim=1e-3, seed=SEED)
     [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, cfg)
     return p, eq, ens
@@ -98,7 +99,7 @@ def test_criterion_02_variant_reductions(grid):
 
 def test_criterion_03_route_agreement(grid, bench_eq):
     p, eq_p = bench_eq
-    eq_c = solve_equilibrium_closed_form(p, grid)
+    eq_c = solve_equilibrium_closed_form(p, admissible_beta(p, grid), grid)
     gap = float(np.max(np.abs(eq_p.m.values - eq_c.m.values)))
     ok = gap <= 1e-6 and eq_p.residual <= 1e-10
     report("criterion 3: fixed-point iteration agrees with the closed-form "
@@ -155,7 +156,7 @@ def test_criterion_06_exponential_identity_and_martingale(rs_setup):
 
 def test_criterion_07_robust_saddle(grid):
     p = make_params(variant=Variant.ROBUST, c=0.3)
-    eq = solve_equilibrium_picard(p, grid)
+    eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
     cfg = SimConfig(n_paths=N_PATHS, dt_sim=1e-3, seed=SEED)
     rep = saddle_check(p, eq, 0.5, cfg)
     # the verdict of lqmfg verify: each gap resolved and within 3 se of theory
@@ -196,13 +197,13 @@ def test_criterion_09_contraction_uniqueness():
     p = make_params(a=-0.5, abar=0.1, q=0.1, qbar=0.05, qT=0.1, qbarT=0.05,
                     T=0.5)
     g = TimeGrid(T=0.5, n_steps=500)
-    eq1 = solve_equilibrium_picard(p, g)
+    eq1 = solve_equilibrium_picard(p, admissible_beta(p, g), g)
     shifted = np.full(g.n_steps + 1, p.m0 + 1.0)
     shifted[0] = p.m0
-    eq2 = solve_equilibrium_picard(p, g, initial=Trajectory(g, shifted))
+    eq2 = solve_equilibrium_picard(p, admissible_beta(p, g), g, initial=Trajectory(g, shifted))
     gap = float(np.max(np.abs(eq1.m.values - eq2.m.values)))
 
-    rep = check_conditions(p, eq1.riccati.beta, g)
+    rep = check_conditions(p, eq1.beta, g)
     hist = [r for r in eq1.residual_history if r > 1e-14]
     factor = max(hist[i + 1] / hist[i] for i in range(len(hist) - 1))
     ok = rep.contraction and gap <= 1e-8 and factor <= rep.lipschitz_bound + 0.1

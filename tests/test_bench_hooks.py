@@ -93,6 +93,8 @@ def test_tracer_reads_every_hook(tmp_path, monkeypatch):
     assert metrics["riccati.solve_alpha.calls"] > 0
     assert metrics["equilibrium.picard.iterations"] > 0
     assert metrics["riccati.blowups"] == 2
+    # beta is solved once per instance: solve, verify and each sweep row
+    assert metrics["riccati.solve_beta.calls"] == 5
     assert metrics["simulate.simulate_paths.calls"] == 1
     assert metrics["simulate.path_steps"] == 64 * 40
     # solve and verify ran the same solve; at n_steps = 20 both routes are

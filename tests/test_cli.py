@@ -20,9 +20,9 @@ from lqmfg.cli import (
     main,
     parse_config,
 )
-from lqmfg.equilibrium import solve_equilibrium_closed_form
+from lqmfg.equilibrium import admissible_beta, solve_equilibrium_closed_form
 from lqmfg.model import Coefficient, TimeGrid, fmt_float
-from lqmfg.riccati import FiniteEscapeError, closed_form_constant_riccati
+from riccati_oracle import FiniteEscapeError, closed_form_constant_riccati
 
 
 BENCH_CFG = """\
@@ -81,7 +81,7 @@ class TestParseConfig:
     def test_benchmark_round_values(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, BENCH_CFG))
         assert cfg.params.a == -0.5
-        assert cfg.params.q == Coefficient.constant(1.0)
+        assert cfg.params.q == Coefficient(1.0)
         assert cfg.grid == TimeGrid(T=1.0, n_steps=200)
         assert cfg.sim.n_paths == 10000 and cfg.sim.seed == 0
         assert cfg.tol == 1e-10
@@ -319,7 +319,7 @@ class TestOutDir:
     def test_unusable_out_dir_is_config_error(self, tmp_path, capsys, monkeypatch,
                                               command, below_file):
         # the directory is made before any command runs
-        for name in ("solve_beta", "solve_equilibrium_picard"):
+        for name in ("admissible_beta", "solve_equilibrium_picard"):
             monkeypatch.setattr(cli, name, None)
         blocker = tmp_path / "taken"
         blocker.write_text("keep\n")
@@ -452,6 +452,37 @@ class TestCheckCommand:
         assert "blow_up_time" in (out / "check_report.txt").read_text()
 
 
+class TestOverflowingSquare:
+    """b, c, sigma and x0 enter the solvers squared."""
+
+    @pytest.mark.parametrize("command", ["solve", "check", "verify"])
+    @pytest.mark.parametrize("edits, message", [
+        ({"b = 1.0": "b = 1e200"}, "b must have a finite square; got 1e+200"),
+        ({"risk_neutral": "robust\nc = 1e200"}, "c must have a finite square; got 1e+200"),
+        ({"risk_neutral": "risk_sensitive\ntheta = 0.25", "sigma = 0.2": "sigma = 1e160"},
+         "sigma must have a finite square; got 1e+160"),
+        ({"x0 = 1.0": "x0 = 1e160"}, "x0 must have a finite square; got 1e+160"),
+    ])
+    def test_is_one_line_config_error(self, tmp_path, capsys, command, edits, message):
+        text = BENCH_CFG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        path = write_cfg(tmp_path, text)
+        assert main([command, "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: invalid model: {message}\n"
+
+    def test_sweep_rows_are_config_errors(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, BENCH_CFG.replace("risk_neutral", "robust\nc = 0.5")
+                         + "\n[sweep]\nparameter = c\nstart = 0\nstop = 1e200\ncount = 3\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out-dir", str(out),
+                     "--quiet"]) == EXIT_OK
+        rows = [ln.split(",") for ln in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[-1] for row in rows] == [str(EXIT_OK), str(EXIT_CONFIG), str(EXIT_CONFIG)]
+        assert capsys.readouterr().err == ""
+
+
 class TestSweepCommand:
     SWEEP = BENCH_CFG.replace("risk_neutral", "risk_sensitive") + """\
 
@@ -532,7 +563,8 @@ count = 5
     def test_qbar_scale_keeps_tabulation_times(self, tmp_path):
         text = BENCH_CFG.replace("qbar = 0.5", "qbar = 0.5, 1.5, 0.2, 1.0")
         cfg = parse_config(write_cfg(tmp_path, text, "unscaled.cfg"))
-        eq = solve_equilibrium_closed_form(cfg.params, cfg.grid)
+        eq = solve_equilibrium_closed_form(cfg.params, admissible_beta(cfg.params, cfg.grid),
+                                           cfg.grid)
         path = write_cfg(tmp_path, text + "\n[sweep]\nparameter = qbar-scale\n"
                          "start = 0.5\nstop = 1.5\ncount = 3\n")
         out = tmp_path / "out"
@@ -546,7 +578,8 @@ count = 5
         text = BENCH_CFG.replace("qbar = 0.5", "qbar = 0.5, 1.5, 0.2, 1.0")
         at_half = text.replace("\nT = 1.0", "\nT = 0.5").replace("n_steps = 200", "n_steps = 100")
         cfg = parse_config(write_cfg(tmp_path, at_half, "half.cfg"))
-        eq = solve_equilibrium_closed_form(cfg.params, cfg.grid)
+        eq = solve_equilibrium_closed_form(cfg.params, admissible_beta(cfg.params, cfg.grid),
+                                           cfg.grid)
         path = write_cfg(tmp_path, text + "\n[sweep]\nparameter = T\n"
                          "start = 0.5\nstop = 1.0\ncount = 2\n")
         out = tmp_path / "out"

@@ -11,6 +11,7 @@ from lqmfg.equilibrium import (
     NonConvergenceError,
     _cumulative_trapezoid,
     admissibility_margin,
+    admissible_beta,
     apply_phi,
     check_conditions,
     solve_equilibrium_closed_form,
@@ -51,14 +52,14 @@ class TestApplyPhi:
         assert np.max(np.abs(m.values - exact)) <= 1e-5
 
     def test_closed_form_mean_is_fixed_point(self, grid, bench):
-        eq = solve_equilibrium_closed_form(bench, grid)
-        phi = apply_phi(bench, eq.riccati.beta, eq.m, grid)
+        eq = solve_equilibrium_closed_form(bench, admissible_beta(bench, grid), grid)
+        phi = apply_phi(bench, eq.beta, eq.m, grid)
         assert np.max(np.abs(phi.values - eq.m.values)) <= 1e-6
 
     @pytest.mark.parametrize("overrides", [
         {},
         {"variant": Variant.ROBUST_RISK_SENSITIVE, "c": 0.5, "theta": 0.25,
-         "q": Coefficient.tabulated(np.linspace(0.0, 1.0, 4), np.array([1.0, 1.5, 0.8, 1.2]))},
+         "q": Coefficient(np.array([1.0, 1.5, 0.8, 1.2]), np.linspace(0.0, 1.0, 4))},
     ], ids=["risk_neutral", "robust_risk_sensitive_tabulated"])
     def test_shared_tables_change_nothing(self, grid, overrides):
         # the tables a Picard solve builds once give what each call would build
@@ -84,19 +85,19 @@ class TestCumulativeTrapezoid:
 class TestPicard:
     def test_zero_mean_equilibrium(self, grid):
         p = make_params(m0=0.0, qbarT=0.0)
-        eq = solve_equilibrium_picard(p, grid)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         np.testing.assert_allclose(eq.m.values, 0.0, atol=1e-12)
 
     def test_residual_history_decreases(self, grid):
         p = make_params(abar=0.0, qbar=0.0, qbarT=0.0)
-        eq = solve_equilibrium_picard(p, grid)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         hist = eq.residual_history
         assert len(hist) == eq.iterations
         # geometric decay once the iteration settles
         assert all(hist[i + 1] < hist[i] for i in range(1, len(hist) - 1))
 
     def test_initial_node_and_residual(self, grid, bench):
-        eq = solve_equilibrium_picard(bench, grid)
+        eq = solve_equilibrium_picard(bench, admissible_beta(bench, grid), grid)
         assert eq.m.values[0] == bench.m0
         assert eq.residual <= 1e-10
 
@@ -104,7 +105,7 @@ class TestPicard:
         p = make_params(a=0.0, abar=0.0, sigma=1.0, theta=2.0, q=25.0, qbar=0.0,
                         qT=0.0, qbarT=0.0, variant=Variant.RISK_SENSITIVE)
         with pytest.raises(BlowUpError):
-            solve_equilibrium_picard(p, grid)
+            admissible_beta(p, grid)
 
     def test_non_convergence_reported(self):
         # strong positive feedback through the mean on a long horizon
@@ -112,29 +113,32 @@ class TestPicard:
                         T=3.0)
         g = TimeGrid(T=3.0, n_steps=600)
         with pytest.raises(NonConvergenceError) as exc:
-            solve_equilibrium_picard(p, g, max_iter=20)
+            solve_equilibrium_picard(p, admissible_beta(p, g), g, max_iter=20)
         assert len(exc.value.residual_history) == 20
 
 
 class TestRouteAgreement:
     def test_benchmark(self, grid, bench):
-        eq_p = solve_equilibrium_picard(bench, grid)
-        eq_c = solve_equilibrium_closed_form(bench, grid)
+        beta = admissible_beta(bench, grid)
+        eq_p = solve_equilibrium_picard(bench, beta, grid)
+        eq_c = solve_equilibrium_closed_form(bench, beta, grid)
         assert np.max(np.abs(eq_p.m.values - eq_c.m.values)) <= 1e-6
         assert eq_p.value.value_at_0 == pytest.approx(eq_c.value.value_at_0, abs=1e-6)
 
     def test_decoupled_identical(self, grid):
         p = make_params(abar=0.0, qbar=0.0, qbarT=0.0)
-        eq_p = solve_equilibrium_picard(p, grid)
-        eq_c = solve_equilibrium_closed_form(p, grid)
+        beta = admissible_beta(p, grid)
+        eq_p = solve_equilibrium_picard(p, beta, grid)
+        eq_c = solve_equilibrium_closed_form(p, beta, grid)
         assert np.max(np.abs(eq_p.m.values - eq_c.m.values)) <= 1e-7
 
     @pytest.mark.parametrize("variant", [Variant.RISK_SENSITIVE, Variant.ROBUST,
                                          Variant.ROBUST_RISK_SENSITIVE])
     def test_variant_reduction_gives_same_equilibrium(self, grid, variant):
-        rn = solve_equilibrium_closed_form(make_params(), grid)
-        other = solve_equilibrium_closed_form(
-            make_params(variant=variant, theta=0.0, c=0.0), grid)
+        rn_p = make_params()
+        rn = solve_equilibrium_closed_form(rn_p, admissible_beta(rn_p, grid), grid)
+        p = make_params(variant=variant, theta=0.0, c=0.0)
+        other = solve_equilibrium_closed_form(p, admissible_beta(p, grid), grid)
         assert np.max(np.abs(rn.m.values - other.m.values)) <= 1e-12
         assert other.value.value_at_0 == pytest.approx(rn.value.value_at_0, abs=1e-12)
 
@@ -145,8 +149,9 @@ class TestRouteAgreement:
     ])
     def test_routes_agree_on_other_variants(self, grid, variant, extra):
         p = make_params(variant=variant, **extra)
-        eq_p = solve_equilibrium_picard(p, grid)
-        eq_c = solve_equilibrium_closed_form(p, grid)
+        beta = admissible_beta(p, grid)
+        eq_p = solve_equilibrium_picard(p, beta, grid)
+        eq_c = solve_equilibrium_closed_form(p, beta, grid)
         assert np.max(np.abs(eq_p.m.values - eq_c.m.values)) <= 1e-6
 
     @settings(max_examples=40, deadline=None)
@@ -159,8 +164,9 @@ class TestRouteAgreement:
                         c=c if variant.uses_disturbance else 0.0)
         grid = TimeGrid(T=1.0, n_steps=200)
         try:
-            eq_p = solve_equilibrium_picard(p, grid)
-            eq_c = solve_equilibrium_closed_form(p, grid)
+            beta = admissible_beta(p, grid)
+            eq_p = solve_equilibrium_picard(p, beta, grid)
+            eq_c = solve_equilibrium_closed_form(p, beta, grid)
         except (BlowUpError, NonConvergenceError):
             assume(False)
         # both routes are second order in dt; on this box the gaps at n = 200
@@ -169,26 +175,26 @@ class TestRouteAgreement:
         assert eq_p.value.value_at_0 == pytest.approx(eq_c.value.value_at_0, abs=2e-5)
 
     def test_alpha_eta_consistency(self, grid, bench):
-        eq = solve_equilibrium_closed_form(bench, grid)
-        from_eta = eq.riccati.eta.values * eq.m.values
-        assert np.max(np.abs(eq.riccati.alpha.values - from_eta)) <= 1e-6
+        eq = solve_equilibrium_closed_form(bench, admissible_beta(bench, grid), grid)
+        from_eta = eq.eta.values * eq.m.values
+        assert np.max(np.abs(eq.alpha.values - from_eta)) <= 1e-6
 
 
 class TestUniquenessAndContraction:
     def test_two_initial_guesses_same_fixed_point(self, half_grid):
         p = contraction_instance()
         g = half_grid
-        eq1 = solve_equilibrium_picard(p, g)
+        eq1 = solve_equilibrium_picard(p, admissible_beta(p, g), g)
         shifted = np.full(g.n_steps + 1, p.m0 + 1.0)
         shifted[0] = p.m0
-        eq2 = solve_equilibrium_picard(p, g, initial=Trajectory(g, shifted))
+        eq2 = solve_equilibrium_picard(p, admissible_beta(p, g), g, initial=Trajectory(g, shifted))
         assert np.max(np.abs(eq1.m.values - eq2.m.values)) <= 1e-8
 
     def test_empirical_factor_below_reported_bound(self, half_grid):
         p = contraction_instance()
         g = half_grid
-        eq = solve_equilibrium_picard(p, g)
-        rep = check_conditions(p, eq.riccati.beta, g)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, g), g)
+        rep = check_conditions(p, eq.beta, g)
         assert rep.contraction
         hist = [r for r in eq.residual_history if r > 1e-14]
         ratios = [hist[i + 1] / hist[i] for i in range(len(hist) - 1)]

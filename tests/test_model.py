@@ -13,23 +13,23 @@ from conftest import make_params
 
 class TestCoefficient:
     def test_constant_evaluates_everywhere(self):
-        c = Coefficient.constant(2.5)
+        c = Coefficient(2.5)
         assert c(0.0) == 2.5
         assert c(0.7) == 2.5
         np.testing.assert_array_equal(c(np.array([0.0, 0.3, 1.0])), [2.5, 2.5, 2.5])
 
     def test_tabulated_linear_interpolation(self):
-        c = Coefficient.tabulated(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 0.0]))
+        c = Coefficient(np.array([1.0, 2.0, 0.0]), np.array([0.0, 0.5, 1.0]))
         assert c(0.25) == pytest.approx(1.5)
         assert c(0.75) == pytest.approx(1.0)
 
     def test_tabulated_rejects_nonincreasing_times(self):
         with pytest.raises(ValueError):
-            Coefficient.tabulated(np.array([0.0, 0.5, 0.5]), np.array([1.0, 1.0, 1.0]))
+            Coefficient(np.array([1.0, 1.0, 1.0]), np.array([0.0, 0.5, 0.5]))
 
     def test_equality(self):
-        assert Coefficient.constant(1.0) == Coefficient.constant(1.0)
-        assert Coefficient.constant(1.0) != Coefficient.constant(2.0)
+        assert Coefficient(1.0) == Coefficient(1.0)
+        assert Coefficient(1.0) != Coefficient(2.0)
 
 
 class TestTimeGrid:
@@ -62,8 +62,7 @@ class TestValidate:
         assert any("r must be strictly positive" in v for v in violations)
 
     def test_negative_tabulated_qbar_names_node(self):
-        qbar = Coefficient.tabulated(np.array([0.0, 0.5, 1.0]),
-                                     np.array([0.5, -0.1, 0.5]))
+        qbar = Coefficient(np.array([0.5, -0.1, 0.5]), np.array([0.0, 0.5, 1.0]))
         violations = validate(make_params(qbar=qbar))
         assert violations
         assert any("qbar" in v and "node 1" in v for v in violations)
@@ -111,6 +110,7 @@ class TestEffectiveCoefficients:
         b2r = p.b ** 2 / np.asarray(p.r(t))
         assert np.all(kap <= lam + 1e-15)
         assert np.all(lam <= b2r + 1e-15)
+        np.testing.assert_array_equal(kap, lam - p.theta_term)
         if variant in (Variant.RISK_NEUTRAL, Variant.ROBUST):
             np.testing.assert_array_equal(kap, lam)
 

@@ -6,19 +6,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
-from lqmfg.equilibrium import solve_equilibrium_closed_form, solve_equilibrium_picard
+from lqmfg.equilibrium import (admissible_beta, solve_equilibrium_closed_form,
+                               solve_equilibrium_picard)
 from lqmfg.model import TimeGrid, Trajectory, Variant
 from lqmfg.riccati import (
-    FiniteEscapeError,
     _hermite,
     assemble_value,
-    closed_form_constant_riccati,
     solve_alpha,
     solve_beta,
     solve_eta,
     solve_gamma,
 )
 from conftest import beta_orders_on_kinked_weights, dop853_reference, make_params, tabulated
+from riccati_oracle import FiniteEscapeError, closed_form_constant_riccati
 
 # Frozen reference values, computed once with scipy.integrate.solve_ivp
 # (DOP853, rtol 1e-13, atol 1e-14) on the coupled backward system.
@@ -319,8 +319,9 @@ class TestTabulatedCore:
                                closed_value):
         # the benchmark's four solve instances at n_steps = 1000
         p = make_params(**overrides)
-        eq_p = solve_equilibrium_picard(p, grid)
-        eq_c = solve_equilibrium_closed_form(p, grid)
+        beta = admissible_beta(p, grid)
+        eq_p = solve_equilibrium_picard(p, beta, grid)
+        eq_c = solve_equilibrium_closed_form(p, beta, grid)
         assert eq_p.iterations == iterations
         assert eq_p.value.value_at_0 == pytest.approx(picard_value, abs=1e-13)
         assert eq_c.value.value_at_0 == pytest.approx(closed_value, abs=1e-13)

@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from lqmfg.model import Coefficient, TimeGrid, Trajectory, Variant
-from lqmfg.equilibrium import (BlowUpError, solve_equilibrium_closed_form,
-                               solve_equilibrium_picard)
+from lqmfg.equilibrium import (BlowUpError, admissible_beta,
+                               solve_equilibrium_closed_form, solve_equilibrium_picard)
 from lqmfg.simulate import (
     BLOCK_SIZE,
     MCEstimate,
@@ -31,7 +31,8 @@ from conftest import make_params
 @pytest.fixture(scope="module")
 def bench_eq():
     p = make_params()
-    return p, solve_equilibrium_picard(p, TimeGrid(T=1.0, n_steps=1000))
+    grid = TimeGrid(T=1.0, n_steps=1000)
+    return p, solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
 
 
 def small_config(**kw):
@@ -149,8 +150,7 @@ REFERENCE_INSTANCES = {
     "risk_neutral": dict(),
     "risk_sensitive": dict(variant=Variant.RISK_SENSITIVE, theta=0.25),
     "robust": dict(variant=Variant.ROBUST, c=0.5,
-                   q=Coefficient.tabulated(np.linspace(0.0, 1.0, 4),
-                                           np.array([1.0, 1.5, 0.8, 1.2]))),
+                   q=Coefficient(np.array([1.0, 1.5, 0.8, 1.2]), np.linspace(0.0, 1.0, 4))),
     "robust_risk_sensitive": dict(variant=Variant.ROBUST_RISK_SENSITIVE,
                                   c=0.5, theta=0.25),
 }
@@ -160,7 +160,8 @@ class TestReferenceEuler:
     @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
     def test_matches_per_step_reference(self, name):
         p = make_params(**REFERENCE_INSTANCES[name])
-        eq = solve_equilibrium_picard(p, TimeGrid(T=1.0, n_steps=20))
+        grid = TimeGrid(T=1.0, n_steps=20)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         cfg = SimConfig(n_paths=BLOCK_SIZE + 6, dt_sim=1.0 / 40, seed=4,
                         antithetic=True)
         policies = [Policy.equilibrium(eq), Policy.equilibrium(eq, delta_u=0.5, girsanov=False),
@@ -185,7 +186,8 @@ class TestSharedPass:
     @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
     def test_stacked_equals_separate(self, name, antithetic):
         p = make_params(**REFERENCE_INSTANCES[name])
-        eq = solve_equilibrium_picard(p, TimeGrid(T=1.0, n_steps=20))
+        grid = TimeGrid(T=1.0, n_steps=20)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         cfg = SimConfig(n_paths=BLOCK_SIZE + 6, dt_sim=1.0 / 40, seed=4,
                         antithetic=antithetic)
         # Girsanov sums present and absent, interleaved
@@ -262,7 +264,7 @@ class TestEstimators:
     def test_sigma_zero_girsanov_is_one(self):
         p = make_params(sigma=0.0, theta=0.3, variant=Variant.RISK_SENSITIVE)
         g = TimeGrid(T=1.0, n_steps=200)
-        eq = solve_equilibrium_picard(p, g)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, g), g)
         [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m,
                                SimConfig(n_paths=16, dt_sim=1.0 / 200, seed=0))
         est = estimate_girsanov_normalization(ens, p)
@@ -279,7 +281,7 @@ class TestEstimators:
         # no noise: the realized equilibrium cost equals the value exactly
         p = make_params(sigma=0.0)
         g = TimeGrid(T=1.0, n_steps=2000)
-        eq = solve_equilibrium_picard(p, g)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, g), g)
         [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m,
                                SimConfig(n_paths=2, dt_sim=1.0 / 2000, seed=0))
         est = estimate_risk_neutral_cost(ens, p)
@@ -328,18 +330,19 @@ class TestMomentHelpers:
         assert (math.isnan(ours) and math.isnan(ref)) or ours == pytest.approx(ref, rel=1e-12)
 
     def test_trapezoid_weight_integral_matches_scipy(self):
-        r = Coefficient.tabulated(np.linspace(0.0, 2.0, 5), np.array([1.0, 0.8, 1.2, 0.5, 2.0]))
+        r = Coefficient(np.array([1.0, 0.8, 1.2, 0.5, 2.0]), np.linspace(0.0, 2.0, 5))
         t = np.linspace(0.0, 2.0, 4097)
         assert _trapz_weight_integral(r, 2.0) == pytest.approx(
             float(scipy.integrate.trapezoid(r(t), t)), rel=1e-14)
-        assert _trapz_weight_integral(Coefficient.constant(1.5), 2.0) == pytest.approx(
+        assert _trapz_weight_integral(Coefficient(1.5), 2.0) == pytest.approx(
             3.0, rel=1e-14)
 
 
 @pytest.fixture(scope="module")
 def robust_eq():
     p = make_params(variant=Variant.ROBUST, c=0.3)
-    return p, solve_equilibrium_picard(p, TimeGrid(T=1.0, n_steps=500))
+    grid = TimeGrid(T=1.0, n_steps=500)
+    return p, solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
 
 
 class TestSaddle:
@@ -379,8 +382,9 @@ class TestSaddle:
         variant = (Variant.ROBUST_RISK_SENSITIVE if robust_risk_sensitive
                    else Variant.ROBUST)
         p = make_params(variant=variant, a=a, abar=abar, c=c, sigma=sigma, theta=theta)
+        grid = TimeGrid(T=1.0, n_steps=20)
         try:
-            eq = solve_equilibrium_closed_form(p, TimeGrid(T=1.0, n_steps=20))
+            eq = solve_equilibrium_closed_form(p, admissible_beta(p, grid), grid)
         except BlowUpError:
             assume(False)
         cfg = SimConfig(n_paths=64, dt_sim=1.0 / 40, seed=seed, antithetic=antithetic)
