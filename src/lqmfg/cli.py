@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import itertools
 import math
 import os
 import sys
@@ -255,15 +254,13 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, newline="\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """A CSV of already formatted fields: the header, then one line per row."""
-    with open(path, "w", newline="\n") as fh:
-        fh.writelines(",".join(row) + "\n" for row in itertools.chain([header], rows))
-
-
-def _float_rows(*columns: np.ndarray):
-    """The rows of float columns, each field rendered by fmt_float."""
-    return zip(*(map(fmt_float, col.tolist()) for col in columns))
+def _float_csv(path: Path, header: list[str], times: list[str],
+               *columns: np.ndarray) -> None:
+    """A CSV of a formatted time column and float columns, each float as
+    fmt_float renders it, by one %-format call over the whole table."""
+    row = ",%.17g" * len(columns) + "\n"
+    table = "".join(t + row for t in times) % tuple(np.column_stack(columns).ravel().tolist())
+    _write(path, ",".join(header) + "\n" + table)
 
 
 def _require_valid(params: ModelParams) -> None:
@@ -330,9 +327,11 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         return EXIT_BLOWUP
     except NonConvergenceError as exc:
         report += ["status = non_convergence",
+                   f"reason = {exc.reason}",
                    f"iterations = {len(exc.residual_history)}",
                    f"last_residual = {fmt_float(exc.residual_history[-1])}"]
         summary["status"] = "non_convergence"
+        summary["reason"] = exc.reason
         summary["last_residual"] = fmt_float(exc.residual_history[-1])
         _finish_report(cfg, out_dir, report, summary, files=[])
         if not quiet:
@@ -341,17 +340,18 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
 
     eq = out.eq_picard
     nodes = cfg.grid.nodes
+    times = ("%.17g\n" * nodes.size % tuple(nodes.tolist())).split()
     curves = {"m": eq.m, "beta": eq.beta, "alpha": eq.alpha,
               "gamma": eq.gamma, "eta": out.eq_closed.eta}
     for name, curve in curves.items():
-        _write_csv(out_dir / f"{name}.csv", ["t", name], _float_rows(nodes, curve.values))
+        _float_csv(out_dir / f"{name}.csv", ["t", name], times, curve.values)
     v = eq.value
     gains = {"feedback_gain": v.feedback_gain, "feedback_offset": v.feedback_offset}
     if cfg.params.variant.uses_disturbance:
         gains |= {"disturbance_gain": v.disturbance_gain,
                   "disturbance_offset": v.disturbance_offset}
-    _write_csv(out_dir / "gains.csv", ["t", *gains],
-               _float_rows(nodes, *(g.values for g in gains.values())))
+    _float_csv(out_dir / "gains.csv", ["t", *gains], times,
+               *(g.values for g in gains.values()))
     files = [f"{name}.csv" for name in curves] + ["gains.csv"]
 
     report += [
@@ -567,7 +567,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
         raise ConfigError("sweep command needs a [sweep] section")
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     rows = [_sweep_row(cfg, v) for v in values]
-    _write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, (row.values() for row in rows))
+    lines = [SWEEP_COLUMNS, *(row.values() for row in rows)]
+    _write(out_dir / "sweep.csv", "".join(",".join(line) + "\n" for line in lines))
     if not quiet:
         print(f"swept {cfg.sweep_parameter} over {len(values)} values -> "
               f"{out_dir / 'sweep.csv'}")

@@ -236,6 +236,20 @@ def _check_sign(coef: Coefficient, name: str, T: float, strict: bool, out: list[
             break
 
 
+def _check_ratio(x: float, coef: Coefficient, name: str, T: float, out: list[str]):
+    """x^2 / coef, a term of lam, must be finite at coef's nodes, which bound
+    it in between; checked where x^2 is finite and coef positive."""
+    square = x * x
+    pts = coef.sample_points(T)
+    vals = np.atleast_1d(np.asarray(coef(pts), dtype=float))
+    for i, v in enumerate(vals.tolist()):
+        if math.isfinite(square) and v > 0 and math.isinf(square / v):
+            where = "" if coef.is_constant else f" at node {i} (t={pts[i]:g})"
+            out.append(f"{name} must be finite{where}; got inf")
+            if coef.is_constant:
+                break
+
+
 def validate(params: ModelParams) -> tuple[str, ...]:
     """The violations of the sign and range constraints on a game instance;
     empty when it is valid."""
@@ -264,5 +278,8 @@ def validate(params: ModelParams) -> tuple[str, ...]:
     _check_sign(params.qbar, "qbar", T, strict=False, out=bad)
     _check_sign(params.r, "r", T, strict=True, out=bad)
     _check_sign(params.s, "s", T, strict=True, out=bad)
+    _check_ratio(params.b, params.r, "b^2/r", T, bad)
+    if params.variant.uses_disturbance:
+        _check_ratio(params.c, params.s, "c^2/s", T, bad)
     return tuple(bad)
 

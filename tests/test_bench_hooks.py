@@ -91,7 +91,9 @@ def test_tracer_reads_every_hook(tmp_path, monkeypatch):
     assert codes[1] in (cli.EXIT_OK, cli.EXIT_VERIFY_FAIL)
     metrics = tracer_mod.layer_metrics(tracer, tracer.counts())
     assert metrics["riccati.solve_alpha.calls"] > 0
-    assert metrics["equilibrium.picard.iterations"] > 0
+    # Phi applications of the fixed-point route, 10 each in solve and verify
+    # (Picard took 19 steps each)
+    assert metrics["equilibrium.picard.iterations"] == 20
     assert metrics["riccati.blowups"] == 2
     # beta is solved once per instance: solve, verify and each sweep row
     assert metrics["riccati.solve_beta.calls"] == 5

@@ -1,9 +1,11 @@
 import argparse
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lqmfg
@@ -228,6 +230,73 @@ max_iter = 20
                      "--quiet"]) == EXIT_NONCONVERGENCE
         assert "status=non_convergence" in (out / "summary.txt").read_text()
 
+    def test_max_iter_counts_phi_applications(self, tmp_path):
+        path = write_cfg(tmp_path, BENCH_CFG + "\n[solve]\nmax_iter = 3\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out-dir", str(out),
+                     "--quiet"]) == EXIT_NONCONVERGENCE
+        report = (out / "report.txt").read_text().splitlines()
+        assert "reason = max_iter" in report and "iterations = 3" in report
+
+    def test_solves_where_picard_diverges(self, tmp_path):
+        # the benchmark sweep's instance at theta = 1.7, where rho(L) = 1.14
+        text = (BENCH_CFG.replace("risk_neutral", "risk_sensitive\ntheta = 1.7")
+                .replace("sigma = 0.2", "sigma = 1.0").replace("n_steps = 200", "n_steps = 1000"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_cfg(tmp_path, text), "--out-dir",
+                     str(out), "--quiet"]) == EXIT_OK
+        summary = dict(ln.split("=", 1) for ln in (out / "summary.txt").read_text().splitlines())
+        assert float(summary["route_gap"]) <= 1e-5
+        assert float(summary["residual"]) <= 1e-10
+
+    @pytest.mark.parametrize("a, code, fields", [
+        # stiff: GMRES converges, and the paper's bound overflows
+        ("800", EXIT_OK, {"lipschitz_bound": "inf", "contraction": "false"}),
+        ("-800", EXIT_OK, {"lipschitz_bound": "inf", "contraction": "false"}),
+        # Phi overflows
+        ("1e300", EXIT_NONCONVERGENCE, {"reason": "non_finite"}),
+    ])
+    def test_extreme_drift(self, tmp_path, capsys, a, code, fields):
+        text = BENCH_CFG.replace("a = -0.5", f"a = {a}").replace("n_steps = 200", "n_steps = 1000")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_cfg(tmp_path, text), "--out-dir",
+                     str(out), "--quiet"]) == code
+        summary = dict(ln.split("=", 1) for ln in (out / "summary.txt").read_text().splitlines())
+        assert {k: summary[k] for k in fields} == fields
+        assert capsys.readouterr().err == ""
+
+    def test_csvs_render_each_value_by_fmt_float(self, tmp_path):
+        # the robust variant writes the five-column gains.csv
+        path = write_cfg(tmp_path, BENCH_CFG.replace("risk_neutral", "robust\nc = 0.5"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out-dir", str(out), "--quiet"]) == EXIT_OK
+        cfg = parse_config(path)
+        res = cli.run_solve_pipeline(cfg)
+        eq = res.eq_picard
+        sources = {"m": eq.m, "beta": eq.beta, "alpha": eq.alpha, "gamma": eq.gamma,
+                   "eta": res.eq_closed.eta, "feedback_gain": eq.value.feedback_gain,
+                   "feedback_offset": eq.value.feedback_offset,
+                   "disturbance_gain": eq.value.disturbance_gain,
+                   "disturbance_offset": eq.value.disturbance_offset}
+        csvs = sorted(out.glob("*.csv"))
+        assert len(csvs) == 6
+        for csv in csvs:
+            header = csv.read_text().splitlines()[0].split(",")
+            rows = zip(cfg.grid.nodes, *(sources[name].values for name in header[1:]))
+            expected = ",".join(header) + "\n" + "".join(
+                ",".join(map(fmt_float, row)) + "\n" for row in rows)
+            assert csv.read_bytes() == expected.encode()
+
+    def test_float_csv_renders_special_values_by_fmt_float(self, tmp_path):
+        times = [0.0, 0.1, 1 / 3, 1.0]
+        columns = (np.array([math.nan, -0.0, math.inf, -math.inf]),
+                   np.array([1e-320, 0.1, -2.5e300, 1.0]))
+        path = tmp_path / "x.csv"
+        cli._float_csv(path, ["t", "u", "v"], [fmt_float(t) for t in times], *columns)
+        expected = "t,u,v\n" + "".join(",".join(map(fmt_float, row)) + "\n"
+                                       for row in zip(times, *columns))
+        assert path.read_bytes() == expected.encode()
+
     def test_config_error_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, BENCH_CFG + "bogus = 1\n")
         assert main(["solve", "--config", path, "--quiet"]) == EXIT_CONFIG
@@ -451,9 +520,24 @@ class TestCheckCommand:
                      "--quiet"]) == EXIT_OK
         assert "blow_up_time" in (out / "check_report.txt").read_text()
 
+    @pytest.mark.parametrize("a, bound", [("800", "inf"), ("-800", "inf"),
+                                          ("3000", "inf"), ("1e300", "nan")])
+    def test_extreme_drift_reports_a_bound(self, tmp_path, capsys, a, bound):
+        # e^{T |exponent|} overflows; at a = 1e300 beta's exponent overflows
+        # on the grid, so beta and the constants built on it are NaN
+        text = BENCH_CFG.replace("a = -0.5", f"a = {a}").replace("n_steps = 200", "n_steps = 1000")
+        out = tmp_path / "out"
+        assert main(["check", "--config", write_cfg(tmp_path, text), "--out-dir",
+                     str(out), "--quiet"]) == EXIT_OK
+        report = (out / "check_report.txt").read_text().splitlines()
+        assert f"  lipschitz_bound = {bound}" in report
+        assert "  contraction = False  (bound < 1)" in report
+        assert capsys.readouterr().err == ""
+
 
 class TestOverflowingSquare:
-    """b, c, sigma and x0 enter the solvers squared."""
+    """b, c, sigma and x0 enter the solvers squared, and lam holds b^2/r and
+    c^2/s."""
 
     @pytest.mark.parametrize("command", ["solve", "check", "verify"])
     @pytest.mark.parametrize("edits, message", [
@@ -462,6 +546,9 @@ class TestOverflowingSquare:
         ({"risk_neutral": "risk_sensitive\ntheta = 0.25", "sigma = 0.2": "sigma = 1e160"},
          "sigma must have a finite square; got 1e+160"),
         ({"x0 = 1.0": "x0 = 1e160"}, "x0 must have a finite square; got 1e+160"),
+        ({"r = 1.0": "r = 1e-320"}, "b^2/r must be finite; got inf"),
+        ({"r = 1.0": "r = 1.0, 1e-320, 2.0"}, "b^2/r must be finite at node 1 (t=0.5); got inf"),
+        ({"risk_neutral": "robust\nc = 1.0\ns = 1e-320"}, "c^2/s must be finite; got inf"),
     ])
     def test_is_one_line_config_error(self, tmp_path, capsys, command, edits, message):
         text = BENCH_CFG

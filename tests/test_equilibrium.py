@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 from lqmfg.model import Coefficient, TimeGrid, Trajectory, Variant
 from lqmfg.riccati import _alpha_tables, solve_alpha, solve_beta
 from lqmfg.equilibrium import (
+    DEFAULT_MAX_ITER,
     BlowUpError,
     NonConvergenceError,
     _cumulative_trapezoid,
@@ -17,7 +20,8 @@ from lqmfg.equilibrium import (
     solve_equilibrium_closed_form,
     solve_equilibrium_picard,
 )
-from conftest import make_params
+from conftest import make_params, tabulated
+from picard_oracle import solve_picard
 
 
 def contraction_instance():
@@ -83,21 +87,23 @@ class TestCumulativeTrapezoid:
 
 
 class TestPicard:
+    """The plain iteration m <- Phi[m] of tests/picard_oracle.py."""
+
     def test_zero_mean_equilibrium(self, grid):
         p = make_params(m0=0.0, qbarT=0.0)
-        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        eq = solve_picard(p, admissible_beta(p, grid), grid)
         np.testing.assert_allclose(eq.m.values, 0.0, atol=1e-12)
 
     def test_residual_history_decreases(self, grid):
         p = make_params(abar=0.0, qbar=0.0, qbarT=0.0)
-        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        eq = solve_picard(p, admissible_beta(p, grid), grid)
         hist = eq.residual_history
         assert len(hist) == eq.iterations
         # geometric decay once the iteration settles
         assert all(hist[i + 1] < hist[i] for i in range(1, len(hist) - 1))
 
     def test_initial_node_and_residual(self, grid, bench):
-        eq = solve_equilibrium_picard(bench, admissible_beta(bench, grid), grid)
+        eq = solve_picard(bench, admissible_beta(bench, grid), grid)
         assert eq.m.values[0] == bench.m0
         assert eq.residual <= 1e-10
 
@@ -113,8 +119,93 @@ class TestPicard:
                         T=3.0)
         g = TimeGrid(T=3.0, n_steps=600)
         with pytest.raises(NonConvergenceError) as exc:
-            solve_equilibrium_picard(p, admissible_beta(p, g), g, max_iter=20)
+            solve_picard(p, admissible_beta(p, g), g, max_iter=20)
         assert len(exc.value.residual_history) == 20
+
+
+# the benchmark's four solve instances
+BENCH_INSTANCES = {
+    "risk_neutral": {},
+    "risk_sensitive": {"variant": Variant.RISK_SENSITIVE, "theta": 0.25},
+    "robust": {"variant": Variant.ROBUST, "c": 0.5,
+               "q": tabulated(1.0, 1.5, 0.8, 1.2), "r": tabulated(1.0, 0.8, 1.2)},
+    "robust_risk_sensitive": {"variant": Variant.ROBUST_RISK_SENSITIVE,
+                              "c": 0.5, "theta": 0.25},
+}
+
+
+class TestFixedPointRoute:
+    """GMRES on (I - L) m = m0, the route solve_equilibrium_picard takes."""
+
+    @pytest.mark.parametrize("name, applications", [
+        ("risk_neutral", 11), ("risk_sensitive", 11), ("robust", 10),
+        ("robust_risk_sensitive", 10),
+    ])
+    def test_bench_instances_match_the_oracle(self, grid, name, applications):
+        # Picard needs 21/21/19/19 steps here, plus one to check the last
+        p = make_params(**BENCH_INSTANCES[name])
+        beta = admissible_beta(p, grid)
+        eq = solve_equilibrium_picard(p, beta, grid)
+        assert eq.iterations == applications
+        assert len(eq.residual_history) == applications
+        # the last entry is a true Phi application, and it is the residual
+        assert eq.residual == eq.residual_history[-1] <= 1e-10
+        m = apply_phi(p, beta, eq.m, grid)
+        assert np.max(np.abs(m.values - eq.m.values)) == eq.residual
+        oracle = solve_picard(p, beta, grid)
+        assert np.max(np.abs(eq.m.values - oracle.m.values)) <= 1e-10
+
+    def test_zero_mean_equilibrium(self, grid):
+        p = make_params(m0=0.0, qbarT=0.0)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        assert eq.iterations == 1
+        np.testing.assert_array_equal(eq.m.values, 0.0)
+
+    def test_solves_where_picard_diverges(self):
+        # the benchmark sweep's instance at theta = 1.7: rho(L) = 1.14
+        p = make_params(variant=Variant.RISK_SENSITIVE, sigma=1.0, theta=1.7)
+        g = TimeGrid(T=1.0, n_steps=1000)
+        beta = admissible_beta(p, g)
+        with pytest.raises(NonConvergenceError):
+            solve_picard(p, beta, g)
+        eq = solve_equilibrium_picard(p, beta, g)
+        closed = solve_equilibrium_closed_form(p, beta, g)
+        assert eq.residual <= 1e-10
+        assert np.max(np.abs(eq.m.values - closed.m.values)) <= 1e-5
+
+    @pytest.mark.parametrize("max_iter", [1, 3])
+    def test_max_iter_caps_the_applications(self, grid, bench, max_iter):
+        with pytest.raises(NonConvergenceError) as exc:
+            solve_equilibrium_picard(bench, admissible_beta(bench, grid), grid,
+                                     max_iter=max_iter)
+        assert exc.value.reason == "max_iter"
+        assert len(exc.value.residual_history) == max_iter
+
+    @pytest.mark.parametrize("n_steps", [150, 300])
+    def test_singular_system_is_refused(self, n_steps):
+        # the residual reaches tol, but m moves by O(1e6) under refinement
+        p = make_params(a=1.0, abar=4.0, q=0.0, qbar=4.0, qT=0.0, qbarT=4.0,
+                        T=3.0)
+        g = TimeGrid(T=3.0, n_steps=n_steps)
+        with pytest.raises(NonConvergenceError) as exc:
+            solve_equilibrium_picard(p, admissible_beta(p, g), g)
+        assert exc.value.reason == "singular"
+        assert exc.value.residual_history[-1] <= 1e-10
+
+    def test_overflowing_phi_is_non_finite(self):
+        # no warning either: the suite turns warnings into errors
+        p = make_params(a=1e300)
+        g = TimeGrid(T=1.0, n_steps=200)
+        with pytest.raises(NonConvergenceError) as exc:
+            solve_equilibrium_picard(p, admissible_beta(p, g), g)
+        assert exc.value.reason == "non_finite"
+        assert len(exc.value.residual_history) == 1
+
+    @pytest.mark.parametrize("a", [800.0, -800.0])
+    def test_stiff_instance_converges(self, grid, a):
+        p = make_params(a=a)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        assert eq.residual <= 1e-10 and eq.iterations <= DEFAULT_MAX_ITER
 
 
 class TestRouteAgreement:
@@ -165,10 +256,11 @@ class TestRouteAgreement:
         grid = TimeGrid(T=1.0, n_steps=200)
         try:
             beta = admissible_beta(p, grid)
-            eq_p = solve_equilibrium_picard(p, beta, grid)
             eq_c = solve_equilibrium_closed_form(p, beta, grid)
-        except (BlowUpError, NonConvergenceError):
+        except BlowUpError:
             assume(False)
+        # wherever the closed form solves, so does the fixed-point route
+        eq_p = solve_equilibrium_picard(p, beta, grid)
         # both routes are second order in dt; on this box the gaps at n = 200
         # peak in the corner a = 1, abar = 0.5: 6.4e-6 in m, 8.9e-6 in the value
         assert np.max(np.abs(eq_p.m.values - eq_c.m.values)) <= 1e-5
@@ -184,16 +276,16 @@ class TestUniquenessAndContraction:
     def test_two_initial_guesses_same_fixed_point(self, half_grid):
         p = contraction_instance()
         g = half_grid
-        eq1 = solve_equilibrium_picard(p, admissible_beta(p, g), g)
+        eq1 = solve_picard(p, admissible_beta(p, g), g)
         shifted = np.full(g.n_steps + 1, p.m0 + 1.0)
         shifted[0] = p.m0
-        eq2 = solve_equilibrium_picard(p, admissible_beta(p, g), g, initial=Trajectory(g, shifted))
+        eq2 = solve_picard(p, admissible_beta(p, g), g, initial=Trajectory(g, shifted))
         assert np.max(np.abs(eq1.m.values - eq2.m.values)) <= 1e-8
 
     def test_empirical_factor_below_reported_bound(self, half_grid):
         p = contraction_instance()
         g = half_grid
-        eq = solve_equilibrium_picard(p, admissible_beta(p, g), g)
+        eq = solve_picard(p, admissible_beta(p, g), g)
         rep = check_conditions(p, eq.beta, g)
         assert rep.contraction
         hist = [r for r in eq.residual_history if r > 1e-14]
@@ -234,6 +326,27 @@ class TestCheckConditions:
         # keeping theta sigma^2 in g_tilde shrinks it
         assert rep.alt_g_tilde <= rep.g_tilde
         assert rep.alt_lipschitz_bound <= rep.lipschitz_bound
+
+    @pytest.mark.parametrize("a", [800.0, -800.0, 3000.0])
+    def test_overflowing_exponential_gives_infinite_bound(self, grid, a):
+        p = make_params(variant=Variant.RISK_SENSITIVE, theta=0.25, a=a)
+        rep = check_conditions(p, admissible_beta(p, grid), grid)
+        assert rep.exponent_norm * p.T > 710.0       # e^710 overflows
+        assert rep.lipschitz_bound == rep.alt_lipschitz_bound == math.inf
+        assert not rep.contraction
+
+    @pytest.mark.parametrize("overrides", [
+        {"a": 800.0, "abar": 0.0, "qbar": 0.0},                  # eps = 0
+        {"a": -800.0, "variant": Variant.ROBUST, "c": 1.0},      # lam = 0 = g_tilde
+    ], ids=["eps", "g_tilde"])
+    def test_zero_factor_keeps_overflow_out(self, grid, overrides):
+        p = make_params(**overrides)
+        rep = check_conditions(p, admissible_beta(p, grid), grid)
+        assert rep.exponent_norm * p.T > 710.0
+        assert rep.eps == 0.0 or rep.g_tilde == 0.0
+        tail = rep.g_tilde * p.qbarT if rep.eps == 0.0 else 0.0
+        assert rep.lipschitz_bound == p.T * (rep.g + tail)
+        assert math.isfinite(rep.lipschitz_bound)
 
     def test_hand_recomputation_on_benchmark(self, grid, bench):
         beta, _ = solve_beta(bench, grid)

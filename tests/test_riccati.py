@@ -6,8 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
-from lqmfg.equilibrium import (admissible_beta, solve_equilibrium_closed_form,
-                               solve_equilibrium_picard)
+from lqmfg.equilibrium import admissible_beta, solve_equilibrium_closed_form
 from lqmfg.model import TimeGrid, Trajectory, Variant
 from lqmfg.riccati import (
     _hermite,
@@ -18,6 +17,7 @@ from lqmfg.riccati import (
     solve_gamma,
 )
 from conftest import beta_orders_on_kinked_weights, dop853_reference, make_params, tabulated
+from picard_oracle import solve_picard
 from riccati_oracle import FiniteEscapeError, closed_form_constant_riccati
 
 # Frozen reference values, computed once with scipy.integrate.solve_ivp
@@ -320,7 +320,7 @@ class TestTabulatedCore:
         # the benchmark's four solve instances at n_steps = 1000
         p = make_params(**overrides)
         beta = admissible_beta(p, grid)
-        eq_p = solve_equilibrium_picard(p, beta, grid)
+        eq_p = solve_picard(p, beta, grid)
         eq_c = solve_equilibrium_closed_form(p, beta, grid)
         assert eq_p.iterations == iterations
         assert eq_p.value.value_at_0 == pytest.approx(picard_value, abs=1e-13)
