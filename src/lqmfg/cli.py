@@ -551,14 +551,17 @@ def _sweep_row(cfg: RunConfig, value: float) -> dict[str, str]:
     try:
         beta = admissible_beta(params, grid)
         rep = check_conditions(params, beta, grid)
-        row["lipschitz_bound"] = fmt_float(rep.lipschitz_bound)
-        row["contraction"] = str(rep.contraction).lower()
-        row["beta0"] = fmt_float(beta.values[0])
         eq = solve_equilibrium_closed_form(params, beta, grid)
-        row["value_at_0"] = fmt_float(eq.value.value_at_0)
     except BlowUpError as exc:
-        row["code"] = str(EXIT_BLOWUP)
-        row["blow_up_time"] = fmt_float(exc.status.blow_up_time)
+        row.update(code=str(EXIT_BLOWUP), blow_up_time=fmt_float(exc.status.blow_up_time))
+        return row
+    # not finite when beta or m leave the floats, where solve exits non_finite
+    if not math.isfinite(eq.value.value_at_0):
+        row["code"] = str(EXIT_NONCONVERGENCE)
+        return row
+    row.update(lipschitz_bound=fmt_float(rep.lipschitz_bound), beta0=fmt_float(beta.values[0]),
+               contraction=str(rep.contraction).lower(),
+               value_at_0=fmt_float(eq.value.value_at_0))
     return row
 
 

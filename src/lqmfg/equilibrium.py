@@ -149,10 +149,11 @@ def _gmres_cycle(apply_a, r0: np.ndarray, norm0: float, tol: float, max_iter: in
 
     Arnoldi with modified Gram-Schmidt builds A V_k = V_{k+1} Hbar; Givens
     rotations on floats keep the least-squares problem min ||r0 - A V_k y||
-    triangular.  The rotated right-hand side gives each new iterate's
-    residual r0 - A V_k y as a combination of the basis, and its sup-norm
-    is appended to history after each application of A.  The cycle ends
-    when that reaches tol, on breakdown or when the basis spans the space,
+    triangular.  Each new iterate's residual r_k = r0 - A V_k y follows from
+    the last by r_k = s_k^2 r_k-1 + c_k g_k+1 v_k+1, with (c_k, s_k) the k-th
+    rotation and g_k+1 the last entry of the rotated right-hand side, and
+    its sup-norm is appended to history after each application of A.  The
+    cycle ends when that reaches tol, on breakdown or when the basis spans the space,
     and raises NonConvergenceError when history reaches max_iter or a
     residual is not finite.  Returns the correction V_k y and
     max_j ||A v_j||, a lower bound of ||A||.
@@ -164,6 +165,7 @@ def _gmres_cycle(apply_a, r0: np.ndarray, norm0: float, tol: float, max_iter: in
     tri: list[list[float]] = []        # Hbar's columns, rotated: upper triangular
     rotations: list[tuple[float, float]] = []
     rhs = [norm0]                      # norm0 e_1, rotated
+    res = r0
     norm_a = 0.0
     for k in range(size):
         w = apply_a(basis[k])
@@ -181,13 +183,8 @@ def _gmres_cycle(apply_a, r0: np.ndarray, norm0: float, tol: float, max_iter: in
         rotations.append((c, s))
         tri.append(col[:k] + [diag])
         rhs[k:] = [c * rhs[k], -s * rhs[k]]
-        # the residual is Q^T rhs[k+1] e_{k+1} in the basis, Q the rotations
-        z = [0.0] * (k + 2)
-        z[k + 1] = rhs[k + 1]
-        for i in range(k, -1, -1):
-            c, s = rotations[i]
-            z[i], z[i + 1] = -s * z[i + 1], c * z[i + 1]
-        history.append(float(np.max(np.abs(np.dot(z, basis[:k + 2])))))
+        res = s * s * res + c * rhs[k + 1] * basis[k + 1]
+        history.append(float(np.max(np.abs(res))))
         if not math.isfinite(history[-1]):
             raise NonConvergenceError(history, "non_finite")
         if len(history) >= max_iter:    # no Phi application is left to confirm it

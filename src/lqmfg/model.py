@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union, get_type_hints
 
 import numpy as np
@@ -122,7 +123,8 @@ class Coefficient:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_k = k*T/n_steps, k = 0..n_steps."""
+    """Uniform grid t_k = k*T/n_steps, k = 0..n_steps; its time arrays are
+    computed once, on first use, and are read-only."""
     T: float
     n_steps: int
 
@@ -136,9 +138,20 @@ class TimeGrid:
     def dt(self) -> float:
         return self.T / self.n_steps
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_steps + 1)
+        nodes = np.linspace(0.0, self.T, self.n_steps + 1)
+        nodes.flags.writeable = False
+        return nodes
+
+    @cached_property
+    def substages(self) -> np.ndarray:
+        """(3, n_steps): the end t1, midpoint t1 - dt/2 and start t1 - dt of
+        each backward step, at which it samples its coefficients."""
+        t1 = self.nodes[1:]
+        times = np.stack([t1, t1 - self.dt / 2, t1 - self.dt])
+        times.flags.writeable = False
+        return times
 
 
 class Trajectory:

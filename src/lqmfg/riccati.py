@@ -15,7 +15,9 @@ Each of beta, alpha and eta is written as y' = c2(t) y^2 + c1(t) y + c0(t)
 and integrated backward on a uniform grid by one propagator: with y = p/q
 the pair (p, q) solves a linear system, each step is the exponential of a
 fourth-order Magnus exponent built from the coefficients at the step's end,
-midpoint and start, and the loop applies the resulting Moebius map to y.
+midpoint and start (TimeGrid.substages), and the loop applies the resulting
+Moebius map to y.  A solve that reads another solution samples it there too
+(_substages).
 The propagator is exact for constant coefficients.  A finite escape
 ("blow-up") is a pole of y, i.e. q reaching zero, located inside its step;
 it is reported as a status, never as an overflow.  gamma is a quadrature.
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,10 +41,6 @@ __all__ = [
     "assemble_value",
 ]
 
-# t -> (c0, c1, c2) of y' = c2 y^2 + c1 y + c0, for an array of times
-_CoefFn = Callable[[np.ndarray], tuple]
-# t -> interpolated values, for a scalar or an array of times
-_Interpolant = Callable[[np.ndarray], np.ndarray]
 # (w, c1) of alpha' = c1 alpha + w m on the substage times
 _AlphaTables = tuple[np.ndarray, np.ndarray]
 
@@ -68,11 +65,6 @@ class ValueCoefficients:
     exp_value: float | None = None  # e^{theta * value_at_0}, risk-sensitive only
 
 
-def _substage_times(t1, step):
-    """Substage times t1, t1 - step/2, t1 - step of backward steps ending at t1."""
-    return np.stack([t1, t1 - step / 2, t1 - step])
-
-
 def _first_zero(g: float, delta: float) -> float:
     """First tau in (0, 1] where q(tau) = C(tau) + g S(tau) vanishes.
 
@@ -89,8 +81,9 @@ def _first_zero(g: float, delta: float) -> float:
     return math.atanh(-theta / g) / theta if g < -theta else 1.0
 
 
-def _propagate(coefs: _CoefFn, yT: float, grid: TimeGrid) -> tuple[np.ndarray, float | None]:
-    """Integrate y' = c2(t) y^2 + c1(t) y + c0(t) backward from y(T) = yT.
+def _propagate(coefs: tuple, yT: float, grid: TimeGrid) -> tuple[np.ndarray, float | None]:
+    """Integrate y' = c2(t) y^2 + c1(t) y + c0(t) backward from y(T) = yT,
+    coefs = (c0, c1, c2) each a scalar or a table on grid.substages.
 
     With y = p/q, (p, q)' = A(t) (p, q) for A = [[c1, c0], [-c2, 0]], which
     is linear.  Each backward step from t1 to t1 - h is exp(Omega) with the
@@ -102,11 +95,12 @@ def _propagate(coefs: _CoefFn, yT: float, grid: TimeGrid) -> tuple[np.ndarray, f
     reaching 0, located on the step's own flow exp(tau Omega).  Returns
     (values, escape_time); values past an escape are zero and must not be
     consumed.  When an exponent overflows (a coefficient times the step
-    beyond the float range), the values are all NaN and there is no escape.
+    beyond the float range), or y outgrows the floats under a step map
+    without a pole (E10 = 0), the values are all NaN and there is no escape.
     """
     n, h = grid.n_steps, grid.dt
     t1 = grid.nodes[1:]
-    c0, c1, c2 = (np.broadcast_to(c, (3, n)) for c in coefs(_substage_times(t1, h)))
+    c0, c1, c2 = (np.broadcast_to(c, (3, n)) for c in coefs)
     # Omega = [[tr/2 + nn, w12], [w21, tr/2 - nn]]; the trace only scales (p, q)
     with np.errstate(over="ignore", invalid="ignore"):
         nn = -h / 12 * (c1[0] + 4 * c1[1] + c1[2]) - h * h / 12 * (c2[0] * c0[2] - c0[0] * c2[2])
@@ -137,59 +131,45 @@ def _propagate(coefs: _CoefFn, yT: float, grid: TimeGrid) -> tuple[np.ndarray, f
     for k, a, b, c, d in zip(range(n - 1, stop, -1), e00, e01, e10, e11):
         den = c * y + d
         if not den > 0.0:
+            if c == 0.0:    # no pole: y overflowed
+                return np.full(n + 1, math.nan), None
             return np.array(vals), escape(k, y)
         vals[k] = y = (a * y + b) / den
     return np.array(vals), (escape(stop, y) if stop >= 0 else None)
 
 
-def _beta_coefficients(params: ModelParams) -> _CoefFn:
-    a, q, qbar = params.a, params.q, params.qbar
-    return lambda t: (-(q(t) + qbar(t)), -2 * a, params.kappa(t))
+def _beta_coefficients(params: ModelParams, t: np.ndarray) -> tuple:
+    """(c0, c1, c2) of beta' = c2 beta^2 + c1 beta + c0 at the times t."""
+    return -(params.q(t) + params.qbar(t)), -2 * params.a, params.kappa(t)
 
 
-def _hermite(nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> _Interpolant:
-    """Piecewise cubic Hermite interpolant through values and slopes at nodes.
-
-    The returned function takes a scalar or an array of times; times outside
-    [nodes[0], nodes[-1]] are extrapolated by the end cubics.  Each cubic is
-    kept in powers of u = t - t_i, with the coefficients of the Hermite basis
-    expansion y_i h00 + dx y'_i h10 + y_{i+1} h01 + dx y'_{i+1} h11.
+def _substages(grid: TimeGrid, y: Trajectory, slopes: np.ndarray | None = None) -> np.ndarray:
+    """y on grid.substages: its node values at each step's ends, and at the
+    midpoint the cubic Hermite value (y_k + y_k+1)/2 + dt (y'_k - y'_k+1)/8
+    from the slopes y' at the nodes, or without them the linear value, the
+    mean of the two.  ValueError when y is tabulated on another grid.
     """
-    dx = np.diff(nodes)
-    secant = np.diff(values) / dx
-    bend = (slopes[:-1] + slopes[1:] - 2 * secant) / dx
-    c3 = bend / dx
-    c2 = (secant - slopes[:-1]) / dx - bend
-    c1 = slopes[:-1]
-    c0 = values[:-1]
-    last = dx.size - 1
-
-    def evaluate(t):
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, last)
-        u = t - nodes[i]
-        u2 = u * u
-        return c0[i] + c1[i] * u + c2[i] * u2 + c3[i] * (u2 * u)
-
-    return evaluate
+    if y.grid != grid:
+        raise ValueError(f"a trajectory on {y.grid} where one on {grid} is needed")
+    v = y.values
+    mid = 0.5 * (v[:-1] + v[1:])
+    if slopes is not None:
+        mid += grid.dt / 8 * (slopes[:-1] - slopes[1:])
+    return np.stack([v[1:], mid, v[:-1]])
 
 
-def _hermite_beta(params: ModelParams, beta: Trajectory) -> _Interpolant:
-    """Cubic Hermite interpolant of beta using its own ODE for derivatives.
-
-    Substage evaluation through this interpolant keeps the dependent
-    backward solves at fourth order.
-    """
-    nodes = beta.grid.nodes
+def _beta_substages(params: ModelParams, beta: Trajectory, grid: TimeGrid) -> np.ndarray:
+    """beta on grid.substages, with the slopes of its own ODE at the nodes,
+    which keeps the dependent backward solves at fourth order."""
+    c0, c1, c2 = _beta_coefficients(params, grid.nodes)
     v = beta.values
-    c0, c1, c2 = _beta_coefficients(params)(nodes)
-    return _hermite(nodes, v, c2 * v * v + c1 * v + c0)
+    return _substages(grid, beta, c2 * v * v + c1 * v + c0)
 
 
 def solve_beta(params: ModelParams, grid: TimeGrid) -> tuple[Trajectory, SolveStatus]:
     """Solve the quadratic value-coefficient equation backward from T."""
     betaT = params.qT + params.qbarT
-    vals, t_blow = _propagate(_beta_coefficients(params), betaT, grid)
+    vals, t_blow = _propagate(_beta_coefficients(params, grid.substages), betaT, grid)
     return Trajectory(grid, vals), SolveStatus(t_blow)
 
 
@@ -199,8 +179,8 @@ def _alpha_tables(params: ModelParams, beta: Trajectory, grid: TimeGrid) -> _Alp
     (w, c1) on the substage times of the grid.  They depend on beta
     only, so a solve that applies Phi to many mean paths builds them once.
     """
-    t = _substage_times(grid.nodes[1:], grid.dt)
-    bv = _hermite_beta(params, beta)(t)
+    t = grid.substages
+    bv = _beta_substages(params, beta, grid)
     return -(params.abar * bv - params.qbar(t)), -params.a + params.kappa(t) * bv
 
 
@@ -208,13 +188,13 @@ def solve_alpha(params: ModelParams, beta: Trajectory, m: Trajectory,
                 grid: TimeGrid, *, tables: _AlphaTables | None = None) -> Trajectory:
     """Solve the linear value-coefficient equation for a given mean path.
 
-    tables, when given, are _alpha_tables(params, beta, grid).
+    tables, when given, are _alpha_tables(params, beta, grid).  ValueError
+    when m is tabulated on another grid.
     """
     w, c1 = _alpha_tables(params, beta, grid) if tables is None else tables
-    alphaT = -params.qbarT * m(params.T)
-    # linear (c2 = 0): the propagator's map is affine and q never vanishes;
-    # the coefficients are taken on the substage times the tables hold
-    vals, _ = _propagate(lambda t: (w * m(t), c1, 0.0), alphaT, grid)
+    # linear (c2 = 0): the propagator's map is affine and q never vanishes
+    vals, _ = _propagate((w * _substages(grid, m), c1, 0.0),
+                         -params.qbarT * m.values[-1], grid)
     return Trajectory(grid, vals)
 
 
@@ -224,26 +204,20 @@ def solve_gamma(params: ModelParams, beta: Trajectory, alpha: Trajectory,
 
     The right-hand side does not depend on gamma, so each step is Simpson's
     rule on the substage times and the whole solve is one backward
-    cumulative sum.
+    cumulative sum.  ValueError when m is tabulated on another grid.
     """
-    bspl = _hermite_beta(params, beta)
     a, abar, qbar, sigma = params.a, params.abar, params.qbar, params.sigma
-    nodes = grid.nodes
-    av = alpha.values
-    # alpha's own ODE supplies Hermite derivatives for substage evaluation
-    dav = (-a * av - (abar * beta.values - qbar(nodes)) * m(nodes)
-           + params.kappa(nodes) * beta.values * av)
-    aspl = _hermite(nodes, av, dav)
-
-    h = grid.dt
-    t = _substage_times(nodes[1:], h)
-    avt, mt = aspl(t), m(t)
-    f = (-abar * avt * mt - 0.5 * sigma ** 2 * bspl(t)
+    nodes, t, h = grid.nodes, grid.substages, grid.dt
+    mt = _substages(grid, m)
+    av, bv, mv = alpha.values, beta.values, m.values
+    # alpha's own ODE supplies its slopes
+    dav = -a * av - (abar * bv - qbar(nodes)) * mv + params.kappa(nodes) * bv * av
+    avt = _substages(grid, alpha, dav)
+    f = (-abar * avt * mt - 0.5 * sigma ** 2 * _beta_substages(params, beta, grid)
          - 0.5 * qbar(t) * mt * mt + 0.5 * params.kappa(t) * avt * avt)
     # the midpoint weight 4 summed as 2 + 2, in the order RK4 summed it
     incr = h / 6 * (f[0] + 2 * f[1] + 2 * f[1] + f[2])
-    mT = m(params.T)
-    gammaT = 0.5 * params.qbarT * mT * mT
+    gammaT = 0.5 * params.qbarT * mv[-1] * mv[-1]
     # np.cumsum adds in sequence, as the stepwise y - incr would
     vals = np.cumsum(np.concatenate(([gammaT], -incr[::-1])))[::-1]
     return Trajectory(grid, vals)
@@ -257,15 +231,11 @@ def solve_eta(params: ModelParams, beta: Trajectory,
     refined equation; the other variants use the same substitution carried
     through their state loop, validated against the fixed-point route.
     """
-    bspl = _hermite_beta(params, beta)
-    a, abar, qbar = params.a, params.abar, params.qbar
-
-    def coefs(t):
-        bv = bspl(t)
-        lam = params.lam(t)
-        kap = lam - params.theta_term
-        return -(abar * bv - qbar(t)), -(2 * a + abar - (kap + lam) * bv), lam
-
+    bv = _beta_substages(params, beta, grid)
+    abar, t = params.abar, grid.substages
+    lam = params.lam(t)
+    kap = lam - params.theta_term
+    coefs = -(abar * bv - params.qbar(t)), -(2 * params.a + abar - (kap + lam) * bv), lam
     vals, t_blow = _propagate(coefs, -params.qbarT, grid)
     return Trajectory(grid, vals), SolveStatus(t_blow)
 
@@ -273,26 +243,18 @@ def solve_eta(params: ModelParams, beta: Trajectory,
 def assemble_value(params: ModelParams, beta: Trajectory, alpha: Trajectory,
                    gamma: Trajectory) -> ValueCoefficients:
     """Value at t=0 and the feedback/disturbance laws."""
-    grid = beta.grid
-    nodes = grid.nodes
-    rv = np.asarray(params.r(nodes), dtype=float)
+    grid, nodes = beta.grid, beta.grid.nodes
+    rv = params.r(nodes)
     gain = Trajectory(grid, -params.b * beta.values / rv)
     offset = Trajectory(grid, -params.b * alpha.values / rv)
     value0 = (0.5 * beta.values[0] * (params.x0 * params.x0)
               + alpha.values[0] * params.x0 + gamma.values[0])
     dist_gain = dist_offset = None
     if params.variant.uses_disturbance:
-        sv = np.asarray(params.s(nodes), dtype=float)
+        sv = params.s(nodes)
         dist_gain = Trajectory(grid, params.c * beta.values / sv)
         dist_offset = Trajectory(grid, params.c * alpha.values / sv)
-    exp_value = None
-    if params.variant.uses_theta:
-        exp_value = math.exp(params.theta * value0)
-    return ValueCoefficients(
-        value_at_0=float(value0),
-        feedback_gain=gain,
-        feedback_offset=offset,
-        disturbance_gain=dist_gain,
-        disturbance_offset=dist_offset,
-        exp_value=exp_value,
-    )
+    exp_value = math.exp(params.theta * value0) if params.variant.uses_theta else None
+    return ValueCoefficients(value_at_0=float(value0), feedback_gain=gain,
+                             feedback_offset=offset, disturbance_gain=dist_gain,
+                             disturbance_offset=dist_offset, exp_value=exp_value)

@@ -98,6 +98,10 @@ def test_tracer_reads_every_hook(tmp_path, monkeypatch):
     # beta is solved once per instance: solve, verify and each sweep row
     assert metrics["riccati.solve_beta.calls"] == 5
     assert metrics["simulate.simulate_paths.calls"] == 1
+    # Trajectory.__call__ only tabulates simulate_paths' inputs on the
+    # simulation grid: m, 4 gains of each of the saddle check's 3 policies,
+    # and beta, alpha of its Girsanov one; the solvers read node values
+    assert metrics["model.traj_evals"] == 1 + 3 * 4 + 2
     assert metrics["simulate.path_steps"] == 64 * 40
     # solve and verify ran the same solve; at n_steps = 20 both routes are
     # second order, so they agree to about 3e-5

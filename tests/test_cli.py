@@ -265,6 +265,21 @@ max_iter = 20
         assert {k: summary[k] for k in fields} == fields
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command, expect", [
+        ("solve", "reason=non_finite"), ("check", "  g = nan")])
+    def test_linear_overflow_is_not_an_escape(self, tmp_path, capsys, command, expect):
+        # robust with c = b makes kappa = 0: beta' = -2a beta - q - qbar is
+        # linear, has no pole, and at a = 800 outgrows the floats near t = 0.56
+        text = (BENCH_CFG.replace("risk_neutral", "robust\nc = 1.0")
+                .replace("a = -0.5", "a = 800").replace("n_steps = 200", "n_steps = 1000"))
+        out = tmp_path / "out"
+        code = EXIT_NONCONVERGENCE if command == "solve" else EXIT_OK
+        assert main([command, "--config", write_cfg(tmp_path, text), "--out-dir",
+                     str(out), "--quiet"]) == code
+        written = "".join(p.read_text() for p in out.glob("*.txt"))
+        assert expect in written.splitlines() and "blow_up" not in written
+        assert capsys.readouterr().err == ""
+
     def test_csvs_render_each_value_by_fmt_float(self, tmp_path):
         # the robust variant writes the five-column gains.csv
         path = write_cfg(tmp_path, BENCH_CFG.replace("risk_neutral", "robust\nc = 0.5"))
@@ -630,6 +645,16 @@ count = 5
         for row in rows[:2]:
             assert row[1:] == [""] * 6 + [str(EXIT_CONFIG)]
         assert rows[2][-1] == str(EXIT_OK) and rows[2][4] != ""
+
+    def test_non_finite_rows_are_not_successes(self, tmp_path, capsys):
+        # at a = 1e300 beta's exponent overflows, so every value is NaN: the
+        # rows get solve's non-finite code and no value fields
+        base = BENCH_CFG.replace("risk_neutral", "risk_sensitive").replace("a = -0.5", "a = 1e300")
+        rows = self.sweep_rows(tmp_path, "parameter = theta\nstart = 0.0\nstop = 1.0\n"
+                               "count = 3\n", base)
+        assert rows == [[value, "true"] + [""] * 5 + [str(EXIT_NONCONVERGENCE)]
+                        for value in ("0", "0.5", "1")]
+        assert capsys.readouterr().err == ""
 
     def test_escape_rows_match_closed_form(self, tmp_path):
         # the benchmark sweep: risk-sensitive, sigma = 1, so kappa = 1 - theta

@@ -38,6 +38,23 @@ class TestTimeGrid:
         np.testing.assert_allclose(g.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
         assert g.dt == 0.5
 
+    def test_times_computed_once(self):
+        g = TimeGrid(T=2.0, n_steps=4)
+        assert g.nodes is g.nodes and g.substages is g.substages
+        # end, midpoint and start of each backward step
+        np.testing.assert_array_equal(g.substages, [[0.5, 1.0, 1.5, 2.0],
+                                                    [0.25, 0.75, 1.25, 1.75],
+                                                    [0.0, 0.5, 1.0, 1.5]])
+        assert not g.nodes.flags.writeable and not g.substages.flags.writeable
+
+    def test_equality_and_hash_ignore_cached_times(self):
+        g, fresh = TimeGrid(T=2.0, n_steps=4), TimeGrid(T=2.0, n_steps=4)
+        before = hash(g)
+        assert g.substages.shape == (3, 4)
+        assert g == fresh and hash(g) == hash(fresh) == before
+        assert g != TimeGrid(T=2.0, n_steps=5) and g != TimeGrid(T=1.0, n_steps=4)
+        assert len({g, fresh}) == 1
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             TimeGrid(T=-1.0, n_steps=10)

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
 from lqmfg.equilibrium import admissible_beta, solve_equilibrium_closed_form
 from lqmfg.model import TimeGrid, Trajectory, Variant
 from lqmfg.riccati import (
-    _hermite,
+    _substages,
     assemble_value,
     solve_alpha,
     solve_beta,
@@ -89,6 +89,14 @@ class TestSolveBeta:
         exact = closed_form_constant_riccati(3000.0, 1.0, 1.5, 1.5, 1.0, 0.0)
         assert exact == pytest.approx(6000.00025, rel=1e-12)
         assert beta.values[0] == pytest.approx(exact, rel=1e-9)
+
+    def test_linear_overflow_is_not_escape(self):
+        # kappa = 0 (robust, c = b): beta is linear, has no pole, and at
+        # a = 800 outgrows the floats near t = 0.56
+        p = make_params(variant=Variant.ROBUST, c=1.0, a=800.0)
+        beta, status = solve_beta(p, TimeGrid(T=1.0, n_steps=1000))
+        assert status.admissible
+        assert np.isnan(beta.values).all()
 
     @pytest.mark.parametrize("n_steps", [50, 1000])
     @pytest.mark.parametrize("a,kappa,Q,betaT", [
@@ -328,42 +336,46 @@ class TestTabulatedCore:
 
 
 class TestHermite:
-    """The numpy cubic Hermite interpolant behind every substage evaluation."""
+    """The substage sampling behind every dependent solve: node values at each
+    step's ends, and a cubic Hermite (with slopes) or linear midpoint."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_scipy(self, seed):
         rng = np.random.default_rng(seed)
-        nodes = np.sort(rng.uniform(-2.0, 3.0, 15))
+        grid = TimeGrid(T=float(rng.uniform(0.5, 3.0)), n_steps=14)
         values, slopes = rng.normal(size=15), rng.normal(size=15)
-        ours = _hermite(nodes, values, slopes)
-        ref = CubicHermiteSpline(nodes, values, slopes)
-        # nodes, midpoints, interior points, and past both ends (end cubics)
-        t = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]),
-                            rng.uniform(nodes[0], nodes[-1], 200),
-                            [nodes[0] - 0.1, nodes[-1] + 0.1]])
-        expect = ref(t)
-        np.testing.assert_allclose(ours(t), expect, rtol=1e-14,
-                                   atol=1e-14 * np.max(np.abs(expect)))
-        # 2-d times, as the substage tables pass them
-        np.testing.assert_allclose(ours(t[1:].reshape(2, -1)), expect[1:].reshape(2, -1),
-                                   rtol=1e-14, atol=1e-14 * np.max(np.abs(expect)))
-        for scalar in (nodes[0], 0.3, nodes[-1]):
-            out = ours(scalar)
-            assert np.ndim(out) == 0
-            assert out == pytest.approx(float(ref(scalar)), rel=1e-14, abs=1e-14)
+        y = Trajectory(grid, values)
+        cubic = CubicHermiteSpline(grid.nodes, values, slopes)(grid.substages)
+        linear = np.interp(grid.substages, grid.nodes, values)
+        for ours, expect in ((_substages(grid, y, slopes), cubic),
+                             (_substages(grid, y), linear)):
+            assert ours.shape == (3, grid.n_steps)
+            np.testing.assert_allclose(ours, expect, rtol=1e-14,
+                                       atol=1e-14 * np.max(np.abs(expect)))
+            # the ends are the node values themselves
+            np.testing.assert_array_equal(ours[0], values[1:])
+            np.testing.assert_array_equal(ours[2], values[:-1])
 
     @settings(max_examples=60, deadline=None)
     @given(coef=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
-           nodes=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=12, unique=True),
-           frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
-    def test_reproduces_any_cubic(self, coef, nodes, frac):
-        x = np.sort(np.array(nodes))
-        assume(np.min(np.diff(x)) >= 1e-2)
+           T=st.floats(0.1, 5.0), n_steps=st.integers(2, 12))
+    def test_reproduces_any_cubic(self, coef, T, n_steps):
+        grid = TimeGrid(T=T, n_steps=n_steps)
         p = np.polynomial.Polynomial(coef)
-        f = _hermite(x, p(x), p.deriv()(x))
-        t = x[0] + np.array(frac) * (x[-1] - x[0])
+        out = _substages(grid, Trajectory(grid, p(grid.nodes)), p.deriv()(grid.nodes))
         scale = sum(abs(c) * 5.0 ** k for k, c in enumerate(coef))
-        assert np.max(np.abs(f(t) - p(t))) <= 1e-12 * (1.0 + scale)
+        assert np.max(np.abs(out - p(grid.substages))) <= 1e-12 * (1.0 + scale)
+
+    @pytest.mark.parametrize("T, steps", [(2.0, 1), (1.0, 2)])
+    def test_mean_on_another_grid_is_refused(self, grid, T, steps):
+        p = make_params()
+        beta, _ = solve_beta(p, grid)
+        alpha = solve_alpha(p, beta, Trajectory.constant(grid, 1.0), grid)
+        other = Trajectory.constant(TimeGrid(T=T, n_steps=steps * grid.n_steps), 1.0)
+        with pytest.raises(ValueError, match="n_steps"):
+            solve_alpha(p, beta, other, grid)
+        with pytest.raises(ValueError, match="n_steps"):
+            solve_gamma(p, beta, alpha, other, grid)
 
 
 class TestClosedFormConstantRiccati:
