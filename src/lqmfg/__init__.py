@@ -37,6 +37,7 @@ from .simulate import (
     SimConfig,
     estimate_exponential_cost,
     estimate_girsanov_normalization,
+    estimate_quadratic_value,
     estimate_risk_neutral_cost,
     per_path_cost,
     saddle_check,

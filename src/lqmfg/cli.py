@@ -52,7 +52,7 @@ from .simulate import (
     SimConfig,
     estimate_exponential_cost,
     estimate_girsanov_normalization,
-    estimate_risk_neutral_cost,
+    estimate_quadratic_value,
     saddle_check,
     simulate_paths,
 )
@@ -452,7 +452,7 @@ def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
 
     bias = cfg.sim.dt_sim  # Euler-Maruyama / quadrature bias, O(dt_sim)
     lines.append(_mc_line("value_identity_quadratic",
-                          estimate_risk_neutral_cost(ens, params),
+                          estimate_quadratic_value(ens, params),
                           eq.value.value_at_0, bias))
     if params.variant.uses_theta:
         lines.append(_mc_line("value_identity_exponential",

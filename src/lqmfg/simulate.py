@@ -5,16 +5,22 @@ running cost is quadratic in it, so every variant and policy reduces to
 per-time coefficients: the Euler step x <- e_k x + f_k + sigma dW and the
 trapezoid-weighted running cost (p_k x + q_k) x + r_k are tabulated once per
 call.  One call advances a stack of policies on common random numbers: each
-step's normals are drawn once and shared by every policy.  Paths are
-partitioned into blocks of BLOCK_SIZE; each block owns its own
-deterministically derived random stream (seeded by [master_seed, block
-index]) and blocks are reduced in index order, so results are bit-for-bit
-reproducible for a given seed.
+step's normals are drawn once and shared by every policy.
+
+The paths are cut into ceil(n_paths / BLOCK_SIZE) blocks of near-equal size
+(path_blocks), a layout that depends on n_paths alone.  Block b draws from
+its own stream default_rng([seed, b]) and writes only its own columns, so
+the blocks run on one thread per CPU the process may use; their per-node
+sums are added in block order afterwards.  Results are therefore bit for bit
+the same for a given seed and n_paths on any number of cores.
 """
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Sequence
+import os
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,14 +36,16 @@ __all__ = [
     "MCEstimate",
     "SaddleReport",
     "simulate_paths",
+    "path_blocks",
     "per_path_cost",
     "estimate_risk_neutral_cost",
+    "estimate_quadratic_value",
     "estimate_exponential_cost",
     "estimate_girsanov_normalization",
     "saddle_check",
 ]
 
-BLOCK_SIZE = 16384  # paths per random stream; block b draws from default_rng([seed, b])
+BLOCK_SIZE = 16384  # most paths per random stream; block b draws from default_rng([seed, b])
 
 
 @dataclass(frozen=True)
@@ -140,21 +148,62 @@ class PathEnsemble:
 
 @dataclass(frozen=True)
 class SaddleReport:
-    gap_u: MCEstimate            # pathwise cost(u+du, v) - cost(u, v)
-    gap_v: MCEstimate            # pathwise cost(u, v) - cost(u, v+dv)
+    gap_u: MCEstimate            # certainty equivalent at (u+du, v) minus at (u, v)
+    gap_v: MCEstimate            # certainty equivalent at (u, v) minus at (u, v+dv)
     analytic_gap_u: float
     analytic_gap_v: float
     base: PathEnsemble = field(compare=False, repr=False)   # the (u, v) ensemble
 
 
-def _normals(rng, n: int, antithetic: bool) -> np.ndarray:
-    if not antithetic:
-        return rng.standard_normal(n)
-    half = rng.standard_normal(n // 2)
-    out = np.empty(n)
-    out[0::2] = half
-    out[1::2] = -half
-    return out
+def path_blocks(n: int) -> list[tuple[int, int]]:
+    """The (lo, hi) path ranges of the random streams for n paths.
+
+    nb = ceil(n / BLOCK_SIZE) blocks, cut at the even indices
+    2 round(b n / (2 nb)): sizes differ by at most 2, are even whenever n
+    is, and never exceed BLOCK_SIZE.  The layout depends on n alone, so the
+    ensemble does not depend on how many threads step it; n <= BLOCK_SIZE
+    is one block.
+    """
+    nb = -(-n // BLOCK_SIZE)
+    cuts = [2 * ((b * n + nb) // (2 * nb)) for b in range(nb)] + [n]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_all(tasks: Sequence[Callable[[], None]]) -> None:
+    """Call every task, on at most one thread per CPU, the caller's included.
+
+    Worker i takes tasks i, i + workers, ...; with one worker everything
+    runs in the calling thread.  numpy releases the GIL in the draws and in
+    the ufuncs on whole blocks, so the threads overlap; only each call's
+    dispatch holds it.  An exception of any task, the caller's included, is
+    re-raised here once every thread has finished.
+    """
+    workers = min(_cpu_count(), len(tasks))
+    errors: list[BaseException] = []
+
+    def share(i: int) -> None:
+        try:
+            for task in tasks[i::workers]:
+                task()
+        except BaseException as exc:    # re-raised in the caller below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=share, args=(i,)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    share(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _columns(rows) -> np.ndarray:
@@ -228,23 +277,18 @@ def simulate_paths(params: ModelParams, policies: Sequence[Policy], m: Trajector
         ga = _columns([params.sigma * tab(pol.alpha) for pol in stack[:n_gir]])
 
     n = config.n_paths
-    sum_x = np.zeros((n_pol, n_ode + 1))
-    sum_x2 = np.zeros((n_pol, n_ode + 1))
     run_cost = np.empty((n_pol, n))
     x_final = np.empty((n_pol, n))
     int_g_dB = np.zeros((n_gir, n))     # in units of sqrt(dt)
     int_g2_dt = np.zeros((n_gir, n))    # in units of dt
     sig_sqdt = params.sigma * math.sqrt(dt)
 
-    for bi, lo in enumerate(range(0, n, BLOCK_SIZE)):
-        hi = min(lo + BLOCK_SIZE, n)
-        rng = np.random.default_rng([config.seed, bi])
-        x, cost = x_final[:, lo:hi], run_cost[:, lo:hi]
+    def step(rng, x, cost, gdB, g2dt, tmp, g, z, half, sums) -> None:
+        """Step one block: x, cost, gdB, g2dt are its columns of the outputs,
+        sums[0]/sums[1] receive its per-node sums of x and x^2."""
         x[...] = params.x0
         cost[...] = cost_r
-        tmp = np.empty(x.shape)
-        xg, tmpg, g = x[:n_gir], tmp[:n_gir], np.empty((n_gir, hi - lo))
-        gdB, g2dt = int_g_dB[:, lo:hi], int_g2_dt[:, lo:hi]
+        xg, tmpg = x[:n_gir], tmp[:n_gir]
         for k in range(n_sim + 1):
             np.multiply(x, cost_p[k], out=tmp)
             tmp += cost_q[k]
@@ -252,12 +296,15 @@ def simulate_paths(params: ModelParams, policies: Sequence[Policy], m: Trajector
             cost += tmp
             if k % stride == 0:
                 j = k // stride
-                sum_x[:, j] += x.sum(axis=1)
+                x.sum(axis=1, out=sums[0, :, j])
                 np.multiply(x, x, out=tmp)
-                sum_x2[:, j] += tmp.sum(axis=1)
+                tmp.sum(axis=1, out=sums[1, :, j])
             if k == n_sim:
                 break
-            z = _normals(rng, hi - lo, config.antithetic)
+            rng.standard_normal(out=half)
+            if config.antithetic:
+                z[0::2] = half
+                np.negative(half, out=z[1::2])
             if n_gir:
                 # Ito (left-point) accumulation with the state's increments
                 np.multiply(xg, gb[k], out=g)
@@ -271,6 +318,25 @@ def simulate_paths(params: ModelParams, policies: Sequence[Policy], m: Trajector
             z *= sig_sqdt
             x += z
 
+    def block(b: int, lo: int, hi: int):
+        """Block b's task on paths lo:hi and the array its sums go to.
+
+        Every buffer is allocated here, before any thread starts, so the
+        workers allocate nothing while they step.
+        """
+        z = np.empty(hi - lo)       # without antithetic pairs, drawn into directly
+        sums = np.zeros((2, n_pol, n_ode + 1))
+        task = functools.partial(
+            step, np.random.default_rng([config.seed, b]),
+            x_final[:, lo:hi], run_cost[:, lo:hi], int_g_dB[:, lo:hi], int_g2_dt[:, lo:hi],
+            np.empty((n_pol, hi - lo)), np.empty((n_gir, hi - lo)), z,
+            np.empty((hi - lo) // 2) if config.antithetic else z, sums)
+        return task, sums
+
+    tasks, block_sums = zip(*(block(b, lo, hi) for b, (lo, hi) in enumerate(path_blocks(n))))
+    _run_all(tasks)
+    # per-node sums in block order from zero: the same bits for any worker count
+    sum_x, sum_x2 = sum(block_sums, np.zeros((2, n_pol, n_ode + 1)))
     int_g_dB *= math.sqrt(dt)
     int_g2_dt *= dt
 
@@ -317,6 +383,21 @@ def estimate_risk_neutral_cost(ensemble: PathEnsemble, params: ModelParams) -> M
     return _mc_estimate(per_path_cost(ensemble, params), ensemble.antithetic)
 
 
+def estimate_quadratic_value(ensemble: PathEnsemble, params: ModelParams) -> MCEstimate:
+    """Paired mean of L + (theta/2) int g^2 dt, g = sigma (beta x + alpha).
+
+    Square completion gives E[L] = value_at_0 - (theta/2) E int g^2 dt at the
+    equilibrium, so this estimates value_at_0 in every variant; without
+    theta it is the mean of L.
+    """
+    cost = per_path_cost(ensemble, params)
+    if params.variant.uses_theta:
+        if ensemble.int_g2_dt is None:
+            raise ValueError("ensemble was simulated without beta/alpha accumulators")
+        cost += 0.5 * params.theta * ensemble.int_g2_dt
+    return _mc_estimate(cost, ensemble.antithetic)
+
+
 HEAVY_TAIL_KURTOSIS = 100.0
 
 
@@ -356,13 +437,34 @@ def _trapz_weight_integral(coef, T: float, n: int = 4096) -> float:
     return float(np.sum(np.diff(t) * (y[1:] + y[:-1]) / 2.0))
 
 
+def _certainty_equivalent_gap(L_hi: np.ndarray, L_lo: np.ndarray, theta: float,
+                              antithetic: bool) -> MCEstimate:
+    """(1/theta) (log mean e^{theta L_hi} - log mean e^{theta L_lo}), paired.
+
+    The se is the delta method's: that of the per-path
+    (e^{theta L_hi} / A_hi - e^{theta L_lo} / A_lo) / theta, A being the
+    sample means.  Both exponentials are shifted by the largest theta L,
+    which cancels, so none overflows.  theta = 0 gives the mean of L_hi - L_lo.
+    """
+    if theta == 0.0:
+        return _mc_estimate(L_hi - L_lo, antithetic)
+    shift = theta * max(L_hi.max(), L_lo.max())
+    e_hi, e_lo = np.exp(theta * L_hi - shift), np.exp(theta * L_lo - shift)
+    a_hi, a_lo = float(e_hi.mean()), float(e_lo.mean())
+    influence = _mc_estimate((e_hi / a_hi - e_lo / a_lo) / theta, antithetic)
+    return MCEstimate(mean=(math.log(a_hi) - math.log(a_lo)) / theta,
+                      std_error=influence.std_error, n_paths=L_hi.size)
+
+
 def saddle_check(params: ModelParams, equilibrium: Equilibrium,
                  perturbation_scale: float, config: SimConfig) -> SaddleReport:
     """Estimate the saddle gaps under common random numbers.
 
     Simulates (u, v), (u+du, v), (u, v+dv) in one pass on the same draws,
-    so pathwise differences isolate the completed-square gaps
-    int (r/2) du^2 dt and int (s/2) dv^2 dt.  The report holds the
+    so paired differences isolate the completed-square gaps
+    int (r/2) du^2 dt and int (s/2) dv^2 dt.  Those gaps hold for the
+    certainty equivalent (1/theta) log E e^{theta L}, which is E[L] at
+    theta = 0, so that is what each gap compares.  The report holds the
     estimates and the analytic gaps; the verdict on them is the caller's.
     The (u, v) ensemble is returned in the report; it carries the Girsanov
     sums when the variant uses theta.
@@ -376,10 +478,13 @@ def saddle_check(params: ModelParams, equilibrium: Equilibrium,
     ], equilibrium.m, config)
 
     L_base = per_path_cost(base, params)
+    theta = params.theta if params.variant.uses_theta else 0.0
     d2 = perturbation_scale ** 2
     return SaddleReport(
-        gap_u=_mc_estimate(per_path_cost(up, params) - L_base, config.antithetic),
-        gap_v=_mc_estimate(L_base - per_path_cost(vp, params), config.antithetic),
+        gap_u=_certainty_equivalent_gap(per_path_cost(up, params), L_base, theta,
+                                        config.antithetic),
+        gap_v=_certainty_equivalent_gap(L_base, per_path_cost(vp, params), theta,
+                                        config.antithetic),
         analytic_gap_u=0.5 * d2 * _trapz_weight_integral(params.r, params.T),
         analytic_gap_v=0.5 * d2 * _trapz_weight_integral(params.s, params.T),
         base=base,

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -21,10 +23,14 @@ from lqmfg.simulate import (
     estimate_risk_neutral_cost,
     _excess_kurtosis,
     _trapz_weight_integral,
+    _mc_estimate,
+    estimate_quadratic_value,
+    path_blocks,
     per_path_cost,
     saddle_check,
     simulate_paths,
 )
+from lqmfg import simulate
 from conftest import make_params
 
 
@@ -79,11 +85,143 @@ class TestDeterminism:
         assert not np.array_equal(e1.x_final, e2.x_final)
 
 
+class TestBlockLayout:
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1,
+                                   BLOCK_SIZE + 6, 16395, 20000, 2 * BLOCK_SIZE - 1,
+                                   2 * BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 10, 100_001, 200_000])
+    def test_near_equal_blocks(self, n):
+        blocks = path_blocks(n)
+        assert len(blocks) == math.ceil(n / BLOCK_SIZE)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        sizes = [hi - lo for lo, hi in blocks]
+        assert 1 <= min(sizes) and max(sizes) <= BLOCK_SIZE
+        assert max(sizes) - min(sizes) <= 2
+        if n % 2 == 0:
+            assert all(size % 2 == 0 for size in sizes)
+
+    def test_even_split_of_the_bench_path_count(self):
+        assert path_blocks(20000) == [(0, 10000), (10000, 20000)]
+
+    @pytest.mark.parametrize("n", [1, 64, BLOCK_SIZE])
+    def test_one_block_keeps_the_seed_stream(self, n):
+        # a = abar = 0 and no control: x(T) = x0 + sum_k sigma sqrt(dt) z_k,
+        # with every z_k drawn from default_rng([seed, 0])
+        p = make_params(a=0.0, abar=0.0)
+        g = TimeGrid(T=1.0, n_steps=10)
+        cfg = SimConfig(n_paths=n, dt_sim=0.1, seed=9)
+        [ens] = simulate_paths(p, [Policy()], Trajectory.constant(g, 0.0), cfg)
+        rng = np.random.default_rng([9, 0])
+        x = np.full(n, p.x0)
+        for _ in range(10):
+            x += rng.standard_normal(n) * (p.sigma * math.sqrt(0.1))
+        np.testing.assert_array_equal(ens.x_final, x)
+
+
+def _ensembles(monkeypatch, workers, p, policies, m, cfg):
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+    return simulate_paths(p, policies, m, cfg)
+
+
+class TestWorkers:
+    """The block threads change no bit of the ensembles."""
+
+    FIELDS = ("x_final", "run_cost", "sum_x", "sum_x2", "int_g_dB", "int_g2_dt")
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_worker_count_and_rerun_bit_identical(self, monkeypatch, antithetic):
+        p = make_params(**REFERENCE_INSTANCES["robust_risk_sensitive"])
+        grid = TimeGrid(T=1.0, n_steps=10)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        # three blocks, so two workers share them unevenly
+        cfg = SimConfig(n_paths=2 * BLOCK_SIZE + 10, dt_sim=0.05, seed=4,
+                        antithetic=antithetic)
+        policies = [Policy.equilibrium(eq, delta_u=0.5, girsanov=False), Policy.equilibrium(eq),
+                    Policy.equilibrium(eq, delta_v=0.5, girsanov=False)]
+        runs = [_ensembles(monkeypatch, w, p, policies, eq.m, cfg) for w in (1, 2, 2, 4)]
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                for key in self.FIELDS:
+                    a, b = getattr(got, key), getattr(want, key)
+                    assert (a is None) == (b is None), key
+                    if b is not None:
+                        np.testing.assert_array_equal(a, b, err_msg=key)
+
+    def test_threads_started(self, monkeypatch):
+        started = []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(simulate.threading, "Thread", CountingThread)
+        p, m = make_params(), Trajectory.constant(TimeGrid(T=1.0, n_steps=4), 0.0)
+        cfg = SimConfig(n_paths=3 * BLOCK_SIZE, dt_sim=0.25, seed=0)
+        _ensembles(monkeypatch, 1, p, [Policy()], m, cfg)
+        assert started == []                    # one worker: the calling thread
+        _ensembles(monkeypatch, 2, p, [Policy()], m, cfg)
+        assert len(started) == 1                # the caller is the other worker
+        _ensembles(monkeypatch, 2, p, [Policy()], m,
+                   SimConfig(n_paths=BLOCK_SIZE, dt_sim=0.25, seed=0))
+        assert len(started) == 1                # capped at the one block
+        assert not any(t.is_alive() for t in started)
+
+    def test_more_workers_than_cpus_with_fast_switching(self, monkeypatch):
+        p = make_params(**REFERENCE_INSTANCES["risk_sensitive"])
+        grid = TimeGrid(T=1.0, n_steps=5)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        cfg = SimConfig(n_paths=4 * BLOCK_SIZE, dt_sim=0.1, seed=2)
+        [serial] = _ensembles(monkeypatch, 1, p, [Policy.equilibrium(eq)], eq.m, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            [threaded] = _ensembles(monkeypatch, 4, p, [Policy.equilibrium(eq)], eq.m, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        for key in self.FIELDS:
+            np.testing.assert_array_equal(getattr(threaded, key), getattr(serial, key))
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_worker_exception_reaches_caller(self, monkeypatch, failing):
+        # task 0 runs in the calling thread, task 1 in a worker thread
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+        ran = []
+
+        def task(i):
+            def run():
+                ran.append(i)
+                if i == failing:
+                    raise FloatingPointError(f"block {i}")
+            return run
+
+        with pytest.raises(FloatingPointError, match=f"block {failing}"):
+            simulate._run_all([task(0), task(1)])
+        assert sorted(ran) == [0, 1]            # every thread finished first
+
+    def test_block_failure_in_simulate_paths_reaches_caller(self, monkeypatch):
+        p, m = make_params(), Trajectory.constant(TimeGrid(T=1.0, n_steps=4), 0.0)
+        real = np.random.default_rng
+
+        class FailingDraws:
+            def standard_normal(self, out):
+                raise FloatingPointError("block 1")
+
+        def rng(seed):
+            return FailingDraws() if seed[1] == 1 else real(seed)
+
+        # block 1 runs on the worker thread
+        monkeypatch.setattr(simulate.np.random, "default_rng", rng)
+        with pytest.raises(FloatingPointError, match="block 1"):
+            _ensembles(monkeypatch, 2, p, [Policy()], m,
+                       SimConfig(n_paths=2 * BLOCK_SIZE, dt_sim=0.25, seed=0))
+
+
 def reference_paths(params, policy, m, config):
     """Per-step Euler-Maruyama with u, v, x - m and four separate cost sums.
 
-    Draws the same per-block streams as simulate_paths: block b of
-    BLOCK_SIZE paths uses default_rng([seed, b]).
+    Draws the same per-block streams as simulate_paths: block b, the paths
+    lo:hi of path_blocks, uses default_rng([seed, b]).
     """
     T = params.T
     n_sim = config.n_sim_steps(T)
@@ -103,8 +241,8 @@ def reference_paths(params, policy, m, config):
     mt, q, qbar, r, s = m(t), params.q(t), params.qbar(t), params.r(t), params.s(t)
     sum_x = np.zeros(m.grid.n_steps + 1)
     out = {key: [] for key in ("cost", "x_final", "int_g_dB", "int_g2_dt")}
-    for bi, lo in enumerate(range(0, config.n_paths, BLOCK_SIZE)):
-        bn = min(BLOCK_SIZE, config.n_paths - lo)
+    for bi, (lo, hi) in enumerate(path_blocks(config.n_paths)):
+        bn = hi - lo
         rng = np.random.default_rng([config.seed, bi])
         x = np.full(bn, params.x0)
         qx2, qdev, ru2, sv2, gdB, g2dt = (np.zeros(bn) for _ in range(6))
@@ -277,6 +415,14 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_girsanov_normalization(ens, p)
 
+    def test_quadratic_value_needs_accumulators_only_with_theta(self, bench_eq):
+        p, eq = bench_eq
+        [ens] = simulate_paths(p, [Policy()], eq.m, small_config())
+        assert estimate_quadratic_value(ens, p) == estimate_risk_neutral_cost(ens, p)
+        with pytest.raises(ValueError):
+            estimate_quadratic_value(ens, make_params(variant=Variant.RISK_SENSITIVE,
+                                                      theta=0.25))
+
     def test_sigma_zero_cost_matches_value(self):
         # no noise: the realized equilibrium cost equals the value exactly
         p = make_params(sigma=0.0)
@@ -393,3 +539,45 @@ class TestSaddle:
         assert rep.gap_v.mean == 0.0 and rep.gap_v.std_error == 0.0
         assert (rep.base.int_g_dB is not None) == p.variant.uses_theta
 
+
+
+class TestThetaTheories:
+    """verify's theta lines hold with their exact theory and miss without it.
+
+    A large theta sigma^2 makes the E[L] forms miss by many se at a few
+    thousand paths: E[L] = value_at_0 - (theta/2) E int g^2 dt, and the
+    saddle gaps hold for the certainty equivalent, not for E[L' - L].
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_corrected_theories_hold_and_old_ones_miss(self, seed):
+        dt_sim = 0.01
+        cfg = SimConfig(n_paths=8192, dt_sim=dt_sim, seed=seed)
+        grid = TimeGrid(T=1.0, n_steps=20)
+        for variant, extra in ((Variant.RISK_SENSITIVE, {}),
+                               (Variant.ROBUST_RISK_SENSITIVE, {"c": 0.5})):
+            p = make_params(variant=variant, theta=0.8, sigma=0.6, **extra)
+            eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+            [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, cfg)
+            value = eq.value.value_at_0
+            slack = dt_sim * max(1.0, abs(value))    # verify's Euler allowance
+            new, old = estimate_quadratic_value(ens, p), estimate_risk_neutral_cost(ens, p)
+            assert abs(new.mean - value) <= 3 * new.std_error + slack
+            assert value - old.mean > 3 * old.std_error + slack
+            if not variant.uses_disturbance:
+                continue
+            rep = saddle_check(p, eq, 0.5, cfg)
+            base, up, vp = (per_path_cost(e, p) for e in simulate_paths(p, [
+                Policy.equilibrium(eq), Policy.equilibrium(eq, delta_u=0.5, girsanov=False),
+                Policy.equilibrium(eq, delta_v=0.5, girsanov=False)], eq.m, cfg))
+
+            def ce(L):
+                return math.log(np.mean(np.exp(p.theta * L))) / p.theta
+
+            for gap, theory, hi, lo in ((rep.gap_u, rep.analytic_gap_u, up, base),
+                                        (rep.gap_v, rep.analytic_gap_v, base, vp)):
+                assert gap.mean == pytest.approx(ce(hi) - ce(lo), rel=1e-10)
+                assert gap.mean > 3 * gap.std_error
+                assert abs(gap.mean - theory) <= 3 * gap.std_error
+                old_gap = _mc_estimate(hi - lo, antithetic=False)
+                assert abs(old_gap.mean - theory) > 3 * old_gap.std_error
