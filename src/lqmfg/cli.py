@@ -167,9 +167,11 @@ def parse_config(path: str | Path,
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        read = cp.read(path)
+        read = cp.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 

@@ -9,12 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, TimeGrid, Trajectory, Variant
+from .model import ModelParams, TimeGrid, Trajectory
 from .riccati import (
+    Beta,
     SolveStatus,
     ValueCoefficients,
-    _AlphaTables,
-    _alpha_tables,
     assemble_value,
     solve_alpha,
     solve_beta,
@@ -70,7 +69,7 @@ class NonConvergenceError(Exception):
 @dataclass(frozen=True)
 class Equilibrium:
     m: Trajectory
-    beta: Trajectory
+    beta: Beta
     alpha: Trajectory
     gamma: Trajectory
     value: ValueCoefficients
@@ -90,7 +89,7 @@ class ConditionsReport:
     exponent_norm: float
     lipschitz_bound: float
     contraction: bool
-    # risk-sensitive only: same bound with the theta*sigma^2 term kept in g_tilde
+    # theta variants only: same bound with the theta*sigma^2 term kept in g_tilde
     alt_g_tilde: float | None = None
     alt_lipschitz_bound: float | None = None
 
@@ -100,16 +99,14 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def apply_phi(params: ModelParams, beta: Trajectory, m: Trajectory,
-              grid: TimeGrid, *, tables: _AlphaTables | None = None) -> Trajectory:
+def apply_phi(params: ModelParams, beta: Beta, m: Trajectory, grid: TimeGrid) -> Trajectory:
     """One application of the best-response mean map.
 
     Phi[m](t) = m0 + int_0^t [(a+abar) m - lam (beta m + alpha[m])] ds,
     with alpha[m] the linear backward solve and the integral by the
-    trapezoid rule on the grid.  tables, when given, are alpha's beta-only
-    coefficient tables for this params, beta and grid.
+    trapezoid rule on the grid.
     """
-    alpha = solve_alpha(params, beta, m, grid, tables=tables)
+    alpha = solve_alpha(params, beta, m, grid)
     nodes = grid.nodes
     lam = np.asarray(params.lam(nodes), dtype=float)
     integrand = (params.a + params.abar) * m.values - lam * (beta.values * m.values + alpha.values)
@@ -117,11 +114,10 @@ def apply_phi(params: ModelParams, beta: Trajectory, m: Trajectory,
     return Trajectory(grid, vals)
 
 
-def _finalize(params: ModelParams, beta: Trajectory, m: Trajectory,
-              grid: TimeGrid, tables: _AlphaTables, iterations: int,
-              residual: float, eta: Trajectory | None = None,
+def _finalize(params: ModelParams, beta: Beta, m: Trajectory, grid: TimeGrid,
+              iterations: int, residual: float, eta: Trajectory | None = None,
               history: tuple[float, ...] = ()) -> Equilibrium:
-    alpha = solve_alpha(params, beta, m, grid, tables=tables)
+    alpha = solve_alpha(params, beta, m, grid)
     gamma = solve_gamma(params, beta, alpha, m, grid)
     value = assemble_value(params, beta, alpha, gamma)
     return Equilibrium(m=m, beta=beta, alpha=alpha, gamma=gamma, value=value,
@@ -129,7 +125,7 @@ def _finalize(params: ModelParams, beta: Trajectory, m: Trajectory,
                        residual_history=history)
 
 
-def admissible_beta(params: ModelParams, grid: TimeGrid) -> Trajectory:
+def admissible_beta(params: ModelParams, grid: TimeGrid) -> Beta:
     """beta on the grid, on which both routes and the conditions are built;
     BlowUpError when it escapes, as then no feedback law is admissible."""
     beta, status = solve_beta(params, grid)
@@ -197,7 +193,7 @@ def _gmres_cycle(apply_a, r0: np.ndarray, norm0: float, tol: float, max_iter: in
     return np.dot(y, basis[:k + 1]), norm_a
 
 
-def solve_equilibrium_picard(params: ModelParams, beta: Trajectory, grid: TimeGrid,
+def solve_equilibrium_picard(params: ModelParams, beta: Beta, grid: TimeGrid,
                              tol: float = DEFAULT_TOL,
                              max_iter: int = DEFAULT_MAX_ITER) -> Equilibrium:
     """The fixed-point mean path m = Phi[m], with beta = admissible_beta(params, grid).
@@ -225,10 +221,8 @@ def solve_equilibrium_picard(params: ModelParams, beta: Trajectory, grid: TimeGr
     where the residual reaches 1e-11 but m, 3e6 from the closed form, does
     not converge under refinement: there the residual bounds nothing.
     """
-    tables = _alpha_tables(params, beta, grid)
-
     def phi(v: np.ndarray) -> np.ndarray:
-        return apply_phi(params, beta, Trajectory(grid, v), grid, tables=tables).values
+        return apply_phi(params, beta, Trajectory(grid, v), grid).values
 
     def i_minus_l(v: np.ndarray) -> np.ndarray:
         return v - (phi(v) - params.m0)
@@ -255,12 +249,11 @@ def solve_equilibrium_picard(params: ModelParams, beta: Trajectory, grid: TimeGr
     # (I - L)(x - m0) = first - r
     if norm_a * _norm(x - params.m0) > SINGULAR_COND * _norm(first - r):
         raise NonConvergenceError(history, "singular")
-    return _finalize(params, beta, Trajectory(grid, x), grid, tables, len(history),
+    return _finalize(params, beta, Trajectory(grid, x), grid, len(history),
                      history[-1], history=tuple(history))
 
 
-def solve_equilibrium_closed_form(params: ModelParams, beta: Trajectory,
-                                  grid: TimeGrid) -> Equilibrium:
+def solve_equilibrium_closed_form(params: ModelParams, beta: Beta, grid: TimeGrid) -> Equilibrium:
     """Equilibrium via the refined coefficient: m = m0 e^{int (a+abar-lam(beta+eta))},
     with beta = admissible_beta(params, grid); BlowUpError when eta escapes."""
     eta, eta_status = solve_eta(params, beta, grid)
@@ -270,10 +263,9 @@ def solve_equilibrium_closed_form(params: ModelParams, beta: Trajectory,
     lam = np.asarray(params.lam(nodes), dtype=float)
     exponent = (params.a + params.abar) - lam * (beta.values + eta.values)
     m = Trajectory(grid, params.m0 * np.exp(_cumulative_trapezoid(exponent, nodes)))
-    tables = _alpha_tables(params, beta, grid)
-    phi = apply_phi(params, beta, m, grid, tables=tables)
+    phi = apply_phi(params, beta, m, grid)
     residual = float(np.max(np.abs(phi.values - m.values)))
-    return _finalize(params, beta, m, grid, tables, 0, residual, eta=eta)
+    return _finalize(params, beta, m, grid, 0, residual, eta=eta)
 
 
 def admissibility_margin(params: ModelParams, grid: TimeGrid) -> float:
@@ -285,8 +277,7 @@ def admissibility_margin(params: ModelParams, grid: TimeGrid) -> float:
     return float(np.min(np.asarray(params.kappa(grid.nodes), dtype=float)))
 
 
-def check_conditions(params: ModelParams, beta: Trajectory,
-                     grid: TimeGrid) -> ConditionsReport:
+def check_conditions(params: ModelParams, beta: Beta, grid: TimeGrid) -> ConditionsReport:
     """Admissibility margin and the Gronwall/contraction constants.
 
     The bound is T [g + g_tilde (qbarT + eps e^{T |exponent|})] with the
@@ -315,7 +306,7 @@ def check_conditions(params: ModelParams, beta: Trajectory,
     margin = float(np.min(kap))
 
     alt_g_tilde = alt_bound = None
-    if params.variant is Variant.RISK_SENSITIVE:
+    if params.variant.uses_theta:
         alt_g_tilde = float(np.max(np.abs(kap)))
         alt_bound = bound(alt_g_tilde)
 

@@ -17,7 +17,8 @@ the pair (p, q) solves a linear system, each step is the exponential of a
 fourth-order Magnus exponent built from the coefficients at the step's end,
 midpoint and start (TimeGrid.substages), and the loop applies the resulting
 Moebius map to y.  A solve that reads another solution samples it there too
-(_substages).
+(_substages).  beta does not involve m, so the Beta that solve_beta returns
+carries its own substage values and alpha's coefficients there, built once.
 The propagator is exact for constant coefficients.  A finite escape
 ("blow-up") is a pole of y, i.e. q reaching zero, located inside its step;
 it is reported as a status, never as an overflow.  gamma is a quadrature.
@@ -26,12 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .model import ModelParams, TimeGrid, Trajectory
 
 __all__ = [
+    "Beta",
     "SolveStatus",
     "ValueCoefficients",
     "solve_beta",
@@ -40,10 +43,6 @@ __all__ = [
     "solve_eta",
     "assemble_value",
 ]
-
-# (w, c1) of alpha' = c1 alpha + w m on the substage times
-_AlphaTables = tuple[np.ndarray, np.ndarray]
-
 
 @dataclass(frozen=True)
 class SolveStatus:
@@ -158,54 +157,62 @@ def _substages(grid: TimeGrid, y: Trajectory, slopes: np.ndarray | None = None) 
     return np.stack([v[1:], mid, v[:-1]])
 
 
-def _beta_substages(params: ModelParams, beta: Trajectory, grid: TimeGrid) -> np.ndarray:
-    """beta on grid.substages, with the slopes of its own ODE at the nodes,
-    which keeps the dependent backward solves at fourth order."""
-    c0, c1, c2 = _beta_coefficients(params, grid.nodes)
-    v = beta.values
-    return _substages(grid, beta, c2 * v * v + c1 * v + c0)
+class Beta(Trajectory):
+    """beta from solve_beta, with the instance's tables that do not involve m:
+    each is built on first use (so never after an escape), then shared."""
+
+    def __init__(self, params: ModelParams, grid: TimeGrid, values: np.ndarray):
+        super().__init__(grid, values)
+        self.params = params
+
+    def solved_for(self, params: ModelParams, grid: TimeGrid) -> "Beta":
+        """self, or ValueError when it was solved for other params or grid."""
+        if self.grid != grid:
+            raise ValueError(f"a trajectory on {self.grid} where one on {grid} is needed")
+        if self.params != params:
+            raise ValueError("a beta solved for other params")
+        return self
+
+    @cached_property
+    def substages(self) -> np.ndarray:
+        """beta on grid.substages; its own ODE's slopes keep the solves reading it 4th order."""
+        c0, c1, c2 = _beta_coefficients(self.params, self.grid.nodes)
+        v = self.values
+        return _substages(self.grid, self, c2 * v * v + c1 * v + c0)
+
+    @cached_property
+    def alpha_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, c1) of alpha' = c1 alpha + w m on grid.substages."""
+        p, t, bv = self.params, self.grid.substages, self.substages
+        return -(p.abar * bv - p.qbar(t)), -p.a + p.kappa(t) * bv
 
 
-def solve_beta(params: ModelParams, grid: TimeGrid) -> tuple[Trajectory, SolveStatus]:
+def solve_beta(params: ModelParams, grid: TimeGrid) -> tuple[Beta, SolveStatus]:
     """Solve the quadratic value-coefficient equation backward from T."""
     betaT = params.qT + params.qbarT
     vals, t_blow = _propagate(_beta_coefficients(params, grid.substages), betaT, grid)
-    return Trajectory(grid, vals), SolveStatus(t_blow)
+    return Beta(params, grid, vals), SolveStatus(t_blow)
 
 
-def _alpha_tables(params: ModelParams, beta: Trajectory, grid: TimeGrid) -> _AlphaTables:
-    """The parts of alpha' = c1 alpha + w m that do not depend on m.
-
-    (w, c1) on the substage times of the grid.  They depend on beta
-    only, so a solve that applies Phi to many mean paths builds them once.
-    """
-    t = grid.substages
-    bv = _beta_substages(params, beta, grid)
-    return -(params.abar * bv - params.qbar(t)), -params.a + params.kappa(t) * bv
-
-
-def solve_alpha(params: ModelParams, beta: Trajectory, m: Trajectory,
-                grid: TimeGrid, *, tables: _AlphaTables | None = None) -> Trajectory:
-    """Solve the linear value-coefficient equation for a given mean path.
-
-    tables, when given, are _alpha_tables(params, beta, grid).  ValueError
-    when m is tabulated on another grid.
-    """
-    w, c1 = _alpha_tables(params, beta, grid) if tables is None else tables
+def solve_alpha(params: ModelParams, beta: Beta, m: Trajectory, grid: TimeGrid) -> Trajectory:
+    """Solve the linear value-coefficient equation for a given mean path;
+    ValueError when beta was solved for other params or grid, or m is on another grid."""
+    w, c1 = beta.solved_for(params, grid).alpha_tables
     # linear (c2 = 0): the propagator's map is affine and q never vanishes
     vals, _ = _propagate((w * _substages(grid, m), c1, 0.0),
                          -params.qbarT * m.values[-1], grid)
     return Trajectory(grid, vals)
 
 
-def solve_gamma(params: ModelParams, beta: Trajectory, alpha: Trajectory,
+def solve_gamma(params: ModelParams, beta: Beta, alpha: Trajectory,
                 m: Trajectory, grid: TimeGrid) -> Trajectory:
     """Backward quadrature for the constant value term.
 
     The right-hand side does not depend on gamma, so each step is Simpson's
     rule on the substage times and the whole solve is one backward
-    cumulative sum.  ValueError when m is tabulated on another grid.
+    cumulative sum.  ValueError as for solve_alpha.
     """
+    bt = beta.solved_for(params, grid).substages
     a, abar, qbar, sigma = params.a, params.abar, params.qbar, params.sigma
     nodes, t, h = grid.nodes, grid.substages, grid.dt
     mt = _substages(grid, m)
@@ -213,7 +220,7 @@ def solve_gamma(params: ModelParams, beta: Trajectory, alpha: Trajectory,
     # alpha's own ODE supplies its slopes
     dav = -a * av - (abar * bv - qbar(nodes)) * mv + params.kappa(nodes) * bv * av
     avt = _substages(grid, alpha, dav)
-    f = (-abar * avt * mt - 0.5 * sigma ** 2 * _beta_substages(params, beta, grid)
+    f = (-abar * avt * mt - 0.5 * sigma ** 2 * bt
          - 0.5 * qbar(t) * mt * mt + 0.5 * params.kappa(t) * avt * avt)
     # the midpoint weight 4 summed as 2 + 2, in the order RK4 summed it
     incr = h / 6 * (f[0] + 2 * f[1] + 2 * f[1] + f[2])
@@ -223,15 +230,15 @@ def solve_gamma(params: ModelParams, beta: Trajectory, alpha: Trajectory,
     return Trajectory(grid, vals)
 
 
-def solve_eta(params: ModelParams, beta: Trajectory,
-              grid: TimeGrid) -> tuple[Trajectory, SolveStatus]:
+def solve_eta(params: ModelParams, beta: Beta, grid: TimeGrid) -> tuple[Trajectory, SolveStatus]:
     """Solve the refined equation for eta with alpha = eta * m.
 
     For the risk-neutral variant (kappa = lam = b^2/r) this is exactly the
     refined equation; the other variants use the same substitution carried
     through their state loop, validated against the fixed-point route.
+    ValueError when beta was solved for other params or grid.
     """
-    bv = _beta_substages(params, beta, grid)
+    bv = beta.solved_for(params, grid).substages
     abar, t = params.abar, grid.substages
     lam = params.lam(t)
     kap = lam - params.theta_term

@@ -15,10 +15,10 @@ from lqmfg.equilibrium import (
     apply_phi,
 )
 from lqmfg.model import ModelParams, TimeGrid, Trajectory
-from lqmfg.riccati import _alpha_tables
+from lqmfg.riccati import Beta
 
 
-def solve_picard(params: ModelParams, beta: Trajectory, grid: TimeGrid,
+def solve_picard(params: ModelParams, beta: Beta, grid: TimeGrid,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                  initial: Trajectory | None = None):
     """Iterate m <- Phi[m] from initial (default the constant m0) until the
@@ -26,16 +26,15 @@ def solve_picard(params: ModelParams, beta: Trajectory, grid: TimeGrid,
     that of the returned iterate itself.  NonConvergenceError after
     max_iter steps."""
     m = initial if initial is not None else Trajectory.constant(grid, params.m0)
-    tables = _alpha_tables(params, beta, grid)
     history: list[float] = []
     for it in range(1, max_iter + 1):
-        phi = apply_phi(params, beta, m, grid, tables=tables)
+        phi = apply_phi(params, beta, m, grid)
         res = float(np.max(np.abs(phi.values - m.values)))
         history.append(res)
         m = phi
         if res <= tol:
-            final = apply_phi(params, beta, m, grid, tables=tables)
+            final = apply_phi(params, beta, m, grid)
             res = float(np.max(np.abs(final.values - m.values)))
-            return _finalize(params, beta, m, grid, tables, it, res,
+            return _finalize(params, beta, m, grid, it, res,
                              history=tuple(history))
     raise NonConvergenceError(history)

@@ -102,6 +102,9 @@ def test_tracer_reads_every_hook(tmp_path, monkeypatch):
     # simulation grid: m, 4 gains of each of the saddle check's 3 policies,
     # and beta, alpha of its Girsanov one; the solvers read node values
     assert metrics["model.traj_evals"] == 1 + 3 * 4 + 2
+    # Coefficient.__call__: beta's substage table and alpha's coefficient
+    # tables are built once per instance (219 when every solve rebuilt them)
+    assert metrics["model.coef_evals"] == 175
     assert metrics["simulate.path_steps"] == 64 * 40
     # solve and verify ran the same solve; at n_steps = 20 both routes are
     # second order, so they agree to about 3e-5

@@ -120,6 +120,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_undecodable_file_is_one_line_config_error(self, tmp_path, capsys, command):
+        # a UTF-16 file with its byte-order mark, ff fe, is not UTF-8
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xff\xfe" + BENCH_CFG.encode("utf-16-le"))
+        assert main([command, "--config", str(path), "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: config file {path} is not UTF-8: 'utf-8' codec can't "
+            "decode byte 0xff in position 0: invalid start byte\n")
+
     def test_sweep_section(self, tmp_path):
         text = BENCH_CFG + "\n[sweep]\nparameter = theta\nstart = 0\nstop = 1\ncount = 5\n"
         cfg = parse_config(write_cfg(tmp_path, text))

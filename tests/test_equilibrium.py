@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,9 +8,12 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from lqmfg.model import Coefficient, TimeGrid, Trajectory, Variant
-from lqmfg.riccati import _alpha_tables, solve_alpha, solve_beta
+from lqmfg.cli import RunConfig, run_solve_pipeline
+from lqmfg.riccati import Beta, solve_beta
+from lqmfg.simulate import SimConfig
 from lqmfg.equilibrium import (
     DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     BlowUpError,
     NonConvergenceError,
     _cumulative_trapezoid,
@@ -65,14 +69,27 @@ class TestApplyPhi:
         {"variant": Variant.ROBUST_RISK_SENSITIVE, "c": 0.5, "theta": 0.25,
          "q": Coefficient(np.array([1.0, 1.5, 0.8, 1.2]), np.linspace(0.0, 1.0, 4))},
     ], ids=["risk_neutral", "robust_risk_sensitive_tabulated"])
-    def test_shared_tables_change_nothing(self, grid, overrides):
-        # the tables a Picard solve builds once give what each call would build
-        p = make_params(**overrides)
-        beta, _ = solve_beta(p, grid)
-        m = Trajectory(grid, 1.0 + 0.3 * np.sin(3.0 * grid.nodes))
-        tables = _alpha_tables(p, beta, grid)
-        np.testing.assert_array_equal(apply_phi(p, beta, m, grid, tables=tables).values,
-                                      apply_phi(p, beta, m, grid).values)
+    def test_beta_tables_built_once_per_instance(self, grid, monkeypatch, overrides):
+        # beta does not involve m: both routes and the conditions share one
+        # substage table and one set of alpha's coefficient tables
+        builds = {name: [] for name in ("substages", "alpha_tables")}
+        for name, calls in builds.items():
+            build = getattr(Beta, name).func
+
+            def counted(beta, build=build, calls=calls):
+                calls.append(beta)
+                return build(beta)
+
+            prop = functools.cached_property(counted)
+            prop.__set_name__(Beta, name)
+            monkeypatch.setattr(Beta, name, prop)
+        cfg = RunConfig(params=make_params(**overrides), grid=grid,
+                        sim=SimConfig(n_paths=2, dt_sim=1e-3, seed=0),
+                        tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
+        out = run_solve_pipeline(cfg)
+        assert out.eq_picard.beta is out.eq_closed.beta
+        assert builds == {"substages": [out.eq_picard.beta],
+                          "alpha_tables": [out.eq_picard.beta]}
 
 
 class TestCumulativeTrapezoid:
@@ -318,8 +335,13 @@ class TestCheckConditions:
         p = make_params(variant=Variant.ROBUST, c=1.0, s=1.0)  # c^2/s = b^2/r
         assert admissibility_margin(p, grid) == pytest.approx(0.0, abs=1e-15)
 
-    def test_risk_sensitive_reports_both_bounds(self, grid):
-        p = make_params(variant=Variant.RISK_SENSITIVE, theta=0.25)
+    @pytest.mark.parametrize("overrides", [
+        {"variant": Variant.RISK_SENSITIVE},
+        {"variant": Variant.ROBUST_RISK_SENSITIVE, "c": 0.5},
+    ], ids=["risk_sensitive", "robust_risk_sensitive"])
+    def test_risk_sensitive_reports_both_bounds(self, grid, overrides):
+        # kappa and lam differ by theta sigma^2 in both theta variants
+        p = make_params(theta=0.25, **overrides)
         beta, _ = solve_beta(p, grid)
         rep = check_conditions(p, beta, grid)
         assert rep.alt_g_tilde is not None

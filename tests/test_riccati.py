@@ -9,6 +9,7 @@ from scipy.interpolate import CubicHermiteSpline
 from lqmfg.equilibrium import admissible_beta, solve_equilibrium_closed_form
 from lqmfg.model import TimeGrid, Trajectory, Variant
 from lqmfg.riccati import (
+    Beta,
     _substages,
     assemble_value,
     solve_alpha,
@@ -465,3 +466,42 @@ class TestAssembleValue:
         gamma = solve_gamma(p, beta, alpha, m, grid)
         v = assemble_value(p, beta, alpha, gamma)
         assert v.exp_value == pytest.approx(math.exp(0.25 * v.value_at_0))
+
+
+class TestBetaTables:
+    """beta carries the tables that do not involve the mean path."""
+
+    def rrs(self, **overrides):
+        return make_params(**{"variant": Variant.ROBUST_RISK_SENSITIVE, "c": 0.5,
+                              "theta": 0.25, "q": tabulated(1.0, 1.5, 0.8, 1.2),
+                              "r": tabulated(1.0, 0.8, 1.2), **overrides})
+
+    def test_tables_are_the_formulas_bit_for_bit(self, grid):
+        p = self.rrs()
+        beta, _ = solve_beta(p, grid)
+        assert isinstance(beta, Beta) and beta.params is p
+        nodes, t, v = grid.nodes, grid.substages, beta.values
+        # the slopes from beta's own ODE at the nodes
+        slopes = p.kappa(nodes) * v * v - 2 * p.a * v - (p.q(nodes) + p.qbar(nodes))
+        np.testing.assert_array_equal(beta.substages, _substages(grid, beta, slopes))
+        w, c1 = beta.alpha_tables
+        np.testing.assert_array_equal(w, -(p.abar * beta.substages - p.qbar(t)))
+        np.testing.assert_array_equal(c1, -p.a + p.kappa(t) * beta.substages)
+        assert beta.substages is beta.substages
+        assert beta.alpha_tables is beta.alpha_tables
+
+    @pytest.mark.parametrize("other", ["grid", "params"])
+    def test_beta_for_another_instance_is_refused(self, grid, other):
+        p = self.rrs()
+        m = Trajectory.constant(grid, 1.0)
+        alpha = solve_alpha(p, admissible_beta(p, grid), m, grid)
+        if other == "grid":
+            beta, match = admissible_beta(p, TimeGrid(T=1.0, n_steps=500)), "n_steps"
+        else:
+            beta, match = admissible_beta(self.rrs(theta=0.3), grid), "other params"
+        with pytest.raises(ValueError, match=match):
+            solve_alpha(p, beta, m, grid)
+        with pytest.raises(ValueError, match=match):
+            solve_gamma(p, beta, alpha, m, grid)
+        with pytest.raises(ValueError, match=match):
+            solve_eta(p, beta, grid)
