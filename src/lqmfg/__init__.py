@@ -38,7 +38,6 @@ from .simulate import (
     estimate_exponential_cost,
     estimate_girsanov_normalization,
     estimate_quadratic_value,
-    estimate_risk_neutral_cost,
     per_path_cost,
     saddle_check,
     simulate_paths,

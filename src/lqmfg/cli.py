@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -256,12 +257,16 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, newline="\n")
 
 
-def _float_csv(path: Path, header: list[str], times: list[str],
-               *columns: np.ndarray) -> None:
-    """A CSV of a formatted time column and float columns, each float as
+def _rows_format(times: list[str], n_columns: int) -> str:
+    """The %-format of a CSV's rows: each formatted time, then n_columns floats."""
+    row = ",%.17g" * n_columns + "\n"
+    return "".join(t + row for t in times)
+
+
+def _float_csv(path: Path, header: list[str], rows: str, *columns: np.ndarray) -> None:
+    """A CSV of float columns under their _rows_format, each float as
     fmt_float renders it, by one %-format call over the whole table."""
-    row = ",%.17g" * len(columns) + "\n"
-    table = "".join(t + row for t in times) % tuple(np.column_stack(columns).ravel().tolist())
+    table = rows % tuple(np.column_stack(columns).ravel().tolist())
     _write(path, ",".join(header) + "\n" + table)
 
 
@@ -345,14 +350,15 @@ def cmd_solve(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
     times = ("%.17g\n" * nodes.size % tuple(nodes.tolist())).split()
     curves = {"m": eq.m, "beta": eq.beta, "alpha": eq.alpha,
               "gamma": eq.gamma, "eta": out.eq_closed.eta}
+    one_column = _rows_format(times, 1)
     for name, curve in curves.items():
-        _float_csv(out_dir / f"{name}.csv", ["t", name], times, curve.values)
+        _float_csv(out_dir / f"{name}.csv", ["t", name], one_column, curve.values)
     v = eq.value
     gains = {"feedback_gain": v.feedback_gain, "feedback_offset": v.feedback_offset}
     if cfg.params.variant.uses_disturbance:
         gains |= {"disturbance_gain": v.disturbance_gain,
                   "disturbance_offset": v.disturbance_offset}
-    _float_csv(out_dir / "gains.csv", ["t", *gains], times,
+    _float_csv(out_dir / "gains.csv", ["t", *gains], _rows_format(times, len(gains)),
                *(g.values for g in gains.values()))
     files = [f"{name}.csv" for name in curves] + ["gains.csv"]
 
@@ -596,6 +602,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache    # built once per process; parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="lqmfg", description="scalar LQ mean-field game solver")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -19,6 +19,8 @@ midpoint and start (TimeGrid.substages), and the loop applies the resulting
 Moebius map to y.  A solve that reads another solution samples it there too
 (_substages).  beta does not involve m, so the Beta that solve_beta returns
 carries its own substage values and alpha's coefficients there, built once.
+alpha is linear (c2 = 0): Beta carries its affine steps' products, which
+solve_alpha scans; the loop serves beta, eta and alpha's guarded fallback.
 The propagator is exact for constant coefficients.  A finite escape
 ("blow-up") is a pole of y, i.e. q reaching zero, located inside its step;
 it is reported as a status, never as an overflow.  gamma is a quadrature.
@@ -43,6 +45,8 @@ __all__ = [
     "solve_eta",
     "assemble_value",
 ]
+
+SCAN_BLOCK = 32     # steps per block of alpha's affine scan
 
 @dataclass(frozen=True)
 class SolveStatus:
@@ -96,6 +100,7 @@ def _propagate(coefs: tuple, yT: float, grid: TimeGrid) -> tuple[np.ndarray, flo
     consumed.  When an exponent overflows (a coefficient times the step
     beyond the float range), or y outgrows the floats under a step map
     without a pole (E10 = 0), the values are all NaN and there is no escape.
+    The loop serves beta, eta and alpha's fallback (see solve_alpha).
     """
     n, h = grid.n_steps, grid.dt
     t1 = grid.nodes[1:]
@@ -186,6 +191,28 @@ class Beta(Trajectory):
         p, t, bv = self.params, self.grid.substages, self.substages
         return -(p.abar * bv - p.qbar(t)), -p.a + p.kappa(t) * bv
 
+    @cached_property
+    def alpha_scan(self) -> tuple | None:
+        """(F U / P, F V / P, P, P at block ends) of alpha's steps y <- A y + F w12
+        (A = exp(2 nn), F = expm1(2 nn) / (2 nn) as c2 = 0), last step first:
+        P runs over blocks of SCAN_BLOCK steps, w12 = U m_k+1 + V m_k.  None
+        when a P leaves [1e-300, 1e300] or an entry is not finite."""
+        w, c1 = self.alpha_tables
+        n, h = self.grid.n_steps, self.grid.dt
+        x = np.zeros(n + -n % SCAN_BLOCK)      # 2 nn
+        x[:n] = (-h / 6 * (c1[0] + 4 * c1[1] + c1[2]))[::-1]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            f = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+            # exp of a sum rounds once; a product of rounded exp(x) drifts
+            prod = np.exp(np.cumsum(x.reshape(-1, SCAN_BLOCK), axis=1))
+            f_over = (f.reshape(prod.shape) / prod).ravel()[:n]
+            # _propagate's w12 of c0 = w (m_k+1, (m_k+1 + m_k) / 2, m_k)
+            u = f_over * (-h / 6 * (w[0] + 2 * w[1]) + h * h / 12 * c1[2] * w[0])[::-1]
+            v = f_over * (-h / 6 * (2 * w[1] + w[2]) - h * h / 12 * c1[0] * w[2])[::-1]
+            if np.isfinite(u + v).all() and ((prod >= 1e-300) & (prod <= 1e300)).all():
+                return u, v, prod, prod[:, -1].tolist()
+        return None
+
 
 def solve_beta(params: ModelParams, grid: TimeGrid) -> tuple[Beta, SolveStatus]:
     """Solve the quadratic value-coefficient equation backward from T."""
@@ -197,10 +224,24 @@ def solve_beta(params: ModelParams, grid: TimeGrid) -> tuple[Beta, SolveStatus]:
 def solve_alpha(params: ModelParams, beta: Beta, m: Trajectory, grid: TimeGrid) -> Trajectory:
     """Solve the linear value-coefficient equation for a given mean path;
     ValueError when beta was solved for other params or grid, or m is on another grid."""
-    w, c1 = beta.solved_for(params, grid).alpha_tables
-    # linear (c2 = 0): the propagator's map is affine and q never vanishes
-    vals, _ = _propagate((w * _substages(grid, m), c1, 0.0),
-                         -params.qbarT * m.values[-1], grid)
+    beta = beta.solved_for(params, grid)
+    mv, yT = m.values, -params.qbarT * m.values[-1]
+    if beta.alpha_scan is not None and m.grid == grid:
+        # y = P (y_start + cumsum(F w12 / P)) in each block, y_start carried across
+        u, v, prod, ends = beta.alpha_scan
+        terms = np.zeros(prod.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms[:u.size] = u * mv[:0:-1] + v * mv[-2::-1]
+            sums = np.cumsum(terms.reshape(prod.shape), axis=1)
+            starts = [float(yT)]
+            for end, total in zip(ends[:-1], sums[:-1, -1].tolist()):
+                starts.append(end * (starts[-1] + total))
+            vals = (prod * (np.array(starts)[:, None] + sums)).ravel()[u.size - 1::-1]
+        if np.isfinite(vals).all():
+            return Trajectory(grid, np.append(vals, yT))
+    # the loop where the scan leaves the floats; _substages refuses m on another grid
+    w, c1 = beta.alpha_tables
+    vals, _ = _propagate((w * _substages(grid, m), c1, 0.0), yT, grid)
     return Trajectory(grid, vals)
 
 

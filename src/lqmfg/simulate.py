@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import Equilibrium
-from .model import ModelParams, Trajectory
+from .equilibrium import Equilibrium, _cumulative_trapezoid
+from .model import Coefficient, ModelParams, Trajectory
 from .riccati import ValueCoefficients
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "simulate_paths",
     "path_blocks",
     "per_path_cost",
-    "estimate_risk_neutral_cost",
     "estimate_quadratic_value",
     "estimate_exponential_cost",
     "estimate_girsanov_normalization",
@@ -379,10 +378,6 @@ def per_path_cost(ensemble: PathEnsemble, params: ModelParams) -> np.ndarray:
     return ensemble.run_cost + terminal
 
 
-def estimate_risk_neutral_cost(ensemble: PathEnsemble, params: ModelParams) -> MCEstimate:
-    return _mc_estimate(per_path_cost(ensemble, params), ensemble.antithetic)
-
-
 def estimate_quadratic_value(ensemble: PathEnsemble, params: ModelParams) -> MCEstimate:
     """Paired mean of L + (theta/2) int g^2 dt, g = sigma (beta x + alpha).
 
@@ -431,10 +426,11 @@ def _excess_kurtosis(x: np.ndarray) -> float:
     return float((d2 ** 2).mean() / m2 ** 2 - 3.0)
 
 
-def _trapz_weight_integral(coef, T: float, n: int = 4096) -> float:
-    t = np.linspace(0.0, T, n + 1)
-    y = np.asarray(coef(t), dtype=float)
-    return float(np.sum(np.diff(t) * (y[1:] + y[:-1]) / 2.0))
+def _trapz_weight_integral(coef: Coefficient, T: float) -> float:
+    """The integral over [0, T] of a weight, linear between its own nodes and
+    constant beyond them: the trapezoid rule on those nodes, 0 and T is exact."""
+    t = np.unique(np.clip(np.concatenate(([0.0, T], coef.sample_points(T))), 0.0, T))
+    return float(_cumulative_trapezoid(coef(t), t)[-1])
 
 
 def _certainty_equivalent_gap(L_hi: np.ndarray, L_lo: np.ndarray, theta: float,

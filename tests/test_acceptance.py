@@ -25,7 +25,7 @@ from lqmfg.simulate import (
     _mc_estimate,
     estimate_exponential_cost,
     estimate_girsanov_normalization,
-    estimate_risk_neutral_cost,
+    estimate_quadratic_value,
     per_path_cost,
     saddle_check,
     simulate_paths,
@@ -122,7 +122,7 @@ def test_criterion_04_mean_consistency(bench_eq, bench_ensemble):
 
 def test_criterion_05_value_identity_and_control_gap(bench_eq, bench_ensemble):
     p, eq = bench_eq
-    cost = estimate_risk_neutral_cost(bench_ensemble, p)
+    cost = estimate_quadratic_value(bench_ensemble, p)
     theory = eq.value.value_at_0
     bias = 1e-3 * max(1.0, abs(theory))  # Euler-Maruyama, O(dt_sim)
     ok_value = abs(cost.mean - theory) <= 3 * cost.std_error + bias

@@ -90,7 +90,10 @@ def test_tracer_reads_every_hook(tmp_path, monkeypatch):
     assert codes[0] == codes[2] == cli.EXIT_OK
     assert codes[1] in (cli.EXIT_OK, cli.EXIT_VERIFY_FAIL)
     metrics = tracer_mod.layer_metrics(tracer, tracer.counts())
-    assert metrics["riccati.solve_alpha.calls"] > 0
+    # per solve, 10 Phi and the finalizing solve of each route, the closed
+    # form's residual Phi: 13 in solve and in verify; 2 in the sweep's one
+    # row without an escape
+    assert metrics["riccati.solve_alpha.calls"] == 2 * 13 + 2
     # Phi applications of the fixed-point route, 10 each in solve and verify
     # (Picard took 19 steps each)
     assert metrics["equilibrium.picard.iterations"] == 20

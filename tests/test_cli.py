@@ -318,7 +318,8 @@ max_iter = 20
         columns = (np.array([math.nan, -0.0, math.inf, -math.inf]),
                    np.array([1e-320, 0.1, -2.5e300, 1.0]))
         path = tmp_path / "x.csv"
-        cli._float_csv(path, ["t", "u", "v"], [fmt_float(t) for t in times], *columns)
+        cli._float_csv(path, ["t", "u", "v"],
+                       cli._rows_format([fmt_float(t) for t in times], 2), *columns)
         expected = "t,u,v\n" + "".join(",".join(map(fmt_float, row)) + "\n"
                                        for row in zip(times, *columns))
         assert path.read_bytes() == expected.encode()
@@ -400,6 +401,19 @@ class TestUsageErrors:
     def test_usage_error_is_one_line_config_error(self, capsys, argv, message):
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_commands_in_one_process_share_the_parser(self, tmp_path, capsys):
+        # the parser is built once per process; --workers belongs to sweep only
+        path = write_cfg(tmp_path, TestSweepCommand.SWEEP)
+        runs = [["solve", "--config", path, "--out-dir", str(tmp_path / "s"), "--quiet"],
+                ["sweep", "--config", path, "--out-dir", str(tmp_path / "w"),
+                 "--workers", "2", "--quiet"],
+                ["solve", "--config", path, "--workers", "2"]]
+        results = [(main(argv), capsys.readouterr().err) for argv in runs]
+        assert results == [(EXIT_OK, ""), (EXIT_OK, ""),
+                           (EXIT_CONFIG, "config error: unrecognized arguments: --workers 2\n")]
+        assert (tmp_path / "s" / "m.csv").is_file() and (tmp_path / "w" / "sweep.csv").is_file()
+        assert cli._build_parser() is cli._build_parser()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

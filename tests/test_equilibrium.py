@@ -71,8 +71,9 @@ class TestApplyPhi:
     ], ids=["risk_neutral", "robust_risk_sensitive_tabulated"])
     def test_beta_tables_built_once_per_instance(self, grid, monkeypatch, overrides):
         # beta does not involve m: both routes and the conditions share one
-        # substage table and one set of alpha's coefficient tables
-        builds = {name: [] for name in ("substages", "alpha_tables")}
+        # substage table, one set of alpha's coefficient tables and one set
+        # of its scan tables
+        builds = {name: [] for name in ("substages", "alpha_tables", "alpha_scan")}
         for name, calls in builds.items():
             build = getattr(Beta, name).func
 
@@ -88,8 +89,7 @@ class TestApplyPhi:
                         tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         out = run_solve_pipeline(cfg)
         assert out.eq_picard.beta is out.eq_closed.beta
-        assert builds == {"substages": [out.eq_picard.beta],
-                          "alpha_tables": [out.eq_picard.beta]}
+        assert builds == dict.fromkeys(builds, [out.eq_picard.beta])
 
 
 class TestCumulativeTrapezoid:

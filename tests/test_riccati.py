@@ -1,8 +1,9 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
@@ -10,6 +11,7 @@ from lqmfg.equilibrium import admissible_beta, solve_equilibrium_closed_form
 from lqmfg.model import TimeGrid, Trajectory, Variant
 from lqmfg.riccati import (
     Beta,
+    _propagate,
     _substages,
     assemble_value,
     solve_alpha,
@@ -505,3 +507,89 @@ class TestBetaTables:
             solve_gamma(p, beta, alpha, m, grid)
         with pytest.raises(ValueError, match=match):
             solve_eta(p, beta, grid)
+
+
+class TestAlphaScan:
+    """alpha's blocked affine scan against the propagator's loop it replaces."""
+
+    @staticmethod
+    def loop_and_scan(p, beta, grid, m):
+        w, c1 = beta.alpha_tables
+        loop, _ = _propagate((w * _substages(grid, m), c1, 0.0), -p.qbarT * m.values[-1], grid)
+        return loop, solve_alpha(p, beta, m, grid).values
+
+    @staticmethod
+    def composed_in_decimals(p, beta, grid, m):
+        """The same steps y <- e^x y + w12 (e^x - 1) / x composed in 40 digits."""
+        w, c1 = beta.alpha_tables
+        c0 = w * _substages(grid, m)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            h = Decimal(grid.dt)
+            y = Decimal(float(-p.qbarT * m.values[-1]))
+            out = [y]
+            for k in range(grid.n_steps - 1, -1, -1):
+                a0, a1, a2 = (Decimal(float(v)) for v in c1[:, k])
+                b0, b1, b2 = (Decimal(float(v)) for v in c0[:, k])
+                x = -h / 6 * (a0 + 4 * a1 + a2)
+                w12 = -h / 6 * (b0 + 4 * b1 + b2) - h * h / 12 * (a0 * b2 - a2 * b0)
+                e = x.exp()
+                y = e * y + (w12 * (e - 1) / x if x else w12)
+                out.append(y)
+        return np.array([float(v) for v in out[::-1]])
+
+    @settings(max_examples=60, deadline=None)
+    @example(variant=Variant.RISK_NEUTRAL, n_steps=1000, a=0.625, abar=0.0, q=0.0, qbar=1.6953125,
+             r=2.0, qbarT=0.0, T=2.0, c=0.0, theta=0.0, m_shape=(1.0, 0.0, 0.0))
+    @given(variant=st.sampled_from(list(Variant)), n_steps=st.sampled_from([2, 31, 32, 33, 1000]),
+           a=st.floats(-3.0, 3.0), abar=st.floats(-1.0, 1.0), q=st.floats(0.0, 2.0),
+           qbar=st.floats(0.0, 2.0), r=st.floats(0.5, 2.0), qbarT=st.floats(0.0, 1.0),
+           T=st.floats(0.2, 2.0), c=st.floats(0.0, 0.7), theta=st.floats(0.0, 0.5),
+           m_shape=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 10.0)))
+    def test_matches_the_loop_on_generated_instances(self, variant, n_steps, a, abar, q, qbar,
+                                                     r, qbarT, T, c, theta, m_shape):
+        p = make_params(variant=variant, a=a, abar=abar, q=tabulated(q, 1.0, 2.0 - q),
+                        qbar=qbar, r=r, qbarT=qbarT, T=T, c=c, theta=theta)
+        grid = TimeGrid(T=T, n_steps=n_steps)
+        level, amplitude, freq = m_shape
+        m = Trajectory(grid, level + amplitude * np.sin(freq * grid.nodes))
+        beta, status = solve_beta(p, grid)
+        assume(status.admissible)
+        loop, scan = self.loop_and_scan(p, beta, grid, m)
+        assert beta.alpha_scan is not None
+        # the loop's own rounding drifts from its exact composition (by
+        # 1.1e-14 over 1000 steps of a = 0.625, T = 2, m = 1), so the scan
+        # gets 1e-14 against the exact composition and, beyond the loop's
+        # own error, against the loop; below the normal floats rounding is
+        # absolute
+        exact = self.composed_in_decimals(p, beta, grid, m)
+        tol = 1e-14 * np.max(np.abs(exact)) + np.finfo(float).tiny
+        assert np.max(np.abs(scan - exact)) <= tol
+        assert np.max(np.abs(scan - loop)) <= tol + np.max(np.abs(loop - exact))
+
+    @pytest.mark.parametrize("a", [800.0, -800.0])
+    def test_stiff_drift_takes_the_scan(self, grid, a):
+        p, m = make_params(a=a), Trajectory(grid, np.cos(grid.nodes))
+        beta = admissible_beta(p, grid)
+        loop, scan = self.loop_and_scan(p, beta, grid, m)
+        assert beta.alpha_scan is not None
+        assert np.max(np.abs(scan - loop)) <= 1e-14 * np.max(np.abs(loop))
+
+    @pytest.mark.parametrize("a", [30000.0, -30000.0])
+    def test_products_beyond_the_floats_take_the_loop(self, grid, a):
+        # h |c1| is about 30: 32 steps multiply y by e^{+-960}
+        p, m = make_params(a=a), Trajectory(grid, np.cos(grid.nodes))
+        beta = admissible_beta(p, grid)
+        loop, scan = self.loop_and_scan(p, beta, grid, m)
+        _, c1 = beta.alpha_tables
+        assert grid.dt * np.max(np.abs(c1)) > 22.0
+        assert beta.alpha_scan is None
+        np.testing.assert_array_equal(scan, loop)
+
+    def test_sums_beyond_the_floats_take_the_loop(self, grid):
+        # the tables hold (P reaches e^-26 in a block), but F w12 / P overflows
+        p, m = make_params(a=-800.0), Trajectory(grid, np.full(grid.n_steps + 1, 1e302))
+        beta = admissible_beta(p, grid)
+        loop, scan = self.loop_and_scan(p, beta, grid, m)
+        assert beta.alpha_scan is not None and np.isfinite(loop).all()
+        np.testing.assert_array_equal(scan, loop)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from lqmfg.simulate import (
     SimConfig,
     estimate_exponential_cost,
     estimate_girsanov_normalization,
-    estimate_risk_neutral_cost,
     _excess_kurtosis,
     _trapz_weight_integral,
     _mc_estimate,
@@ -31,7 +31,7 @@ from lqmfg.simulate import (
     simulate_paths,
 )
 from lqmfg import simulate
-from conftest import make_params
+from conftest import make_params, tabulated
 
 
 @pytest.fixture(scope="module")
@@ -418,7 +418,6 @@ class TestEstimators:
     def test_quadratic_value_needs_accumulators_only_with_theta(self, bench_eq):
         p, eq = bench_eq
         [ens] = simulate_paths(p, [Policy()], eq.m, small_config())
-        assert estimate_quadratic_value(ens, p) == estimate_risk_neutral_cost(ens, p)
         with pytest.raises(ValueError):
             estimate_quadratic_value(ens, make_params(variant=Variant.RISK_SENSITIVE,
                                                       theta=0.25))
@@ -430,7 +429,7 @@ class TestEstimators:
         eq = solve_equilibrium_picard(p, admissible_beta(p, g), g)
         [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m,
                                SimConfig(n_paths=2, dt_sim=1.0 / 2000, seed=0))
-        est = estimate_risk_neutral_cost(ens, p)
+        est = estimate_quadratic_value(ens, p)
         assert est.std_error <= 1e-12
         assert est.mean == pytest.approx(eq.value.value_at_0, abs=2e-3)
 
@@ -442,7 +441,7 @@ class TestEstimators:
     def test_estimate_type(self, bench_eq):
         p, eq = bench_eq
         [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config())
-        est = estimate_risk_neutral_cost(ens, p)
+        est = estimate_quadratic_value(ens, p)
         assert isinstance(est, MCEstimate)
         assert est.n_paths == 256
         assert est.std_error > 0.0
@@ -482,6 +481,35 @@ class TestMomentHelpers:
             float(scipy.integrate.trapezoid(r(t), t)), rel=1e-14)
         assert _trapz_weight_integral(Coefficient(1.5), 2.0) == pytest.approx(
             3.0, rel=1e-14)
+
+    @staticmethod
+    def old_4096_point_trapezoid(coef, T):
+        t = np.linspace(0.0, T, 4097)
+        y = coef(t)
+        return float(np.sum(np.diff(t) * (y[1:] + y[:-1]) / 2.0))
+
+    @pytest.mark.parametrize("values", [(1.0, 0.8, 1.2), (1.0, 1.5, 0.8, 1.2, 2.0), (2.5,)])
+    def test_weight_integral_matches_the_old_grid(self, values):
+        # nodes equally spaced as a config spreads them, on the old grid
+        w = Coefficient(values[0]) if len(values) == 1 else tabulated(*values)
+        assert _trapz_weight_integral(w, 1.0) == pytest.approx(
+            self.old_4096_point_trapezoid(w, 1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("times, values, T", [
+        ((0.0, 0.3, 0.7, 1.0), (1.0, 2.5, 0.4, 1.1), 1.0),
+        ((0.13, 0.35, 0.9), (0.5, 3.0, 1.5), 1.0),     # constant beyond the nodes
+        ((0.0, 0.45, 3.0), (1.0, 4.0, 0.2), 2.0),      # the last node beyond T
+    ])
+    def test_weight_integral_is_exact_between_old_grid_points(self, times, values, T):
+        w = Coefficient(np.array(values), np.array(times))
+        # piece by piece in rationals: the weight is linear between 0, the
+        # nodes inside (0, T) and T
+        pts = [0.0, *(t for t in times if 0.0 < t < T), T]
+        exact = sum((Fraction(hi) - Fraction(lo)) * (Fraction(w(lo)) + Fraction(w(hi))) / 2
+                    for lo, hi in zip(pts, pts[1:]))
+        assert _trapz_weight_integral(w, T) == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+        # the kinks sit between the old grid's points, which missed them
+        assert abs(self.old_4096_point_trapezoid(w, T) - float(exact)) > 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -561,7 +589,8 @@ class TestThetaTheories:
             [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, cfg)
             value = eq.value.value_at_0
             slack = dt_sim * max(1.0, abs(value))    # verify's Euler allowance
-            new, old = estimate_quadratic_value(ens, p), estimate_risk_neutral_cost(ens, p)
+            new = estimate_quadratic_value(ens, p)
+            old = _mc_estimate(per_path_cost(ens, p), antithetic=False)
             assert abs(new.mean - value) <= 3 * new.std_error + slack
             assert value - old.mean > 3 * old.std_error + slack
             if not variant.uses_disturbance:
