@@ -253,21 +253,16 @@ def echo_instance(params: ModelParams, grid: TimeGrid) -> str:
     return "\n".join(lines)
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, newline="\n")
-
-
 def _rows_format(times: list[str], n_columns: int) -> str:
     """The %-format of a CSV's rows: each formatted time, then n_columns floats."""
     row = ",%.17g" * n_columns + "\n"
     return "".join(t + row for t in times)
 
 
-def _float_csv(path: Path, header: list[str], rows: str, *columns: np.ndarray) -> None:
+def _float_csv(header: list[str], rows: str, *columns: np.ndarray) -> str:
     """A CSV of float columns under their _rows_format, each float as
     fmt_float renders it, by one %-format call over the whole table."""
-    table = rows % tuple(np.column_stack(columns).ravel().tolist())
-    _write(path, ",".join(header) + "\n" + table)
+    return ",".join(header) + "\n" + rows % tuple(np.column_stack(columns).ravel().tolist())
 
 
 def _require_valid(params: ModelParams) -> None:
@@ -318,92 +313,88 @@ def run_solve_pipeline(cfg: RunConfig) -> SolveOutput:
     return SolveOutput(eq_p, eq_c, conds, gap)
 
 
-def cmd_solve(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
-    report: list[str] = [f"variant = {cfg.params.variant.value}", ""]
-    summary: dict[str, str] = {"variant": cfg.params.variant.value}
+@dataclass
+class Run:
+    """A command's result, no I/O done: exit code, files (name -> text) and stdout lines."""
+    code: int
+    files: dict[str, str]
+    lines: list[str]
+
+
+def write_run(run: Run, out_dir: Path) -> None:
+    """Write the run's files; one that cannot be written is a config error."""
+    for name, text in run.files.items():
+        try:
+            (out_dir / name).write_text(text, newline="\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_dir / name}: {exc.strerror}") from None
+
+
+def _failure(exc: BlowUpError | NonConvergenceError) -> tuple[int, dict[str, str]]:
+    """The exit code of a failed solve and its failure fields, in order."""
+    if isinstance(exc, BlowUpError):
+        return EXIT_BLOWUP, {"status": "blow_up", "equation": exc.which,
+                             "blow_up_time": fmt_float(exc.status.blow_up_time)}
+    return EXIT_NONCONVERGENCE, {"status": "non_convergence", "reason": exc.reason,
+                                 "iterations": str(len(exc.residual_history)),
+                                 "last_residual": fmt_float(exc.residual_history[-1])}
+
+
+def _field_lines(values: dict[str, str]) -> list[str]:
+    return [f"{k} = {v}" for k, v in values.items()]
+
+
+def cmd_solve(cfg: RunConfig) -> Run:
     try:
         out = run_solve_pipeline(cfg)
-    except BlowUpError as exc:
-        report += [f"status = blow_up ({exc.which})",
-                   f"blow_up_time = {fmt_float(exc.status.blow_up_time)}"]
-        summary["status"] = "blow_up"
-        summary["blow_up_time"] = fmt_float(exc.status.blow_up_time)
-        _finish_report(cfg, out_dir, report, summary, files=[])
-        if not quiet:
-            print(f"blow-up at t = {exc.status.blow_up_time:g}")
-        return EXIT_BLOWUP
-    except NonConvergenceError as exc:
-        report += ["status = non_convergence",
-                   f"reason = {exc.reason}",
-                   f"iterations = {len(exc.residual_history)}",
-                   f"last_residual = {fmt_float(exc.residual_history[-1])}"]
-        summary["status"] = "non_convergence"
-        summary["reason"] = exc.reason
-        summary["last_residual"] = fmt_float(exc.residual_history[-1])
-        _finish_report(cfg, out_dir, report, summary, files=[])
-        if not quiet:
-            print("fixed-point iteration did not converge")
-        return EXIT_NONCONVERGENCE
+    except (BlowUpError, NonConvergenceError) as exc:
+        code, status = _failure(exc)
+        run, body = Run(code, {}, [str(exc)]), _field_lines(status)
+    else:
+        run, status, body = _solved(cfg, out)
+    summary = {"variant": cfg.params.variant.value, **status}
+    echo = echo_instance(cfg.params, cfg.grid)
+    report = [f"variant = {summary['variant']}", "", *body, "", "files:",
+              *(f"  {name}" for name in run.files), "", "instance:", "",
+              *("  " + ln for ln in echo.splitlines())]
+    run.files |= {"report.txt": "\n".join(report) + "\n",
+                  "summary.txt": "".join(f"{k}={v}\n" for k, v in summary.items()),
+                  "instance_echo.cfg": echo}
+    return run
 
-    eq = out.eq_picard
+
+def _solved(cfg: RunConfig, out: SolveOutput) -> tuple[Run, dict[str, str], list[str]]:
+    """The CSVs, the summary fields and the report's body of a solve."""
+    eq, conds, v = out.eq_picard, out.conditions, out.eq_picard.value
     nodes = cfg.grid.nodes
     times = ("%.17g\n" * nodes.size % tuple(nodes.tolist())).split()
     curves = {"m": eq.m, "beta": eq.beta, "alpha": eq.alpha,
               "gamma": eq.gamma, "eta": out.eq_closed.eta}
     one_column = _rows_format(times, 1)
-    for name, curve in curves.items():
-        _float_csv(out_dir / f"{name}.csv", ["t", name], one_column, curve.values)
-    v = eq.value
+    files = {f"{name}.csv": _float_csv(["t", name], one_column, curve.values)
+             for name, curve in curves.items()}
     gains = {"feedback_gain": v.feedback_gain, "feedback_offset": v.feedback_offset}
     if cfg.params.variant.uses_disturbance:
         gains |= {"disturbance_gain": v.disturbance_gain,
                   "disturbance_offset": v.disturbance_offset}
-    _float_csv(out_dir / "gains.csv", ["t", *gains], _rows_format(times, len(gains)),
-               *(g.values for g in gains.values()))
-    files = [f"{name}.csv" for name in curves] + ["gains.csv"]
+    files["gains.csv"] = _float_csv(["t", *gains], _rows_format(times, len(gains)),
+                                    *(g.values for g in gains.values()))
 
-    report += [
-        "status = ok",
-        "",
-        "equilibrium:",
-        f"  value_at_0 = {fmt_float(eq.value.value_at_0)}",
-        f"  iterations = {eq.iterations}",
-        f"  residual = {fmt_float(eq.residual)}",
-        f"  closed_form_vs_picard_max_gap = {fmt_float(out.route_gap)}",
-    ]
-    if eq.value.exp_value is not None:
-        report.append(f"  exp_value = {fmt_float(eq.value.exp_value)}")
-    report.append("")
-    report += _conditions_lines(out.conditions)
-
-    summary.update({
-        "status": "ok",
-        "value_at_0": fmt_float(eq.value.value_at_0),
-        "iterations": str(eq.iterations),
-        "residual": fmt_float(eq.residual),
-        "route_gap": fmt_float(out.route_gap),
-        "beta0": fmt_float(eq.beta.values[0]),
-        "admissible": str(out.conditions.admissible).lower(),
-        "margin": fmt_float(out.conditions.margin),
-        "lipschitz_bound": fmt_float(out.conditions.lipschitz_bound),
-        "contraction": str(out.conditions.contraction).lower(),
-    })
-    _finish_report(cfg, out_dir, report, summary, files)
-    if not quiet:
-        print(f"value_at_0 = {eq.value.value_at_0:.12g}  "
-              f"(residual {eq.residual:.2e}, route gap {out.route_gap:.2e})")
-    return EXIT_OK
-
-
-def _finish_report(cfg: RunConfig, out_dir: Path, report: list[str],
-                   summary: dict[str, str], files: list[str]) -> None:
-    report += ["", "files:"] + [f"  {f}" for f in files]
-    report += ["", "instance:", ""]
-    report += ["  " + ln for ln in echo_instance(cfg.params, cfg.grid).splitlines()]
-    _write(out_dir / "report.txt", "\n".join(report) + "\n")
-    _write(out_dir / "summary.txt",
-           "".join(f"{k}={v}\n" for k, v in summary.items()))
-    _write(out_dir / "instance_echo.cfg", echo_instance(cfg.params, cfg.grid))
+    status = {"status": "ok", "value_at_0": fmt_float(v.value_at_0),
+              "iterations": str(eq.iterations), "residual": fmt_float(eq.residual),
+              "route_gap": fmt_float(out.route_gap), "beta0": fmt_float(eq.beta.values[0]),
+              "admissible": str(conds.admissible).lower(), "margin": fmt_float(conds.margin),
+              "lipschitz_bound": fmt_float(conds.lipschitz_bound),
+              "contraction": str(conds.contraction).lower()}
+    body = ["status = ok", "", "equilibrium:",
+            *(f"  {k} = {status[k]}" for k in ("value_at_0", "iterations", "residual")),
+            f"  closed_form_vs_picard_max_gap = {status['route_gap']}"]
+    if v.exp_value is not None:
+        body.append(f"  exp_value = {fmt_float(v.exp_value)}")
+    body += ["", *_conditions_lines(conds)]
+    line = (f"value_at_0 = {v.value_at_0:.12g}  "
+            f"(residual {eq.residual:.2e}, route gap {out.route_gap:.2e})")
+    return Run(EXIT_OK, files, [line]), status, body
 
 
 # ---------------------------------------------------------------------------
@@ -490,37 +481,29 @@ def _saddle_line(name: str, gap: MCEstimate, theory: float) -> CheckLine:
                      passed=abs(gap.mean - theory) <= tol and gap.mean > tol)
 
 
-def cmd_verify(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
+def cmd_verify(cfg: RunConfig) -> Run:
     try:
-        lines = run_verify_checks(cfg)
-    except BlowUpError:
-        return EXIT_BLOWUP
-    except NonConvergenceError:
-        return EXIT_NONCONVERGENCE
-    text = [ln.render() for ln in lines]
-    _write(out_dir / "verify_report.txt", "\n".join(text) + "\n")
-    if not quiet:
-        for t in text:
-            print(t)
-    return EXIT_OK if all(ln.passed for ln in lines) else EXIT_VERIFY_FAIL
+        checks = run_verify_checks(cfg)
+    except (BlowUpError, NonConvergenceError) as exc:
+        code, status = _failure(exc)
+        lines = _field_lines(status)
+    else:
+        code = EXIT_OK if all(ln.passed for ln in checks) else EXIT_VERIFY_FAIL
+        lines = [ln.render() for ln in checks]
+    return Run(code, {"verify_report.txt": "\n".join(lines) + "\n"}, lines)
 
 
 # ---------------------------------------------------------------------------
 # check / sweep
 
-def cmd_check(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
+def cmd_check(cfg: RunConfig) -> Run:
     _require_valid(cfg.params)
     try:
         beta = admissible_beta(cfg.params, cfg.grid)
         lines = _conditions_lines(check_conditions(cfg.params, beta, cfg.grid))
     except BlowUpError as exc:
-        lines = ["status = blow_up",
-                 f"blow_up_time = {fmt_float(exc.status.blow_up_time)}"]
-    _write(out_dir / "check_report.txt", "\n".join(lines) + "\n")
-    if not quiet:
-        for ln in lines:
-            print(ln)
-    return EXIT_OK
+        lines = _field_lines(_failure(exc)[1])
+    return Run(EXIT_OK, {"check_report.txt": "\n".join(lines) + "\n"}, lines)
 
 
 def _sweep_params(cfg: RunConfig, value: float) -> tuple[ModelParams, TimeGrid]:
@@ -561,8 +544,8 @@ def _sweep_row(cfg: RunConfig, value: float) -> dict[str, str]:
         rep = check_conditions(params, beta, grid)
         eq = solve_equilibrium_closed_form(params, beta, grid)
     except BlowUpError as exc:
-        row.update(code=str(EXIT_BLOWUP), blow_up_time=fmt_float(exc.status.blow_up_time))
-        return row
+        code, status = _failure(exc)
+        return row | {"code": str(code), "blow_up_time": status["blow_up_time"]}
     # not finite when beta or m leave the floats, where solve exits non_finite
     if not math.isfinite(eq.value.value_at_0):
         row["code"] = str(EXIT_NONCONVERGENCE)
@@ -573,17 +556,15 @@ def _sweep_row(cfg: RunConfig, value: float) -> dict[str, str]:
     return row
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: Path, quiet: bool = False) -> int:
+def cmd_sweep(cfg: RunConfig) -> Run:
     if cfg.sweep_parameter is None:
         raise ConfigError("sweep command needs a [sweep] section")
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_count)
     rows = [_sweep_row(cfg, v) for v in values]
     lines = [SWEEP_COLUMNS, *(row.values() for row in rows)]
-    _write(out_dir / "sweep.csv", "".join(",".join(line) + "\n" for line in lines))
-    if not quiet:
-        print(f"swept {cfg.sweep_parameter} over {len(values)} values -> "
-              f"{out_dir / 'sweep.csv'}")
-    return EXIT_OK
+    csv = "".join(",".join(line) + "\n" for line in lines)
+    return Run(EXIT_OK, {"sweep.csv": csv},
+               [f"swept {cfg.sweep_parameter} over {len(values)} values -> sweep.csv"])
 
 
 # ---------------------------------------------------------------------------
@@ -642,10 +623,14 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"cannot create output directory: {exc}") from None
         command = {"solve": cmd_solve, "verify": cmd_verify, "sweep": cmd_sweep,
                    "check": cmd_check}[args.command]
-        return command(cfg, out_dir, quiet=args.quiet)
+        run = command(cfg)
+        write_run(run, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if not args.quiet:
+        print(*run.lines, sep="\n")
+    return run.code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import math
 import os
 import subprocess
@@ -313,16 +314,15 @@ max_iter = 20
                 ",".join(map(fmt_float, row)) + "\n" for row in rows)
             assert csv.read_bytes() == expected.encode()
 
-    def test_float_csv_renders_special_values_by_fmt_float(self, tmp_path):
+    def test_float_csv_renders_special_values_by_fmt_float(self):
         times = [0.0, 0.1, 1 / 3, 1.0]
         columns = (np.array([math.nan, -0.0, math.inf, -math.inf]),
                    np.array([1e-320, 0.1, -2.5e300, 1.0]))
-        path = tmp_path / "x.csv"
-        cli._float_csv(path, ["t", "u", "v"],
-                       cli._rows_format([fmt_float(t) for t in times], 2), *columns)
+        text = cli._float_csv(["t", "u", "v"],
+                              cli._rows_format([fmt_float(t) for t in times], 2), *columns)
         expected = "t,u,v\n" + "".join(",".join(map(fmt_float, row)) + "\n"
                                        for row in zip(times, *columns))
-        assert path.read_bytes() == expected.encode()
+        assert text.encode() == expected.encode()
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, BENCH_CFG + "bogus = 1\n")
@@ -388,6 +388,117 @@ max_iter = 20
         assert read_tree(out1) == read_tree(out2)
 
 
+def report_fields(report: str) -> dict[str, str]:
+    """The key = value fields of a solve report, above its file list; a
+    value's first word, and the margin beside admissible."""
+    out = {}
+    for line in report[:report.index("\nfiles:\n")].splitlines():
+        key, sep, value = line.strip().partition(" = ")
+        if sep:
+            out[key], *rest = value.split()
+            if rest[:1] == ["(margin"]:
+                out["margin"] = rest[1].rstrip(")")
+    return out
+
+
+class TestFailureFields:
+    """One map from a failed solve to its fields: every file that reports
+    the failure carries the same values."""
+
+    def test_blow_up_fields_agree_in_every_file(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, BLOWUP_CFG)
+        codes = {command: main([command, "--config", path, "--out-dir",
+                                str(tmp_path / command), "--quiet"])
+                 for command in ("solve", "check", "verify")}
+        assert codes == {"solve": EXIT_BLOWUP, "check": EXIT_OK, "verify": EXIT_BLOWUP}
+        sweep = write_cfg(tmp_path, BLOWUP_CFG + "\n[sweep]\nparameter = theta\n"
+                          "start = 1.0\nstop = 2.0\ncount = 2\n", "sweep.cfg")
+        assert main(["sweep", "--config", sweep, "--out-dir", str(tmp_path / "sweep"),
+                     "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+
+        summary = dict(ln.split("=", 1) for ln in
+                       (tmp_path / "solve" / "summary.txt").read_text().splitlines())
+        at = summary["blow_up_time"]
+        assert summary["equation"] == "beta"
+        texts = [tmp_path / "solve" / "report.txt", tmp_path / "check" / "check_report.txt",
+                 tmp_path / "verify" / "verify_report.txt"]
+        for text in texts:
+            lines = text.read_text().splitlines()
+            assert f"blow_up_time = {at}" in lines and "equation = beta" in lines
+            assert "status = blow_up" in lines
+        header, *rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        row = dict(zip(header.split(","), rows[-1].split(",")))
+        assert row["value"] == "2" and row["blow_up_time"] == at
+        assert row["code"] == str(EXIT_BLOWUP)
+
+    def test_non_convergence_summary_counts_iterations(self, tmp_path):
+        path = write_cfg(tmp_path, BENCH_CFG + "\n[solve]\nmax_iter = 3\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out-dir", str(out),
+                     "--quiet"]) == EXIT_NONCONVERGENCE
+        summary = (out / "summary.txt").read_text().splitlines()
+        report = report_fields((out / "report.txt").read_text())
+        assert "iterations=3" in summary and report["iterations"] == "3"
+        for line in summary:
+            key, value = line.split("=", 1)
+            assert report[key] == value
+
+    def test_without_quiet_solve_prints_the_error_and_verify_its_report(self, tmp_path,
+                                                                         capsys):
+        blow_up = write_cfg(tmp_path, BLOWUP_CFG)
+        assert main(["solve", "--config", blow_up, "--out-dir",
+                     str(tmp_path / "s")]) == EXIT_BLOWUP
+        assert capsys.readouterr().out == "beta blow-up at t = 0.685841\n"
+        capped = write_cfg(tmp_path, BENCH_CFG + "\n[solve]\nmax_iter = 3\n", "capped.cfg")
+        assert main(["solve", "--config", capped, "--out-dir",
+                     str(tmp_path / "c")]) == EXIT_NONCONVERGENCE
+        assert capsys.readouterr().out.startswith(
+            "no convergence after 3 iterations (max_iter); last residual ")
+        assert main(["verify", "--config", blow_up, "--out-dir",
+                     str(tmp_path / "v")]) == EXIT_BLOWUP
+        assert capsys.readouterr().out == (tmp_path / "v" / "verify_report.txt").read_text()
+
+    @pytest.mark.parametrize("variant", [
+        "risk_neutral", "robust_risk_sensitive\nc = 0.5\ntheta = 0.25"], ids=["rn", "rrs"])
+    def test_ok_summary_values_match_the_report(self, tmp_path, variant):
+        path = write_cfg(tmp_path, BENCH_CFG.replace("risk_neutral", variant))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out-dir", str(out),
+                     "--quiet"]) == EXIT_OK
+        report = report_fields((out / "report.txt").read_text())
+        beta0 = (out / "beta.csv").read_text().splitlines()[1].split(",")[1]
+        counterpart = {"route_gap": "closed_form_vs_picard_max_gap"}
+        for line in (out / "summary.txt").read_text().splitlines():
+            key, value = line.split("=", 1)
+            expected = beta0 if key == "beta0" else report[counterpart.get(key, key)]
+            assert value == (expected.lower() if expected in ("True", "False") else expected)
+
+
+class TestRunRecord:
+    """A command returns its Run and touches no file; main writes exactly
+    the Run's files."""
+
+    @pytest.mark.parametrize("command, config, code", [
+        ("solve", "bench", EXIT_OK), ("solve", "blowup", EXIT_BLOWUP),
+        ("check", "bench", EXIT_OK), ("check", "blowup", EXIT_OK)])
+    def test_command_returns_its_run_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                        command, config, code):
+        text = {"bench": BENCH_CFG, "blowup": BLOWUP_CFG}[config]
+        cfg = parse_config(write_cfg(tmp_path, text))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        run = getattr(cli, f"cmd_{command}")(cfg)
+        assert isinstance(run, cli.Run) and run.code == code and run.lines
+        assert list(work.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "work"]
+        out = tmp_path / "out"
+        assert main([command, "--config", str(tmp_path / "run.cfg"), "--out-dir", str(out),
+                     "--quiet"]) == code
+        assert read_tree(out) == {name: text.encode() for name, text in run.files.items()}
+
+
 class TestUsageErrors:
     """argparse's usage errors are config errors: exit 1, since 2 is the
     blow-up code."""
@@ -441,6 +552,20 @@ class TestOutDir:
         assert err.count("\n") == 1
         assert blocker.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("command, name", [
+        ("solve", "summary.txt"), ("verify", "verify_report.txt"),
+        ("sweep", "sweep.csv"), ("check", "check_report.txt")])
+    def test_unwritable_output_file_is_config_error(self, tmp_path, capsys, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        path = write_cfg(tmp_path, TestSweepCommand.SWEEP)
+        assert main([command, "--config", path, "--out-dir", str(out),
+                     "--paths", "200"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: cannot write {out / name}: "
+                                f"{os.strerror(errno.EISDIR)}\n")
+        assert captured.out == ""
+
 
 class TestVerifyCommand:
     def test_benchmark_passes(self, tmp_path):
@@ -457,8 +582,12 @@ class TestVerifyCommand:
 
     def test_blow_up_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, BLOWUP_CFG)
+        out = tmp_path / "o"
         assert main(["verify", "--config", path, "--out-dir",
-                     str(tmp_path / "o"), "--quiet"]) == EXIT_BLOWUP
+                     str(out), "--quiet"]) == EXIT_BLOWUP
+        report = (out / "verify_report.txt").read_text().splitlines()
+        assert report[:2] == ["status = blow_up", "equation = beta"]
+        assert report[2].startswith("blow_up_time = 0.68") and len(report) == 3
 
     @pytest.mark.parametrize("dt_sim, message", [
         ("0.003", "does not divide T"),
