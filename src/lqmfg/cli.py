@@ -315,14 +315,22 @@ def run_solve_pipeline(cfg: RunConfig) -> SolveOutput:
 
 @dataclass
 class Run:
-    """A command's result, no I/O done: exit code, files (name -> text) and stdout lines."""
+    """A command's result, no I/O done: exit code, files (name -> text) and
+    stdout lines, and the names of an earlier run's files it makes stale."""
     code: int
     files: dict[str, str]
     lines: list[str]
+    stale: tuple[str, ...] = ()
 
 
 def write_run(run: Run, out_dir: Path) -> None:
-    """Write the run's files; one that cannot be written is a config error."""
+    """Delete the stale files and write the run's; a file that cannot be
+    deleted or written is a config error."""
+    for name in run.stale:
+        try:
+            (out_dir / name).unlink(missing_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot remove {out_dir / name}: {exc.strerror}") from None
     for name, text in run.files.items():
         try:
             (out_dir / name).write_text(text, newline="\n")
@@ -344,12 +352,16 @@ def _field_lines(values: dict[str, str]) -> list[str]:
     return [f"{k} = {v}" for k, v in values.items()]
 
 
+SOLVE_CSVS = ("m.csv", "beta.csv", "alpha.csv", "gamma.csv", "eta.csv", "gains.csv")
+
+
 def cmd_solve(cfg: RunConfig) -> Run:
     try:
         out = run_solve_pipeline(cfg)
     except (BlowUpError, NonConvergenceError) as exc:
         code, status = _failure(exc)
-        run, body = Run(code, {}, [str(exc)]), _field_lines(status)
+        # an earlier solve's curves in the same directory are not this instance's
+        run, body = Run(code, {}, [str(exc)], stale=SOLVE_CSVS), _field_lines(status)
     else:
         run, status, body = _solved(cfg, out)
     summary = {"variant": cfg.params.variant.value, **status}
@@ -427,14 +439,14 @@ def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
     lines: list[CheckLine] = []
 
     # one simulation per instance: the robust variants reuse the saddle
-    # check's (u, v) ensemble, which shares its draws with the perturbed ones
+    # check's (u, v) ensemble, whose shifts are the perturbed policies
     rep = None
     if params.variant.uses_disturbance:
         rep = saddle_check(params, eq, 0.5, cfg.sim)
         ens = rep.base
     else:
         [ens] = simulate_paths(
-            params, [Policy.equilibrium(eq, girsanov=params.variant.uses_theta)],
+            params, Policy.equilibrium(eq, girsanov=params.variant.uses_theta),
             eq.m, cfg.sim)
 
     # mean consistency: |sample mean - m| <= 3 se at every node with noise

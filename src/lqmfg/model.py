@@ -164,10 +164,6 @@ class Trajectory:
         self.grid = grid
         self.values = values
 
-    @classmethod
-    def constant(cls, grid: TimeGrid, value: float) -> "Trajectory":
-        return cls(grid, np.full(grid.n_steps + 1, float(value)))
-
     def __call__(self, t):
         return np.interp(t, self.grid.nodes, self.values)
 

@@ -4,15 +4,20 @@ Under a linear feedback policy the drift is affine in the state and the
 running cost is quadratic in it, so every variant and policy reduces to
 per-time coefficients: the Euler step x <- e_k x + f_k + sigma dW and the
 trapezoid-weighted running cost (p_k x + q_k) x + r_k are tabulated once per
-call.  One call advances a stack of policies on common random numbers: each
-step's normals are drawn once and shared by every policy.
+call.  One call steps one policy.  Constant shifts of its offsets move every
+path by one deterministic curve, so their costs are linear functionals of
+the same paths, summed on the same draws (simulate_paths).
 
 The paths are cut into ceil(n_paths / BLOCK_SIZE) blocks of near-equal size
 (path_blocks), a layout that depends on n_paths alone.  Block b draws from
 its own stream default_rng([seed, b]) and writes only its own columns, so
 the blocks run on one thread per CPU the process may use; their per-node
-sums are added in block order afterwards.  Results are therefore bit for bit
-the same for a given seed and n_paths on any number of cores.
+sums are added in block order afterwards.  A block draws the normals of up
+to CHUNK steps in one call and forms the cost, Girsanov and functional
+terms of those steps in a few whole-chunk calls; the state recursion stays
+per step, and every per-path sum is added in step order.  Results are
+therefore bit for bit the same for a given seed and n_paths on any number
+of cores, and for any CHUNK.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ import math
 import os
 import threading
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,6 +50,7 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 16384  # most paths per random stream; block b draws from default_rng([seed, b])
+CHUNK = 5           # most nodes per chunk: a block's buffers hold 3 CHUNK + 1 rows of paths
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Policy:
-    """Feedback policy u = gain*x + offset + delta_u, likewise for v.
+    """Feedback policy u = gain*x + offset, likewise for v.
 
     Without base coefficients the gains and offsets are zero.  A policy that
     carries beta/alpha gets the exponential-martingale (Girsanov) sums,
@@ -89,8 +95,6 @@ class Policy:
     estimators of theta read them.
     """
     base: ValueCoefficients | None = None
-    delta_u: float = 0.0
-    delta_v: float = 0.0
     beta: Trajectory | None = None
     alpha: Trajectory | None = None
 
@@ -99,11 +103,10 @@ class Policy:
         return self.beta is not None and self.alpha is not None
 
     @classmethod
-    def equilibrium(cls, eq: Equilibrium, delta_u: float = 0.0,
-                    delta_v: float = 0.0, girsanov: bool = True) -> "Policy":
+    def equilibrium(cls, eq: Equilibrium, girsanov: bool = True) -> "Policy":
         if not girsanov:
-            return cls(eq.value, delta_u, delta_v)
-        return cls(eq.value, delta_u, delta_v, eq.beta, eq.alpha)
+            return cls(eq.value)
+        return cls(eq.value, eq.beta, eq.alpha)
 
 
 @dataclass(frozen=True)
@@ -205,22 +208,27 @@ def _run_all(tasks: Sequence[Callable[[], None]]) -> None:
         raise errors[0]
 
 
-def _columns(rows) -> np.ndarray:
-    """Stack per-policy tables (P, n) into per-step columns (n, P, 1)."""
-    return np.ascontiguousarray(np.stack(rows).T[:, :, None])
+def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
+    """acc += rows[0]; acc += rows[1]; ...: a per-path sum kept in step order."""
+    for row in rows:
+        acc += row
 
 
-def simulate_paths(params: ModelParams, policies: Sequence[Policy], m: Trajectory,
-                   config: SimConfig) -> list[PathEnsemble]:
-    """Euler-Maruyama forward integration of policies on common random numbers.
+def simulate_paths(params: ModelParams, policy: Policy, m: Trajectory, config: SimConfig,
+                   shifts: Sequence[tuple[float, float]] = ()) -> list[PathEnsemble]:
+    """Euler-Maruyama forward integration of one policy, and of its shifts.
 
-    All policies are advanced together as a (P, block) stack: the normals of
-    each step are drawn once per block and broadcast to every policy, so each
-    ensemble equals the one a single-policy call would give, bit for bit.
-    Girsanov sums are formed only for the policies that carry beta/alpha.
-    States are recorded (as sums) at the nodes of m's grid, which the
-    simulation grid must refine exactly.  Returns one ensemble per policy,
-    in order.
+    A shift (du, dv) adds constant offsets to the policy's u and v.  Under
+    the linear dynamics it moves every Euler path by the same deterministic
+    curve D, D_0 = 0 and D_{k+1} = e_k D_k + (b du + c dv) dt, so it is no
+    second simulation: its running cost is the policy's plus
+    sum_k alpha_k x_k plus a constant, alpha_k = 2 p_k D_k + (q'_k - q_k)
+    from the cost tables of the two policies, summed per path on the same
+    draws (common random numbers, exactly).  Girsanov sums are formed for
+    the policy when it carries beta/alpha, never for its shifts.  States
+    are recorded (as sums) at the nodes of m's grid, which the simulation
+    grid must refine exactly.  Returns the policy's ensemble, then one per
+    shift, in order.
     """
     T = params.T
     n_ode = m.grid.n_steps
@@ -243,9 +251,9 @@ def simulate_paths(params: ModelParams, policies: Sequence[Policy], m: Trajector
     w = np.full(n_sim + 1, 0.5 * dt)
     w[0] = w[-1] = 0.25 * dt
 
-    def tables(policy: Policy):
-        """(e, f, cost_p, cost_q, cost_r) of one policy: the step is
-        x <- e x + f + sigma dW, and the running cost at node k is
+    def tables(du: float = 0.0, dv: float = 0.0):
+        """(e, f, cost_p, cost_q, cost_r) of the policy shifted by (du, dv):
+        the step is x <- e x + f + sigma dW, and the running cost at node k is
         w (q x^2 + qbar (x-m)^2 + r u^2 - s v^2) = (cost_p x + cost_q) x + r_k,
         whose x-free r_k are summed once into cost_r."""
         gu = ou = gv = ov = np.zeros(n_sim + 1)
@@ -254,68 +262,95 @@ def simulate_paths(params: ModelParams, policies: Sequence[Policy], m: Trajector
             gu, ou = tab(base.feedback_gain), tab(base.feedback_offset)
             if base.disturbance_gain is not None:
                 gv, ov = tab(base.disturbance_gain), tab(base.disturbance_offset)
-        ou = ou + policy.delta_u          # u = gu x + ou
-        ov = ov + policy.delta_v          # v = gv x + ov
+        ou = ou + du          # u = gu x + ou
+        ov = ov + dv          # v = gv x + ov
         return (1.0 + (params.a + params.b * gu + c * gv) * dt,
                 (params.abar * m_k + params.b * ou + c * ov) * dt,
                 w * (q + qbar + r * gu * gu - s * gv * gv),
                 2.0 * w * (r * gu * ou - s * gv * ov - qbar * m_k),
                 float(np.sum(w * (qbar * m_k * m_k + r * ou * ou - s * ov * ov))))
 
-    # policies with Girsanov sums lead the stack, so they are one slice of it
-    order = sorted(range(len(policies)), key=lambda i: not policies[i].girsanov)
-    stack = [policies[i] for i in order]
-    n_pol = len(stack)
-    n_gir = sum(pol.girsanov for pol in stack)
-    e, f, cost_p, cost_q, cost_r = zip(*map(tables, stack))
-    e, f, cost_p, cost_q = map(_columns, (e, f, cost_p, cost_q))
-    cost_r = np.array(cost_r)[:, None]
-    if n_gir:
+    e, f, cost_p, cost_q, cost_r = tables()
+    e, f = e.tolist(), f.tolist()       # the per-step scalars
+    shift_D, alphas, consts = [], [], []
+    for du, dv in shifts:
+        *_, q_j, r_j = tables(du, dv)
+        h = (params.b * du + c * dv) * dt
+        D = [0.0]
+        for e_k in e[:-1]:
+            D.append(e_k * D[-1] + h)
+        D = np.array(D)
+        shift_D.append(D)
+        alphas.append((2.0 * cost_p * D + (q_j - cost_q))[:, None])
+        consts.append(float(np.sum((cost_p * D + q_j) * D)) + (r_j - cost_r))
+    cost_p, cost_q = cost_p[:, None], cost_q[:, None]
+    girsanov = policy.girsanov
+    if girsanov:
         # g = sigma (beta x + alpha) = gb x + ga
-        gb = _columns([params.sigma * tab(pol.beta) for pol in stack[:n_gir]])
-        ga = _columns([params.sigma * tab(pol.alpha) for pol in stack[:n_gir]])
+        gb = params.sigma * tab(policy.beta)[:, None]
+        ga = params.sigma * tab(policy.alpha)[:, None]
 
     n = config.n_paths
-    run_cost = np.empty((n_pol, n))
-    x_final = np.empty((n_pol, n))
-    int_g_dB = np.zeros((n_gir, n))     # in units of sqrt(dt)
-    int_g2_dt = np.zeros((n_gir, n))    # in units of dt
+    run_cost = np.empty(n)
+    x_final = np.empty(n)
+    int_g_dB = np.zeros(n if girsanov else 0)      # in units of sqrt(dt)
+    int_g2_dt = np.zeros(n if girsanov else 0)     # in units of dt
+    shift_cost = np.zeros((len(shifts), n))        # sum_k alpha_k x_k per shift
     sig_sqdt = params.sigma * math.sqrt(dt)
 
-    def step(rng, x, cost, gdB, g2dt, tmp, g, z, half, sums) -> None:
-        """Step one block: x, cost, gdB, g2dt are its columns of the outputs,
-        sums[0]/sums[1] receive its per-node sums of x and x^2."""
-        x[...] = params.x0
+    def step(rng, x_out, cost, gdB, g2dt, funcs, X, Z, S, sums) -> None:
+        """Step one block in chunks of at most CHUNK nodes.
+
+        X holds the chunk's states, Z its normals, and S is the scratch of
+        the scaled noise, the half draws of antithetic pairs, and the cost,
+        Girsanov and functional terms.  x_out, cost, gdB, g2dt and funcs are
+        the block's columns of the outputs; sums[0]/sums[1] receive its
+        per-node sums of x and x^2.
+        """
+        half_paths = X.shape[1] // 2
+        X[0] = params.x0
         cost[...] = cost_r
-        xg, tmpg = x[:n_gir], tmp[:n_gir]
-        for k in range(n_sim + 1):
-            np.multiply(x, cost_p[k], out=tmp)
-            tmp += cost_q[k]
-            tmp *= x
-            cost += tmp
-            if k % stride == 0:
-                j = k // stride
-                x.sum(axis=1, out=sums[0, :, j])
-                np.multiply(x, x, out=tmp)
-                tmp.sum(axis=1, out=sums[1, :, j])
-            if k == n_sim:
-                break
-            rng.standard_normal(out=half)
-            if config.antithetic:
-                z[0::2] = half
-                np.negative(half, out=z[1::2])
-            if n_gir:
-                # Ito (left-point) accumulation with the state's increments
-                np.multiply(xg, gb[k], out=g)
-                g += ga[k]
-                np.multiply(g, g, out=tmpg)
-                g2dt += tmpg
-                g *= z
-                gdB += g
-            x *= e[k]
-            x += f[k]
-            z *= sig_sqdt
-            x += z
+        for k0 in range(0, n_sim + 1, CHUNK):
+            kc = min(CHUNK, n_sim + 1 - k0)     # nodes k0 .. k0 + kc - 1
+            ns = min(kc, n_sim - k0)            # the steps taken from them
+            nodes = slice(k0, k0 + kc)
+            if ns:
+                if config.antithetic:
+                    half = S.reshape(-1)[:ns * half_paths].reshape(ns, half_paths)
+                    rng.standard_normal(out=half)
+                    Z[:ns, 0::2] = half
+                    np.negative(half, out=Z[:ns, 1::2])
+                else:
+                    rng.standard_normal(out=Z[:ns])
+                dW = np.multiply(Z[:ns], sig_sqdt, out=S[:ns])
+                for i in range(ns):
+                    x = np.multiply(X[i], e[k0 + i], out=X[i + 1])
+                    x += f[k0 + i]
+                    x += dW[i]
+                if girsanov:
+                    # Ito (left-point) accumulation with the state's increments
+                    g = np.multiply(X[:ns], gb[k0:k0 + ns], out=S[:ns])
+                    g += ga[k0:k0 + ns]
+                    Z[:ns] *= g
+                    g *= g
+                    _add_rows(g2dt, g)
+                    _add_rows(gdB, Z[:ns])
+            term = np.multiply(X[:kc], cost_p[nodes], out=S[:kc])
+            term += cost_q[nodes]
+            term *= X[:kc]
+            _add_rows(cost, term)
+            for acc, alpha in zip(funcs, alphas):
+                _add_rows(acc, np.multiply(X[:kc], alpha[nodes], out=S[:kc]))
+            first = -k0 % stride                # the chunk's recorded nodes
+            if first < kc:
+                rec = X[first:kc:stride]
+                j = slice((k0 + first) // stride, (k0 + first) // stride + len(rec))
+                rec.sum(axis=1, out=sums[0, j])
+                np.multiply(rec, rec, out=S[:len(rec)]).sum(axis=1, out=sums[1, j])
+            if ns < kc:
+                x_out[...] = X[ns]
+            else:
+                X[0] = X[kc]
 
     def block(b: int, lo: int, hi: int):
         """Block b's task on paths lo:hi and the array its sums go to.
@@ -323,38 +358,44 @@ def simulate_paths(params: ModelParams, policies: Sequence[Policy], m: Trajector
         Every buffer is allocated here, before any thread starts, so the
         workers allocate nothing while they step.
         """
-        z = np.empty(hi - lo)       # without antithetic pairs, drawn into directly
-        sums = np.zeros((2, n_pol, n_ode + 1))
+        sums = np.zeros((2, n_ode + 1))
         task = functools.partial(
             step, np.random.default_rng([config.seed, b]),
-            x_final[:, lo:hi], run_cost[:, lo:hi], int_g_dB[:, lo:hi], int_g2_dt[:, lo:hi],
-            np.empty((n_pol, hi - lo)), np.empty((n_gir, hi - lo)), z,
-            np.empty((hi - lo) // 2) if config.antithetic else z, sums)
+            x_final[lo:hi], run_cost[lo:hi], int_g_dB[lo:hi], int_g2_dt[lo:hi],
+            shift_cost[:, lo:hi], np.empty((CHUNK + 1, hi - lo)),
+            np.empty((CHUNK, hi - lo)), np.empty((CHUNK, hi - lo)), sums)
         return task, sums
 
     tasks, block_sums = zip(*(block(b, lo, hi) for b, (lo, hi) in enumerate(path_blocks(n))))
     _run_all(tasks)
+    del tasks       # the block buffers, before the shifted ensembles are built
     # per-node sums in block order from zero: the same bits for any worker count
-    sum_x, sum_x2 = sum(block_sums, np.zeros((2, n_pol, n_ode + 1)))
+    sum_x, sum_x2 = sum(block_sums, np.zeros((2, n_ode + 1)))
     int_g_dB *= math.sqrt(dt)
     int_g2_dt *= dt
+    base = PathEnsemble(
+        n_paths=n,
+        antithetic=config.antithetic,
+        m_values=m.values.copy(),
+        sum_x=sum_x,
+        sum_x2=sum_x2,
+        run_cost=run_cost,
+        x_final=x_final,
+        int_g_dB=int_g_dB if girsanov else None,
+        int_g2_dt=int_g2_dt if girsanov else None,
+    )
 
-    def ensemble(row: int) -> PathEnsemble:
-        gir = row < n_gir
-        return PathEnsemble(
-            n_paths=n,
-            antithetic=config.antithetic,
-            m_values=m.values.copy(),
-            sum_x=sum_x[row],
-            sum_x2=sum_x2[row],
-            run_cost=run_cost[row],
-            x_final=x_final[row],
-            int_g_dB=int_g_dB[row] if gir else None,
-            int_g2_dt=int_g2_dt[row] if gir else None,
-        )
+    def shifted(D: np.ndarray, cost: np.ndarray, const: float) -> PathEnsemble:
+        """The base ensemble moved by D: x' = x + D at every node."""
+        cost += const
+        cost += run_cost
+        D_rec = D[::stride]
+        return replace(base, run_cost=cost, x_final=x_final + D[-1],
+                       sum_x=sum_x + n * D_rec,
+                       sum_x2=sum_x2 + (2.0 * sum_x + n * D_rec) * D_rec,
+                       int_g_dB=None, int_g2_dt=None)
 
-    # back to the callers' order: policy i sits in the row r with order[r] = i
-    return [ensemble(row) for row in sorted(range(n_pol), key=order.__getitem__)]
+    return [base, *map(shifted, shift_D, shift_cost, consts)]
 
 
 def _mc_estimate(values: np.ndarray, antithetic: bool,
@@ -456,8 +497,8 @@ def saddle_check(params: ModelParams, equilibrium: Equilibrium,
                  perturbation_scale: float, config: SimConfig) -> SaddleReport:
     """Estimate the saddle gaps under common random numbers.
 
-    Simulates (u, v), (u+du, v), (u, v+dv) in one pass on the same draws,
-    so paired differences isolate the completed-square gaps
+    Simulates (u, v) once; (u+du, v) and (u, v+dv) are its shifts, on the
+    same draws, so paired differences isolate the completed-square gaps
     int (r/2) du^2 dt and int (s/2) dv^2 dt.  Those gaps hold for the
     certainty equivalent (1/theta) log E e^{theta L}, which is E[L] at
     theta = 0, so that is what each gap compares.  The report holds the
@@ -467,15 +508,14 @@ def saddle_check(params: ModelParams, equilibrium: Equilibrium,
     """
     if not params.variant.uses_disturbance:
         raise ValueError("saddle_check applies to the robust variants")
-    base, up, vp = simulate_paths(params, [
-        Policy.equilibrium(equilibrium, girsanov=params.variant.uses_theta),
-        Policy.equilibrium(equilibrium, delta_u=perturbation_scale, girsanov=False),
-        Policy.equilibrium(equilibrium, delta_v=perturbation_scale, girsanov=False),
-    ], equilibrium.m, config)
+    d = perturbation_scale
+    base, up, vp = simulate_paths(
+        params, Policy.equilibrium(equilibrium, girsanov=params.variant.uses_theta),
+        equilibrium.m, config, shifts=((d, 0.0), (0.0, d)))
 
     L_base = per_path_cost(base, params)
     theta = params.theta if params.variant.uses_theta else 0.0
-    d2 = perturbation_scale ** 2
+    d2 = d ** 2
     return SaddleReport(
         gap_u=_certainty_equivalent_gap(per_path_cost(up, params), L_base, theta,
                                         config.antithetic),

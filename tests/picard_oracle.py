@@ -25,7 +25,9 @@ def solve_picard(params: ModelParams, beta: Beta, grid: TimeGrid,
     sup-norm step is <= tol; iterations counts the steps, and residual is
     that of the returned iterate itself.  NonConvergenceError after
     max_iter steps."""
-    m = initial if initial is not None else Trajectory.constant(grid, params.m0)
+    if initial is None:
+        initial = Trajectory(grid, np.full(grid.n_steps + 1, params.m0))
+    m = initial
     history: list[float] = []
     for it in range(1, max_iter + 1):
         phi = apply_phi(params, beta, m, grid)

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lqmfg
-from lqmfg import cli
+from lqmfg import cli, simulate
 from lqmfg.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -212,6 +213,22 @@ class TestSolveCommand:
         assert main(["solve", "--config", path, "--out-dir", str(out),
                      "--quiet"]) == EXIT_BLOWUP
         assert "blow_up_time=" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("failing, code", [
+        (BLOWUP_CFG, EXIT_BLOWUP), (BENCH_CFG + "\n[solve]\nmax_iter = 3\n", EXIT_NONCONVERGENCE),
+    ], ids=["blow_up", "non_convergence"])
+    def test_failed_solve_removes_an_earlier_solves_csvs(self, tmp_path, failing, code):
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_cfg(tmp_path, BENCH_CFG), "--out-dir",
+                     str(out), "--quiet"]) == EXIT_OK
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(cli.SOLVE_CSVS)
+        (out / "notes.csv").write_text("not written by lqmfg\n")
+        assert main(["solve", "--config", write_cfg(tmp_path, failing, "failing.cfg"),
+                     "--out-dir", str(out), "--quiet"]) == code
+        assert sorted(p.name for p in out.iterdir()) == [
+            "instance_echo.cfg", "notes.csv", "report.txt", "summary.txt"]
+        report = (out / "report.txt").read_text()
+        assert "files:\n\ninstance:" in report
 
     def test_non_convergence_exit_code(self, tmp_path):
         text = """\
@@ -612,6 +629,61 @@ class TestVerifyCommand:
 
     def test_default_dt_sim_is_one_thousandth_where_it_refines(self, tmp_path):
         assert parse_config(write_cfg(tmp_path, BENCH_CFG)).sim.dt_sim == 1e-3
+
+
+ROBUST_VARIANTS = {"robust": "robust\nc = 0.5",
+                   "robust_risk_sensitive": "robust_risk_sensitive\nc = 0.5\ntheta = 0.25"}
+SADDLE_LINES = {(name, line) for name in ROBUST_VARIANTS
+                for line in ("saddle_gap_control", "saddle_gap_disturbance")}
+
+
+class TestVerifyPower:
+    """Mutants that verify must catch: at seed 1 and 4000 paths the two
+    robust bench instances pass every line, and each mutant fails some."""
+
+    @staticmethod
+    def failing_lines(tmp_path) -> set[tuple[str, str]]:
+        sim = "\n[sim]\nn_paths = 4000\ndt_sim = 1e-3\nseed = 1\n"
+        failed = set()
+        for name, variant in ROBUST_VARIANTS.items():
+            text = BENCH_CFG.replace("risk_neutral", variant) + sim
+            cfg = parse_config(write_cfg(tmp_path, text, f"{name}.cfg"))
+            failed |= {(name, line.name.split()[0])
+                       for line in cli.run_verify_checks(cfg) if not line.passed}
+        return failed
+
+    @staticmethod
+    def terminal_cost(weight: float, qbarT_scale: float):
+        """per_path_cost with the terminal weight 1/2 and qbarT replaced."""
+        def cost(ensemble, params):
+            mT, xT = ensemble.m_values[-1], ensemble.x_final
+            qbarT = qbarT_scale * params.qbarT
+            return ensemble.run_cost + weight * (params.qT * xT * xT + qbarT * (xT - mT) ** 2)
+        return cost
+
+    def test_unmutated_instances_pass(self, tmp_path):
+        assert self.failing_lines(tmp_path) == set()
+
+    def test_terminal_weight_is_caught_by_the_saddle_lines(self, tmp_path, monkeypatch):
+        # L' is per_path_cost of the shifted ensemble, so the saddle lines see it
+        monkeypatch.setattr(simulate, "per_path_cost", self.terminal_cost(0.52, 1.0))
+        assert SADDLE_LINES <= self.failing_lines(tmp_path)
+
+    def test_abar_sign_in_the_forward_drift_is_caught(self, tmp_path, monkeypatch):
+        real = simulate.simulate_paths
+
+        def flipped(params, *args, **kwargs):
+            return real(replace(params, abar=-params.abar), *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "simulate_paths", flipped)
+        monkeypatch.setattr(cli, "simulate_paths", flipped)
+        failed = self.failing_lines(tmp_path)
+        assert {("robust", "mean_consistency"),
+                ("robust_risk_sensitive", "mean_consistency")} <= failed
+
+    def test_qbarT_off_by_five_percent_in_the_cost_is_caught(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulate, "per_path_cost", self.terminal_cost(0.5, 1.05))
+        assert self.failing_lines(tmp_path) & SADDLE_LINES
 
 
 class TestModuleEntryPoint:

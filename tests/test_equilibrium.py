@@ -43,7 +43,7 @@ class TestApplyPhi:
     def test_zero_fixed_point(self, grid):
         p = make_params(m0=0.0)
         beta, _ = solve_beta(p, grid)
-        phi = apply_phi(p, beta, Trajectory.constant(grid, 0.0), grid)
+        phi = apply_phi(p, beta, Trajectory(grid, np.full(grid.n_steps + 1, 0.0)), grid)
         np.testing.assert_array_equal(phi.values, 0.0)
 
     def test_decoupled_linear_ode(self, grid):
@@ -53,7 +53,7 @@ class TestApplyPhi:
         rate = p.a - beta.values * 1.0  # lam = b^2/r = 1, beta not constant
         # iterate to the fixed point and compare with quadrature of the rate
         exact = p.m0 * np.exp(cumulative_trapezoid(rate, grid.nodes, initial=0.0))
-        m = Trajectory.constant(grid, p.m0)
+        m = Trajectory(grid, np.full(grid.n_steps + 1, p.m0))
         for _ in range(50):
             m = apply_phi(p, beta, m, grid)
         # fixed point of the trapezoid map matches the quadrature to O(dt^2)

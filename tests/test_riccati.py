@@ -177,20 +177,20 @@ class TestSolveAlpha:
     def test_zero_mean_gives_zero(self, grid):
         p = make_params()
         beta, _ = solve_beta(p, grid)
-        alpha = solve_alpha(p, beta, Trajectory.constant(grid, 0.0), grid)
+        alpha = solve_alpha(p, beta, Trajectory(grid, np.full(grid.n_steps + 1, 0.0)), grid)
         np.testing.assert_array_equal(alpha.values, 0.0)
 
     def test_zero_source_gives_zero(self, grid):
         p = make_params(abar=0.0, qbar=0.0, qbarT=0.0)
         beta, _ = solve_beta(p, grid)
-        alpha = solve_alpha(p, beta, Trajectory.constant(grid, 3.0), grid)
+        alpha = solve_alpha(p, beta, Trajectory(grid, np.full(grid.n_steps + 1, 3.0)), grid)
         np.testing.assert_array_equal(alpha.values, 0.0)
 
     def test_constant_coefficient_reference(self, grid):
         p = instance_a()
         beta, _ = solve_beta(p, grid)
         assert beta.values[0] == pytest.approx(REF_A_BETA0, abs=1e-8)
-        alpha = solve_alpha(p, beta, Trajectory.constant(grid, 1.0), grid)
+        alpha = solve_alpha(p, beta, Trajectory(grid, np.full(grid.n_steps + 1, 1.0)), grid)
         assert alpha.values[0] == pytest.approx(REF_A_ALPHA0, abs=1e-8)
 
     def test_linearity_in_m(self, grid):
@@ -206,7 +206,7 @@ class TestSolveAlpha:
     def test_terminal_condition(self, grid):
         p = make_params()
         beta, _ = solve_beta(p, grid)
-        m = Trajectory.constant(grid, 2.0)
+        m = Trajectory(grid, np.full(grid.n_steps + 1, 2.0))
         alpha = solve_alpha(p, beta, m, grid)
         assert alpha.values[-1] == pytest.approx(-p.qbarT * 2.0)
 
@@ -215,7 +215,7 @@ class TestSolveGamma:
     def test_all_sources_vanish(self, grid):
         p = make_params(sigma=0.0, qbarT=0.0)
         beta, _ = solve_beta(p, grid)
-        m = Trajectory.constant(grid, 0.0)
+        m = Trajectory(grid, np.full(grid.n_steps + 1, 0.0))
         alpha = solve_alpha(p, beta, m, grid)
         gamma = solve_gamma(p, beta, alpha, m, grid)
         np.testing.assert_array_equal(gamma.values, 0.0)
@@ -227,7 +227,7 @@ class TestSolveGamma:
                         m0=0.0, x0=0.0)
         beta, _ = solve_beta(p, grid)
         np.testing.assert_allclose(beta.values, 1.0, atol=1e-12)
-        m = Trajectory.constant(grid, 0.0)
+        m = Trajectory(grid, np.full(grid.n_steps + 1, 0.0))
         alpha = solve_alpha(p, beta, m, grid)
         gamma = solve_gamma(p, beta, alpha, m, grid)
         exact = 0.5 * 0.25 * (1.0 - grid.nodes)
@@ -236,7 +236,7 @@ class TestSolveGamma:
     def test_full_instance_reference(self, grid):
         p = instance_a()
         beta, _ = solve_beta(p, grid)
-        m = Trajectory.constant(grid, 1.0)
+        m = Trajectory(grid, np.full(grid.n_steps + 1, 1.0))
         alpha = solve_alpha(p, beta, m, grid)
         gamma = solve_gamma(p, beta, alpha, m, grid)
         assert gamma.values[0] == pytest.approx(REF_A_GAMMA0, abs=1e-8)
@@ -373,8 +373,9 @@ class TestHermite:
     def test_mean_on_another_grid_is_refused(self, grid, T, steps):
         p = make_params()
         beta, _ = solve_beta(p, grid)
-        alpha = solve_alpha(p, beta, Trajectory.constant(grid, 1.0), grid)
-        other = Trajectory.constant(TimeGrid(T=T, n_steps=steps * grid.n_steps), 1.0)
+        alpha = solve_alpha(p, beta, Trajectory(grid, np.full(grid.n_steps + 1, 1.0)), grid)
+        fine = TimeGrid(T=T, n_steps=steps * grid.n_steps)
+        other = Trajectory(fine, np.ones(fine.n_steps + 1))
         with pytest.raises(ValueError, match="n_steps"):
             solve_alpha(p, beta, other, grid)
         with pytest.raises(ValueError, match="n_steps"):
@@ -436,7 +437,7 @@ class TestClosedFormConstantRiccati:
 class TestAssembleValue:
     def test_zero_solution(self, grid):
         p = make_params()
-        z = Trajectory.constant(grid, 0.0)
+        z = Trajectory(grid, np.full(grid.n_steps + 1, 0.0))
         v = assemble_value(p, z, z, z)
         assert v.value_at_0 == 0.0
         np.testing.assert_array_equal(v.feedback_gain.values, 0.0)
@@ -444,7 +445,7 @@ class TestAssembleValue:
     def test_value_reduces_to_gamma_at_zero_state(self, grid):
         p = make_params(x0=0.0)
         beta, _ = solve_beta(p, grid)
-        m = Trajectory.constant(grid, 1.0)
+        m = Trajectory(grid, np.full(grid.n_steps + 1, 1.0))
         alpha = solve_alpha(p, beta, m, grid)
         gamma = solve_gamma(p, beta, alpha, m, grid)
         v = assemble_value(p, beta, alpha, gamma)
@@ -453,7 +454,7 @@ class TestAssembleValue:
     def test_gains(self, grid):
         p = make_params(variant=Variant.ROBUST, c=0.3, b=2.0, r=4.0, s=2.0)
         beta, _ = solve_beta(p, grid)
-        m = Trajectory.constant(grid, 1.0)
+        m = Trajectory(grid, np.full(grid.n_steps + 1, 1.0))
         alpha = solve_alpha(p, beta, m, grid)
         gamma = solve_gamma(p, beta, alpha, m, grid)
         v = assemble_value(p, beta, alpha, gamma)
@@ -463,7 +464,7 @@ class TestAssembleValue:
     def test_exp_value_for_risk_sensitive(self, grid):
         p = make_params(variant=Variant.RISK_SENSITIVE, theta=0.25)
         beta, _ = solve_beta(p, grid)
-        m = Trajectory.constant(grid, 1.0)
+        m = Trajectory(grid, np.full(grid.n_steps + 1, 1.0))
         alpha = solve_alpha(p, beta, m, grid)
         gamma = solve_gamma(p, beta, alpha, m, grid)
         v = assemble_value(p, beta, alpha, gamma)
@@ -495,7 +496,7 @@ class TestBetaTables:
     @pytest.mark.parametrize("other", ["grid", "params"])
     def test_beta_for_another_instance_is_refused(self, grid, other):
         p = self.rrs()
-        m = Trajectory.constant(grid, 1.0)
+        m = Trajectory(grid, np.full(grid.n_steps + 1, 1.0))
         alpha = solve_alpha(p, admissible_beta(p, grid), m, grid)
         if other == "grid":
             beta, match = admissible_beta(p, TimeGrid(T=1.0, n_steps=500)), "n_steps"

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -65,23 +66,23 @@ class TestSimConfig:
         p, eq = bench_eq
         cfg = SimConfig(n_paths=4, dt_sim=1.0 / 1500, seed=0)
         with pytest.raises(ValueError):
-            simulate_paths(p, [Policy.equilibrium(eq)], eq.m, cfg)
+            simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
 
 
 class TestDeterminism:
     def test_bit_identical_reruns(self, bench_eq):
         p, eq = bench_eq
         cfg = small_config()
-        [e1] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, cfg)
-        [e2] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, cfg)
+        [e1] = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
+        [e2] = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
         np.testing.assert_array_equal(e1.x_final, e2.x_final)
         np.testing.assert_array_equal(e1.sum_x, e2.sum_x)
         np.testing.assert_array_equal(e1.int_g_dB, e2.int_g_dB)
 
     def test_seed_changes_draws(self, bench_eq):
         p, eq = bench_eq
-        [e1] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config(seed=1))
-        [e2] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config(seed=2))
+        [e1] = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config(seed=1))
+        [e2] = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config(seed=2))
         assert not np.array_equal(e1.x_final, e2.x_final)
 
 
@@ -110,7 +111,7 @@ class TestBlockLayout:
         p = make_params(a=0.0, abar=0.0)
         g = TimeGrid(T=1.0, n_steps=10)
         cfg = SimConfig(n_paths=n, dt_sim=0.1, seed=9)
-        [ens] = simulate_paths(p, [Policy()], Trajectory.constant(g, 0.0), cfg)
+        [ens] = simulate_paths(p, Policy(), Trajectory(g, np.zeros(g.n_steps + 1)), cfg)
         rng = np.random.default_rng([9, 0])
         x = np.full(n, p.x0)
         for _ in range(10):
@@ -118,15 +119,26 @@ class TestBlockLayout:
         np.testing.assert_array_equal(ens.x_final, x)
 
 
-def _ensembles(monkeypatch, workers, p, policies, m, cfg):
+def _ensembles(monkeypatch, workers, p, policy, m, cfg, shifts=()):
     monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
-    return simulate_paths(p, policies, m, cfg)
+    return simulate_paths(p, policy, m, cfg, shifts)
+
+
+SHIFTS = ((0.5, 0.0), (0.0, 0.5), (-0.3, 0.2))
+FIELDS = ("x_final", "run_cost", "sum_x", "sum_x2", "int_g_dB", "int_g2_dt")
+
+
+def assert_same_bits(got, want):
+    for a_ens, b_ens in zip(got, want, strict=True):
+        for key in FIELDS:
+            a, b = getattr(a_ens, key), getattr(b_ens, key)
+            assert (a is None) == (b is None), key
+            if b is not None:
+                np.testing.assert_array_equal(a, b, err_msg=key)
 
 
 class TestWorkers:
-    """The block threads change no bit of the ensembles."""
-
-    FIELDS = ("x_final", "run_cost", "sum_x", "sum_x2", "int_g_dB", "int_g2_dt")
+    """The block threads change no bit of the ensembles or their shifts."""
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_worker_count_and_rerun_bit_identical(self, monkeypatch, antithetic):
@@ -136,16 +148,10 @@ class TestWorkers:
         # three blocks, so two workers share them unevenly
         cfg = SimConfig(n_paths=2 * BLOCK_SIZE + 10, dt_sim=0.05, seed=4,
                         antithetic=antithetic)
-        policies = [Policy.equilibrium(eq, delta_u=0.5, girsanov=False), Policy.equilibrium(eq),
-                    Policy.equilibrium(eq, delta_v=0.5, girsanov=False)]
-        runs = [_ensembles(monkeypatch, w, p, policies, eq.m, cfg) for w in (1, 2, 2, 4)]
+        runs = [_ensembles(monkeypatch, w, p, Policy.equilibrium(eq), eq.m, cfg, SHIFTS)
+                for w in (1, 2, 2, 4)]
         for run in runs[1:]:
-            for got, want in zip(run, runs[0]):
-                for key in self.FIELDS:
-                    a, b = getattr(got, key), getattr(want, key)
-                    assert (a is None) == (b is None), key
-                    if b is not None:
-                        np.testing.assert_array_equal(a, b, err_msg=key)
+            assert_same_bits(run, runs[0])
 
     def test_threads_started(self, monkeypatch):
         started = []
@@ -156,13 +162,13 @@ class TestWorkers:
                 super().start()
 
         monkeypatch.setattr(simulate.threading, "Thread", CountingThread)
-        p, m = make_params(), Trajectory.constant(TimeGrid(T=1.0, n_steps=4), 0.0)
+        p, m = make_params(), Trajectory(TimeGrid(T=1.0, n_steps=4), np.zeros(5))
         cfg = SimConfig(n_paths=3 * BLOCK_SIZE, dt_sim=0.25, seed=0)
-        _ensembles(monkeypatch, 1, p, [Policy()], m, cfg)
+        _ensembles(monkeypatch, 1, p, Policy(), m, cfg)
         assert started == []                    # one worker: the calling thread
-        _ensembles(monkeypatch, 2, p, [Policy()], m, cfg)
+        _ensembles(monkeypatch, 2, p, Policy(), m, cfg)
         assert len(started) == 1                # the caller is the other worker
-        _ensembles(monkeypatch, 2, p, [Policy()], m,
+        _ensembles(monkeypatch, 2, p, Policy(), m,
                    SimConfig(n_paths=BLOCK_SIZE, dt_sim=0.25, seed=0))
         assert len(started) == 1                # capped at the one block
         assert not any(t.is_alive() for t in started)
@@ -172,15 +178,14 @@ class TestWorkers:
         grid = TimeGrid(T=1.0, n_steps=5)
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         cfg = SimConfig(n_paths=4 * BLOCK_SIZE, dt_sim=0.1, seed=2)
-        [serial] = _ensembles(monkeypatch, 1, p, [Policy.equilibrium(eq)], eq.m, cfg)
+        [serial] = _ensembles(monkeypatch, 1, p, Policy.equilibrium(eq), eq.m, cfg)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            [threaded] = _ensembles(monkeypatch, 4, p, [Policy.equilibrium(eq)], eq.m, cfg)
+            [threaded] = _ensembles(monkeypatch, 4, p, Policy.equilibrium(eq), eq.m, cfg)
         finally:
             sys.setswitchinterval(interval)
-        for key in self.FIELDS:
-            np.testing.assert_array_equal(getattr(threaded, key), getattr(serial, key))
+        assert_same_bits([threaded], [serial])
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_worker_exception_reaches_caller(self, monkeypatch, failing):
@@ -200,7 +205,7 @@ class TestWorkers:
         assert sorted(ran) == [0, 1]            # every thread finished first
 
     def test_block_failure_in_simulate_paths_reaches_caller(self, monkeypatch):
-        p, m = make_params(), Trajectory.constant(TimeGrid(T=1.0, n_steps=4), 0.0)
+        p, m = make_params(), Trajectory(TimeGrid(T=1.0, n_steps=4), np.zeros(5))
         real = np.random.default_rng
 
         class FailingDraws:
@@ -213,12 +218,13 @@ class TestWorkers:
         # block 1 runs on the worker thread
         monkeypatch.setattr(simulate.np.random, "default_rng", rng)
         with pytest.raises(FloatingPointError, match="block 1"):
-            _ensembles(monkeypatch, 2, p, [Policy()], m,
+            _ensembles(monkeypatch, 2, p, Policy(), m,
                        SimConfig(n_paths=2 * BLOCK_SIZE, dt_sim=0.25, seed=0))
 
 
-def reference_paths(params, policy, m, config):
-    """Per-step Euler-Maruyama with u, v, x - m and four separate cost sums.
+def reference_paths(params, policy, m, config, shift=(0.0, 0.0)):
+    """Per-step Euler-Maruyama with u, v, x - m and four separate cost sums,
+    for the policy with its offsets shifted by (du, dv).
 
     Draws the same per-block streams as simulate_paths: block b, the paths
     lo:hi of path_blocks, uses default_rng([seed, b]).
@@ -239,7 +245,7 @@ def reference_paths(params, policy, m, config):
     w = np.full(n_sim + 1, dt)
     w[0] = w[-1] = dt / 2
     mt, q, qbar, r, s = m(t), params.q(t), params.qbar(t), params.r(t), params.s(t)
-    sum_x = np.zeros(m.grid.n_steps + 1)
+    sum_x, sum_x2 = np.zeros((2, m.grid.n_steps + 1))
     out = {key: [] for key in ("cost", "x_final", "int_g_dB", "int_g2_dt")}
     for bi, (lo, hi) in enumerate(path_blocks(config.n_paths)):
         bn = hi - lo
@@ -247,8 +253,8 @@ def reference_paths(params, policy, m, config):
         x = np.full(bn, params.x0)
         qx2, qdev, ru2, sv2, gdB, g2dt = (np.zeros(bn) for _ in range(6))
         for k in range(n_sim + 1):
-            u = gu[k] * x + ou[k] + policy.delta_u
-            v = gv[k] * x + ov[k] + policy.delta_v
+            u = gu[k] * x + ou[k] + shift[0]
+            v = gv[k] * x + ov[k] + shift[1]
             dev = x - mt[k]
             qx2 += w[k] * q[k] * x * x
             qdev += w[k] * qbar[k] * dev * dev
@@ -257,6 +263,7 @@ def reference_paths(params, policy, m, config):
                 sv2 += w[k] * s[k] * v * v
             if k % stride == 0:
                 sum_x[k // stride] += x.sum()
+                sum_x2[k // stride] += (x * x).sum()
             if k == n_sim:
                 break
             if config.antithetic:
@@ -280,7 +287,7 @@ def reference_paths(params, policy, m, config):
         out["int_g_dB"].append(gdB)
         out["int_g2_dt"].append(g2dt)
     out = {key: np.concatenate(parts) for key, parts in out.items()}
-    out["sum_x"] = sum_x
+    out["sum_x"], out["sum_x2"] = sum_x, sum_x2
     return out
 
 
@@ -294,6 +301,23 @@ REFERENCE_INSTANCES = {
 }
 
 
+def assert_matches_reference(p, policy, m, cfg, shifts):
+    """Each ensemble of one call within 1e-12 of the reference run of its
+    (shifted) policy, relative to max(1, |reference|)."""
+    ensembles = simulate_paths(p, policy, m, cfg, shifts)
+    for i, (shift, ens) in enumerate(zip(((0.0, 0.0), *shifts), ensembles, strict=True)):
+        ref = reference_paths(p, policy, m, cfg, shift)
+        got = {"cost": per_path_cost(ens, p), "x_final": ens.x_final,
+               "sum_x": ens.sum_x, "sum_x2": ens.sum_x2,
+               "int_g_dB": ens.int_g_dB, "int_g2_dt": ens.int_g2_dt}
+        # Girsanov sums for the policy itself only, never for its shifts
+        if policy.beta is None or i > 0:
+            assert got.pop("int_g_dB") is None and got.pop("int_g2_dt") is None
+        for key, value in got.items():
+            err = np.abs(value - ref[key]) / np.maximum(1.0, np.abs(ref[key]))
+            assert err.max() <= 1e-12, (key, shift)
+
+
 class TestReferenceEuler:
     @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
     def test_matches_per_step_reference(self, name):
@@ -302,54 +326,88 @@ class TestReferenceEuler:
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         cfg = SimConfig(n_paths=BLOCK_SIZE + 6, dt_sim=1.0 / 40, seed=4,
                         antithetic=True)
-        policies = [Policy.equilibrium(eq), Policy.equilibrium(eq, delta_u=0.5, girsanov=False),
-                    Policy.equilibrium(eq, delta_v=0.5, girsanov=False), Policy()]
-        for policy in policies:
-            [ens] = simulate_paths(p, [policy], eq.m, cfg)
-            ref = reference_paths(p, policy, eq.m, cfg)
-            got = {"cost": per_path_cost(ens, p), "x_final": ens.x_final,
-                   "sum_x": ens.sum_x, "int_g_dB": ens.int_g_dB,
-                   "int_g2_dt": ens.int_g2_dt}
-            if policy.beta is None:
-                assert got.pop("int_g_dB") is None and got.pop("int_g2_dt") is None
-            for key, value in got.items():
-                err = np.abs(value - ref[key]) / np.maximum(1.0, np.abs(ref[key]))
-                assert err.max() <= 1e-12, (key, policy)
+        assert_matches_reference(p, Policy.equilibrium(eq), eq.m, cfg, SHIFTS)
+        assert_matches_reference(p, Policy(), eq.m, cfg, SHIFTS[:1])
 
 
-class TestSharedPass:
-    """One stacked call equals separate single-policy calls, bit for bit."""
+class TestShifts:
+    """Shifted offsets as path functionals of the one simulated policy."""
 
-    @pytest.mark.parametrize("antithetic", [False, True])
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(variant=st.sampled_from(list(Variant)),
+           a=st.floats(-1.0, 1.0), abar=st.floats(-0.5, 0.5),
+           c=st.floats(0.0, 0.8), sigma=st.floats(0.0, 0.6),
+           theta=st.floats(0.0, 0.5), antithetic=st.booleans(),
+           du=st.floats(-1.0, 1.0), dv=st.floats(-1.0, 1.0),
+           seed=st.integers(0, 2 ** 31))
+    def test_shifted_costs_match_the_reference_of_the_shifted_policy(
+            self, variant, a, abar, c, sigma, theta, antithetic, du, dv, seed):
+        p = make_params(variant=variant, a=a, abar=abar, c=c, sigma=sigma, theta=theta,
+                        r=tabulated(1.0, 0.7, 1.3), s=tabulated(1.2, 0.9))
+        grid = TimeGrid(T=1.0, n_steps=10)
+        try:
+            eq = solve_equilibrium_closed_form(p, admissible_beta(p, grid), grid)
+        except BlowUpError:
+            assume(False)
+        cfg = SimConfig(n_paths=64, dt_sim=1.0 / 30, seed=seed, antithetic=antithetic)
+        assert_matches_reference(p, Policy.equilibrium(eq), eq.m, cfg,
+                                 ((du, dv), (du, 0.0), (0.0, dv)))
+
     @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
-    def test_stacked_equals_separate(self, name, antithetic):
+    def test_shifts_change_no_bit_of_the_policy_ensemble(self, name):
         p = make_params(**REFERENCE_INSTANCES[name])
         grid = TimeGrid(T=1.0, n_steps=20)
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
-        cfg = SimConfig(n_paths=BLOCK_SIZE + 6, dt_sim=1.0 / 40, seed=4,
-                        antithetic=antithetic)
-        # Girsanov sums present and absent, interleaved
-        policies = [Policy.equilibrium(eq, delta_u=0.5, girsanov=False), Policy.equilibrium(eq),
-                    Policy(), Policy.equilibrium(eq, delta_u=0.3),
-                    Policy.equilibrium(eq, delta_v=0.5, girsanov=False)]
-        stacked = simulate_paths(p, policies, eq.m, cfg)
-        assert len(stacked) == len(policies)
-        for policy, ens in zip(policies, stacked):
-            [alone] = simulate_paths(p, [policy], eq.m, cfg)
-            np.testing.assert_array_equal(per_path_cost(ens, p), per_path_cost(alone, p))
-            for key in ("x_final", "sum_x", "sum_x2", "int_g_dB", "int_g2_dt"):
-                got, want = getattr(ens, key), getattr(alone, key)
-                if want is None:
-                    assert got is None and not policy.girsanov, key
-                else:
-                    np.testing.assert_array_equal(got, want, err_msg=key)
+        cfg = SimConfig(n_paths=300, dt_sim=1.0 / 40, seed=4)
+        alone = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
+        shifted = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg, SHIFTS)
+        assert len(shifted) == 1 + len(SHIFTS)
+        assert_same_bits(shifted[:1], alone)
 
-    def test_perturbed_policies_carry_no_girsanov_sums(self, bench_eq):
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+    def test_chunk_length_changes_no_bit(self, monkeypatch, chunk, antithetic):
+        # CHUNK = 1 is the plain per-step loop; a stride of 3 puts the
+        # recorded nodes at every offset within the longer chunks
+        p = make_params(**REFERENCE_INSTANCES["robust_risk_sensitive"])
+        grid = TimeGrid(T=1.0, n_steps=10)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        cfg = SimConfig(n_paths=302, dt_sim=1.0 / 30, seed=8, antithetic=antithetic)
+        want = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg, SHIFTS)
+        monkeypatch.setattr(simulate, "CHUNK", chunk)
+        assert_same_bits(simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg, SHIFTS), want)
+
+    def test_zero_shift_is_the_policy_itself(self, bench_eq):
         p, eq = bench_eq
-        assert Policy.equilibrium(eq).girsanov
-        assert not Policy.equilibrium(eq, girsanov=False).girsanov
-        assert not Policy.equilibrium(eq, delta_u=0.5, girsanov=False).girsanov
-        assert not Policy.equilibrium(eq, delta_v=0.5, girsanov=False).girsanov
+        base, same = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config(),
+                                    ((0.0, 0.0),))
+        np.testing.assert_array_equal(same.run_cost, base.run_cost)
+        np.testing.assert_array_equal(same.x_final, base.x_final)
+
+
+class TestMemory:
+    def test_peak_of_the_robust_saddle_pass(self):
+        # verify's call on the RRS bench instance: 20000 paths in two blocks,
+        # 1000 steps, two shifts; the chunk buffers are most of the peak
+        p = make_params(**REFERENCE_INSTANCES["robust_risk_sensitive"])
+        grid = TimeGrid(T=1.0, n_steps=200)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        cfg = SimConfig(n_paths=20000, dt_sim=1e-3, seed=7)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ensembles = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg,
+                                       ((0.5, 0.0), (0.0, 0.5)))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(ensembles) == 3
+        assert peak <= 4 * 2 ** 20
 
 
 class TestDegenerateDynamics:
@@ -357,9 +415,9 @@ class TestDegenerateDynamics:
         # sigma = 0, zero policy, abar = 0: exact Euler recursion x <- (1+a dt) x
         p = make_params(sigma=0.0, abar=0.0)
         g = TimeGrid(T=1.0, n_steps=100)
-        m = Trajectory.constant(g, 0.0)
+        m = Trajectory(g, np.zeros(g.n_steps + 1))
         cfg = SimConfig(n_paths=3, dt_sim=0.01, seed=0)
-        [ens] = simulate_paths(p, [Policy()], m, cfg)
+        [ens] = simulate_paths(p, Policy(), m, cfg)
         dt = 0.01
         expected = p.x0 * (1.0 + p.a * dt) ** np.arange(101)
         np.testing.assert_allclose(ens.mean_x(), expected, rtol=1e-13)
@@ -370,7 +428,7 @@ class TestDegenerateDynamics:
         # are deterministic and the pair-based standard error collapses
         p = make_params(abar=0.0)
         g = TimeGrid(T=1.0, n_steps=100)
-        [ens] = simulate_paths(p, [Policy()], Trajectory.constant(g, 0.0),
+        [ens] = simulate_paths(p, Policy(), Trajectory(g, np.zeros(g.n_steps + 1)),
                                SimConfig(n_paths=512, dt_sim=0.01, seed=3,
                                          antithetic=True))
         pair_means = ens.x_final.reshape(-1, 2).mean(axis=1)
@@ -378,7 +436,7 @@ class TestDegenerateDynamics:
 
     def test_mean_consistency_smoke(self, bench_eq):
         p, eq = bench_eq
-        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m,
+        [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m,
                                small_config(n_paths=4096, seed=7))
         err = np.abs(ens.mean_x() - eq.m.values)
         # 4 SE plus a small discretization allowance
@@ -388,14 +446,14 @@ class TestDegenerateDynamics:
 class TestEstimators:
     def test_theta_zero_exponential_cost_is_one(self, bench_eq):
         p, eq = bench_eq
-        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config())
+        [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config())
         est = estimate_exponential_cost(ens, p)
         assert est.mean == 1.0
         assert est.std_error == 0.0
 
     def test_theta_zero_girsanov_is_one(self, bench_eq):
         p, eq = bench_eq
-        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config())
+        [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config())
         est = estimate_girsanov_normalization(ens, p)
         assert est.mean == 1.0
 
@@ -403,7 +461,7 @@ class TestEstimators:
         p = make_params(sigma=0.0, theta=0.3, variant=Variant.RISK_SENSITIVE)
         g = TimeGrid(T=1.0, n_steps=200)
         eq = solve_equilibrium_picard(p, admissible_beta(p, g), g)
-        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m,
+        [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m,
                                SimConfig(n_paths=16, dt_sim=1.0 / 200, seed=0))
         est = estimate_girsanov_normalization(ens, p)
         assert est.mean == 1.0
@@ -411,13 +469,13 @@ class TestEstimators:
 
     def test_girsanov_requires_accumulators(self, bench_eq):
         p, eq = bench_eq
-        [ens] = simulate_paths(p, [Policy()], eq.m, small_config())
+        [ens] = simulate_paths(p, Policy(), eq.m, small_config())
         with pytest.raises(ValueError):
             estimate_girsanov_normalization(ens, p)
 
     def test_quadratic_value_needs_accumulators_only_with_theta(self, bench_eq):
         p, eq = bench_eq
-        [ens] = simulate_paths(p, [Policy()], eq.m, small_config())
+        [ens] = simulate_paths(p, Policy(), eq.m, small_config())
         with pytest.raises(ValueError):
             estimate_quadratic_value(ens, make_params(variant=Variant.RISK_SENSITIVE,
                                                       theta=0.25))
@@ -427,7 +485,7 @@ class TestEstimators:
         p = make_params(sigma=0.0)
         g = TimeGrid(T=1.0, n_steps=2000)
         eq = solve_equilibrium_picard(p, admissible_beta(p, g), g)
-        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m,
+        [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m,
                                SimConfig(n_paths=2, dt_sim=1.0 / 2000, seed=0))
         est = estimate_quadratic_value(ens, p)
         assert est.std_error <= 1e-12
@@ -435,12 +493,12 @@ class TestEstimators:
 
     def test_per_path_cost_nonnegative_risk_neutral(self, bench_eq):
         p, eq = bench_eq
-        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config())
+        [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config())
         assert np.all(per_path_cost(ens, p) >= 0.0)
 
     def test_estimate_type(self, bench_eq):
         p, eq = bench_eq
-        [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, small_config())
+        [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config())
         est = estimate_quadratic_value(ens, p)
         assert isinstance(est, MCEstimate)
         assert est.n_paths == 256
@@ -586,7 +644,7 @@ class TestThetaTheories:
                                (Variant.ROBUST_RISK_SENSITIVE, {"c": 0.5})):
             p = make_params(variant=variant, theta=0.8, sigma=0.6, **extra)
             eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
-            [ens] = simulate_paths(p, [Policy.equilibrium(eq)], eq.m, cfg)
+            [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
             value = eq.value.value_at_0
             slack = dt_sim * max(1.0, abs(value))    # verify's Euler allowance
             new = estimate_quadratic_value(ens, p)
@@ -596,9 +654,8 @@ class TestThetaTheories:
             if not variant.uses_disturbance:
                 continue
             rep = saddle_check(p, eq, 0.5, cfg)
-            base, up, vp = (per_path_cost(e, p) for e in simulate_paths(p, [
-                Policy.equilibrium(eq), Policy.equilibrium(eq, delta_u=0.5, girsanov=False),
-                Policy.equilibrium(eq, delta_v=0.5, girsanov=False)], eq.m, cfg))
+            base, up, vp = (per_path_cost(e, p) for e in simulate_paths(
+                p, Policy.equilibrium(eq), eq.m, cfg, ((0.5, 0.0), (0.0, 0.5))))
 
             def ce(L):
                 return math.log(np.mean(np.exp(p.theta * L))) / p.theta
