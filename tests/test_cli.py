@@ -638,14 +638,17 @@ SADDLE_LINES = {(name, line) for name in ROBUST_VARIANTS
 
 
 class TestVerifyPower:
-    """Mutants that verify must catch: at seed 1 and 4000 paths the two
-    robust bench instances pass every line, and each mutant fails some."""
+    """Mutants that verify must catch: at seed 1 the two robust bench
+    instances pass every line, and each mutant fails some, at 4000 paths
+    unless it needs more for its power."""
 
     @staticmethod
-    def failing_lines(tmp_path) -> set[tuple[str, str]]:
-        sim = "\n[sim]\nn_paths = 4000\ndt_sim = 1e-3\nseed = 1\n"
+    def failing_lines(tmp_path, n_paths: int = 4000,
+                      names=tuple(ROBUST_VARIANTS)) -> set[tuple[str, str]]:
+        sim = f"\n[sim]\nn_paths = {n_paths}\ndt_sim = 1e-3\nseed = 1\n"
         failed = set()
-        for name, variant in ROBUST_VARIANTS.items():
+        for name in names:
+            variant = ROBUST_VARIANTS[name]
             text = BENCH_CFG.replace("risk_neutral", variant) + sim
             cfg = parse_config(write_cfg(tmp_path, text, f"{name}.cfg"))
             failed |= {(name, line.name.split()[0])
@@ -682,8 +685,12 @@ class TestVerifyPower:
                 ("robust_risk_sensitive", "mean_consistency")} <= failed
 
     def test_qbarT_off_by_five_percent_in_the_cost_is_caught(self, tmp_path, monkeypatch):
+        # the error moves the control gap by about 0.5 tol at 4000 paths,
+        # too little to fail reliably; at 60000 paths it is about 1.9 tol
+        # (1.5 to 2.5 over seeds 1-12), so any seed fails the line
         monkeypatch.setattr(simulate, "per_path_cost", self.terminal_cost(0.5, 1.05))
-        assert self.failing_lines(tmp_path) & SADDLE_LINES
+        assert ("robust", "saddle_gap_control") in self.failing_lines(
+            tmp_path, n_paths=60000, names=("robust",))
 
 
 class TestModuleEntryPoint:

@@ -385,6 +385,19 @@ class TestShifts:
         np.testing.assert_array_equal(same.run_cost, base.run_cost)
         np.testing.assert_array_equal(same.x_final, base.x_final)
 
+    def test_girsanov_flag(self, bench_eq):
+        # verify's risk-neutral and robust runs pass girsanov=False and must
+        # form no Girsanov sums; shifts never carry them
+        p, eq = bench_eq
+        assert Policy.equilibrium(eq).girsanov
+        assert not Policy.equilibrium(eq, girsanov=False).girsanov
+        for girsanov in (True, False):
+            base, shifted = simulate_paths(p, Policy.equilibrium(eq, girsanov=girsanov),
+                                           eq.m, small_config(), ((0.5, 0.0),))
+            assert (base.int_g_dB is None) is not girsanov
+            assert (base.int_g2_dt is None) is not girsanov
+            assert shifted.int_g_dB is None and shifted.int_g2_dt is None
+
 
 class TestMemory:
     def test_peak_of_the_robust_saddle_pass(self):
