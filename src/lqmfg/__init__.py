@@ -32,7 +32,6 @@ from .equilibrium import (
 from .simulate import (
     MCEstimate,
     PathEnsemble,
-    Policy,
     SaddleReport,
     SimConfig,
     estimate_exponential_cost,

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import (
+    MAX_COUNT,
     PARAM_TYPES,
     Coefficient,
     ModelParams,
@@ -49,7 +50,6 @@ from .equilibrium import (
 )
 from .simulate import (
     MCEstimate,
-    Policy,
     SimConfig,
     estimate_exponential_cost,
     estimate_girsanov_normalization,
@@ -73,7 +73,7 @@ class ConfigError(Exception):
 # config schema
 
 _GRID_KEYS = {"n_steps"}
-_SIM_KEYS = {"n_paths", "dt_sim", "seed", "antithetic"}
+_SIM_KEYS = {"n_paths", "dt_sim", "seed"}
 _SOLVE_KEYS = {"tol", "max_iter"}
 _SWEEP_KEYS = {"parameter", "start", "stop", "count", "workers"}
 # configparser lowercases keys
@@ -101,9 +101,16 @@ class RunConfig:
 
 def _default_dt_sim(grid: TimeGrid) -> float:
     """The largest simulation step <= 1/DEFAULT_STEPS_PER_UNIT_TIME that
-    refines the ODE grid."""
-    per_step = math.ceil(DEFAULT_STEPS_PER_UNIT_TIME * grid.T / grid.n_steps)
+    refines the ODE grid; past MAX_COUNT steps, inf included, verify refuses it."""
+    per_step = math.ceil(min(DEFAULT_STEPS_PER_UNIT_TIME * grid.T / grid.n_steps,
+                             MAX_COUNT + 1))
     return grid.T / (grid.n_steps * per_step)
+
+
+def _step_count(steps: float) -> int:
+    """round(steps), at least 2; a count past MAX_COUNT, inf included, stays
+    past it for TimeGrid to refuse."""
+    return max(2, round(min(steps, MAX_COUNT + 1)))
 
 
 def _weight(values, T: float) -> Coefficient:
@@ -126,15 +133,6 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text.strip()!r}")
     return value
-
-
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 # per [model] field type: the parser of its text (a weight parses to its node
@@ -202,7 +200,7 @@ def parse_config(path: str | Path,
 
     n_steps = _value(cp, "grid", "n_steps", int, None)
     if n_steps is None:
-        n_steps = max(2, round(DEFAULT_STEPS_PER_UNIT_TIME * T))
+        n_steps = _step_count(DEFAULT_STEPS_PER_UNIT_TIME * T)
     try:
         grid = TimeGrid(T=T, n_steps=n_steps)
     except ValueError as exc:
@@ -213,7 +211,6 @@ def parse_config(path: str | Path,
             n_paths=_value(cp, "sim", "n_paths", int, 10000),
             dt_sim=_value(cp, "sim", "dt_sim", float, _default_dt_sim(grid)),
             seed=_value(cp, "sim", "seed", int, 0),
-            antithetic=_value(cp, "sim", "antithetic", _bool, False),
         )
     except ValueError as exc:
         raise ConfigError(f"[sim] {exc}") from None
@@ -234,8 +231,8 @@ def parse_config(path: str | Path,
         cfg.sweep_start = _value(cp, "sweep", "start", _finite)
         cfg.sweep_stop = _value(cp, "sweep", "stop", _finite)
         cfg.sweep_count = _value(cp, "sweep", "count", int)
-        if cfg.sweep_count < 2:
-            raise ConfigError("[sweep] count must be >= 2")
+        if not 2 <= cfg.sweep_count <= MAX_COUNT:
+            raise ConfigError(f"[sweep] count must be >= 2 and <= {MAX_COUNT}")
         # checked and dropped: accepted for old configs; rows run serially
         _value(cp, "sweep", "workers", int, 1)
     return cfg
@@ -445,9 +442,7 @@ def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
         rep = saddle_check(params, eq, 0.5, cfg.sim)
         ens = rep.base
     else:
-        [ens] = simulate_paths(
-            params, Policy.equilibrium(eq, girsanov=params.variant.uses_theta),
-            eq.m, cfg.sim)
+        [ens] = simulate_paths(params, eq, eq.m, cfg.sim)
 
     # mean consistency: |sample mean - m| <= 3 se at every node with noise
     mean = ens.mean_x()
@@ -527,8 +522,7 @@ def _sweep_params(cfg: RunConfig, value: float) -> tuple[ModelParams, TimeGrid]:
     if name == "c":
         return replace(p, c=value), grid
     if name == "T":
-        n = max(2, round(grid.n_steps * value / grid.T))
-        grid = TimeGrid(T=value, n_steps=n)
+        grid = TimeGrid(T=value, n_steps=_step_count(grid.n_steps * value / grid.T))
         # tabulated weights are spread over the new [0, T], as a config does
         weights = {name: _weight(getattr(p, name).node_values, value)
                    for name, kind in PARAM_TYPES.items() if kind is Coefficient}

@@ -20,9 +20,16 @@ __all__ = [
     "Trajectory",
     "ModelParams",
     "PARAM_TYPES",
+    "MAX_COUNT",
     "validate",
     "fmt_float",
 ]
+
+
+# the most grid steps, simulation steps or paths: numpy refuses an array of
+# 2**63 bytes or more before allocating it; this leaves room for tables of
+# eight float64 rows of such a count
+MAX_COUNT = np.iinfo(np.intp).max // 64
 
 
 def fmt_float(x: float) -> str:
@@ -131,8 +138,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.T <= 0:
             raise ValueError("T must be positive")
-        if self.n_steps < 2:
-            raise ValueError("n_steps must be >= 2")
+        if not 2 <= self.n_steps <= MAX_COUNT:
+            raise ValueError(f"n_steps must be >= 2 and <= {MAX_COUNT}")
 
     @property
     def dt(self) -> float:
@@ -229,34 +236,14 @@ class ModelParams:
 PARAM_TYPES: dict[str, type] = get_type_hints(ModelParams)
 
 
-def _check_sign(coef: Coefficient, name: str, T: float, strict: bool, out: list[str]):
-    pts = coef.sample_points(T)
-    vals = np.atleast_1d(np.asarray(coef(pts), dtype=float))
-    for i, v in enumerate(vals):
-        if not math.isfinite(v):
-            rel = "finite"
-        elif (v <= 0) if strict else (v < 0):
-            rel = "strictly positive" if strict else "nonnegative"
-        else:
-            continue
-        where = "" if coef.is_constant else f" at node {i} (t={pts[i]:g})"
-        out.append(f"{name} must be {rel}{where}; got {v:g}")
-        if coef.is_constant:
-            break
-
-
-def _check_ratio(x: float, coef: Coefficient, name: str, T: float, out: list[str]):
-    """x^2 / coef, a term of lam, must be finite at coef's nodes, which bound
-    it in between; checked where x^2 is finite and coef positive."""
-    square = x * x
-    pts = coef.sample_points(T)
-    vals = np.atleast_1d(np.asarray(coef(pts), dtype=float))
-    for i, v in enumerate(vals.tolist()):
-        if math.isfinite(square) and v > 0 and math.isinf(square / v):
-            where = "" if coef.is_constant else f" at node {i} (t={pts[i]:g})"
-            out.append(f"{name} must be finite{where}; got inf")
-            if coef.is_constant:
-                break
+def _nodes(coef: Coefficient, T: float) -> list[tuple[str, float]]:
+    """coef's values where its constraints are checked, each with the
+    " at node i (t=...)" that places it; a constant is one value, unplaced."""
+    if coef.is_constant:
+        return [("", coef(0.0))]
+    t = coef.sample_points(T)
+    return [(f" at node {i} (t={ti:g})", v)
+            for i, (ti, v) in enumerate(zip(t.tolist(), coef(t).tolist()))]
 
 
 def validate(params: ModelParams) -> tuple[str, ...]:
@@ -283,12 +270,21 @@ def validate(params: ModelParams) -> tuple[str, ...]:
     if params.qbarT < 0:
         bad.append(f"qbarT must be nonnegative; got {params.qbarT:g}")
     T = params.T if params.T > 0 else 1.0
-    _check_sign(params.q, "q", T, strict=False, out=bad)
-    _check_sign(params.qbar, "qbar", T, strict=False, out=bad)
-    _check_sign(params.r, "r", T, strict=True, out=bad)
-    _check_sign(params.s, "s", T, strict=True, out=bad)
-    _check_ratio(params.b, params.r, "b^2/r", T, bad)
+    for name, strict in (("q", False), ("qbar", False), ("r", True), ("s", True)):
+        for where, v in _nodes(getattr(params, name), T):
+            if not math.isfinite(v):
+                bad.append(f"{name} must be finite{where}; got {v:g}")
+            elif (v <= 0) if strict else (v < 0):
+                rel = "strictly positive" if strict else "nonnegative"
+                bad.append(f"{name} must be {rel}{where}; got {v:g}")
+    # x^2 / w, a term of lam, must be finite at w's nodes, which bound it in
+    # between; checked where x^2 is finite and w positive
+    ratios = [("b^2/r", params.b, params.r)]
     if params.variant.uses_disturbance:
-        _check_ratio(params.c, params.s, "c^2/s", T, bad)
+        ratios.append(("c^2/s", params.c, params.s))
+    for name, x, w in ratios:
+        for where, v in _nodes(w, T):
+            if math.isfinite(x * x) and v > 0 and math.isinf(x * x / v):
+                bad.append(f"{name} must be finite{where}; got inf")
     return tuple(bad)
 

@@ -4,9 +4,12 @@ Under a linear feedback policy the drift is affine in the state and the
 running cost is quadratic in it, so every variant and policy reduces to
 per-time coefficients: the Euler step x <- e_k x + f_k + sigma dW and the
 trapezoid-weighted running cost (p_k x + q_k) x + r_k are tabulated once per
-call.  One call steps one policy.  Constant shifts of its offsets move every
-path by one deterministic curve, so their costs are linear functionals of
-the same paths, summed on the same draws (simulate_paths).
+call.  One call steps one policy: an equilibrium's feedback laws, or the
+zero policy.  Constant shifts of its offsets move every path by one
+deterministic curve, so their costs are linear functionals of the same
+paths, summed on the same draws (simulate_paths).  The Girsanov sums are
+formed exactly where theta reads them: for an equilibrium of a theta
+variant, never for a shift.
 
 The paths are cut into ceil(n_paths / BLOCK_SIZE) blocks of near-equal size
 (path_blocks), a layout that depends on n_paths alone.  Block b draws from
@@ -31,12 +34,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .equilibrium import Equilibrium, _cumulative_trapezoid
-from .model import Coefficient, ModelParams, Trajectory
-from .riccati import ValueCoefficients
+from .model import MAX_COUNT, Coefficient, ModelParams, Trajectory
 
 __all__ = [
     "SimConfig",
-    "Policy",
     "PathEnsemble",
     "MCEstimate",
     "SaddleReport",
@@ -58,20 +59,21 @@ class SimConfig:
     n_paths: int
     dt_sim: float
     seed: int
-    antithetic: bool = False
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
+        if not 1 <= self.n_paths <= MAX_COUNT:
+            raise ValueError(f"n_paths must be >= 1 and <= {MAX_COUNT}")
         if not 0 < self.dt_sim < math.inf:
             raise ValueError("dt_sim must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.antithetic and self.n_paths % 2:
-            raise ValueError("antithetic sampling needs an even n_paths")
 
     def n_sim_steps(self, T: float) -> int:
-        n = round(T / self.dt_sim)
+        steps = T / self.dt_sim
+        if not steps <= MAX_COUNT:      # inf included
+            raise ValueError(f"dt_sim = {self.dt_sim:g} makes more than {MAX_COUNT} "
+                             f"steps on T = {T:g}")
+        n = round(steps)
         if n < 1 or abs(n * self.dt_sim - T) > 1e-12 * max(T, 1.0):
             raise ValueError(f"dt_sim = {self.dt_sim:g} does not divide T = {T:g}")
         return n
@@ -83,30 +85,6 @@ class SimConfig:
             raise ValueError(f"simulation steps ({n_sim}) must be a multiple of "
                              f"the ODE grid steps ({n_ode})")
         return n_sim // n_ode
-
-
-@dataclass(frozen=True)
-class Policy:
-    """Feedback policy u = gain*x + offset, likewise for v.
-
-    Without base coefficients the gains and offsets are zero.  A policy that
-    carries beta/alpha gets the exponential-martingale (Girsanov) sums,
-    formed with the same Brownian increments as the state; only the
-    estimators of theta read them.
-    """
-    base: ValueCoefficients | None = None
-    beta: Trajectory | None = None
-    alpha: Trajectory | None = None
-
-    @property
-    def girsanov(self) -> bool:
-        return self.beta is not None and self.alpha is not None
-
-    @classmethod
-    def equilibrium(cls, eq: Equilibrium, girsanov: bool = True) -> "Policy":
-        if not girsanov:
-            return cls(eq.value)
-        return cls(eq.value, eq.beta, eq.alpha)
 
 
 @dataclass(frozen=True)
@@ -124,12 +102,11 @@ class PathEnsemble:
     Per-node sums of x and x^2 support the mean-consistency check; the
     per-path arrays hold the running cost
     (1/2) int q x^2 + qbar (x-m)^2 + r u^2 [- s v^2] dt (trapezoid rule),
-    terminal states and (when the policy carries beta/alpha) the
+    terminal states and (for an equilibrium of a theta variant) the
     stochastic-exponential accumulators int sigma(beta x+alpha) dB and
     int sigma^2 (beta x+alpha)^2 dt.
     """
     n_paths: int
-    antithetic: bool
     m_values: np.ndarray          # mean path at the nodes where x is recorded
     sum_x: np.ndarray
     sum_x2: np.ndarray
@@ -219,21 +196,23 @@ def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
         acc += row
 
 
-def simulate_paths(params: ModelParams, policy: Policy, m: Trajectory, config: SimConfig,
+def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
+                   config: SimConfig,
                    shifts: Sequence[tuple[float, float]] = ()) -> list[PathEnsemble]:
-    """Euler-Maruyama forward integration of one policy, and of its shifts.
+    """Euler-Maruyama forward integration of eq's policy, and of its shifts.
 
-    A shift (du, dv) adds constant offsets to the policy's u and v.  Under
-    the linear dynamics it moves every Euler path by the same deterministic
-    curve D, D_0 = 0 and D_{k+1} = e_k D_k + (b du + c dv) dt, so it is no
-    second simulation: its running cost is the policy's plus
+    The policy is eq's feedback laws u = gu x + ou, v = gv x + ov; eq None
+    is the zero policy.  A shift (du, dv) adds constant offsets to its u and
+    v.  Under the linear dynamics it moves every Euler path by the same
+    deterministic curve D, D_0 = 0 and D_{k+1} = e_k D_k + (b du + c dv) dt,
+    so it is no second simulation: its running cost is the policy's plus
     sum_k alpha_k x_k plus a constant, alpha_k = 2 p_k D_k + (q'_k - q_k)
     from the cost tables of the two policies, summed per path on the same
     draws (common random numbers, exactly).  Girsanov sums are formed for
-    the policy when it carries beta/alpha, never for its shifts.  States
-    are recorded (as sums) at the nodes of m's grid, which the simulation
-    grid must refine exactly.  Returns the policy's ensemble, then one per
-    shift, in order.
+    eq's policy when the variant uses theta, never for the zero policy or a
+    shift.  States are recorded (as sums) at the nodes of m's grid, which
+    the simulation grid must refine exactly.  Returns the policy's
+    ensemble, then one per shift, in order.
     """
     T = params.T
     n_ode = m.grid.n_steps
@@ -255,31 +234,29 @@ def simulate_paths(params: ModelParams, policy: Policy, m: Trajectory, config: S
     # trapezoid weights times 1/2
     w = np.full(n_sim + 1, 0.5 * dt)
     w[0] = w[-1] = 0.25 * dt
+    gu = ou = gv = ov = np.zeros(n_sim + 1)
+    if eq is not None:
+        law = eq.value
+        gu, ou = tab(law.feedback_gain), tab(law.feedback_offset)
+        if law.disturbance_gain is not None:
+            gv, ov = tab(law.disturbance_gain), tab(law.disturbance_offset)
 
-    def tables(du: float = 0.0, dv: float = 0.0):
-        """(e, f, cost_p, cost_q, cost_r) of the policy shifted by (du, dv):
+    def tables(ou: np.ndarray, ov: np.ndarray):
+        """(e, f, cost_p, cost_q, cost_r) of the policy with offsets ou, ov:
         the step is x <- e x + f + sigma dW, and the running cost at node k is
         w (q x^2 + qbar (x-m)^2 + r u^2 - s v^2) = (cost_p x + cost_q) x + r_k,
         whose x-free r_k are summed once into cost_r."""
-        gu = ou = gv = ov = np.zeros(n_sim + 1)
-        base = policy.base
-        if base is not None:
-            gu, ou = tab(base.feedback_gain), tab(base.feedback_offset)
-            if base.disturbance_gain is not None:
-                gv, ov = tab(base.disturbance_gain), tab(base.disturbance_offset)
-        ou = ou + du          # u = gu x + ou
-        ov = ov + dv          # v = gv x + ov
         return (1.0 + (params.a + params.b * gu + c * gv) * dt,
                 (params.abar * m_k + params.b * ou + c * ov) * dt,
                 w * (q + qbar + r * gu * gu - s * gv * gv),
                 2.0 * w * (r * gu * ou - s * gv * ov - qbar * m_k),
                 float(np.sum(w * (qbar * m_k * m_k + r * ou * ou - s * ov * ov))))
 
-    e, f, cost_p, cost_q, cost_r = tables()
+    e, f, cost_p, cost_q, cost_r = tables(ou, ov)
     e, f = e.tolist(), f.tolist()       # the per-step scalars
     shift_D, alphas, consts = [], [], []
     for du, dv in shifts:
-        *_, q_j, r_j = tables(du, dv)
+        *_, q_j, r_j = tables(ou + du, ov + dv)
         h = (params.b * du + c * dv) * dt
         D = [0.0]
         for e_k in e[:-1]:
@@ -289,11 +266,11 @@ def simulate_paths(params: ModelParams, policy: Policy, m: Trajectory, config: S
         alphas.append((2.0 * cost_p * D + (q_j - cost_q))[:, None])
         consts.append(float(np.sum((cost_p * D + q_j) * D)) + (r_j - cost_r))
     cost_p, cost_q = cost_p[:, None], cost_q[:, None]
-    girsanov = policy.girsanov
+    girsanov = eq is not None and params.variant.uses_theta
     if girsanov:
         # g = sigma (beta x + alpha) = gb x + ga
-        gb = params.sigma * tab(policy.beta)[:, None]
-        ga = params.sigma * tab(policy.alpha)[:, None]
+        gb = params.sigma * tab(eq.beta)[:, None]
+        ga = params.sigma * tab(eq.alpha)[:, None]
 
     n = config.n_paths
     run_cost = np.empty(n)
@@ -307,12 +284,10 @@ def simulate_paths(params: ModelParams, policy: Policy, m: Trajectory, config: S
         """Step one block in chunks of at most CHUNK nodes.
 
         X holds the chunk's states, Z its normals, and S is the scratch of
-        the scaled noise, the half draws of antithetic pairs, and the cost,
-        Girsanov and functional terms.  x_out, cost, gdB, g2dt and funcs are
+        the scaled noise and the cost, Girsanov and functional terms.  x_out, cost, gdB, g2dt and funcs are
         the block's columns of the outputs; sums[0]/sums[1] receive its
         per-node sums of x and x^2.
         """
-        half_paths = X.shape[1] // 2
         X[0] = params.x0
         cost[...] = cost_r
         for k0 in range(0, n_sim + 1, CHUNK):
@@ -320,13 +295,7 @@ def simulate_paths(params: ModelParams, policy: Policy, m: Trajectory, config: S
             ns = min(kc, n_sim - k0)            # the steps taken from them
             nodes = slice(k0, k0 + kc)
             if ns:
-                if config.antithetic:
-                    half = S.reshape(-1)[:ns * half_paths].reshape(ns, half_paths)
-                    rng.standard_normal(out=half)
-                    Z[:ns, 0::2] = half
-                    np.negative(half, out=Z[:ns, 1::2])
-                else:
-                    rng.standard_normal(out=Z[:ns])
+                rng.standard_normal(out=Z[:ns])
                 dW = np.multiply(Z[:ns], sig_sqdt, out=S[:ns])
                 for i in range(ns):
                     x = np.multiply(X[i], e[k0 + i], out=X[i + 1])
@@ -380,7 +349,6 @@ def simulate_paths(params: ModelParams, policy: Policy, m: Trajectory, config: S
     int_g2_dt *= dt
     base = PathEnsemble(
         n_paths=n,
-        antithetic=config.antithetic,
         m_values=m.values.copy(),
         sum_x=sum_x,
         sum_x2=sum_x2,
@@ -403,17 +371,11 @@ def simulate_paths(params: ModelParams, policy: Policy, m: Trajectory, config: S
     return [base, *map(shifted, shift_D, shift_cost, consts)]
 
 
-def _mc_estimate(values: np.ndarray, antithetic: bool,
-                 heavy_tail: bool = False) -> MCEstimate:
+def _mc_estimate(values: np.ndarray, heavy_tail: bool = False) -> MCEstimate:
     n = values.size
-    if antithetic:
-        pair_means = values.reshape(-1, 2).mean(axis=1)
-        mean = float(pair_means.mean())
-        se = float(pair_means.std(ddof=1) / math.sqrt(pair_means.size)) if pair_means.size > 1 else 0.0
-    else:
-        mean = float(values.mean())
-        se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MCEstimate(mean=mean, std_error=se, n_paths=n, heavy_tail=heavy_tail)
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return MCEstimate(mean=float(values.mean()), std_error=se, n_paths=n,
+                      heavy_tail=heavy_tail)
 
 
 def per_path_cost(ensemble: PathEnsemble, params: ModelParams) -> np.ndarray:
@@ -436,7 +398,7 @@ def estimate_quadratic_value(ensemble: PathEnsemble, params: ModelParams) -> MCE
         if ensemble.int_g2_dt is None:
             raise ValueError("ensemble was simulated without beta/alpha accumulators")
         cost += 0.5 * params.theta * ensemble.int_g2_dt
-    return _mc_estimate(cost, ensemble.antithetic)
+    return _mc_estimate(cost)
 
 
 HEAVY_TAIL_KURTOSIS = 100.0
@@ -446,7 +408,7 @@ def estimate_exponential_cost(ensemble: PathEnsemble, params: ModelParams) -> MC
     """Sample mean of e^{theta L}; flags heavy-tailed samples, never truncates."""
     expL = np.exp(params.theta * per_path_cost(ensemble, params))
     heavy = bool(_excess_kurtosis(expL) > HEAVY_TAIL_KURTOSIS)
-    return _mc_estimate(expL, ensemble.antithetic, heavy_tail=heavy)
+    return _mc_estimate(expL, heavy_tail=heavy)
 
 
 def estimate_girsanov_normalization(ensemble: PathEnsemble,
@@ -456,7 +418,7 @@ def estimate_girsanov_normalization(ensemble: PathEnsemble,
         raise ValueError("ensemble was simulated without beta/alpha accumulators")
     th = params.theta
     logE = th * ensemble.int_g_dB - 0.5 * th * th * ensemble.int_g2_dt
-    return _mc_estimate(np.exp(logE), ensemble.antithetic)
+    return _mc_estimate(np.exp(logE))
 
 
 def _excess_kurtosis(x: np.ndarray) -> float:
@@ -479,8 +441,8 @@ def _trapz_weight_integral(coef: Coefficient, T: float) -> float:
     return float(_cumulative_trapezoid(coef(t), t)[-1])
 
 
-def _certainty_equivalent_gap(L_hi: np.ndarray, L_lo: np.ndarray, theta: float,
-                              antithetic: bool) -> MCEstimate:
+def _certainty_equivalent_gap(L_hi: np.ndarray, L_lo: np.ndarray,
+                              theta: float) -> MCEstimate:
     """(1/theta) (log mean e^{theta L_hi} - log mean e^{theta L_lo}), paired.
 
     The se is the delta method's: that of the per-path
@@ -489,11 +451,11 @@ def _certainty_equivalent_gap(L_hi: np.ndarray, L_lo: np.ndarray, theta: float,
     which cancels, so none overflows.  theta = 0 gives the mean of L_hi - L_lo.
     """
     if theta == 0.0:
-        return _mc_estimate(L_hi - L_lo, antithetic)
+        return _mc_estimate(L_hi - L_lo)
     shift = theta * max(L_hi.max(), L_lo.max())
     e_hi, e_lo = np.exp(theta * L_hi - shift), np.exp(theta * L_lo - shift)
     a_hi, a_lo = float(e_hi.mean()), float(e_lo.mean())
-    influence = _mc_estimate((e_hi / a_hi - e_lo / a_lo) / theta, antithetic)
+    influence = _mc_estimate((e_hi / a_hi - e_lo / a_lo) / theta)
     return MCEstimate(mean=(math.log(a_hi) - math.log(a_lo)) / theta,
                       std_error=influence.std_error, n_paths=L_hi.size)
 
@@ -514,18 +476,15 @@ def saddle_check(params: ModelParams, equilibrium: Equilibrium,
     if not params.variant.uses_disturbance:
         raise ValueError("saddle_check applies to the robust variants")
     d = perturbation_scale
-    base, up, vp = simulate_paths(
-        params, Policy.equilibrium(equilibrium, girsanov=params.variant.uses_theta),
-        equilibrium.m, config, shifts=((d, 0.0), (0.0, d)))
+    base, up, vp = simulate_paths(params, equilibrium, equilibrium.m, config,
+                                  shifts=((d, 0.0), (0.0, d)))
 
     L_base = per_path_cost(base, params)
     theta = params.theta if params.variant.uses_theta else 0.0
     d2 = d ** 2
     return SaddleReport(
-        gap_u=_certainty_equivalent_gap(per_path_cost(up, params), L_base, theta,
-                                        config.antithetic),
-        gap_v=_certainty_equivalent_gap(L_base, per_path_cost(vp, params), theta,
-                                        config.antithetic),
+        gap_u=_certainty_equivalent_gap(per_path_cost(up, params), L_base, theta),
+        gap_v=_certainty_equivalent_gap(L_base, per_path_cost(vp, params), theta),
         analytic_gap_u=0.5 * d2 * _trapz_weight_integral(params.r, params.T),
         analytic_gap_v=0.5 * d2 * _trapz_weight_integral(params.s, params.T),
         base=base,

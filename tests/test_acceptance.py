@@ -20,7 +20,6 @@ from lqmfg.equilibrium import (
     solve_equilibrium_picard,
 )
 from lqmfg.simulate import (
-    Policy,
     SimConfig,
     _mc_estimate,
     estimate_exponential_cost,
@@ -60,7 +59,7 @@ def bench_eq(grid):
 def bench_ensemble(bench_eq):
     p, eq = bench_eq
     cfg = SimConfig(n_paths=N_PATHS, dt_sim=1e-3, seed=SEED)
-    [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
+    [ens] = simulate_paths(p, eq, eq.m, cfg)
     return ens
 
 
@@ -69,7 +68,7 @@ def rs_setup(grid):
     p = make_params(variant=Variant.RISK_SENSITIVE, theta=0.25)
     eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
     cfg = SimConfig(n_paths=N_PATHS, dt_sim=1e-3, seed=SEED)
-    [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
+    [ens] = simulate_paths(p, eq, eq.m, cfg)
     return p, eq, ens
 
 
@@ -130,9 +129,8 @@ def test_criterion_05_value_identity_and_control_gap(bench_eq, bench_ensemble):
     # common random numbers isolate the completed-square gap (r/2) du^2 T
     delta = 0.5
     cfg = SimConfig(n_paths=N_PATHS, dt_sim=1e-3, seed=SEED)
-    [_, pert] = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg, ((delta, 0.0),))
-    gap = _mc_estimate(per_path_cost(pert, p) - per_path_cost(bench_ensemble, p),
-                       antithetic=False)
+    [_, pert] = simulate_paths(p, eq, eq.m, cfg, ((delta, 0.0),))
+    gap = _mc_estimate(per_path_cost(pert, p) - per_path_cost(bench_ensemble, p))
     gap_theory = 0.5 * 1.0 * delta ** 2 * p.T
     ok_gap = abs(gap.mean - gap_theory) <= 3 * gap.std_error + bias
     report("criterion 5: quadratic cost matches the value and the perturbed "

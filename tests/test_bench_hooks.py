@@ -102,9 +102,10 @@ def test_tracer_reads_every_hook(tmp_path, monkeypatch):
     assert metrics["riccati.solve_beta.calls"] == 5
     assert metrics["simulate.simulate_paths.calls"] == 1
     # Trajectory.__call__ only tabulates simulate_paths' inputs on the
-    # simulation grid: m, 4 gains of each of the saddle check's 3 policies,
-    # and beta, alpha of its Girsanov one; the solvers read node values
-    assert metrics["model.traj_evals"] == 1 + 3 * 4 + 2
+    # simulation grid: m, the 4 feedback laws once for the policy and its
+    # shifts, and beta, alpha for the Girsanov sums; the solvers read node
+    # values
+    assert metrics["model.traj_evals"] == 1 + 4 + 2
     # Coefficient.__call__: beta's substage table and alpha's coefficient
     # tables are built once per instance (219 when every solve rebuilt them)
     assert metrics["model.coef_evals"] == 175

@@ -355,13 +355,22 @@ max_iter = 20
         ("n_steps = 200", "n_steps = 200\n[solve]\ntol = -1"),
         ("n_steps = 200", "n_steps = 200\n[sim]\nseed = -1"),
         ("n_steps = 200", "n_steps = 200\n[sim]\ndt_sim = nan"),
+        # counts no numpy array can hold, refused before any allocation
+        ("n_steps = 200", f"n_steps = {10 ** 30}"),
+        ("n_steps = 200", f"n_steps = {2 ** 63 - 1}"),
+        ("T = 1.0\nx0 = 1.0\nm0 = 1.0\n\n[grid]\nn_steps = 200\n",
+         "T = 1e306\nx0 = 1.0\nm0 = 1.0\n"),        # the default n_steps, 1000 T
+        ("n_steps = 200", "n_steps = 200\n[sweep]\nparameter = theta\nstart = 0\n"
+                          f"stop = 1\ncount = {10 ** 27}"),
     ])
+    @pytest.mark.parametrize("command", ["solve", "check"])
     def test_bad_input_is_one_line_config_error(self, tmp_path, capsys, monkeypatch,
-                                                old, new):
+                                                old, new, command):
         # any solve would be a failure: the error comes before it
         monkeypatch.setattr(cli, "solve_equilibrium_picard", None)
+        monkeypatch.setattr(cli, "admissible_beta", None)
         path = write_cfg(tmp_path, BENCH_CFG.replace(old, new))
-        assert main(["solve", "--config", path, "--out-dir",
+        assert main([command, "--config", path, "--out-dir",
                      str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
@@ -370,7 +379,7 @@ max_iter = 20
         (["--paths", "0"], None),
         (["--dt-sim", "-1"], None),
         (["--dt-sim", "nan"], None),
-        (["--paths", "7"], None),          # the config asks for antithetic pairs
+        (["--paths", str(10 ** 27)], None),  # no numpy array holds the paths
         (["--seed", "-3"], None),
         (["--seed", "many"], None),
         (["--tol", "-1"], None),
@@ -382,20 +391,25 @@ max_iter = 20
         monkeypatch.setattr(cli, "solve_equilibrium_picard", None)
         if env_seed is not None:
             monkeypatch.setenv("MFG_SEED", env_seed)
-        path = write_cfg(tmp_path, BENCH_CFG + "\n[sim]\nantithetic = true\n")
+        path = write_cfg(tmp_path, BENCH_CFG)
         for command in ("solve", "verify"):
             assert main([command, "--config", path, "--out-dir",
                          str(tmp_path / "o"), "--quiet", *flags]) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert err.startswith("config error: [") and err.count("\n") == 1
 
-    def test_blow_up_cap_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section, key, value", [
         # an escape is a pole of the solution; no magnitude cap finds it
-        path = write_cfg(tmp_path, BENCH_CFG + "\n[solve]\nblow_up_cap = 1e12\n")
+        ("solve", "blow_up_cap", "1e12"),
+        # the paired sampling mode is gone; every run draws i.i.d. paths
+        ("sim", "antithetic", "true"),
+    ])
+    def test_blow_up_cap_is_config_error(self, tmp_path, capsys, section, key, value):
+        path = write_cfg(tmp_path, BENCH_CFG + f"\n[{section}]\n{key} = {value}\n")
         assert main(["solve", "--config", path, "--out-dir",
                      str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: unknown key 'blow_up_cap' in section [solve]\n")
+            f"config error: unknown key '{key}' in section [{section}]\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_cfg(tmp_path, BENCH_CFG)
@@ -606,12 +620,16 @@ class TestVerifyCommand:
         assert report[:2] == ["status = blow_up", "equation = beta"]
         assert report[2].startswith("blow_up_time = 0.68") and len(report) == 3
 
-    @pytest.mark.parametrize("dt_sim, message", [
-        ("0.003", "does not divide T"),
-        ("0.004", "must be a multiple of the ODE grid steps"),
+    @pytest.mark.parametrize("dt_sim, n_steps, message", [
+        ("0.003", 200, "does not divide T"),
+        ("0.004", 200, "must be a multiple of the ODE grid steps"),
+        # T / dt_sim is inf, or a step count no numpy array can hold
+        ("1e-320", 200, "makes more than"),
+        ("1e-200", 2, "makes more than"),
     ])
-    def test_bad_sim_grid_is_config_error(self, tmp_path, capsys, dt_sim, message):
-        path = write_cfg(tmp_path, BENCH_CFG + f"\n[sim]\ndt_sim = {dt_sim}\n")
+    def test_bad_sim_grid_is_config_error(self, tmp_path, capsys, dt_sim, n_steps, message):
+        path = write_cfg(tmp_path, BENCH_CFG.replace("n_steps = 200", f"n_steps = {n_steps}")
+                         + f"\n[sim]\ndt_sim = {dt_sim}\n")
         assert main(["verify", "--config", path, "--out-dir",
                      str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -626,6 +644,15 @@ class TestVerifyCommand:
         assert main(["verify", "--config", path, "--out-dir", str(out),
                      "--paths", "2000", "--quiet"]) == EXIT_OK
         assert "value_identity_quadratic" in (out / "verify_report.txt").read_text()
+
+    def test_default_dt_sim_past_the_array_limit(self, tmp_path, capsys):
+        # 1000 T / n_steps overflows: the default step is still a float, and
+        # only a simulation needs it
+        path = write_cfg(tmp_path, BENCH_CFG.replace("T = 1.0", "T = 1.7e308"))
+        assert parse_config(path).sim.dt_sim > 0.0
+        assert main(["check", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_default_dt_sim_is_one_thousandth_where_it_refines(self, tmp_path):
         assert parse_config(write_cfg(tmp_path, BENCH_CFG)).sim.dt_sim == 1e-3
@@ -878,6 +905,15 @@ count = 5
         for row in rows[:2]:
             assert row[1:] == [""] * 6 + [str(EXIT_CONFIG)]
         assert rows[2][-1] == str(EXIT_OK) and rows[2][4] != ""
+
+    def test_horizon_past_the_array_limit_gives_row_code(self, tmp_path, capsys):
+        # T = 5e299 and 1e300 ask for more grid steps than a numpy array can
+        # hold; those rows are config errors, and the first is still solved
+        rows = self.sweep_rows(
+            tmp_path, "parameter = T\nstart = 1\nstop = 1e300\ncount = 3\n")
+        assert [row[-1] for row in rows] == [str(EXIT_OK), str(EXIT_CONFIG), str(EXIT_CONFIG)]
+        assert rows[0][4] != "" and rows[1][1:] == [""] * 6 + [str(EXIT_CONFIG)]
+        assert capsys.readouterr().err == ""
 
     def test_non_finite_rows_are_not_successes(self, tmp_path, capsys):
         # at a = 1e300 beta's exponent overflows, so every value is NaN: the

@@ -3,6 +3,7 @@ import re
 import warnings
 from pathlib import Path
 
+from lqmfg import cli
 from lqmfg.model import Trajectory
 from lqmfg.riccati import Beta
 
@@ -28,3 +29,20 @@ def test_quick_start_runs(capsys):
     assert eq.beta is beta
     # value_at_0, the ensemble's cost estimate and the rest were printed
     assert len(capsys.readouterr().out.splitlines()) == 5
+
+
+def example_config() -> str:
+    text = README.read_text()
+    section = text[text.index("Example config:"):]
+    return re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+
+
+def test_example_config_parses_and_checks(tmp_path, capsys):
+    # every documented key is one cli._SECTIONS accepts
+    path = tmp_path / "example.cfg"
+    path.write_text(example_config())
+    cfg = cli.parse_config(path)
+    assert cfg.sim.n_paths == 100000 and cfg.sweep_parameter == "theta"
+    assert cli.main(["check", "--config", str(path), "--out-dir",
+                     str(tmp_path / "out")]) == cli.EXIT_OK
+    assert "admissible = True" in capsys.readouterr().out

@@ -18,7 +18,6 @@ from lqmfg.equilibrium import (BlowUpError, admissible_beta,
 from lqmfg.simulate import (
     BLOCK_SIZE,
     MCEstimate,
-    Policy,
     SimConfig,
     estimate_exponential_cost,
     estimate_girsanov_normalization,
@@ -54,8 +53,6 @@ class TestSimConfig:
             SimConfig(n_paths=0, dt_sim=1e-3, seed=0)
         with pytest.raises(ValueError):
             SimConfig(n_paths=10, dt_sim=0.0, seed=0)
-        with pytest.raises(ValueError):
-            SimConfig(n_paths=11, dt_sim=1e-3, seed=0, antithetic=True)
 
     def test_step_count(self):
         assert SimConfig(n_paths=1, dt_sim=0.25, seed=0).n_sim_steps(1.0) == 4
@@ -66,23 +63,23 @@ class TestSimConfig:
         p, eq = bench_eq
         cfg = SimConfig(n_paths=4, dt_sim=1.0 / 1500, seed=0)
         with pytest.raises(ValueError):
-            simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
+            simulate_paths(p, eq, eq.m, cfg)
 
 
 class TestDeterminism:
     def test_bit_identical_reruns(self, bench_eq):
         p, eq = bench_eq
         cfg = small_config()
-        [e1] = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
-        [e2] = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
+        [e1] = simulate_paths(p, eq, eq.m, cfg)
+        [e2] = simulate_paths(p, eq, eq.m, cfg)
         np.testing.assert_array_equal(e1.x_final, e2.x_final)
         np.testing.assert_array_equal(e1.sum_x, e2.sum_x)
-        np.testing.assert_array_equal(e1.int_g_dB, e2.int_g_dB)
+        np.testing.assert_array_equal(e1.run_cost, e2.run_cost)
 
     def test_seed_changes_draws(self, bench_eq):
         p, eq = bench_eq
-        [e1] = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config(seed=1))
-        [e2] = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config(seed=2))
+        [e1] = simulate_paths(p, eq, eq.m, small_config(seed=1))
+        [e2] = simulate_paths(p, eq, eq.m, small_config(seed=2))
         assert not np.array_equal(e1.x_final, e2.x_final)
 
 
@@ -111,7 +108,7 @@ class TestBlockLayout:
         p = make_params(a=0.0, abar=0.0)
         g = TimeGrid(T=1.0, n_steps=10)
         cfg = SimConfig(n_paths=n, dt_sim=0.1, seed=9)
-        [ens] = simulate_paths(p, Policy(), Trajectory(g, np.zeros(g.n_steps + 1)), cfg)
+        [ens] = simulate_paths(p, None, Trajectory(g, np.zeros(g.n_steps + 1)), cfg)
         rng = np.random.default_rng([9, 0])
         x = np.full(n, p.x0)
         for _ in range(10):
@@ -119,9 +116,9 @@ class TestBlockLayout:
         np.testing.assert_array_equal(ens.x_final, x)
 
 
-def _ensembles(monkeypatch, workers, p, policy, m, cfg, shifts=()):
+def _ensembles(monkeypatch, workers, p, eq, m, cfg, shifts=()):
     monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
-    return simulate_paths(p, policy, m, cfg, shifts)
+    return simulate_paths(p, eq, m, cfg, shifts)
 
 
 SHIFTS = ((0.5, 0.0), (0.0, 0.5), (-0.3, 0.2))
@@ -140,15 +137,13 @@ def assert_same_bits(got, want):
 class TestWorkers:
     """The block threads change no bit of the ensembles or their shifts."""
 
-    @pytest.mark.parametrize("antithetic", [False, True])
-    def test_worker_count_and_rerun_bit_identical(self, monkeypatch, antithetic):
+    def test_worker_count_and_rerun_bit_identical(self, monkeypatch):
         p = make_params(**REFERENCE_INSTANCES["robust_risk_sensitive"])
         grid = TimeGrid(T=1.0, n_steps=10)
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         # three blocks, so two workers share them unevenly
-        cfg = SimConfig(n_paths=2 * BLOCK_SIZE + 10, dt_sim=0.05, seed=4,
-                        antithetic=antithetic)
-        runs = [_ensembles(monkeypatch, w, p, Policy.equilibrium(eq), eq.m, cfg, SHIFTS)
+        cfg = SimConfig(n_paths=2 * BLOCK_SIZE + 10, dt_sim=0.05, seed=4)
+        runs = [_ensembles(monkeypatch, w, p, eq, eq.m, cfg, SHIFTS)
                 for w in (1, 2, 2, 4)]
         for run in runs[1:]:
             assert_same_bits(run, runs[0])
@@ -164,11 +159,11 @@ class TestWorkers:
         monkeypatch.setattr(simulate.threading, "Thread", CountingThread)
         p, m = make_params(), Trajectory(TimeGrid(T=1.0, n_steps=4), np.zeros(5))
         cfg = SimConfig(n_paths=3 * BLOCK_SIZE, dt_sim=0.25, seed=0)
-        _ensembles(monkeypatch, 1, p, Policy(), m, cfg)
+        _ensembles(monkeypatch, 1, p, None, m, cfg)
         assert started == []                    # one worker: the calling thread
-        _ensembles(monkeypatch, 2, p, Policy(), m, cfg)
+        _ensembles(monkeypatch, 2, p, None, m, cfg)
         assert len(started) == 1                # the caller is the other worker
-        _ensembles(monkeypatch, 2, p, Policy(), m,
+        _ensembles(monkeypatch, 2, p, None, m,
                    SimConfig(n_paths=BLOCK_SIZE, dt_sim=0.25, seed=0))
         assert len(started) == 1                # capped at the one block
         assert not any(t.is_alive() for t in started)
@@ -178,11 +173,11 @@ class TestWorkers:
         grid = TimeGrid(T=1.0, n_steps=5)
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         cfg = SimConfig(n_paths=4 * BLOCK_SIZE, dt_sim=0.1, seed=2)
-        [serial] = _ensembles(monkeypatch, 1, p, Policy.equilibrium(eq), eq.m, cfg)
+        [serial] = _ensembles(monkeypatch, 1, p, eq, eq.m, cfg)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            [threaded] = _ensembles(monkeypatch, 4, p, Policy.equilibrium(eq), eq.m, cfg)
+            [threaded] = _ensembles(monkeypatch, 4, p, eq, eq.m, cfg)
         finally:
             sys.setswitchinterval(interval)
         assert_same_bits([threaded], [serial])
@@ -218,13 +213,14 @@ class TestWorkers:
         # block 1 runs on the worker thread
         monkeypatch.setattr(simulate.np.random, "default_rng", rng)
         with pytest.raises(FloatingPointError, match="block 1"):
-            _ensembles(monkeypatch, 2, p, Policy(), m,
+            _ensembles(monkeypatch, 2, p, None, m,
                        SimConfig(n_paths=2 * BLOCK_SIZE, dt_sim=0.25, seed=0))
 
 
-def reference_paths(params, policy, m, config, shift=(0.0, 0.0)):
+def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
     """Per-step Euler-Maruyama with u, v, x - m and four separate cost sums,
-    for the policy with its offsets shifted by (du, dv).
+    for eq's policy (None: the zero policy) with its offsets shifted by
+    (du, dv).
 
     Draws the same per-block streams as simulate_paths: block b, the paths
     lo:hi of path_blocks, uses default_rng([seed, b]).
@@ -237,11 +233,11 @@ def reference_paths(params, policy, m, config, shift=(0.0, 0.0)):
     robust = params.variant.uses_disturbance
     zero = np.zeros(n_sim + 1)
     gu = ou = gv = ov = zero
-    if policy.base is not None:
-        gu, ou = policy.base.feedback_gain(t), policy.base.feedback_offset(t)
+    if eq is not None:
+        gu, ou = eq.value.feedback_gain(t), eq.value.feedback_offset(t)
         if robust:
-            gv, ov = policy.base.disturbance_gain(t), policy.base.disturbance_offset(t)
-    girsanov = policy.beta is not None
+            gv, ov = eq.value.disturbance_gain(t), eq.value.disturbance_offset(t)
+    girsanov = eq is not None and params.variant.uses_theta
     w = np.full(n_sim + 1, dt)
     w[0] = w[-1] = dt / 2
     mt, q, qbar, r, s = m(t), params.q(t), params.qbar(t), params.r(t), params.s(t)
@@ -266,15 +262,9 @@ def reference_paths(params, policy, m, config, shift=(0.0, 0.0)):
                 sum_x2[k // stride] += (x * x).sum()
             if k == n_sim:
                 break
-            if config.antithetic:
-                half = rng.standard_normal(bn // 2)
-                z = np.empty(bn)
-                z[0::2], z[1::2] = half, -half
-            else:
-                z = rng.standard_normal(bn)
-            dW = math.sqrt(dt) * z
+            dW = math.sqrt(dt) * rng.standard_normal(bn)
             if girsanov:
-                g = params.sigma * (policy.beta(t[k]) * x + policy.alpha(t[k]))
+                g = params.sigma * (eq.beta(t[k]) * x + eq.alpha(t[k]))
                 gdB += g * dW
                 g2dt += g * g * dt
             drift = params.a * x + params.abar * mt[k] + params.b * u
@@ -301,17 +291,18 @@ REFERENCE_INSTANCES = {
 }
 
 
-def assert_matches_reference(p, policy, m, cfg, shifts):
+def assert_matches_reference(p, eq, m, cfg, shifts):
     """Each ensemble of one call within 1e-12 of the reference run of its
     (shifted) policy, relative to max(1, |reference|)."""
-    ensembles = simulate_paths(p, policy, m, cfg, shifts)
+    ensembles = simulate_paths(p, eq, m, cfg, shifts)
     for i, (shift, ens) in enumerate(zip(((0.0, 0.0), *shifts), ensembles, strict=True)):
-        ref = reference_paths(p, policy, m, cfg, shift)
+        ref = reference_paths(p, eq, m, cfg, shift)
         got = {"cost": per_path_cost(ens, p), "x_final": ens.x_final,
                "sum_x": ens.sum_x, "sum_x2": ens.sum_x2,
                "int_g_dB": ens.int_g_dB, "int_g2_dt": ens.int_g2_dt}
-        # Girsanov sums for the policy itself only, never for its shifts
-        if policy.beta is None or i > 0:
+        # Girsanov sums for an equilibrium of a theta variant only, never
+        # for its shifts
+        if eq is None or not p.variant.uses_theta or i > 0:
             assert got.pop("int_g_dB") is None and got.pop("int_g2_dt") is None
         for key, value in got.items():
             err = np.abs(value - ref[key]) / np.maximum(1.0, np.abs(ref[key]))
@@ -324,10 +315,9 @@ class TestReferenceEuler:
         p = make_params(**REFERENCE_INSTANCES[name])
         grid = TimeGrid(T=1.0, n_steps=20)
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
-        cfg = SimConfig(n_paths=BLOCK_SIZE + 6, dt_sim=1.0 / 40, seed=4,
-                        antithetic=True)
-        assert_matches_reference(p, Policy.equilibrium(eq), eq.m, cfg, SHIFTS)
-        assert_matches_reference(p, Policy(), eq.m, cfg, SHIFTS[:1])
+        cfg = SimConfig(n_paths=BLOCK_SIZE + 6, dt_sim=1.0 / 40, seed=4)
+        assert_matches_reference(p, eq, eq.m, cfg, SHIFTS)
+        assert_matches_reference(p, None, eq.m, cfg, SHIFTS[:1])
 
 
 class TestShifts:
@@ -338,11 +328,11 @@ class TestShifts:
     @given(variant=st.sampled_from(list(Variant)),
            a=st.floats(-1.0, 1.0), abar=st.floats(-0.5, 0.5),
            c=st.floats(0.0, 0.8), sigma=st.floats(0.0, 0.6),
-           theta=st.floats(0.0, 0.5), antithetic=st.booleans(),
+           theta=st.floats(0.0, 0.5),
            du=st.floats(-1.0, 1.0), dv=st.floats(-1.0, 1.0),
            seed=st.integers(0, 2 ** 31))
     def test_shifted_costs_match_the_reference_of_the_shifted_policy(
-            self, variant, a, abar, c, sigma, theta, antithetic, du, dv, seed):
+            self, variant, a, abar, c, sigma, theta, du, dv, seed):
         p = make_params(variant=variant, a=a, abar=abar, c=c, sigma=sigma, theta=theta,
                         r=tabulated(1.0, 0.7, 1.3), s=tabulated(1.2, 0.9))
         grid = TimeGrid(T=1.0, n_steps=10)
@@ -350,8 +340,8 @@ class TestShifts:
             eq = solve_equilibrium_closed_form(p, admissible_beta(p, grid), grid)
         except BlowUpError:
             assume(False)
-        cfg = SimConfig(n_paths=64, dt_sim=1.0 / 30, seed=seed, antithetic=antithetic)
-        assert_matches_reference(p, Policy.equilibrium(eq), eq.m, cfg,
+        cfg = SimConfig(n_paths=64, dt_sim=1.0 / 30, seed=seed)
+        assert_matches_reference(p, eq, eq.m, cfg,
                                  ((du, dv), (du, 0.0), (0.0, dv)))
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
@@ -360,43 +350,44 @@ class TestShifts:
         grid = TimeGrid(T=1.0, n_steps=20)
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         cfg = SimConfig(n_paths=300, dt_sim=1.0 / 40, seed=4)
-        alone = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
-        shifted = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg, SHIFTS)
+        alone = simulate_paths(p, eq, eq.m, cfg)
+        shifted = simulate_paths(p, eq, eq.m, cfg, SHIFTS)
         assert len(shifted) == 1 + len(SHIFTS)
         assert_same_bits(shifted[:1], alone)
 
-    @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
-    def test_chunk_length_changes_no_bit(self, monkeypatch, chunk, antithetic):
+    def test_chunk_length_changes_no_bit(self, monkeypatch, chunk):
         # CHUNK = 1 is the plain per-step loop; a stride of 3 puts the
         # recorded nodes at every offset within the longer chunks
         p = make_params(**REFERENCE_INSTANCES["robust_risk_sensitive"])
         grid = TimeGrid(T=1.0, n_steps=10)
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
-        cfg = SimConfig(n_paths=302, dt_sim=1.0 / 30, seed=8, antithetic=antithetic)
-        want = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg, SHIFTS)
+        cfg = SimConfig(n_paths=302, dt_sim=1.0 / 30, seed=8)
+        want = simulate_paths(p, eq, eq.m, cfg, SHIFTS)
         monkeypatch.setattr(simulate, "CHUNK", chunk)
-        assert_same_bits(simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg, SHIFTS), want)
+        assert_same_bits(simulate_paths(p, eq, eq.m, cfg, SHIFTS), want)
 
     def test_zero_shift_is_the_policy_itself(self, bench_eq):
         p, eq = bench_eq
-        base, same = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config(),
+        base, same = simulate_paths(p, eq, eq.m, small_config(),
                                     ((0.0, 0.0),))
         np.testing.assert_array_equal(same.run_cost, base.run_cost)
         np.testing.assert_array_equal(same.x_final, base.x_final)
 
-    def test_girsanov_flag(self, bench_eq):
-        # verify's risk-neutral and robust runs pass girsanov=False and must
-        # form no Girsanov sums; shifts never carry them
-        p, eq = bench_eq
-        assert Policy.equilibrium(eq).girsanov
-        assert not Policy.equilibrium(eq, girsanov=False).girsanov
-        for girsanov in (True, False):
-            base, shifted = simulate_paths(p, Policy.equilibrium(eq, girsanov=girsanov),
-                                           eq.m, small_config(), ((0.5, 0.0),))
-            assert (base.int_g_dB is None) is not girsanov
-            assert (base.int_g2_dt is None) is not girsanov
-            assert shifted.int_g_dB is None and shifted.int_g2_dt is None
+    @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+    def test_girsanov_sums_exactly_where_theta_reads_them(self, name):
+        # an equilibrium's own ensemble carries them iff the variant uses
+        # theta; the zero policy and the shifts never do
+        p = make_params(**REFERENCE_INSTANCES[name])
+        grid = TimeGrid(T=1.0, n_steps=10)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        cfg = SimConfig(n_paths=64, dt_sim=0.05, seed=3)
+        base, shifted = simulate_paths(p, eq, eq.m, cfg, ((0.5, 0.0),))
+        assert (base.int_g_dB is not None) == p.variant.uses_theta
+        assert (base.int_g2_dt is not None) == p.variant.uses_theta
+        assert shifted.int_g_dB is None and shifted.int_g2_dt is None
+        for ens in simulate_paths(p, None, eq.m, cfg, ((0.5, 0.0),)):
+            assert ens.int_g_dB is None and ens.int_g2_dt is None
 
 
 class TestMemory:
@@ -413,7 +404,7 @@ class TestMemory:
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            ensembles = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg,
+            ensembles = simulate_paths(p, eq, eq.m, cfg,
                                        ((0.5, 0.0), (0.0, 0.5)))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
@@ -430,26 +421,15 @@ class TestDegenerateDynamics:
         g = TimeGrid(T=1.0, n_steps=100)
         m = Trajectory(g, np.zeros(g.n_steps + 1))
         cfg = SimConfig(n_paths=3, dt_sim=0.01, seed=0)
-        [ens] = simulate_paths(p, Policy(), m, cfg)
+        [ens] = simulate_paths(p, None, m, cfg)
         dt = 0.01
         expected = p.x0 * (1.0 + p.a * dt) ** np.arange(101)
         np.testing.assert_allclose(ens.mean_x(), expected, rtol=1e-13)
         assert np.all(ens.x_final == ens.x_final[0])
 
-    def test_antithetic_terminal_mean_exact_for_linear_sde(self):
-        # zero policy keeps the SDE linear, so antithetic pair means of x(T)
-        # are deterministic and the pair-based standard error collapses
-        p = make_params(abar=0.0)
-        g = TimeGrid(T=1.0, n_steps=100)
-        [ens] = simulate_paths(p, Policy(), Trajectory(g, np.zeros(g.n_steps + 1)),
-                               SimConfig(n_paths=512, dt_sim=0.01, seed=3,
-                                         antithetic=True))
-        pair_means = ens.x_final.reshape(-1, 2).mean(axis=1)
-        assert np.ptp(pair_means) <= 1e-12
-
     def test_mean_consistency_smoke(self, bench_eq):
         p, eq = bench_eq
-        [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m,
+        [ens] = simulate_paths(p, eq, eq.m,
                                small_config(n_paths=4096, seed=7))
         err = np.abs(ens.mean_x() - eq.m.values)
         # 4 SE plus a small discretization allowance
@@ -459,14 +439,18 @@ class TestDegenerateDynamics:
 class TestEstimators:
     def test_theta_zero_exponential_cost_is_one(self, bench_eq):
         p, eq = bench_eq
-        [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config())
+        [ens] = simulate_paths(p, eq, eq.m, small_config())
         est = estimate_exponential_cost(ens, p)
         assert est.mean == 1.0
         assert est.std_error == 0.0
 
-    def test_theta_zero_girsanov_is_one(self, bench_eq):
-        p, eq = bench_eq
-        [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config())
+    def test_theta_zero_girsanov_is_one(self):
+        # a theta variant at theta = 0 forms the sums; their exponential is 1
+        p = make_params(variant=Variant.RISK_SENSITIVE, theta=0.0)
+        g = TimeGrid(T=1.0, n_steps=200)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, g), g)
+        [ens] = simulate_paths(p, eq, eq.m, small_config())
+        assert ens.int_g_dB is not None
         est = estimate_girsanov_normalization(ens, p)
         assert est.mean == 1.0
 
@@ -474,7 +458,7 @@ class TestEstimators:
         p = make_params(sigma=0.0, theta=0.3, variant=Variant.RISK_SENSITIVE)
         g = TimeGrid(T=1.0, n_steps=200)
         eq = solve_equilibrium_picard(p, admissible_beta(p, g), g)
-        [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m,
+        [ens] = simulate_paths(p, eq, eq.m,
                                SimConfig(n_paths=16, dt_sim=1.0 / 200, seed=0))
         est = estimate_girsanov_normalization(ens, p)
         assert est.mean == 1.0
@@ -482,13 +466,13 @@ class TestEstimators:
 
     def test_girsanov_requires_accumulators(self, bench_eq):
         p, eq = bench_eq
-        [ens] = simulate_paths(p, Policy(), eq.m, small_config())
+        [ens] = simulate_paths(p, None, eq.m, small_config())
         with pytest.raises(ValueError):
             estimate_girsanov_normalization(ens, p)
 
     def test_quadratic_value_needs_accumulators_only_with_theta(self, bench_eq):
         p, eq = bench_eq
-        [ens] = simulate_paths(p, Policy(), eq.m, small_config())
+        [ens] = simulate_paths(p, None, eq.m, small_config())
         with pytest.raises(ValueError):
             estimate_quadratic_value(ens, make_params(variant=Variant.RISK_SENSITIVE,
                                                       theta=0.25))
@@ -498,7 +482,7 @@ class TestEstimators:
         p = make_params(sigma=0.0)
         g = TimeGrid(T=1.0, n_steps=2000)
         eq = solve_equilibrium_picard(p, admissible_beta(p, g), g)
-        [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m,
+        [ens] = simulate_paths(p, eq, eq.m,
                                SimConfig(n_paths=2, dt_sim=1.0 / 2000, seed=0))
         est = estimate_quadratic_value(ens, p)
         assert est.std_error <= 1e-12
@@ -506,12 +490,12 @@ class TestEstimators:
 
     def test_per_path_cost_nonnegative_risk_neutral(self, bench_eq):
         p, eq = bench_eq
-        [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config())
+        [ens] = simulate_paths(p, eq, eq.m, small_config())
         assert np.all(per_path_cost(ens, p) >= 0.0)
 
     def test_estimate_type(self, bench_eq):
         p, eq = bench_eq
-        [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m, small_config())
+        [ens] = simulate_paths(p, eq, eq.m, small_config())
         est = estimate_quadratic_value(ens, p)
         assert isinstance(est, MCEstimate)
         assert est.n_paths == 256
@@ -620,10 +604,9 @@ class TestSaddle:
     @given(robust_risk_sensitive=st.booleans(),
            a=st.floats(-1.0, 1.0), abar=st.floats(-0.5, 0.5),
            c=st.floats(0.0, 0.8), sigma=st.floats(0.0, 0.6),
-           theta=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 31),
-           antithetic=st.booleans())
+           theta=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 31))
     def test_zero_perturbation_gaps_exactly_zero(self, robust_risk_sensitive, a, abar,
-                                                 c, sigma, theta, seed, antithetic):
+                                                 c, sigma, theta, seed):
         variant = (Variant.ROBUST_RISK_SENSITIVE if robust_risk_sensitive
                    else Variant.ROBUST)
         p = make_params(variant=variant, a=a, abar=abar, c=c, sigma=sigma, theta=theta)
@@ -632,7 +615,7 @@ class TestSaddle:
             eq = solve_equilibrium_closed_form(p, admissible_beta(p, grid), grid)
         except BlowUpError:
             assume(False)
-        cfg = SimConfig(n_paths=64, dt_sim=1.0 / 40, seed=seed, antithetic=antithetic)
+        cfg = SimConfig(n_paths=64, dt_sim=1.0 / 40, seed=seed)
         rep = saddle_check(p, eq, 0.0, cfg)
         assert rep.gap_u.mean == 0.0 and rep.gap_u.std_error == 0.0
         assert rep.gap_v.mean == 0.0 and rep.gap_v.std_error == 0.0
@@ -657,18 +640,18 @@ class TestThetaTheories:
                                (Variant.ROBUST_RISK_SENSITIVE, {"c": 0.5})):
             p = make_params(variant=variant, theta=0.8, sigma=0.6, **extra)
             eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
-            [ens] = simulate_paths(p, Policy.equilibrium(eq), eq.m, cfg)
+            [ens] = simulate_paths(p, eq, eq.m, cfg)
             value = eq.value.value_at_0
             slack = dt_sim * max(1.0, abs(value))    # verify's Euler allowance
             new = estimate_quadratic_value(ens, p)
-            old = _mc_estimate(per_path_cost(ens, p), antithetic=False)
+            old = _mc_estimate(per_path_cost(ens, p))
             assert abs(new.mean - value) <= 3 * new.std_error + slack
             assert value - old.mean > 3 * old.std_error + slack
             if not variant.uses_disturbance:
                 continue
             rep = saddle_check(p, eq, 0.5, cfg)
             base, up, vp = (per_path_cost(e, p) for e in simulate_paths(
-                p, Policy.equilibrium(eq), eq.m, cfg, ((0.5, 0.0), (0.0, 0.5))))
+                p, eq, eq.m, cfg, ((0.5, 0.0), (0.0, 0.5))))
 
             def ce(L):
                 return math.log(np.mean(np.exp(p.theta * L))) / p.theta
@@ -678,5 +661,5 @@ class TestThetaTheories:
                 assert gap.mean == pytest.approx(ce(hi) - ce(lo), rel=1e-10)
                 assert gap.mean > 3 * gap.std_error
                 assert abs(gap.mean - theory) <= 3 * gap.std_error
-                old_gap = _mc_estimate(hi - lo, antithetic=False)
+                old_gap = _mc_estimate(hi - lo)
                 assert abs(old_gap.mean - theory) > 3 * old_gap.std_error
