@@ -431,6 +431,12 @@ def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
         cfg.sim.record_stride(cfg.params.T, cfg.grid.n_steps)
     except ValueError as exc:
         raise ConfigError(f"[sim] {exc}") from None
+    # without sample noise every se is 0 and each line's tolerance shrinks to
+    # rounding, so a correct solver would fail on its Euler bias
+    if cfg.sim.n_paths < 2:
+        raise ConfigError("[sim] verify needs n_paths >= 2")
+    if cfg.params.sigma == 0:
+        raise ConfigError("verify needs sigma > 0")
     eq = out.eq_picard
     params = cfg.params
     lines: list[CheckLine] = []

@@ -302,7 +302,10 @@ def assemble_value(params: ModelParams, beta: Trajectory, alpha: Trajectory,
         sv = params.s(nodes)
         dist_gain = Trajectory(grid, params.c * beta.values / sv)
         dist_offset = Trajectory(grid, params.c * alpha.values / sv)
-    exp_value = math.exp(params.theta * value0) if params.variant.uses_theta else None
+    try:
+        exp_value = math.exp(params.theta * value0) if params.variant.uses_theta else None
+    except OverflowError:       # theta value0 above log(max float), about 709.8
+        exp_value = math.inf
     return ValueCoefficients(value_at_0=float(value0), feedback_gain=gain,
                              feedback_offset=offset, disturbance_gain=dist_gain,
                              disturbance_offset=dist_offset, exp_value=exp_value)

@@ -11,24 +11,22 @@ paths, summed on the same draws (simulate_paths).  The Girsanov sums are
 formed exactly where theta reads them: for an equilibrium of a theta
 variant, never for a shift.
 
-The paths are cut into ceil(n_paths / BLOCK_SIZE) blocks of near-equal size
-(path_blocks), a layout that depends on n_paths alone.  Block b draws from
-its own stream default_rng([seed, b]) and writes only its own columns, so
-the blocks run on one thread per CPU the process may use; their per-node
-sums are added in block order afterwards.  A block draws the normals of up
-to CHUNK steps in one call and forms the cost, Girsanov and functional
-terms of those steps in a few whole-chunk calls; the state recursion stays
-per step, and every per-path sum is added in step order.  Results are
-therefore bit for bit the same for a given seed and n_paths on any number
-of cores, and for any CHUNK.
+The paths are cut into ceil(n_paths / BLOCK_SIZE) blocks whose sizes differ
+by at most 1 (path_blocks), a layout that depends on n_paths alone.  Block b
+draws from its own stream default_rng([seed, b]) and writes only its own
+columns, so the blocks run on a thread pool of min(CPUs, blocks) workers;
+their per-node sums are added in block order afterwards.  A block draws the
+normals of up to CHUNK steps in one call and forms the cost, Girsanov and
+functional terms of those steps in a few whole-chunk calls; the state
+recursion stays per step, and every per-path sum is added in step order.
+Results are therefore bit for bit the same for a given seed and n_paths on
+any number of cores, and for any CHUNK.
 """
 from __future__ import annotations
 
-import functools
 import math
 import os
-import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -137,14 +135,13 @@ class SaddleReport:
 def path_blocks(n: int) -> list[tuple[int, int]]:
     """The (lo, hi) path ranges of the random streams for n paths.
 
-    nb = ceil(n / BLOCK_SIZE) blocks, cut at the even indices
-    2 round(b n / (2 nb)): sizes differ by at most 2, are even whenever n
-    is, and never exceed BLOCK_SIZE.  The layout depends on n alone, so the
-    ensemble does not depend on how many threads step it; n <= BLOCK_SIZE
+    nb = ceil(n / BLOCK_SIZE) blocks, cut at b n // nb: sizes differ by at
+    most 1 and never exceed BLOCK_SIZE.  The layout depends on n alone, so
+    the ensemble does not depend on how many threads step it; n <= BLOCK_SIZE
     is one block.
     """
     nb = -(-n // BLOCK_SIZE)
-    cuts = [2 * ((b * n + nb) // (2 * nb)) for b in range(nb)] + [n]
+    cuts = [b * n // nb for b in range(nb + 1)]
     return list(zip(cuts[:-1], cuts[1:]))
 
 
@@ -154,35 +151,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:      # no sched_getaffinity on this platform
         return os.cpu_count() or 1
-
-
-def _run_all(tasks: Sequence[Callable[[], None]]) -> None:
-    """Call every task, on at most one thread per CPU, the caller's included.
-
-    Worker i takes tasks i, i + workers, ...; with one worker everything
-    runs in the calling thread.  numpy releases the GIL in the draws and in
-    the ufuncs on whole blocks, so the threads overlap; only each call's
-    dispatch holds it.  An exception of any task, the caller's included, is
-    re-raised here once every thread has finished.
-    """
-    workers = min(_cpu_count(), len(tasks))
-    errors: list[BaseException] = []
-
-    def share(i: int) -> None:
-        try:
-            for task in tasks[i::workers]:
-                task()
-        except BaseException as exc:    # re-raised in the caller below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=share, args=(i,)) for i in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    share(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
@@ -280,14 +248,18 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
     shift_cost = np.zeros((len(shifts), n))        # sum_k alpha_k x_k per shift
     sig_sqdt = params.sigma * math.sqrt(dt)
 
-    def step(rng, x_out, cost, gdB, g2dt, funcs, X, Z, S, sums) -> None:
-        """Step one block in chunks of at most CHUNK nodes.
+    def block(b: int, lo: int, hi: int) -> np.ndarray:
+        """Step paths lo:hi on stream b in chunks of at most CHUNK nodes.
 
         X holds the chunk's states, Z its normals, and S is the scratch of
-        the scaled noise and the cost, Girsanov and functional terms.  x_out, cost, gdB, g2dt and funcs are
-        the block's columns of the outputs; sums[0]/sums[1] receive its
-        per-node sums of x and x^2.
+        the scaled noise and the cost, Girsanov and functional terms.  Writes
+        the block's columns of the outputs; returns its per-node sums of x
+        and x^2.
         """
+        rng = np.random.default_rng([config.seed, b])
+        X, Z, S = (np.empty((rows, hi - lo)) for rows in (CHUNK + 1, CHUNK, CHUNK))
+        cost, gdB, g2dt = run_cost[lo:hi], int_g_dB[lo:hi], int_g2_dt[lo:hi]
+        sums = np.zeros((2, n_ode + 1))
         X[0] = params.x0
         cost[...] = cost_r
         for k0 in range(0, n_sim + 1, CHUNK):
@@ -313,7 +285,7 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
             term += cost_q[nodes]
             term *= X[:kc]
             _add_rows(cost, term)
-            for acc, alpha in zip(funcs, alphas):
+            for acc, alpha in zip(shift_cost[:, lo:hi], alphas):
                 _add_rows(acc, np.multiply(X[:kc], alpha[nodes], out=S[:kc]))
             first = -k0 % stride                # the chunk's recorded nodes
             if first < kc:
@@ -322,29 +294,20 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
                 rec.sum(axis=1, out=sums[0, j])
                 np.multiply(rec, rec, out=S[:len(rec)]).sum(axis=1, out=sums[1, j])
             if ns < kc:
-                x_out[...] = X[ns]
+                x_final[lo:hi] = X[ns]
             else:
                 X[0] = X[kc]
+        return sums
 
-    def block(b: int, lo: int, hi: int):
-        """Block b's task on paths lo:hi and the array its sums go to.
+    # imported here: the pool module's import time and memory are paid by
+    # simulations only, not by every command
+    from concurrent.futures import ThreadPoolExecutor
 
-        Every buffer is allocated here, before any thread starts, so the
-        workers allocate nothing while they step.
-        """
-        sums = np.zeros((2, n_ode + 1))
-        task = functools.partial(
-            step, np.random.default_rng([config.seed, b]),
-            x_final[lo:hi], run_cost[lo:hi], int_g_dB[lo:hi], int_g2_dt[lo:hi],
-            shift_cost[:, lo:hi], np.empty((CHUNK + 1, hi - lo)),
-            np.empty((CHUNK, hi - lo)), np.empty((CHUNK, hi - lo)), sums)
-        return task, sums
-
-    tasks, block_sums = zip(*(block(b, lo, hi) for b, (lo, hi) in enumerate(path_blocks(n))))
-    _run_all(tasks)
-    del tasks       # the block buffers, before the shifted ensembles are built
-    # per-node sums in block order from zero: the same bits for any worker count
-    sum_x, sum_x2 = sum(block_sums, np.zeros((2, n_ode + 1)))
+    blocks = path_blocks(n)
+    with ThreadPoolExecutor(min(_cpu_count(), len(blocks))) as pool:
+        # per-node sums in block order from zero: the same bits for any worker count
+        sum_x, sum_x2 = sum(pool.map(block, range(len(blocks)), *zip(*blocks)),
+                            np.zeros((2, n_ode + 1)))
     int_g_dB *= math.sqrt(dt)
     int_g2_dt *= dt
     base = PathEnsemble(
@@ -405,10 +368,11 @@ HEAVY_TAIL_KURTOSIS = 100.0
 
 
 def estimate_exponential_cost(ensemble: PathEnsemble, params: ModelParams) -> MCEstimate:
-    """Sample mean of e^{theta L}; flags heavy-tailed samples, never truncates."""
-    expL = np.exp(params.theta * per_path_cost(ensemble, params))
-    heavy = bool(_excess_kurtosis(expL) > HEAVY_TAIL_KURTOSIS)
-    return _mc_estimate(expL, heavy_tail=heavy)
+    """Sample mean of e^{theta L}, inf past the floats; flags heavy tails, never truncates."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        expL = np.exp(params.theta * per_path_cost(ensemble, params))
+        heavy = bool(_excess_kurtosis(expL) > HEAVY_TAIL_KURTOSIS)
+        return _mc_estimate(expL, heavy_tail=heavy)
 
 
 def estimate_girsanov_normalization(ensemble: PathEnsemble,

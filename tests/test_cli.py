@@ -636,6 +636,23 @@ class TestVerifyCommand:
         assert err.startswith("config error: [sim]") and message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("edit, flags, message", [
+        ("", ["--paths", "1"], "[sim] verify needs n_paths >= 2"),
+        ("sigma = 0.0", [], "verify needs sigma > 0"),
+    ], ids=["one_path", "sigma_zero"])
+    def test_noise_free_samples_are_config_error(self, tmp_path, capsys, edit, flags, message):
+        # without noise every se is 0 and each tolerance shrinks to rounding
+        path = write_cfg(tmp_path, BENCH_CFG.replace("sigma = 0.2", edit or "sigma = 0.2"))
+        assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "o"),
+                     "--quiet", *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+
+    def test_blow_up_outranks_a_single_path(self, tmp_path):
+        path = write_cfg(tmp_path, BLOWUP_CFG)
+        assert main(["verify", "--config", path, "--out-dir", str(tmp_path / "o"),
+                     "--paths", "1", "--quiet"]) == EXIT_BLOWUP
+
     def test_default_dt_sim_refines_the_grid(self, tmp_path):
         # no [sim] section: 1000 steps would not refine a 400-step grid
         path = write_cfg(tmp_path, BENCH_CFG.replace("n_steps = 200", "n_steps = 400"))
@@ -733,24 +750,26 @@ class TestModuleEntryPoint:
         assert (tmp_path / "o" / "check_report.txt").is_file()
 
 
-def scipy_modules_after(code: str) -> list[str]:
-    """Run code in a fresh interpreter; the scipy modules it left loaded."""
+def modules_after(code: str) -> set[str]:
+    """Run code in a fresh interpreter; the top-level modules it left loaded."""
     src = str(Path(lqmfg.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys\n"
-         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "print(*{m.split('.')[0] for m in sys.modules})"],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1].split()
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 class TestNumpyOnlyRuntime:
-    """The package runs on numpy alone: no command loads scipy."""
+    """The package runs on numpy alone: no command loads scipy.  Only a
+    simulation loads concurrent, the thread pool's package, whose import
+    costs about 10 ms and 0.3 MB that check, solve and sweep do not pay."""
 
     def test_import_loads_no_scipy(self):
-        assert scipy_modules_after("import lqmfg") == []
+        assert not modules_after("import lqmfg") & {"scipy", "concurrent"}
 
     def test_commands_load_no_scipy(self, tmp_path):
         # robust risk-sensitive reaches every routine that once came from
@@ -758,14 +777,19 @@ class TestNumpyOnlyRuntime:
         # kurtosis of the heavy-tail flag and the saddle's trapezoid sum
         cfg = BENCH_CFG.replace("risk_neutral", "robust_risk_sensitive\nc = 0.5\ntheta = 0.25")
         cfg = write_cfg(tmp_path, cfg.replace("n_steps = 200", "n_steps = 50")
-                        + "\n[sim]\nn_paths = 200\nseed = 3\n")
-        runs = [[cmd, "--config", cfg, "--out-dir", str(tmp_path / cmd), "--quiet"]
-                for cmd in ("check", "solve", "verify")]
-        code = ("from lqmfg.cli import main\n"
-                f"codes = [main(argv) for argv in {runs!r}]\n"
-                f"assert codes[:2] == [{EXIT_OK}, {EXIT_OK}], codes\n"
-                f"assert codes[2] in ({EXIT_OK}, {EXIT_VERIFY_FAIL}), codes")
-        assert scipy_modules_after(code) == []
+                        + "\n[sim]\nn_paths = 200\nseed = 3\n"
+                        + "\n[sweep]\nparameter = theta\nstart = 0\nstop = 0.5\ncount = 3\n")
+
+        def run(commands, codes):
+            argvs = [[cmd, "--config", cfg, "--out-dir", str(tmp_path / cmd), "--quiet"]
+                     for cmd in commands]
+            return modules_after("from lqmfg.cli import main\n"
+                                 f"codes = [main(argv) for argv in {argvs!r}]\n"
+                                 f"assert codes in {codes!r}, codes")
+
+        assert not run(("check", "solve", "sweep"), [[EXIT_OK] * 3]) & {"scipy", "concurrent"}
+        verify = run(("verify",), [[EXIT_OK], [EXIT_VERIFY_FAIL]])
+        assert "scipy" not in verify and "concurrent" in verify
         assert (tmp_path / "verify" / "verify_report.txt").is_file()
 
 
@@ -842,6 +866,40 @@ class TestOverflowingSquare:
                      "--quiet"]) == EXIT_OK
         rows = [ln.split(",") for ln in (out / "sweep.csv").read_text().splitlines()[1:]]
         assert [row[-1] for row in rows] == [str(EXIT_OK), str(EXIT_CONFIG), str(EXIT_CONFIG)]
+        assert capsys.readouterr().err == ""
+
+
+class TestOverflowingExpValue:
+    """theta value_at_0 past log(max float) ~ 709.8: exp_value is inf, not a
+    traceback.  kappa = 1 - 5000 * 0.01^2 = 0.5 > 0, so the instance is
+    admissible."""
+
+    CFG = BENCH_CFG.replace("risk_neutral", "risk_sensitive\ntheta = 5000").replace(
+        "sigma = 0.2", "sigma = 0.01")
+
+    def test_solve_reports_inf(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_cfg(tmp_path, self.CFG), "--out-dir",
+                     str(out), "--quiet"]) == EXIT_OK
+        assert "  exp_value = inf" in (out / "report.txt").read_text().splitlines()
+        assert capsys.readouterr().err == ""
+
+    def test_verify_fails_the_exponential_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["verify", "--config", write_cfg(tmp_path, self.CFG), "--out-dir",
+                     str(out), "--paths", "2000", "--quiet"]) == EXIT_VERIFY_FAIL
+        report = (out / "verify_report.txt").read_text()
+        assert "FAIL  value_identity_exponential: estimate inf vs theory inf" in report
+        assert "FAIL  martingale_normalization" in report
+        assert capsys.readouterr().err == ""
+
+    def test_sweep_solves_every_row(self, tmp_path, capsys):
+        text = self.CFG + "\n[sweep]\nparameter = theta\nstart = 1000\nstop = 5000\ncount = 3\n"
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_cfg(tmp_path, text), "--out-dir",
+                     str(out), "--quiet"]) == EXIT_OK
+        rows = [ln.split(",") for ln in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[-1] for row in rows] == [str(EXIT_OK)] * 3
         assert capsys.readouterr().err == ""
 
 

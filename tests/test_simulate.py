@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import sys
 import threading
@@ -94,12 +95,13 @@ class TestBlockLayout:
         assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
         sizes = [hi - lo for lo, hi in blocks]
         assert 1 <= min(sizes) and max(sizes) <= BLOCK_SIZE
-        assert max(sizes) - min(sizes) <= 2
-        if n % 2 == 0:
-            assert all(size % 2 == 0 for size in sizes)
+        assert max(sizes) - min(sizes) <= 1
 
     def test_even_split_of_the_bench_path_count(self):
         assert path_blocks(20000) == [(0, 10000), (10000, 20000)]
+
+    def test_floor_cuts(self):
+        assert path_blocks(40000) == [(0, 13333), (13333, 26666), (26666, 40000)]
 
     @pytest.mark.parametrize("n", [1, 64, BLOCK_SIZE])
     def test_one_block_keeps_the_seed_stream(self, n):
@@ -148,25 +150,25 @@ class TestWorkers:
         for run in runs[1:]:
             assert_same_bits(run, runs[0])
 
-    def test_threads_started(self, monkeypatch):
-        started = []
+    def test_pool_size_and_no_thread_outlives_the_call(self, monkeypatch):
+        sizes, pools = [], []
 
-        class CountingThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                sizes.append(max_workers)
+                pools.append(self)
 
-        monkeypatch.setattr(simulate.threading, "Thread", CountingThread)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        before = set(threading.enumerate())
         p, m = make_params(), Trajectory(TimeGrid(T=1.0, n_steps=4), np.zeros(5))
-        cfg = SimConfig(n_paths=3 * BLOCK_SIZE, dt_sim=0.25, seed=0)
-        _ensembles(monkeypatch, 1, p, None, m, cfg)
-        assert started == []                    # one worker: the calling thread
-        _ensembles(monkeypatch, 2, p, None, m, cfg)
-        assert len(started) == 1                # the caller is the other worker
-        _ensembles(monkeypatch, 2, p, None, m,
-                   SimConfig(n_paths=BLOCK_SIZE, dt_sim=0.25, seed=0))
-        assert len(started) == 1                # capped at the one block
-        assert not any(t.is_alive() for t in started)
+        for workers, n in ((1, 3 * BLOCK_SIZE), (2, 3 * BLOCK_SIZE), (2, BLOCK_SIZE)):
+            _ensembles(monkeypatch, workers, p, None, m,
+                       SimConfig(n_paths=n, dt_sim=0.25, seed=0))
+        # min(CPUs, blocks): the third call is capped at its one block
+        assert sizes == [1, 2, 1]
+        assert all(pool._threads for pool in pools)     # each pool ran threads
+        assert set(threading.enumerate()) == before
 
     def test_more_workers_than_cpus_with_fast_switching(self, monkeypatch):
         p = make_params(**REFERENCE_INSTANCES["risk_sensitive"])
@@ -182,39 +184,38 @@ class TestWorkers:
             sys.setswitchinterval(interval)
         assert_same_bits([threaded], [serial])
 
-    @pytest.mark.parametrize("failing", [0, 1])
-    def test_worker_exception_reaches_caller(self, monkeypatch, failing):
-        # task 0 runs in the calling thread, task 1 in a worker thread
-        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
-        ran = []
-
-        def task(i):
-            def run():
-                ran.append(i)
-                if i == failing:
-                    raise FloatingPointError(f"block {i}")
-            return run
-
-        with pytest.raises(FloatingPointError, match=f"block {failing}"):
-            simulate._run_all([task(0), task(1)])
-        assert sorted(ran) == [0, 1]            # every thread finished first
-
     def test_block_failure_in_simulate_paths_reaches_caller(self, monkeypatch):
         p, m = make_params(), Trajectory(TimeGrid(T=1.0, n_steps=4), np.zeros(5))
         real = np.random.default_rng
+        stepping = threading.Event()
+        draws = []
 
         class FailingDraws:
             def standard_normal(self, out):
-                raise FloatingPointError("block 1")
+                stepping.wait(10)       # block 1 is running when block 0 fails
+                raise FloatingPointError("block 0")
+
+        class CountedDraws:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def standard_normal(self, out):
+                stepping.set()
+                draws.append(len(out))
+                return self.rng.standard_normal(out=out)
 
         def rng(seed):
-            return FailingDraws() if seed[1] == 1 else real(seed)
+            return FailingDraws() if seed[1] == 0 else CountedDraws(seed)
 
-        # block 1 runs on the worker thread
         monkeypatch.setattr(simulate.np.random, "default_rng", rng)
-        with pytest.raises(FloatingPointError, match="block 1"):
+        before = set(threading.enumerate())
+        with pytest.raises(FloatingPointError, match="block 0"):
             _ensembles(monkeypatch, 2, p, None, m,
-                       SimConfig(n_paths=2 * BLOCK_SIZE, dt_sim=0.25, seed=0))
+                       SimConfig(n_paths=2 * BLOCK_SIZE, dt_sim=0.005, seed=0))
+        # block 1 drew all 200 steps and its thread was joined before the
+        # error reached the caller
+        assert sum(draws) == 200
+        assert set(threading.enumerate()) == before
 
 
 def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
