@@ -2,12 +2,11 @@
 workflows, CSV emission and plain-text reports.
 
 Config files are flat key=value text with one section per concern
-([model], [grid], [sim], [solve], [sweep]); unknown keys or sections are
-rejected.  The [model] keys are the fields of ModelParams.  The flags
---seed, --paths, --dt-sim and --tol and the MFG_SEED environment variable
-are written into [sim]/[solve] before the typed build, so they pass the
-same checks as config values.  Seed precedence: --seed flag > MFG_SEED env
-var > config.
+([model], [grid], [sim], [sweep]); unknown keys or sections are rejected.
+The [model] keys are the fields of ModelParams.  The flags --seed, --paths
+and --dt-sim and the MFG_SEED environment variable are written into [sim]
+before the typed build, so they pass the same checks as config values.
+Seed precedence: --seed flag > MFG_SEED env var > config.
 
 Exit codes: 0 success, 1 config error, 2 Riccati blow-up,
 3 fixed-point non-convergence, 4 verification failure.
@@ -36,8 +35,6 @@ from .model import (
     validate,
 )
 from .equilibrium import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     BlowUpError,
     ConditionsReport,
     Equilibrium,
@@ -74,11 +71,10 @@ class ConfigError(Exception):
 
 _GRID_KEYS = {"n_steps"}
 _SIM_KEYS = {"n_paths", "dt_sim", "seed"}
-_SOLVE_KEYS = {"tol", "max_iter"}
 _SWEEP_KEYS = {"parameter", "start", "stop", "count", "workers"}
 # configparser lowercases keys
 _SECTIONS = {"model": {name.lower() for name in PARAM_TYPES}, "grid": _GRID_KEYS,
-             "sim": _SIM_KEYS, "solve": _SOLVE_KEYS, "sweep": _SWEEP_KEYS}
+             "sim": _SIM_KEYS, "sweep": _SWEEP_KEYS}
 
 SWEEP_PARAMETERS = ("theta", "c", "T", "qbar-scale")
 SWEEP_COLUMNS = ["value", "admissible", "lipschitz_bound", "contraction",
@@ -91,8 +87,6 @@ class RunConfig:
     params: ModelParams
     grid: TimeGrid
     sim: SimConfig
-    tol: float
-    max_iter: int
     sweep_parameter: str | None = None
     sweep_start: float = 0.0
     sweep_stop: float = 0.0
@@ -215,13 +209,7 @@ def parse_config(path: str | Path,
     except ValueError as exc:
         raise ConfigError(f"[sim] {exc}") from None
 
-    tol = _value(cp, "solve", "tol", _finite, DEFAULT_TOL)
-    if not tol > 0.0:
-        raise ConfigError(f"[solve] tol must be positive, got {fmt_float(tol)}")
-    max_iter = _value(cp, "solve", "max_iter", int, DEFAULT_MAX_ITER)
-    if max_iter < 1:
-        raise ConfigError(f"[solve] max_iter must be >= 1, got {max_iter}")
-    cfg = RunConfig(params=params, grid=grid, sim=sim, tol=tol, max_iter=max_iter)
+    cfg = RunConfig(params=params, grid=grid, sim=sim)
 
     if "sweep" in cp:
         parameter = _value(cp, "sweep", "parameter", str.strip)
@@ -302,8 +290,7 @@ def run_solve_pipeline(cfg: RunConfig) -> SolveOutput:
     """validate -> beta -> both equilibrium routes -> conditions."""
     _require_valid(cfg.params)
     beta = admissible_beta(cfg.params, cfg.grid)
-    eq_p = solve_equilibrium_picard(cfg.params, beta, cfg.grid, tol=cfg.tol,
-                                    max_iter=cfg.max_iter)
+    eq_p = solve_equilibrium_picard(cfg.params, beta, cfg.grid)
     eq_c = solve_equilibrium_closed_form(cfg.params, beta, cfg.grid)
     conds = check_conditions(cfg.params, beta, cfg.grid)
     gap = float(np.max(np.abs(eq_p.m.values - eq_c.m.values)))
@@ -584,7 +571,7 @@ def cmd_sweep(cfg: RunConfig) -> Run:
 
 # flag -> the [section] key it sets
 _FLAGS = {"seed": ("sim", "seed"), "paths": ("sim", "n_paths"),
-          "dt_sim": ("sim", "dt_sim"), "tol": ("solve", "tol")}
+          "dt_sim": ("sim", "dt_sim")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -615,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _overrides(args: argparse.Namespace) -> dict[str, dict[str, str]]:
     """MFG_SEED and the flags as [section] key values; a flag beats MFG_SEED."""
-    out: dict[str, dict[str, str]] = {"sim": {}, "solve": {}}
+    out: dict[str, dict[str, str]] = {"sim": {}}
     if "MFG_SEED" in os.environ:
         out["sim"]["seed"] = os.environ["MFG_SEED"]
     for flag, (section, key) in _FLAGS.items():

@@ -1,6 +1,6 @@
 """Mean-field equilibrium: the fixed point of the best-response mean map
-solved by GMRES, the closed form via the refined coefficient, and the
-existence / uniqueness (admissibility + contraction) conditions.
+solved by one backward sweep, the closed form via the refined coefficient,
+and the existence / uniqueness (admissibility + contraction) conditions.
 """
 from __future__ import annotations
 
@@ -34,13 +34,6 @@ __all__ = [
     "check_conditions",
 ]
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200
-# the lower bound of cond_2(I - L) from which the fixed-point route calls
-# I - L numerically singular; see solve_equilibrium_picard
-SINGULAR_COND = 10.0
-
-
 class BlowUpError(Exception):
     """A Riccati solve blew up; the feedback law is not admissible."""
 
@@ -51,19 +44,19 @@ class BlowUpError(Exception):
 
 
 class NonConvergenceError(Exception):
-    """The fixed-point route stopped without a residual <= tol.
+    """The fixed-point route found no usable mean path.
 
-    reason is "max_iter" (the budget of Phi applications is spent),
-    "non_finite" (a residual overflowed) or "singular" (I - L is
-    numerically singular).
+    reason is "non_finite" (the mean path, alpha or the residual left the
+    floats) or "singular" (a pivot of the backward sweep is <= 0); see
+    solve_equilibrium_picard.  residual_history holds the residual of each
+    Phi application made.
     """
 
-    def __init__(self, residual_history: list[float], reason: str = "max_iter"):
+    def __init__(self, residual_history: list[float], reason: str):
         self.residual_history = residual_history
         self.reason = reason
         super().__init__(
-            f"no convergence after {len(residual_history)} iterations ({reason}); "
-            f"last residual {residual_history[-1]:.3e}")
+            f"no convergence ({reason}); last residual {residual_history[-1]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +92,16 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
+def _phi_alpha(params: ModelParams, beta: Beta, m: Trajectory,
+               grid: TimeGrid) -> tuple[Trajectory, Trajectory]:
+    """Phi[m] (see apply_phi) and the alpha[m] it integrates."""
+    alpha = solve_alpha(params, beta, m, grid)
+    nodes = grid.nodes
+    lam = np.asarray(params.lam(nodes), dtype=float)
+    integrand = (params.a + params.abar) * m.values - lam * (beta.values * m.values + alpha.values)
+    return Trajectory(grid, params.m0 + _cumulative_trapezoid(integrand, nodes)), alpha
+
+
 def apply_phi(params: ModelParams, beta: Beta, m: Trajectory, grid: TimeGrid) -> Trajectory:
     """One application of the best-response mean map.
 
@@ -106,18 +109,13 @@ def apply_phi(params: ModelParams, beta: Beta, m: Trajectory, grid: TimeGrid) ->
     with alpha[m] the linear backward solve and the integral by the
     trapezoid rule on the grid.
     """
-    alpha = solve_alpha(params, beta, m, grid)
-    nodes = grid.nodes
-    lam = np.asarray(params.lam(nodes), dtype=float)
-    integrand = (params.a + params.abar) * m.values - lam * (beta.values * m.values + alpha.values)
-    vals = params.m0 + _cumulative_trapezoid(integrand, nodes)
-    return Trajectory(grid, vals)
+    return _phi_alpha(params, beta, m, grid)[0]
 
 
-def _finalize(params: ModelParams, beta: Beta, m: Trajectory, grid: TimeGrid,
-              iterations: int, residual: float, eta: Trajectory | None = None,
-              history: tuple[float, ...] = ()) -> Equilibrium:
-    alpha = solve_alpha(params, beta, m, grid)
+def _finalize(params: ModelParams, beta: Beta, m: Trajectory, alpha: Trajectory,
+              grid: TimeGrid, iterations: int, residual: float,
+              eta: Trajectory | None = None, history: tuple[float, ...] = ()) -> Equilibrium:
+    """The equilibrium at mean path m, with alpha = alpha[m] from its residual's Phi."""
     gamma = solve_gamma(params, beta, alpha, m, grid)
     value = assemble_value(params, beta, alpha, gamma)
     return Equilibrium(m=m, beta=beta, alpha=alpha, gamma=gamma, value=value,
@@ -134,123 +132,62 @@ def admissible_beta(params: ModelParams, grid: TimeGrid) -> Beta:
     return beta
 
 
-def _norm(v: np.ndarray) -> float:
-    """The Euclidean norm, without numpy.linalg (whose first use pages in LAPACK)."""
-    return math.sqrt(float(np.dot(v, v)))
+def solve_equilibrium_picard(params: ModelParams, beta: Beta, grid: TimeGrid) -> Equilibrium:
+    """The fixed-point mean path m = Phi[m], with beta = admissible_beta(params, grid),
+    by one backward sweep.
 
+    On the grid the fixed point is a linear two-point boundary problem in
+    (m, alpha) with m_0 = m0 and alpha_N = -qbarT m_N.  alpha's steps are
+    affine, alpha_k = A_k alpha_k+1 + F_k (U_k m_k+1 + V_k m_k) with A = e^x
+    (Beta.alpha_steps), and Phi's trapezoid links m_k, m_k+1, alpha_k and
+    alpha_k+1 linearly, with c = a + abar - lam beta.  So alpha_k = E_k m_k
+    holds exactly (Riccati decoupling; Ascher, Mattheij & Russell, Numerical
+    Solution of Boundary Value Problems for ODEs, ch. 4).  From E_N = -qbarT,
+    each step back takes G = A_k E_k+1 + F_k U_k, the pivot
+    piv_k = 1 - h/2 (c_k+1 - lam_k+1 E_k+1 - lam_k G), the ratio
+    R_k = m_k+1 / m_k = (1 + h/2 (c_k - lam_k F_k V_k)) / piv_k and
+    E_k = G R_k + F_k V_k; then m = m0 cumprod(R).  One true Phi application
+    gives the residual sup |Phi[m] - m|, at rounding level; iterations = 1
+    counts it, and residual_history holds it.
 
-def _gmres_cycle(apply_a, r0: np.ndarray, norm0: float, tol: float, max_iter: int,
-                 history: list[float]) -> tuple[np.ndarray, float]:
-    """One GMRES cycle on A d = r0 from d = 0, where norm0 = ||r0||_2.
-
-    Arnoldi with modified Gram-Schmidt builds A V_k = V_{k+1} Hbar; Givens
-    rotations on floats keep the least-squares problem min ||r0 - A V_k y||
-    triangular.  Each new iterate's residual r_k = r0 - A V_k y follows from
-    the last by r_k = s_k^2 r_k-1 + c_k g_k+1 v_k+1, with (c_k, s_k) the k-th
-    rotation and g_k+1 the last entry of the rotated right-hand side, and
-    its sup-norm is appended to history after each application of A.  The
-    cycle ends when that reaches tol, on breakdown or when the basis spans the space,
-    and raises NonConvergenceError when history reaches max_iter or a
-    residual is not finite.  Returns the correction V_k y and
-    max_j ||A v_j||, a lower bound of ||A||.
+    NonConvergenceError "non_finite" when that residual is not finite (m,
+    alpha or Phi[m] left the floats, e.g. at a = 1e300), otherwise
+    "singular" when a pivot is <= 0, where m_k+1 is not fixed by m_k with
+    the sign a resolved path keeps.  On a long horizon with strong mean
+    coupling (a = 1, abar = qbar = qbarT = 4, T = 3) the smallest pivot is
+    -0.053, -16.2 and -1.79 at n_steps 150, 300 and 600, and m(T) is -281,
+    -1124 and -4503: the residual, 1e-11 or less, bounds nothing there.  The
+    smallest pivot is 1.0 on the benchmark instances and 0.60 and 1.40 at
+    a = +-800.
     """
-    # no more steps than applications left, nor than the space has dimensions
-    size = min(max_iter - len(history), r0.size)
-    basis = np.empty((size + 1, r0.size))      # its rows are touched as used
-    basis[0] = r0 / norm0
-    tri: list[list[float]] = []        # Hbar's columns, rotated: upper triangular
-    rotations: list[tuple[float, float]] = []
-    rhs = [norm0]                      # norm0 e_1, rotated
-    res = r0
-    norm_a = 0.0
-    for k in range(size):
-        w = apply_a(basis[k])
-        norm_a = max(norm_a, _norm(w))
-        col = []
-        for v in basis[:k + 1]:
-            col.append(float(np.dot(w, v)))
-            w -= col[-1] * v
-        col.append(_norm(w))
-        basis[k + 1] = w / col[-1] if col[-1] > 0.0 else 0.0
-        for i, (c, s) in enumerate(rotations):
-            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-        diag = math.hypot(col[k], col[k + 1])
-        c, s = col[k] / diag, col[k + 1] / diag
-        rotations.append((c, s))
-        tri.append(col[:k] + [diag])
-        rhs[k:] = [c * rhs[k], -s * rhs[k]]
-        res = s * s * res + c * rhs[k + 1] * basis[k + 1]
-        history.append(float(np.max(np.abs(res))))
-        if not math.isfinite(history[-1]):
-            raise NonConvergenceError(history, "non_finite")
-        if len(history) >= max_iter:    # no Phi application is left to confirm it
-            raise NonConvergenceError(history, "max_iter")
-        if history[-1] <= tol or not col[k + 1] > 0.0:
-            break
-    y = [0.0] * (k + 1)
-    for i in range(k, -1, -1):
-        y[i] = (rhs[i] - sum(tri[j][i] * y[j] for j in range(i + 1, k + 1))) / tri[i][i]
-    return np.dot(y, basis[:k + 1]), norm_a
-
-
-def solve_equilibrium_picard(params: ModelParams, beta: Beta, grid: TimeGrid,
-                             tol: float = DEFAULT_TOL,
-                             max_iter: int = DEFAULT_MAX_ITER) -> Equilibrium:
-    """The fixed-point mean path m = Phi[m], with beta = admissible_beta(params, grid).
-
-    alpha[m] is linear in m and alpha[0] = 0, so Phi[m] = m0 + L m with
-    L v = Phi[v] - m0, and the fixed point solves (I - L) m = m0.  GMRES
-    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) solves it from
-    m = m0 wherever I - L is invertible; Picard's m <- Phi[m] would also
-    need the spectral radius of L below 1.  The residual of an iterate x is
-    Phi[x] - x.  The route returns only after a true Phi application shows
-    its sup-norm <= tol, and restarts from x when it does not.  iterations
-    counts the Phi applications, one residual_history entry each; the
-    Krylov basis holds at most min(max_iter, n_steps + 1) + 1 mean paths.
-
-    NonConvergenceError when max_iter is reached, when a residual is not
-    finite, or when I - L is numerically singular: with A = I - L and
-    d = x - m0, max_j ||A v_j|| ||d|| / ||A d|| is a certified lower bound
-    of cond_2(A), and an x where it reaches SINGULAR_COND = 10 is refused.
-    Measured at n_steps 200-1000, the bound is at most 1.82 wherever the
-    route agrees with the closed form: 1.0-1.65 on the benchmark instances,
-    1.65 and 1.82 at theta = 1.7 and 1.75 on the benchmark sweep (where
-    rho(L) > 1), at most 1.31 over the corners of the route-agreement
-    tests' instance box, 0.75 at a = +-800.  It is 74, 288 and 1139 at
-    n_steps 150, 300 and 600 on a long horizon with strong mean coupling,
-    where the residual reaches 1e-11 but m, 3e6 from the closed form, does
-    not converge under refinement: there the residual bounds nothing.
-    """
-    def phi(v: np.ndarray) -> np.ndarray:
-        return apply_phi(params, beta, Trajectory(grid, v), grid).values
-
-    def i_minus_l(v: np.ndarray) -> np.ndarray:
-        return v - (phi(v) - params.m0)
-
-    x = np.full(grid.n_steps + 1, params.m0)
-    history: list[float] = []
-    norm_a = 0.0
-    # an overflow makes a residual non-finite, which is reported instead
+    nodes = grid.nodes
+    x, f, u, v = beta.solved_for(params, grid).alpha_steps
+    half = np.diff(nodes) / 2
+    lam = np.asarray(params.lam(nodes), dtype=float)
+    # an overflow makes the residual non-finite, which is reported instead
     with np.errstate(over="ignore", invalid="ignore"):
-        r = first = phi(x) - x
-        while True:
-            history.append(float(np.max(np.abs(r))))
-            if history[-1] <= tol:
-                break
-            norm = _norm(r)
-            if not math.isfinite(norm):
-                raise NonConvergenceError(history, "non_finite")
-            if len(history) >= max_iter:
-                raise NonConvergenceError(history, "max_iter")
-            step, cycle_norm_a = _gmres_cycle(i_minus_l, r, norm, tol, max_iter, history)
-            norm_a = max(norm_a, cycle_norm_a)
-            x = x + step
-            r = phi(x) - x
-    # (I - L)(x - m0) = first - r
-    if norm_a * _norm(x - params.m0) > SINGULAR_COND * _norm(first - r):
-        raise NonConvergenceError(history, "singular")
-    return _finalize(params, beta, Trajectory(grid, x), grid, len(history),
-                     history[-1], history=tuple(history))
+        c = params.a + params.abar - lam * beta.values
+        fv = f * v
+        # step k: m_k+1 (p0 + p1 E_k+1 + p2 G) = m_k num
+        steps = (np.exp(x), f * u, fv, 1.0 + half * (c[:-1] - lam[:-1] * fv),
+                 1.0 - half * c[1:], half * lam[1:], half * lam[:-1])
+        e = -params.qbarT
+        ratios, pivots = [], []
+        for a_k, fu_k, fv_k, num, p0, p1, p2 in zip(*(t[::-1].tolist() for t in steps)):
+            g = a_k * e + fu_k
+            piv = p0 + p1 * e + p2 * g
+            r = num / piv if piv else 0.0     # a zero pivot is refused below
+            e = g * r + fv_k
+            ratios.append(r)
+            pivots.append(piv)
+        m = Trajectory(grid, params.m0 * np.cumprod([1.0, *ratios[::-1]]))
+        phi, alpha = _phi_alpha(params, beta, m, grid)
+        residual = float(np.max(np.abs(phi.values - m.values)))
+    if not math.isfinite(residual):
+        raise NonConvergenceError([residual], "non_finite")
+    if min(pivots) <= 0.0:
+        raise NonConvergenceError([residual], "singular")
+    return _finalize(params, beta, m, alpha, grid, 1, residual, history=(residual,))
 
 
 def solve_equilibrium_closed_form(params: ModelParams, beta: Beta, grid: TimeGrid) -> Equilibrium:
@@ -263,9 +200,9 @@ def solve_equilibrium_closed_form(params: ModelParams, beta: Beta, grid: TimeGri
     lam = np.asarray(params.lam(nodes), dtype=float)
     exponent = (params.a + params.abar) - lam * (beta.values + eta.values)
     m = Trajectory(grid, params.m0 * np.exp(_cumulative_trapezoid(exponent, nodes)))
-    phi = apply_phi(params, beta, m, grid)
+    phi, alpha = _phi_alpha(params, beta, m, grid)
     residual = float(np.max(np.abs(phi.values - m.values)))
-    return _finalize(params, beta, m, grid, 0, residual, eta=eta)
+    return _finalize(params, beta, m, alpha, grid, 0, residual, eta=eta)
 
 
 def admissibility_margin(params: ModelParams, grid: TimeGrid) -> float:

@@ -19,8 +19,9 @@ midpoint and start (TimeGrid.substages), and the loop applies the resulting
 Moebius map to y.  A solve that reads another solution samples it there too
 (_substages).  beta does not involve m, so the Beta that solve_beta returns
 carries its own substage values and alpha's coefficients there, built once.
-alpha is linear (c2 = 0): Beta carries its affine steps' products, which
-solve_alpha scans; the loop serves beta, eta and alpha's guarded fallback.
+alpha is linear (c2 = 0): Beta carries its affine steps, which the
+fixed-point route's sweep reads, and their products, which solve_alpha
+scans; the loop serves beta, eta and alpha's guarded fallback.
 The propagator is exact for constant coefficients.  A finite escape
 ("blow-up") is a pole of y, i.e. q reaching zero, located inside its step;
 it is reported as a status, never as an overflow.  gamma is a quadrature.
@@ -192,23 +193,33 @@ class Beta(Trajectory):
         return -(p.abar * bv - p.qbar(t)), -p.a + p.kappa(t) * bv
 
     @cached_property
-    def alpha_scan(self) -> tuple | None:
-        """(F U / P, F V / P, P, P at block ends) of alpha's steps y <- A y + F w12
-        (A = exp(2 nn), F = expm1(2 nn) / (2 nn) as c2 = 0), last step first:
-        P runs over blocks of SCAN_BLOCK steps, w12 = U m_k+1 + V m_k.  None
-        when a P leaves [1e-300, 1e300] or an entry is not finite."""
+    def alpha_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(x, F, U, V) of alpha's steps alpha_k = e^x alpha_k+1 + F (U m_k+1 + V m_k),
+        k = 0 .. n_steps - 1: _propagate's map with c2 = 0, so x = 2 nn and
+        F = expm1(x) / x, and U m_k+1 + V m_k is its w12 of
+        c0 = w (m_k+1, (m_k+1 + m_k) / 2, m_k)."""
         w, c1 = self.alpha_tables
-        n, h = self.grid.n_steps, self.grid.dt
-        x = np.zeros(n + -n % SCAN_BLOCK)      # 2 nn
-        x[:n] = (-h / 6 * (c1[0] + 4 * c1[1] + c1[2]))[::-1]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = self.grid.dt
+        x = -h / 6 * (c1[0] + 4 * c1[1] + c1[2])
+        with np.errstate(over="ignore", invalid="ignore"):
             f = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+            u = -h / 6 * (w[0] + 2 * w[1]) + h * h / 12 * c1[2] * w[0]
+            v = -h / 6 * (2 * w[1] + w[2]) - h * h / 12 * c1[0] * w[2]
+        return x, f, u, v
+
+    @cached_property
+    def alpha_scan(self) -> tuple | None:
+        """(F U / P, F V / P, P, P at block ends) of alpha_steps, last step
+        first: P runs over blocks of SCAN_BLOCK steps.  None when a P leaves
+        [1e-300, 1e300] or an entry is not finite."""
+        x, f, u, v = self.alpha_steps
+        n = x.size
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # exp of a sum rounds once; a product of rounded exp(x) drifts
-            prod = np.exp(np.cumsum(x.reshape(-1, SCAN_BLOCK), axis=1))
-            f_over = (f.reshape(prod.shape) / prod).ravel()[:n]
-            # _propagate's w12 of c0 = w (m_k+1, (m_k+1 + m_k) / 2, m_k)
-            u = f_over * (-h / 6 * (w[0] + 2 * w[1]) + h * h / 12 * c1[2] * w[0])[::-1]
-            v = f_over * (-h / 6 * (2 * w[1] + w[2]) - h * h / 12 * c1[0] * w[2])[::-1]
+            blocks = np.append(x[::-1], np.zeros(-n % SCAN_BLOCK)).reshape(-1, SCAN_BLOCK)
+            prod = np.exp(np.cumsum(blocks, axis=1))
+            f_over = f[::-1] / prod.ravel()[:n]
+            u, v = f_over * u[::-1], f_over * v[::-1]
             if np.isfinite(u + v).all() and ((prod >= 1e-300) & (prod <= 1e300)).all():
                 return u, v, prod, prod[:, -1].tolist()
         return None

@@ -1,21 +1,18 @@
 """Plain Banach-Picard iteration m <- Phi[m] on the best-response mean map.
 
-The fixed-point route of lqmfg solves the same affine equation by GMRES;
-the tests hold it to this iteration's mean path, and check the iteration's
-own properties (geometric residual decay, one fixed point from two starting
-guesses) here.
+The fixed-point route of lqmfg solves the same affine equation by one
+backward sweep; the tests hold it to this iteration's mean path, and check
+the iteration's own properties (geometric residual decay, one fixed point
+from two starting guesses) here.
 """
 import numpy as np
 
-from lqmfg.equilibrium import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    NonConvergenceError,
-    _finalize,
-    apply_phi,
-)
+from lqmfg.equilibrium import NonConvergenceError, _finalize, _phi_alpha, apply_phi
 from lqmfg.model import ModelParams, TimeGrid, Trajectory
 from lqmfg.riccati import Beta
+
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 200
 
 
 def solve_picard(params: ModelParams, beta: Beta, grid: TimeGrid,
@@ -23,8 +20,8 @@ def solve_picard(params: ModelParams, beta: Beta, grid: TimeGrid,
                  initial: Trajectory | None = None):
     """Iterate m <- Phi[m] from initial (default the constant m0) until the
     sup-norm step is <= tol; iterations counts the steps, and residual is
-    that of the returned iterate itself.  NonConvergenceError after
-    max_iter steps."""
+    that of the returned iterate itself.  NonConvergenceError ("max_iter")
+    after max_iter steps."""
     if initial is None:
         initial = Trajectory(grid, np.full(grid.n_steps + 1, params.m0))
     m = initial
@@ -35,8 +32,8 @@ def solve_picard(params: ModelParams, beta: Beta, grid: TimeGrid,
         history.append(res)
         m = phi
         if res <= tol:
-            final = apply_phi(params, beta, m, grid)
+            final, alpha = _phi_alpha(params, beta, m, grid)
             res = float(np.max(np.abs(final.values - m.values)))
-            return _finalize(params, beta, m, grid, it, res,
+            return _finalize(params, beta, m, alpha, grid, it, res,
                              history=tuple(history))
-    raise NonConvergenceError(history)
+    raise NonConvergenceError(history, "max_iter")

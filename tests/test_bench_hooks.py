@@ -90,13 +90,12 @@ def test_tracer_reads_every_hook(tmp_path, monkeypatch):
     assert codes[0] == codes[2] == cli.EXIT_OK
     assert codes[1] in (cli.EXIT_OK, cli.EXIT_VERIFY_FAIL)
     metrics = tracer_mod.layer_metrics(tracer, tracer.counts())
-    # per solve, 10 Phi and the finalizing solve of each route, the closed
-    # form's residual Phi: 13 in solve and in verify; 2 in the sweep's one
-    # row without an escape
-    assert metrics["riccati.solve_alpha.calls"] == 2 * 13 + 2
-    # Phi applications of the fixed-point route, 10 each in solve and verify
+    # per solve, each route's one Phi, whose alpha the equilibrium keeps: 2
+    # in solve and in verify; 1 in the sweep's one row without an escape
+    assert metrics["riccati.solve_alpha.calls"] == 2 * 2 + 1
+    # the fixed-point route's one Phi application in solve and in verify
     # (Picard took 19 steps each)
-    assert metrics["equilibrium.picard.iterations"] == 20
+    assert metrics["equilibrium.picard.iterations"] == 2
     assert metrics["riccati.blowups"] == 2
     # beta is solved once per instance: solve, verify and each sweep row
     assert metrics["riccati.solve_beta.calls"] == 5
@@ -107,8 +106,10 @@ def test_tracer_reads_every_hook(tmp_path, monkeypatch):
     # values
     assert metrics["model.traj_evals"] == 1 + 4 + 2
     # Coefficient.__call__: beta's substage table and alpha's coefficient
-    # tables are built once per instance (219 when every solve rebuilt them)
-    assert metrics["model.coef_evals"] == 175
+    # tables are built once per instance (219 when every solve rebuilt them);
+    # lam on the nodes reads r and s, once per Phi and once for the sweep
+    # (175 when the fixed-point route made 10 Phi applications per solve)
+    assert metrics["model.coef_evals"] == 143
     assert metrics["simulate.path_steps"] == 64 * 40
     # solve and verify ran the same solve; at n_steps = 20 both routes are
     # second order, so they agree to about 3e-5

@@ -71,6 +71,29 @@ n_steps = 400
 """
 
 
+# a long horizon with strong mean coupling: the fixed-point route's sweep
+# meets a pivot <= 0 and ends in "singular", exit 3
+SINGULAR_CFG = """\
+[model]
+variant = risk_neutral
+a = 1.0
+abar = 4.0
+b = 1.0
+sigma = 0.2
+q = 0.0
+qbar = 4.0
+r = 1.0
+qT = 0.0
+qbarT = 4.0
+T = 3.0
+x0 = 1.0
+m0 = 1.0
+
+[grid]
+n_steps = 300
+"""
+
+
 def write_cfg(tmp_path: Path, text: str, name: str = "run.cfg") -> str:
     path = tmp_path / name
     path.write_text(text)
@@ -88,7 +111,6 @@ class TestParseConfig:
         assert cfg.params.q == Coefficient(1.0)
         assert cfg.grid == TimeGrid(T=1.0, n_steps=200)
         assert cfg.sim.n_paths == 10000 and cfg.sim.seed == 0
-        assert cfg.tol == 1e-10
 
     def test_default_grid_scales_with_horizon(self, tmp_path):
         text = BENCH_CFG.replace("T = 1.0", "T = 2.0").split("[grid]")[0]
@@ -162,7 +184,7 @@ class TestEcho:
 
 class TestSeedPrecedence:
     def make_args(self, **kw):
-        defaults = dict(seed=None, paths=None, dt_sim=None, tol=None)
+        defaults = dict(seed=None, paths=None, dt_sim=None)
         defaults.update(kw)
         return argparse.Namespace(**defaults)
 
@@ -179,11 +201,10 @@ class TestSeedPrecedence:
         with pytest.raises(ConfigError):
             parse_config(path, _overrides(self.make_args()))
 
-    def test_flags_set_sim_and_solve_values(self, tmp_path):
+    def test_flags_set_sim_values(self, tmp_path):
         path = write_cfg(tmp_path, BENCH_CFG + "\n[sim]\nn_paths = 10\n")
-        cfg = parse_config(path, _overrides(self.make_args(
-            paths="64", dt_sim="0.0025", tol="1e-8")))
-        assert (cfg.sim.n_paths, cfg.sim.dt_sim, cfg.tol) == (64, 0.0025, 1e-8)
+        cfg = parse_config(path, _overrides(self.make_args(paths="64", dt_sim="0.0025")))
+        assert (cfg.sim.n_paths, cfg.sim.dt_sim) == (64, 0.0025)
 
 
 class TestSolveCommand:
@@ -215,7 +236,7 @@ class TestSolveCommand:
         assert "blow_up_time=" in (out / "summary.txt").read_text()
 
     @pytest.mark.parametrize("failing, code", [
-        (BLOWUP_CFG, EXIT_BLOWUP), (BENCH_CFG + "\n[solve]\nmax_iter = 3\n", EXIT_NONCONVERGENCE),
+        (BLOWUP_CFG, EXIT_BLOWUP), (SINGULAR_CFG, EXIT_NONCONVERGENCE),
     ], ids=["blow_up", "non_convergence"])
     def test_failed_solve_removes_an_earlier_solves_csvs(self, tmp_path, failing, code):
         out = tmp_path / "out"
@@ -231,41 +252,12 @@ class TestSolveCommand:
         assert "files:\n\ninstance:" in report
 
     def test_non_convergence_exit_code(self, tmp_path):
-        text = """\
-[model]
-variant = risk_neutral
-a = 1.0
-abar = 4.0
-b = 1.0
-sigma = 0.2
-q = 0.0
-qbar = 4.0
-r = 1.0
-qT = 0.0
-qbarT = 4.0
-T = 3.0
-x0 = 1.0
-m0 = 1.0
-
-[grid]
-n_steps = 600
-
-[solve]
-max_iter = 20
-"""
-        path = write_cfg(tmp_path, text)
+        path = write_cfg(tmp_path, SINGULAR_CFG.replace("n_steps = 300", "n_steps = 600"))
         out = tmp_path / "out"
         assert main(["solve", "--config", path, "--out-dir", str(out),
                      "--quiet"]) == EXIT_NONCONVERGENCE
-        assert "status=non_convergence" in (out / "summary.txt").read_text()
-
-    def test_max_iter_counts_phi_applications(self, tmp_path):
-        path = write_cfg(tmp_path, BENCH_CFG + "\n[solve]\nmax_iter = 3\n")
-        out = tmp_path / "out"
-        assert main(["solve", "--config", path, "--out-dir", str(out),
-                     "--quiet"]) == EXIT_NONCONVERGENCE
-        report = (out / "report.txt").read_text().splitlines()
-        assert "reason = max_iter" in report and "iterations = 3" in report
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "status=non_convergence" in summary and "reason=singular" in summary
 
     def test_solves_where_picard_diverges(self, tmp_path):
         # the benchmark sweep's instance at theta = 1.7, where rho(L) = 1.14
@@ -279,7 +271,7 @@ max_iter = 20
         assert float(summary["residual"]) <= 1e-10
 
     @pytest.mark.parametrize("a, code, fields", [
-        # stiff: GMRES converges, and the paper's bound overflows
+        # stiff: the sweep solves, and the paper's bound overflows
         ("800", EXIT_OK, {"lipschitz_bound": "inf", "contraction": "false"}),
         ("-800", EXIT_OK, {"lipschitz_bound": "inf", "contraction": "false"}),
         # Phi overflows
@@ -382,7 +374,6 @@ max_iter = 20
         (["--paths", str(10 ** 27)], None),  # no numpy array holds the paths
         (["--seed", "-3"], None),
         (["--seed", "many"], None),
-        (["--tol", "-1"], None),
         ([], "-2"),
         (["--seed", "-3"], "4"),           # a bad flag is not hidden by MFG_SEED
     ])
@@ -398,18 +389,28 @@ max_iter = 20
             err = capsys.readouterr().err
             assert err.startswith("config error: [") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("section, key, value", [
-        # an escape is a pole of the solution; no magnitude cap finds it
-        ("solve", "blow_up_cap", "1e12"),
+    @pytest.mark.parametrize("section, key, value, error", [
+        # an escape is a pole of the solution; no magnitude cap finds it, and
+        # the fixed point is one direct sweep, with no tolerance or budget
+        ("solve", "blow_up_cap", "1e12", "unknown section [solve]"),
+        ("solve", "tol", "1e-10", "unknown section [solve]"),
+        ("solve", "max_iter", "200", "unknown section [solve]"),
         # the paired sampling mode is gone; every run draws i.i.d. paths
-        ("sim", "antithetic", "true"),
-    ])
-    def test_blow_up_cap_is_config_error(self, tmp_path, capsys, section, key, value):
+        ("sim", "antithetic", "true", "unknown key 'antithetic' in section [sim]"),
+    ], ids=["solve-blow_up_cap-1e12", "solve-tol-1e-10", "solve-max_iter-200",
+            "sim-antithetic-true"])
+    def test_blow_up_cap_is_config_error(self, tmp_path, capsys, section, key, value, error):
         path = write_cfg(tmp_path, BENCH_CFG + f"\n[{section}]\n{key} = {value}\n")
         assert main(["solve", "--config", path, "--out-dir",
                      str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {error}\n"
+
+    def test_tol_flag_is_config_error(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, BENCH_CFG)
+        assert main(["solve", "--config", path, "--out-dir",
+                     str(tmp_path / "o"), "--quiet", "--tol", "1e-10"]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"config error: unknown key '{key}' in section [{section}]\n")
+            "config error: unrecognized arguments: --tol 1e-10\n")
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_cfg(tmp_path, BENCH_CFG)
@@ -464,13 +465,15 @@ class TestFailureFields:
         assert row["code"] == str(EXIT_BLOWUP)
 
     def test_non_convergence_summary_counts_iterations(self, tmp_path):
-        path = write_cfg(tmp_path, BENCH_CFG + "\n[solve]\nmax_iter = 3\n")
+        path = write_cfg(tmp_path, SINGULAR_CFG)
         out = tmp_path / "out"
         assert main(["solve", "--config", path, "--out-dir", str(out),
                      "--quiet"]) == EXIT_NONCONVERGENCE
         summary = (out / "summary.txt").read_text().splitlines()
         report = report_fields((out / "report.txt").read_text())
-        assert "iterations=3" in summary and report["iterations"] == "3"
+        # the sweep's one Phi application, which gave the residual
+        assert "iterations=1" in summary and report["iterations"] == "1"
+        assert "reason=singular" in summary
         for line in summary:
             key, value = line.split("=", 1)
             assert report[key] == value
@@ -481,11 +484,11 @@ class TestFailureFields:
         assert main(["solve", "--config", blow_up, "--out-dir",
                      str(tmp_path / "s")]) == EXIT_BLOWUP
         assert capsys.readouterr().out == "beta blow-up at t = 0.685841\n"
-        capped = write_cfg(tmp_path, BENCH_CFG + "\n[solve]\nmax_iter = 3\n", "capped.cfg")
-        assert main(["solve", "--config", capped, "--out-dir",
+        singular = write_cfg(tmp_path, SINGULAR_CFG, "singular.cfg")
+        assert main(["solve", "--config", singular, "--out-dir",
                      str(tmp_path / "c")]) == EXIT_NONCONVERGENCE
         assert capsys.readouterr().out.startswith(
-            "no convergence after 3 iterations (max_iter); last residual ")
+            "no convergence (singular); last residual ")
         assert main(["verify", "--config", blow_up, "--out-dir",
                      str(tmp_path / "v")]) == EXIT_BLOWUP
         assert capsys.readouterr().out == (tmp_path / "v" / "verify_report.txt").read_text()

@@ -1,4 +1,6 @@
-"""The README's library quick start runs as written, on fewer paths."""
+"""The README's library quick start runs as written, on fewer paths, and its
+config keys and flags are the ones the command line accepts."""
+import argparse
 import re
 import warnings
 from pathlib import Path
@@ -46,3 +48,39 @@ def test_example_config_parses_and_checks(tmp_path, capsys):
     assert cli.main(["check", "--config", str(path), "--out-dir",
                      str(tmp_path / "out")]) == cli.EXIT_OK
     assert "admissible = True" in capsys.readouterr().out
+
+
+def documented_sections() -> dict[str, set[str]]:
+    """The README's list of config sections, each with the keys it names
+    before the first period of its item."""
+    text = README.read_text()
+    block = text[text.index("Config sections and their keys"):text.index("Flags of every command")]
+    sections = {}
+    for item in block.split("\n- ")[1:]:
+        name, keys = re.match(r"`\[(\w+)\]`: ([^.]*)\.", item).groups()
+        sections[name] = {key.lower() for key in re.findall(r"`(\w+)`", keys)}
+    return sections
+
+
+def documented_flags() -> tuple[set[str], set[str]]:
+    """The flags the README gives every command, and those only sweep takes."""
+    text = README.read_text()
+    text = text[text.index("Flags of every command"):]
+    every, _, sweep = text[:text.index("\n\n")].partition("`sweep` also takes")
+    return set(re.findall(r"`(--[\w-]+)`", every)), set(re.findall(r"`(--[\w-]+)`", sweep))
+
+
+def test_documented_keys_are_the_accepted_ones():
+    # a removed key cannot stay documented, nor an accepted one undocumented
+    assert documented_sections() == cli._SECTIONS
+
+
+def test_documented_flags_are_the_parsers():
+    every, sweep_only = documented_flags()
+    [subparsers] = [action for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == {"solve", "verify", "sweep", "check"}
+    for name, parser in subparsers.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings
+                 if flag.startswith("--") and flag != "--help"}
+        assert flags == every | (sweep_only if name == "sweep" else set()), name
