@@ -34,8 +34,7 @@ from .simulate import (
     PathEnsemble,
     SaddleReport,
     SimConfig,
-    estimate_exponential_cost,
-    estimate_girsanov_normalization,
+    estimate_log_girsanov_normalization,
     estimate_quadratic_value,
     per_path_cost,
     saddle_check,

@@ -48,9 +48,10 @@ from .equilibrium import (
 from .simulate import (
     MCEstimate,
     SimConfig,
-    estimate_exponential_cost,
-    estimate_girsanov_normalization,
+    _certainty_equivalent_gap,
+    estimate_log_girsanov_normalization,
     estimate_quadratic_value,
+    per_path_cost,
     saddle_check,
     simulate_paths,
 )
@@ -80,6 +81,7 @@ SWEEP_PARAMETERS = ("theta", "c", "T", "qbar-scale")
 SWEEP_COLUMNS = ["value", "admissible", "lipschitz_bound", "contraction",
                  "value_at_0", "beta0", "blow_up_time", "code"]
 DEFAULT_STEPS_PER_UNIT_TIME = 1000
+ESS_FLOOR = 100     # fewest effective paths a weighted verify line may rest on
 
 
 @dataclass
@@ -454,11 +456,10 @@ def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
                           estimate_quadratic_value(ens, params),
                           eq.value.value_at_0, bias))
     if params.variant.uses_theta:
-        lines.append(_mc_line("value_identity_exponential",
-                              estimate_exponential_cost(ens, params),
-                              eq.value.exp_value, bias))
+        ce = _certainty_equivalent_gap(per_path_cost(ens, params), None, params.theta)
+        lines.append(_mc_line("value_identity_exponential", ce, eq.value.value_at_0, bias))
         lines.append(_mc_line("martingale_normalization",
-                              estimate_girsanov_normalization(ens, params), 1.0, bias))
+                              estimate_log_girsanov_normalization(ens, params), 0.0, bias))
 
     if rep is not None:
         lines.append(_saddle_line("saddle_gap_control", rep.gap_u, rep.analytic_gap_u))
@@ -467,10 +468,14 @@ def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
 
 
 def _mc_line(name: str, est: MCEstimate, theory: float, bias: float) -> CheckLine:
-    """A Monte Carlo mean passes within 3 se plus bias * max(1, |theory|)."""
+    """A Monte Carlo mean passes within 3 se plus bias * max(1, |theory|).  A
+    weighted one names its ESS, and below ESS_FLOOR fails whatever its miss."""
     tol = 3 * est.std_error + bias * max(1.0, abs(theory))
+    enough = est.ess is None or est.ess >= ESS_FLOOR
+    if est.ess is not None:
+        name += f" (ess {int(est.ess)}{'' if enough else f' < floor {ESS_FLOOR}'})"
     return CheckLine(name=name, estimate=est.mean, theory=theory, tolerance=tol,
-                     std_error=est.std_error, passed=abs(est.mean - theory) <= tol)
+                     std_error=est.std_error, passed=enough and abs(est.mean - theory) <= tol)
 
 
 def _saddle_line(name: str, gap: MCEstimate, theory: float) -> CheckLine:

@@ -43,8 +43,7 @@ __all__ = [
     "path_blocks",
     "per_path_cost",
     "estimate_quadratic_value",
-    "estimate_exponential_cost",
-    "estimate_girsanov_normalization",
+    "estimate_log_girsanov_normalization",
     "saddle_check",
 ]
 
@@ -89,8 +88,7 @@ class SimConfig:
 class MCEstimate:
     mean: float
     std_error: float
-    n_paths: int
-    heavy_tail: bool = False
+    ess: float | None = None      # effective sample size of a certainty equivalent's weights
 
 
 @dataclass
@@ -334,11 +332,10 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
     return [base, *map(shifted, shift_D, shift_cost, consts)]
 
 
-def _mc_estimate(values: np.ndarray, heavy_tail: bool = False) -> MCEstimate:
+def _mc_estimate(values: np.ndarray) -> MCEstimate:
     n = values.size
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MCEstimate(mean=float(values.mean()), std_error=se, n_paths=n,
-                      heavy_tail=heavy_tail)
+    return MCEstimate(mean=float(values.mean()), std_error=se)
 
 
 def per_path_cost(ensemble: PathEnsemble, params: ModelParams) -> np.ndarray:
@@ -364,38 +361,14 @@ def estimate_quadratic_value(ensemble: PathEnsemble, params: ModelParams) -> MCE
     return _mc_estimate(cost)
 
 
-HEAVY_TAIL_KURTOSIS = 100.0
-
-
-def estimate_exponential_cost(ensemble: PathEnsemble, params: ModelParams) -> MCEstimate:
-    """Sample mean of e^{theta L}, inf past the floats; flags heavy tails, never truncates."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        expL = np.exp(params.theta * per_path_cost(ensemble, params))
-        heavy = bool(_excess_kurtosis(expL) > HEAVY_TAIL_KURTOSIS)
-        return _mc_estimate(expL, heavy_tail=heavy)
-
-
-def estimate_girsanov_normalization(ensemble: PathEnsemble,
-                                    params: ModelParams) -> MCEstimate:
-    """Sample mean of the stochastic exponential; the target is 1."""
+def estimate_log_girsanov_normalization(ensemble: PathEnsemble,
+                                        params: ModelParams) -> MCEstimate:
+    """log mean w, w = e^{theta int g dB - theta^2/2 int g^2 dt}; the target is 0."""
     if ensemble.int_g_dB is None:
         raise ValueError("ensemble was simulated without beta/alpha accumulators")
     th = params.theta
-    logE = th * ensemble.int_g_dB - 0.5 * th * th * ensemble.int_g2_dt
-    return _mc_estimate(np.exp(logE))
-
-
-def _excess_kurtosis(x: np.ndarray) -> float:
-    """Fisher excess kurtosis m4 / m2^2 - 3 from the biased central moments.
-
-    NaN when the sample is constant to within the rounding of its mean.
-    """
-    mean = x.mean()
-    d2 = (x - mean) ** 2
-    m2 = d2.mean()
-    if not m2 > (np.finfo(float).eps * mean) ** 2:
-        return math.nan
-    return float((d2 ** 2).mean() / m2 ** 2 - 3.0)
+    log_w = th * ensemble.int_g_dB - 0.5 * th * th * ensemble.int_g2_dt
+    return _certainty_equivalent_gap(log_w, None, 1.0)
 
 
 def _trapz_weight_integral(coef: Coefficient, T: float) -> float:
@@ -405,23 +378,36 @@ def _trapz_weight_integral(coef: Coefficient, T: float) -> float:
     return float(_cumulative_trapezoid(coef(t), t)[-1])
 
 
-def _certainty_equivalent_gap(L_hi: np.ndarray, L_lo: np.ndarray,
+def _log_mean_exp(x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """log mean e^x, the per-path d = e^x / mean e^x - 1 and the effective sample
+    size n / (1 + mean d^2) = (sum e^x)^2 / sum e^{2x}.  From x - max x, so no
+    e^x overflows, and by expm1 and log1p, so a small spread of x keeps its digits."""
+    shift = float(x.max())
+    em1 = np.expm1(x - shift)
+    m1 = float(em1.mean())
+    d = (em1 - m1) / (1.0 + m1)
+    # a ufunc square: d @ d would start BLAS threads that spin against the pool
+    return math.log1p(m1) + shift, d, x.size / (1.0 + float(np.square(d).mean()))
+
+
+def _certainty_equivalent_gap(L_hi: np.ndarray, L_lo: np.ndarray | None,
                               theta: float) -> MCEstimate:
-    """(1/theta) (log mean e^{theta L_hi} - log mean e^{theta L_lo}), paired.
+    """(1/theta) (log mean e^{theta L_hi} - log mean e^{theta L_lo}), paired;
+    without L_lo, the certainty equivalent (1/theta) log mean e^{theta L_hi}.
 
     The se is the delta method's: that of the per-path
     (e^{theta L_hi} / A_hi - e^{theta L_lo} / A_lo) / theta, A being the
-    sample means.  Both exponentials are shifted by the largest theta L,
-    which cancels, so none overflows.  theta = 0 gives the mean of L_hi - L_lo.
+    sample means.  The ess is that of the weights e^{theta L}, the smaller
+    one for a gap.  theta = 0 gives the mean of L_hi - L_lo: all weights are 1.
     """
     if theta == 0.0:
-        return _mc_estimate(L_hi - L_lo)
-    shift = theta * max(L_hi.max(), L_lo.max())
-    e_hi, e_lo = np.exp(theta * L_hi - shift), np.exp(theta * L_lo - shift)
-    a_hi, a_lo = float(e_hi.mean()), float(e_lo.mean())
-    influence = _mc_estimate((e_hi / a_hi - e_lo / a_lo) / theta)
-    return MCEstimate(mean=(math.log(a_hi) - math.log(a_lo)) / theta,
-                      std_error=influence.std_error, n_paths=L_hi.size)
+        diff = L_hi if L_lo is None else L_hi - L_lo
+        return replace(_mc_estimate(diff), ess=float(diff.size))
+    log_a, influence, ess = _log_mean_exp(theta * L_hi)
+    if L_lo is not None:
+        log_a_lo, influence_lo, ess_lo = _log_mean_exp(theta * L_lo)
+        log_a, influence, ess = log_a - log_a_lo, influence - influence_lo, min(ess, ess_lo)
+    return replace(_mc_estimate(influence / theta), mean=log_a / theta, ess=ess)
 
 
 def saddle_check(params: ModelParams, equilibrium: Equilibrium,

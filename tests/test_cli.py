@@ -1,7 +1,9 @@
 import argparse
 import errno
+import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,23 +11,30 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import lqmfg
 from lqmfg import cli, simulate
 from lqmfg.cli import (
+    ESS_FLOOR,
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_NONCONVERGENCE,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
     ConfigError,
+    RunConfig,
     _overrides,
     echo_instance,
     main,
     parse_config,
 )
-from lqmfg.equilibrium import admissible_beta, solve_equilibrium_closed_form
-from lqmfg.model import Coefficient, TimeGrid, fmt_float
+from lqmfg.equilibrium import (BlowUpError, NonConvergenceError, admissible_beta,
+                               solve_equilibrium_closed_form)
+from lqmfg.model import Coefficient, TimeGrid, Variant, fmt_float
+from lqmfg.simulate import SimConfig
+from conftest import make_params, tabulated
 from riccati_oracle import FiniteEscapeError, closed_form_constant_riccati
 
 
@@ -678,6 +687,86 @@ class TestVerifyCommand:
         assert parse_config(write_cfg(tmp_path, BENCH_CFG)).sim.dt_sim == 1e-3
 
 
+def theta_lines(lines) -> dict[str, cli.CheckLine]:
+    return {line.name.split()[0]: line for line in lines
+            if line.name.split()[0] in ("value_identity_exponential",
+                                        "martingale_normalization")}
+
+
+class TestVerifyThetaLines:
+    """The two theta lines are on the log scale and carry their ESS."""
+
+    def test_theta_zero_is_the_mean_cost_and_a_zero_log_density(self, tmp_path):
+        # risk_sensitive without a theta key runs at theta = 0: every weight is 1
+        text = BENCH_CFG.replace("risk_neutral", "risk_sensitive") + \
+            "\n[sim]\nn_paths = 500\ndt_sim = 1e-3\nseed = 4\n"
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert cfg.params.theta == 0.0
+        lines = cli.run_verify_checks(cfg)
+        quadratic = next(ln for ln in lines if ln.name == "value_identity_quadratic")
+        exp_line, mart = theta_lines(lines).values()
+        assert (exp_line.estimate, exp_line.std_error) == (quadratic.estimate,
+                                                           quadratic.std_error)
+        assert (mart.estimate, mart.std_error) == (0.0, 0.0)
+        assert exp_line.name == "value_identity_exponential (ess 500)"
+        assert mart.name == "martingale_normalization (ess 500)"
+        assert all(ln.passed for ln in lines)
+
+    def test_ess_below_the_floor_fails_a_line_that_meets_its_theory(self, tmp_path):
+        # at theta = 0 the estimates are exact to their se; ess = n_paths
+        text = BENCH_CFG.replace("risk_neutral", "risk_sensitive") + \
+            f"\n[sim]\nn_paths = {ESS_FLOOR - 1}\ndt_sim = 1e-3\nseed = 4\n"
+        lines = theta_lines(cli.run_verify_checks(parse_config(write_cfg(tmp_path, text))))
+        mart = lines["martingale_normalization"]
+        assert mart.estimate == 0.0 and not mart.passed
+        assert mart.name == f"martingale_normalization (ess {ESS_FLOOR - 1} < floor {ESS_FLOOR})"
+        assert not lines["value_identity_exponential"].passed
+
+
+@pytest.fixture(scope="module")
+def report_line():
+    """bench/workloads.py's REPORT_LINE, the pattern the benchmark parses
+    every verify line with."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        # its dataclasses look their module up by name
+        mp.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+    return module.REPORT_LINE
+
+
+class TestVerifyLinesOnGeneratedInstances:
+    """Every admissible theta instance reports finite numbers on every line,
+    in the form the benchmark parses, however few paths carry the weight."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(robust=st.booleans(), a=st.floats(-1.0, 1.0), abar=st.floats(-0.5, 0.5),
+           c=st.floats(0.0, 0.8), sigma=st.floats(0.01, 0.6),
+           theta_sigma2=st.floats(0.0, 0.6), r=st.lists(st.floats(0.5, 1.5),
+                                                        min_size=2, max_size=4),
+           seed=st.integers(0, 2 ** 31))
+    def test_every_line_is_finite_and_parses(self, report_line, robust, a, abar, c,
+                                             sigma, theta_sigma2, r, seed):
+        # theta up to 0.6 / sigma^2: 6000 at sigma = 0.01, where e^{theta L} overflows
+        variant = Variant.ROBUST_RISK_SENSITIVE if robust else Variant.RISK_SENSITIVE
+        params = make_params(variant=variant, a=a, abar=abar, sigma=sigma,
+                             theta=theta_sigma2 / sigma ** 2, c=c if robust else 0.0,
+                             r=tabulated(*r))
+        cfg = RunConfig(params=params, grid=TimeGrid(T=1.0, n_steps=20),
+                        sim=SimConfig(n_paths=64, dt_sim=1.0 / 200, seed=seed))
+        try:
+            lines = cli.run_verify_checks(cfg)
+        except (BlowUpError, NonConvergenceError):
+            assume(False)
+        assert len(theta_lines(lines)) == 2
+        for line in lines:
+            assert all(map(math.isfinite, (line.estimate, line.std_error, line.tolerance)))
+            assert report_line.match(line.render()), line.render()
+
+
 ROBUST_VARIANTS = {"robust": "robust\nc = 0.5",
                    "robust_risk_sensitive": "robust_risk_sensitive\nc = 0.5\ntheta = 0.25"}
 SADDLE_LINES = {(name, line) for name in ROBUST_VARIANTS
@@ -711,12 +800,18 @@ class TestVerifyPower:
             return ensemble.run_cost + weight * (params.qT * xT * xT + qbarT * (xT - mT) ** 2)
         return cost
 
+    @staticmethod
+    def mutate_cost(monkeypatch, cost) -> None:
+        """per_path_cost replaced where simulate and verify's certainty equivalent read it."""
+        monkeypatch.setattr(simulate, "per_path_cost", cost)
+        monkeypatch.setattr(cli, "per_path_cost", cost)
+
     def test_unmutated_instances_pass(self, tmp_path):
         assert self.failing_lines(tmp_path) == set()
 
     def test_terminal_weight_is_caught_by_the_saddle_lines(self, tmp_path, monkeypatch):
         # L' is per_path_cost of the shifted ensemble, so the saddle lines see it
-        monkeypatch.setattr(simulate, "per_path_cost", self.terminal_cost(0.52, 1.0))
+        self.mutate_cost(monkeypatch, self.terminal_cost(0.52, 1.0))
         assert SADDLE_LINES <= self.failing_lines(tmp_path)
 
     def test_abar_sign_in_the_forward_drift_is_caught(self, tmp_path, monkeypatch):
@@ -735,7 +830,7 @@ class TestVerifyPower:
         # the error moves the control gap by about 0.5 tol at 4000 paths,
         # too little to fail reliably; at 60000 paths it is about 1.9 tol
         # (1.5 to 2.5 over seeds 1-12), so any seed fails the line
-        monkeypatch.setattr(simulate, "per_path_cost", self.terminal_cost(0.5, 1.05))
+        self.mutate_cost(monkeypatch, self.terminal_cost(0.5, 1.05))
         assert ("robust", "saddle_gap_control") in self.failing_lines(
             tmp_path, n_paths=60000, names=("robust",))
 
@@ -776,8 +871,8 @@ class TestNumpyOnlyRuntime:
 
     def test_commands_load_no_scipy(self, tmp_path):
         # robust risk-sensitive reaches every routine that once came from
-        # scipy: the Hermite interpolant, the cumulative trapezoid, the
-        # kurtosis of the heavy-tail flag and the saddle's trapezoid sum
+        # scipy: the Hermite interpolant, the cumulative trapezoid and the
+        # saddle's trapezoid sum
         cfg = BENCH_CFG.replace("risk_neutral", "robust_risk_sensitive\nc = 0.5\ntheta = 0.25")
         cfg = write_cfg(tmp_path, cfg.replace("n_steps = 200", "n_steps = 50")
                         + "\n[sim]\nn_paths = 200\nseed = 3\n"
@@ -887,13 +982,18 @@ class TestOverflowingExpValue:
         assert "  exp_value = inf" in (out / "report.txt").read_text().splitlines()
         assert capsys.readouterr().err == ""
 
-    def test_verify_fails_the_exponential_line(self, tmp_path, capsys):
+    def test_verify_fails_both_theta_lines_on_their_ess(self, tmp_path, capsys):
+        # on the log scale both estimates are finite; one path carries the weight
         out = tmp_path / "out"
         assert main(["verify", "--config", write_cfg(tmp_path, self.CFG), "--out-dir",
                      str(out), "--paths", "2000", "--quiet"]) == EXIT_VERIFY_FAIL
-        report = (out / "verify_report.txt").read_text()
-        assert "FAIL  value_identity_exponential: estimate inf vs theory inf" in report
-        assert "FAIL  martingale_normalization" in report
+        names = ("value_identity_exponential", "martingale_normalization")
+        report = (out / "verify_report.txt").read_text().splitlines()
+        rendered = [ln for ln in report if ln.split()[1] in names]
+        assert [ln.split(":")[0] for ln in rendered] == [
+            f"FAIL  {name} (ess 1 < floor {ESS_FLOOR})" for name in names]
+        for line in rendered:
+            assert not re.search(r"\b(inf|nan)\b", line) and "se 0," not in line, line
         assert capsys.readouterr().err == ""
 
     def test_sweep_solves_every_row(self, tmp_path, capsys):

@@ -1,13 +1,16 @@
 """The README's library quick start runs as written, on fewer paths, and its
-config keys and flags are the ones the command line accepts."""
+config keys, flags and verify lines are the ones the command line accepts
+and writes."""
 import argparse
 import re
 import warnings
 from pathlib import Path
 
 from lqmfg import cli
-from lqmfg.model import Trajectory
+from lqmfg.model import TimeGrid, Trajectory, Variant
 from lqmfg.riccati import Beta
+from lqmfg.simulate import SimConfig
+from conftest import make_params
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -84,3 +87,25 @@ def test_documented_flags_are_the_parsers():
         flags = {flag for action in parser._actions for flag in action.option_strings
                  if flag.startswith("--") and flag != "--help"}
         assert flags == every | (sweep_only if name == "sweep" else set()), name
+
+
+def documented_verify_lines() -> set[str]:
+    """The check names the README's list of verify checks gives before the
+    colon of each item."""
+    text = README.read_text()
+    block = text[text.index("Its checks:\n\n"):]
+    block = block[:block.index("\n\n", len("Its checks:\n\n"))]
+    return {name for item in block.split("\n- ")[1:]
+            for name in re.findall(r"`(\w+)`", item.split(": ", 1)[0])}
+
+
+def test_documented_verify_lines_are_the_emitted_ones():
+    # tiny instances of the four variants: the lines they emit, pass or fail
+    emitted = set()
+    for variant in Variant:
+        params = make_params(variant=variant, c=0.5 if variant.uses_disturbance else 0.0,
+                             theta=0.25 if variant.uses_theta else 0.0)
+        cfg = cli.RunConfig(params=params, grid=TimeGrid(T=1.0, n_steps=10),
+                            sim=SimConfig(n_paths=8, dt_sim=0.1, seed=0))
+        emitted |= {line.name.split()[0] for line in cli.run_verify_checks(cfg)}
+    assert documented_verify_lines() == emitted

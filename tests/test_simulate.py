@@ -3,13 +3,11 @@ import math
 import sys
 import threading
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.stats
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +18,8 @@ from lqmfg.simulate import (
     BLOCK_SIZE,
     MCEstimate,
     SimConfig,
-    estimate_exponential_cost,
-    estimate_girsanov_normalization,
-    _excess_kurtosis,
+    estimate_log_girsanov_normalization,
+    _certainty_equivalent_gap,
     _trapz_weight_integral,
     _mc_estimate,
     estimate_quadratic_value,
@@ -438,38 +435,39 @@ class TestDegenerateDynamics:
 
 
 class TestEstimators:
-    def test_theta_zero_exponential_cost_is_one(self, bench_eq):
+    def test_theta_zero_certainty_equivalent_is_the_mean_cost(self, bench_eq):
         p, eq = bench_eq
         [ens] = simulate_paths(p, eq, eq.m, small_config())
-        est = estimate_exponential_cost(ens, p)
-        assert est.mean == 1.0
-        assert est.std_error == 0.0
+        L = per_path_cost(ens, p)
+        est, plain = _certainty_equivalent_gap(L, None, p.theta), _mc_estimate(L)
+        assert (est.mean, est.std_error) == (plain.mean, plain.std_error)
+        assert est.ess == 256 and plain.ess is None
 
-    def test_theta_zero_girsanov_is_one(self):
-        # a theta variant at theta = 0 forms the sums; their exponential is 1
+    def test_theta_zero_log_girsanov_is_zero(self):
+        # a theta variant at theta = 0 forms the sums; w = 1, its log mean is 0
         p = make_params(variant=Variant.RISK_SENSITIVE, theta=0.0)
         g = TimeGrid(T=1.0, n_steps=200)
         eq = solve_equilibrium_picard(p, admissible_beta(p, g), g)
         [ens] = simulate_paths(p, eq, eq.m, small_config())
         assert ens.int_g_dB is not None
-        est = estimate_girsanov_normalization(ens, p)
-        assert est.mean == 1.0
+        est = estimate_log_girsanov_normalization(ens, p)
+        assert (est.mean, est.std_error, est.ess) == (0.0, 0.0, 256)
 
-    def test_sigma_zero_girsanov_is_one(self):
+    def test_sigma_zero_log_girsanov_is_zero(self):
         p = make_params(sigma=0.0, theta=0.3, variant=Variant.RISK_SENSITIVE)
         g = TimeGrid(T=1.0, n_steps=200)
         eq = solve_equilibrium_picard(p, admissible_beta(p, g), g)
         [ens] = simulate_paths(p, eq, eq.m,
                                SimConfig(n_paths=16, dt_sim=1.0 / 200, seed=0))
-        est = estimate_girsanov_normalization(ens, p)
-        assert est.mean == 1.0
+        est = estimate_log_girsanov_normalization(ens, p)
+        assert est.mean == 0.0
         assert est.std_error == 0.0
 
     def test_girsanov_requires_accumulators(self, bench_eq):
         p, eq = bench_eq
         [ens] = simulate_paths(p, None, eq.m, small_config())
         with pytest.raises(ValueError):
-            estimate_girsanov_normalization(ens, p)
+            estimate_log_girsanov_normalization(ens, p)
 
     def test_quadratic_value_needs_accumulators_only_with_theta(self, bench_eq):
         p, eq = bench_eq
@@ -499,36 +497,41 @@ class TestEstimators:
         [ens] = simulate_paths(p, eq, eq.m, small_config())
         est = estimate_quadratic_value(ens, p)
         assert isinstance(est, MCEstimate)
-        assert est.n_paths == 256
+        assert est.ess is None
         assert est.std_error > 0.0
 
 
 class TestMomentHelpers:
-    """The numpy kurtosis and trapezoid sum against scipy's."""
+    """The certainty equivalent and its effective sample size against direct
+    numpy, and the trapezoid sum against scipy's."""
 
-    @staticmethod
-    def scipy_kurtosis(x):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)   # precision-loss notice
-            return float(scipy.stats.kurtosis(x, fisher=True))
+    @pytest.mark.parametrize("theta", [0.25, 1.0, 3.0])
+    def test_certainty_equivalent_matches_the_direct_formula(self, theta):
+        # where e^{theta L} does not overflow, the shift changes nothing
+        L = np.random.default_rng(3).lognormal(size=5000)
+        w = np.exp(theta * L)
+        est = _certainty_equivalent_gap(L, None, theta)
+        assert est.mean == pytest.approx(math.log(w.mean()) / theta, rel=1e-12)
+        assert est.std_error == pytest.approx(
+            (w / w.mean()).std(ddof=1) / theta / math.sqrt(L.size), rel=1e-12)
+        assert est.ess == pytest.approx(w.sum() ** 2 / (w @ w), rel=1e-12)
 
-    @pytest.mark.parametrize("sample", ["normal", "lognormal", "four_points"])
-    def test_kurtosis_matches_scipy(self, sample):
-        rng = np.random.default_rng(3)
-        x = {"normal": rng.normal(size=5000),
-             "lognormal": np.exp(3.0 * rng.normal(size=5000)),
-             "four_points": np.array([0.5, 2.0, -1.0, 0.25])}[sample]
-        assert _excess_kurtosis(x) == pytest.approx(self.scipy_kurtosis(x), rel=1e-12)
+    @pytest.mark.parametrize("theta", [1e-9, 1e-200])
+    def test_small_theta_tends_to_the_mean(self, theta):
+        # through expm1 and log1p: e^{theta L} rounds to 1 + theta L, or to 1
+        L = np.random.default_rng(5).lognormal(size=5000)
+        est, plain = _certainty_equivalent_gap(L, None, theta), _mc_estimate(L)
+        assert est.mean == pytest.approx(plain.mean + 0.5 * theta * L.var(), rel=1e-12)
+        assert est.std_error == pytest.approx(plain.std_error, rel=1e-6)
 
-    @pytest.mark.parametrize("x", [
-        np.full(6, 2.5),                                        # constant
-        1.0 + np.array([0.0, 0.0, 0.0, np.finfo(float).eps]),   # below rounding
-        1.0 + np.finfo(float).eps * np.arange(8.0),             # just above it
-    ], ids=["constant", "near_constant", "barely_varying"])
-    def test_near_constant_sample(self, x):
-        ref = self.scipy_kurtosis(x)
-        ours = _excess_kurtosis(x)
-        assert (math.isnan(ours) and math.isnan(ref)) or ours == pytest.approx(ref, rel=1e-12)
+    def test_one_dominant_path_is_finite_with_ess_one(self):
+        L = np.zeros(400)
+        assert _certainty_equivalent_gap(L, None, 2.0).ess == 400
+        L[7] = 1e3      # e^{2000} is past the floats; that path carries all the weight
+        est = _certainty_equivalent_gap(L, None, 2.0)
+        assert est.mean == pytest.approx(1e3 - math.log(400) / 2.0, rel=1e-12)
+        assert math.isfinite(est.std_error) and est.std_error > 0.0
+        assert est.ess == pytest.approx(1.0)
 
     def test_trapezoid_weight_integral_matches_scipy(self):
         r = Coefficient(np.array([1.0, 0.8, 1.2, 0.5, 2.0]), np.linspace(0.0, 2.0, 5))
