@@ -32,12 +32,10 @@ from .equilibrium import (
 from .simulate import (
     MCEstimate,
     PathEnsemble,
-    SaddleReport,
     SimConfig,
     estimate_log_girsanov_normalization,
     estimate_quadratic_value,
     per_path_cost,
-    saddle_check,
     simulate_paths,
 )
 

@@ -49,10 +49,10 @@ from .simulate import (
     MCEstimate,
     SimConfig,
     _certainty_equivalent_gap,
+    _trapz_weight_integral,
     estimate_log_girsanov_normalization,
     estimate_quadratic_value,
     per_path_cost,
-    saddle_check,
     simulate_paths,
 )
 
@@ -82,6 +82,7 @@ SWEEP_COLUMNS = ["value", "admissible", "lipschitz_bound", "contraction",
                  "value_at_0", "beta0", "blow_up_time", "code"]
 DEFAULT_STEPS_PER_UNIT_TIME = 1000
 ESS_FLOOR = 100     # fewest effective paths a weighted verify line may rest on
+SADDLE_SHIFT = 0.5  # the offset shifts du = dv of the saddle lines
 
 
 @dataclass
@@ -430,14 +431,12 @@ def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
     params = cfg.params
     lines: list[CheckLine] = []
 
-    # one simulation per instance: the robust variants reuse the saddle
-    # check's (u, v) ensemble, whose shifts are the perturbed policies
-    rep = None
-    if params.variant.uses_disturbance:
-        rep = saddle_check(params, eq, 0.5, cfg.sim)
-        ens = rep.base
-    else:
-        [ens] = simulate_paths(params, eq, eq.m, cfg.sim)
+    # one simulation per instance; in the robust variants its shifts are the
+    # perturbed policies (u + du, v) and (u, v + dv), on the same draws
+    robust = params.variant.uses_disturbance
+    shifts = ((SADDLE_SHIFT, 0.0), (0.0, SADDLE_SHIFT)) if robust else ()
+    ens, *moved = simulate_paths(params, eq, eq.m, cfg.sim, shifts)
+    L = per_path_cost(ens, params)
 
     # mean consistency: |sample mean - m| <= 3 se at every node with noise
     mean = ens.mean_x()
@@ -456,14 +455,23 @@ def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
                           estimate_quadratic_value(ens, params),
                           eq.value.value_at_0, bias))
     if params.variant.uses_theta:
-        ce = _certainty_equivalent_gap(per_path_cost(ens, params), None, params.theta)
+        ce = _certainty_equivalent_gap(L, None, params.theta)
         lines.append(_mc_line("value_identity_exponential", ce, eq.value.value_at_0, bias))
         lines.append(_mc_line("martingale_normalization",
                               estimate_log_girsanov_normalization(ens, params), 0.0, bias))
 
-    if rep is not None:
-        lines.append(_saddle_line("saddle_gap_control", rep.gap_u, rep.analytic_gap_u))
-        lines.append(_saddle_line("saddle_gap_disturbance", rep.gap_v, rep.analytic_gap_v))
+    if robust:
+        # completed squares: the certainty equivalent rises by (du^2/2) int r
+        # at (u + du, v) and falls by (dv^2/2) int s at (u, v + dv)
+        theta = params.theta if params.variant.uses_theta else 0.0
+        L_u, L_v = (per_path_cost(e, params) for e in moved)
+        half_d2 = 0.5 * SADDLE_SHIFT ** 2
+        lines.append(_saddle_line("saddle_gap_control",
+                                  _certainty_equivalent_gap(L_u, L, theta),
+                                  half_d2 * _trapz_weight_integral(params.r, params.T)))
+        lines.append(_saddle_line("saddle_gap_disturbance",
+                                  _certainty_equivalent_gap(L, L_v, theta),
+                                  half_d2 * _trapz_weight_integral(params.s, params.T)))
     return lines
 
 

@@ -92,24 +92,19 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def _phi_alpha(params: ModelParams, beta: Beta, m: Trajectory,
-               grid: TimeGrid) -> tuple[Trajectory, Trajectory]:
-    """Phi[m] (see apply_phi) and the alpha[m] it integrates."""
-    alpha = solve_alpha(params, beta, m, grid)
-    nodes = grid.nodes
-    lam = np.asarray(params.lam(nodes), dtype=float)
-    integrand = (params.a + params.abar) * m.values - lam * (beta.values * m.values + alpha.values)
-    return Trajectory(grid, params.m0 + _cumulative_trapezoid(integrand, nodes)), alpha
-
-
-def apply_phi(params: ModelParams, beta: Beta, m: Trajectory, grid: TimeGrid) -> Trajectory:
-    """One application of the best-response mean map.
+def apply_phi(params: ModelParams, beta: Beta, m: Trajectory,
+              grid: TimeGrid) -> tuple[Trajectory, Trajectory]:
+    """One application of the best-response mean map: (Phi[m], alpha[m]).
 
     Phi[m](t) = m0 + int_0^t [(a+abar) m - lam (beta m + alpha[m])] ds,
     with alpha[m] the linear backward solve and the integral by the
     trapezoid rule on the grid.
     """
-    return _phi_alpha(params, beta, m, grid)[0]
+    alpha = solve_alpha(params, beta, m, grid)
+    nodes = grid.nodes
+    lam = np.asarray(params.lam(nodes), dtype=float)
+    integrand = (params.a + params.abar) * m.values - lam * (beta.values * m.values + alpha.values)
+    return Trajectory(grid, params.m0 + _cumulative_trapezoid(integrand, nodes)), alpha
 
 
 def _finalize(params: ModelParams, beta: Beta, m: Trajectory, alpha: Trajectory,
@@ -181,7 +176,7 @@ def solve_equilibrium_picard(params: ModelParams, beta: Beta, grid: TimeGrid) ->
             ratios.append(r)
             pivots.append(piv)
         m = Trajectory(grid, params.m0 * np.cumprod([1.0, *ratios[::-1]]))
-        phi, alpha = _phi_alpha(params, beta, m, grid)
+        phi, alpha = apply_phi(params, beta, m, grid)
         residual = float(np.max(np.abs(phi.values - m.values)))
     if not math.isfinite(residual):
         raise NonConvergenceError([residual], "non_finite")
@@ -200,7 +195,7 @@ def solve_equilibrium_closed_form(params: ModelParams, beta: Beta, grid: TimeGri
     lam = np.asarray(params.lam(nodes), dtype=float)
     exponent = (params.a + params.abar) - lam * (beta.values + eta.values)
     m = Trajectory(grid, params.m0 * np.exp(_cumulative_trapezoid(exponent, nodes)))
-    phi, alpha = _phi_alpha(params, beta, m, grid)
+    phi, alpha = apply_phi(params, beta, m, grid)
     residual = float(np.max(np.abs(phi.values - m.values)))
     return _finalize(params, beta, m, alpha, grid, 0, residual, eta=eta)
 

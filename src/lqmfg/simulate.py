@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,13 +38,11 @@ __all__ = [
     "SimConfig",
     "PathEnsemble",
     "MCEstimate",
-    "SaddleReport",
     "simulate_paths",
     "path_blocks",
     "per_path_cost",
     "estimate_quadratic_value",
     "estimate_log_girsanov_normalization",
-    "saddle_check",
 ]
 
 BLOCK_SIZE = 16384  # most paths per random stream; block b draws from default_rng([seed, b])
@@ -118,16 +116,6 @@ class PathEnsemble:
         n = self.n_paths
         var = (self.sum_x2 - self.sum_x ** 2 / n) / max(n - 1, 1)
         return np.sqrt(np.maximum(var, 0.0) / n)
-
-
-
-@dataclass(frozen=True)
-class SaddleReport:
-    gap_u: MCEstimate            # certainty equivalent at (u+du, v) minus at (u, v)
-    gap_v: MCEstimate            # certainty equivalent at (u, v) minus at (u, v+dv)
-    analytic_gap_u: float
-    analytic_gap_v: float
-    base: PathEnsemble = field(compare=False, repr=False)   # the (u, v) ensemble
 
 
 def path_blocks(n: int) -> list[tuple[int, int]]:
@@ -408,34 +396,3 @@ def _certainty_equivalent_gap(L_hi: np.ndarray, L_lo: np.ndarray | None,
         log_a_lo, influence_lo, ess_lo = _log_mean_exp(theta * L_lo)
         log_a, influence, ess = log_a - log_a_lo, influence - influence_lo, min(ess, ess_lo)
     return replace(_mc_estimate(influence / theta), mean=log_a / theta, ess=ess)
-
-
-def saddle_check(params: ModelParams, equilibrium: Equilibrium,
-                 perturbation_scale: float, config: SimConfig) -> SaddleReport:
-    """Estimate the saddle gaps under common random numbers.
-
-    Simulates (u, v) once; (u+du, v) and (u, v+dv) are its shifts, on the
-    same draws, so paired differences isolate the completed-square gaps
-    int (r/2) du^2 dt and int (s/2) dv^2 dt.  Those gaps hold for the
-    certainty equivalent (1/theta) log E e^{theta L}, which is E[L] at
-    theta = 0, so that is what each gap compares.  The report holds the
-    estimates and the analytic gaps; the verdict on them is the caller's.
-    The (u, v) ensemble is returned in the report; it carries the Girsanov
-    sums when the variant uses theta.
-    """
-    if not params.variant.uses_disturbance:
-        raise ValueError("saddle_check applies to the robust variants")
-    d = perturbation_scale
-    base, up, vp = simulate_paths(params, equilibrium, equilibrium.m, config,
-                                  shifts=((d, 0.0), (0.0, d)))
-
-    L_base = per_path_cost(base, params)
-    theta = params.theta if params.variant.uses_theta else 0.0
-    d2 = d ** 2
-    return SaddleReport(
-        gap_u=_certainty_equivalent_gap(per_path_cost(up, params), L_base, theta),
-        gap_v=_certainty_equivalent_gap(L_base, per_path_cost(vp, params), theta),
-        analytic_gap_u=0.5 * d2 * _trapz_weight_integral(params.r, params.T),
-        analytic_gap_v=0.5 * d2 * _trapz_weight_integral(params.s, params.T),
-        base=base,
-    )

@@ -7,7 +7,7 @@ from two starting guesses) here.
 """
 import numpy as np
 
-from lqmfg.equilibrium import NonConvergenceError, _finalize, _phi_alpha, apply_phi
+from lqmfg.equilibrium import NonConvergenceError, _finalize, apply_phi
 from lqmfg.model import ModelParams, TimeGrid, Trajectory
 from lqmfg.riccati import Beta
 
@@ -27,12 +27,12 @@ def solve_picard(params: ModelParams, beta: Beta, grid: TimeGrid,
     m = initial
     history: list[float] = []
     for it in range(1, max_iter + 1):
-        phi = apply_phi(params, beta, m, grid)
+        phi, _ = apply_phi(params, beta, m, grid)
         res = float(np.max(np.abs(phi.values - m.values)))
         history.append(res)
         m = phi
         if res <= tol:
-            final, alpha = _phi_alpha(params, beta, m, grid)
+            final, alpha = apply_phi(params, beta, m, grid)
             res = float(np.max(np.abs(final.values - m.values)))
             return _finalize(params, beta, m, alpha, grid, it, res,
                              history=tuple(history))

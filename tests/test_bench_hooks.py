@@ -93,6 +93,8 @@ def test_tracer_reads_every_hook(tmp_path, monkeypatch):
     # per solve, each route's one Phi, whose alpha the equilibrium keeps: 2
     # in solve and in verify; 1 in the sweep's one row without an escape
     assert metrics["riccati.solve_alpha.calls"] == 2 * 2 + 1
+    # both routes take that Phi through the public apply_phi, so its span sees each
+    assert metrics["equilibrium.apply_phi.calls"] == 5
     # the fixed-point route's one Phi application in solve and in verify
     # (Picard took 19 steps each)
     assert metrics["equilibrium.picard.iterations"] == 2

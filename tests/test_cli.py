@@ -23,6 +23,7 @@ from lqmfg.cli import (
     EXIT_NONCONVERGENCE,
     EXIT_OK,
     EXIT_VERIFY_FAIL,
+    SADDLE_SHIFT,
     ConfigError,
     RunConfig,
     _overrides,
@@ -34,7 +35,7 @@ from lqmfg.equilibrium import (BlowUpError, NonConvergenceError, admissible_beta
                                solve_equilibrium_closed_form)
 from lqmfg.model import Coefficient, TimeGrid, Variant, fmt_float
 from lqmfg.simulate import SimConfig
-from conftest import make_params, tabulated
+from conftest import make_params, saddle_gaps, tabulated
 from riccati_oracle import FiniteEscapeError, closed_form_constant_riccati
 
 
@@ -771,6 +772,46 @@ ROBUST_VARIANTS = {"robust": "robust\nc = 0.5",
                    "robust_risk_sensitive": "robust_risk_sensitive\nc = 0.5\ntheta = 0.25"}
 SADDLE_LINES = {(name, line) for name in ROBUST_VARIANTS
                 for line in ("saddle_gap_control", "saddle_gap_disturbance")}
+
+
+class TestVerifySaddleLines:
+    """verify makes one simulate_paths call per instance; in the robust
+    variants its two shifts are the saddle lines' perturbed policies."""
+
+    @staticmethod
+    def run(tmp_path, monkeypatch, variant: str):
+        shifts_passed = []
+        real = cli.simulate_paths
+
+        def recorded(params, eq, m, config, shifts=()):
+            shifts_passed.append(shifts)
+            return real(params, eq, m, config, shifts)
+
+        monkeypatch.setattr(cli, "simulate_paths", recorded)
+        text = BENCH_CFG.replace("risk_neutral", variant) + "\n[sim]\nn_paths = 512\nseed = 2\n"
+        cfg = parse_config(write_cfg(tmp_path, text))
+        return cfg, cli.run_verify_checks(cfg), shifts_passed
+
+    @pytest.mark.parametrize("variant", ["risk_neutral", "risk_sensitive\ntheta = 0.25"])
+    def test_non_robust_variant_has_no_saddle_line_and_no_shift(self, tmp_path,
+                                                                monkeypatch, variant):
+        _, lines, shifts_passed = self.run(tmp_path, monkeypatch, variant)
+        assert shifts_passed == [()]
+        assert not [line for line in lines if line.name.startswith("saddle")]
+
+    @pytest.mark.parametrize("variant", ROBUST_VARIANTS.values(), ids=ROBUST_VARIANTS)
+    def test_robust_saddle_lines_are_the_shifted_gaps(self, tmp_path, monkeypatch, variant):
+        cfg, lines, shifts_passed = self.run(tmp_path, monkeypatch, variant)
+        assert shifts_passed == [((SADDLE_SHIFT, 0.0), (0.0, SADDLE_SHIFT))]
+        eq = cli.run_solve_pipeline(cfg).eq_picard
+        gap_u, gap_v, _ = saddle_gaps(cfg.params, eq, cfg.sim, SADDLE_SHIFT)
+        got = {line.name: line for line in lines}
+        for name, (gap, theory) in (("saddle_gap_control", gap_u),
+                                    ("saddle_gap_disturbance", gap_v)):
+            line = got[name]
+            assert (line.estimate, line.std_error, line.theory) == (
+                gap.mean, gap.std_error, theory)
+            assert theory == 0.5 * SADDLE_SHIFT ** 2     # r = s = 1 on T = 1
 
 
 class TestVerifyPower:

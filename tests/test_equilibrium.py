@@ -41,7 +41,7 @@ class TestApplyPhi:
     def test_zero_fixed_point(self, grid):
         p = make_params(m0=0.0)
         beta, _ = solve_beta(p, grid)
-        phi = apply_phi(p, beta, Trajectory(grid, np.full(grid.n_steps + 1, 0.0)), grid)
+        phi, _ = apply_phi(p, beta, Trajectory(grid, np.full(grid.n_steps + 1, 0.0)), grid)
         np.testing.assert_array_equal(phi.values, 0.0)
 
     def test_decoupled_linear_ode(self, grid):
@@ -53,13 +53,13 @@ class TestApplyPhi:
         exact = p.m0 * np.exp(cumulative_trapezoid(rate, grid.nodes, initial=0.0))
         m = Trajectory(grid, np.full(grid.n_steps + 1, p.m0))
         for _ in range(50):
-            m = apply_phi(p, beta, m, grid)
+            m, _ = apply_phi(p, beta, m, grid)
         # fixed point of the trapezoid map matches the quadrature to O(dt^2)
         assert np.max(np.abs(m.values - exact)) <= 1e-5
 
     def test_closed_form_mean_is_fixed_point(self, grid, bench):
         eq = solve_equilibrium_closed_form(bench, admissible_beta(bench, grid), grid)
-        phi = apply_phi(bench, eq.beta, eq.m, grid)
+        phi, _ = apply_phi(bench, eq.beta, eq.m, grid)
         assert np.max(np.abs(phi.values - eq.m.values)) <= 1e-6
 
     @pytest.mark.parametrize("overrides", [
@@ -162,7 +162,7 @@ class TestFixedPointRoute:
         # the one entry is a true Phi application, and it is the residual
         assert eq.residual_history == (eq.residual,)
         assert eq.residual <= 1e-13
-        m = apply_phi(p, beta, eq.m, grid)
+        m, _ = apply_phi(p, beta, eq.m, grid)
         assert np.max(np.abs(m.values - eq.m.values)) == eq.residual
         # Picard takes 27-31 steps to this tolerance here
         oracle = solve_picard(p, beta, grid, tol=1e-15)

@@ -25,11 +25,10 @@ from lqmfg.simulate import (
     estimate_quadratic_value,
     path_blocks,
     per_path_cost,
-    saddle_check,
     simulate_paths,
 )
 from lqmfg import simulate
-from conftest import make_params, tabulated
+from conftest import make_params, saddle_gaps, tabulated
 
 
 @pytest.fixture(scope="module")
@@ -579,29 +578,22 @@ def robust_eq():
 
 
 class TestSaddle:
-    def test_requires_robust_variant(self, bench_eq):
-        p, eq = bench_eq
-        with pytest.raises(ValueError):
-            saddle_check(p, eq, 0.5, small_config())
+    """The gaps verify's saddle lines compare, formed as run_verify_checks forms them."""
 
     def test_zero_perturbation_gaps_vanish(self, robust_eq):
         p, eq = robust_eq
         cfg = SimConfig(n_paths=128, dt_sim=2e-3, seed=5)
-        rep = saddle_check(p, eq, 0.0, cfg)
-        assert rep.gap_u.mean == 0.0 and rep.gap_u.std_error == 0.0
-        assert rep.gap_v.mean == 0.0 and rep.gap_v.std_error == 0.0
+        for gap, _ in saddle_gaps(p, eq, cfg, 0.0)[:2]:
+            assert gap.mean == 0.0 and gap.std_error == 0.0
 
     def test_resolvable_scale_orders_and_matches(self, robust_eq):
         p, eq = robust_eq
         cfg = SimConfig(n_paths=4096, dt_sim=2e-3, seed=5)
-        rep = saddle_check(p, eq, 0.5, cfg)
         # the verdict of lqmfg verify: each gap resolved and within 3 se of theory
-        for gap, theory in ((rep.gap_u, rep.analytic_gap_u), (rep.gap_v, rep.analytic_gap_v)):
+        for gap, theory in saddle_gaps(p, eq, cfg, 0.5)[:2]:
             assert gap.mean > 3 * gap.std_error
             assert abs(gap.mean - theory) <= 3 * gap.std_error
-        assert rep.analytic_gap_u == pytest.approx(0.125)
-        assert rep.analytic_gap_v == pytest.approx(0.125)
-
+            assert theory == pytest.approx(0.125)
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -620,11 +612,11 @@ class TestSaddle:
         except BlowUpError:
             assume(False)
         cfg = SimConfig(n_paths=64, dt_sim=1.0 / 40, seed=seed)
-        rep = saddle_check(p, eq, 0.0, cfg)
-        assert rep.gap_u.mean == 0.0 and rep.gap_u.std_error == 0.0
-        assert rep.gap_v.mean == 0.0 and rep.gap_v.std_error == 0.0
-        assert (rep.base.int_g_dB is not None) == p.variant.uses_theta
-
+        gap_u, gap_v, base = saddle_gaps(p, eq, cfg, 0.0)
+        for gap, _ in (gap_u, gap_v):
+            assert gap.mean == 0.0 and gap.std_error == 0.0
+        # the (u, v) ensemble carries the Girsanov sums iff the variant uses theta
+        assert (base.int_g_dB is not None) == p.variant.uses_theta
 
 
 class TestThetaTheories:
@@ -653,15 +645,15 @@ class TestThetaTheories:
             assert value - old.mean > 3 * old.std_error + slack
             if not variant.uses_disturbance:
                 continue
-            rep = saddle_check(p, eq, 0.5, cfg)
             base, up, vp = (per_path_cost(e, p) for e in simulate_paths(
                 p, eq, eq.m, cfg, ((0.5, 0.0), (0.0, 0.5))))
+            (gap_u, theory_u), (gap_v, theory_v), _ = saddle_gaps(p, eq, cfg, 0.5)
 
             def ce(L):
                 return math.log(np.mean(np.exp(p.theta * L))) / p.theta
 
-            for gap, theory, hi, lo in ((rep.gap_u, rep.analytic_gap_u, up, base),
-                                        (rep.gap_v, rep.analytic_gap_v, base, vp)):
+            for gap, theory, hi, lo in ((gap_u, theory_u, up, base),
+                                        (gap_v, theory_v, base, vp)):
                 assert gap.mean == pytest.approx(ce(hi) - ce(lo), rel=1e-10)
                 assert gap.mean > 3 * gap.std_error
                 assert abs(gap.mean - theory) <= 3 * gap.std_error
