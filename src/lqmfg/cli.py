@@ -111,11 +111,9 @@ def _step_count(steps: float) -> int:
 
 
 def _weight(values, T: float) -> Coefficient:
-    """A weight from its node values: one is a constant, several are spread
-    over equally spaced times on [0, T]."""
-    if len(values) == 1:
-        return Coefficient(values[0])
-    return Coefficient(np.array(values), np.linspace(0.0, T, len(values)))
+    """A weight from its node values, spread over equally spaced times on
+    [0, T]; one value sits at t = 0, a constant."""
+    return Coefficient(values, np.linspace(0.0, T, len(values)))
 
 
 def _floats(text: str) -> list[float]:
@@ -136,7 +134,7 @@ def _finite(text: str) -> float:
 # values, which _weight spreads once T is known) and its echo
 _PARSE = {float: float, Variant: Variant.parse, Coefficient: _floats}
 _ECHO = {float: fmt_float, Variant: lambda v: v.value,
-         Coefficient: lambda w: ", ".join(fmt_float(v) for v in w.node_values)}
+         Coefficient: lambda w: ", ".join(fmt_float(v) for v in w.values)}
 
 _REQUIRED = object()
 
@@ -530,7 +528,7 @@ def _sweep_params(cfg: RunConfig, value: float) -> tuple[ModelParams, TimeGrid]:
     if name == "T":
         grid = TimeGrid(T=value, n_steps=_step_count(grid.n_steps * value / grid.T))
         # tabulated weights are spread over the new [0, T], as a config does
-        weights = {name: _weight(getattr(p, name).node_values, value)
+        weights = {name: _weight(getattr(p, name).values, value)
                    for name, kind in PARAM_TYPES.items() if kind is Coefficient}
         return replace(p, T=value, **weights), grid
     if name == "qbar-scale":

@@ -149,11 +149,11 @@ def solve_equilibrium_picard(params: ModelParams, beta: Beta, grid: TimeGrid) ->
     alpha or Phi[m] left the floats, e.g. at a = 1e300), otherwise
     "singular" when a pivot is <= 0, where m_k+1 is not fixed by m_k with
     the sign a resolved path keeps.  On a long horizon with strong mean
-    coupling (a = 1, abar = qbar = qbarT = 4, T = 3) the smallest pivot is
-    -0.053, -16.2 and -1.79 at n_steps 150, 300 and 600, and m(T) is -281,
-    -1124 and -4503: the residual, 1e-11 or less, bounds nothing there.  The
-    smallest pivot is 1.0 on the benchmark instances and 0.60 and 1.40 at
-    a = +-800.
+    coupling (a = 1, abar = qbar = qbarT = 4, q = qT = 0, T = 3) the
+    smallest pivot is -0.053, -16.2 and -1.79 at n_steps 150, 300 and 600,
+    and m(T) is -281, -1124 and -4503: the residual, 1e-11 or less, bounds
+    nothing there.  The smallest pivot is 1.0 on the benchmark instances and
+    0.60 and 1.40 at a = +-800.
     """
     nodes = grid.nodes
     x, f, u, v = beta.solved_for(params, grid).alpha_steps

@@ -62,70 +62,39 @@ class Variant(enum.Enum):
 
 
 class Coefficient:
-    """A scalar coefficient of time on [0, T].
+    """A scalar coefficient of time on [0, T]: values at strictly increasing
+    times, linear in between and constant beyond the ends.  One value, at
+    t = 0 by default, is a constant."""
 
-    Either a constant, or values tabulated at given times with linear
-    interpolation in between (constant extrapolation at the ends, which
-    never triggers for evaluation inside [0, T]).
-    """
-
-    def __init__(self, value: Union[float, np.ndarray], times: np.ndarray | None = None):
-        if times is None:
-            self._const: float | None = float(value)
-            self._times = None
-            self._values = None
-        else:
-            times = np.asarray(times, dtype=float)
-            values = np.asarray(value, dtype=float)
-            if times.ndim != 1 or times.shape != values.shape or times.size < 2:
-                raise ValueError("tabulated coefficient needs matching 1-d times/values, >= 2 nodes")
-            if np.any(np.diff(times) <= 0):
-                raise ValueError("tabulation times must be strictly increasing")
-            self._const = None
-            self._times = times
-            self._values = values
+    def __init__(self, values: Union[float, np.ndarray],
+                 times: Union[tuple, np.ndarray] = (0.0,)):
+        self.values = np.array(values, dtype=float, ndmin=1)
+        self.times = np.array(times, dtype=float, ndmin=1)
+        if self.times.ndim != 1 or self.times.shape != self.values.shape or not self.times.size:
+            raise ValueError("a coefficient needs matching 1-d times/values, >= 1 node")
+        if np.any(np.diff(self.times) <= 0):
+            raise ValueError("coefficient times must be strictly increasing")
+        self.values.flags.writeable = self.times.flags.writeable = False
 
     @property
     def is_constant(self) -> bool:
-        return self._const is not None
-
-    @property
-    def node_values(self) -> np.ndarray:
-        """The values that define it: one for a constant, else one per
-        tabulation time."""
-        return np.array([self._const]) if self._const is not None else self._values
+        return self.times.size == 1
 
     def __call__(self, t):
-        if self._const is not None:
-            return self._const if np.isscalar(t) else np.full(np.shape(t), self._const)
-        return np.interp(t, self._times, self._values)
+        return np.interp(t, self.times, self.values)
 
     def scaled(self, factor: float) -> "Coefficient":
-        """This coefficient times factor, on the same tabulation times."""
-        if self._const is not None:
-            return Coefficient(factor * self._const)
-        return Coefficient(factor * self._values, self._times)
-
-    def sample_points(self, T: float) -> np.ndarray:
-        """Times at which sign constraints are checked."""
-        if self._const is not None:
-            return np.array([0.0, T])
-        return self._times
+        """This coefficient times factor, at the same times."""
+        return Coefficient(factor * self.values, self.times)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coefficient):
             return NotImplemented
-        if self.is_constant != other.is_constant:
-            return False
-        if self.is_constant:
-            return self._const == other._const
-        return (np.array_equal(self._times, other._times)
-                and np.array_equal(self._values, other._values))
+        return (np.array_equal(self.times, other.times)
+                and np.array_equal(self.values, other.values))
 
     def __repr__(self) -> str:
-        if self.is_constant:
-            return f"Coefficient({self._const!r})"
-        return f"Coefficient(<{self._times.size} values>, <{self._times.size} times>)"
+        return f"Coefficient({self.values.tolist()!r}, {self.times.tolist()!r})"
 
 
 @dataclass(frozen=True)
@@ -236,13 +205,11 @@ class ModelParams:
 PARAM_TYPES: dict[str, type] = get_type_hints(ModelParams)
 
 
-def _nodes(coef: Coefficient, T: float) -> list[tuple[str, float]]:
+def _nodes(coef: Coefficient) -> list[tuple[str, float]]:
     """coef's values where its constraints are checked, each with the
     " at node i (t=...)" that places it; a constant is one value, unplaced."""
-    if coef.is_constant:
-        return [("", coef(0.0))]
-    t = coef.sample_points(T)
-    return [(f" at node {i} (t={ti:g})", v)
+    t = coef.times
+    return [("" if coef.is_constant else f" at node {i} (t={ti:g})", v)
             for i, (ti, v) in enumerate(zip(t.tolist(), coef(t).tolist()))]
 
 
@@ -269,9 +236,8 @@ def validate(params: ModelParams) -> tuple[str, ...]:
         bad.append(f"qT must be nonnegative; got {params.qT:g}")
     if params.qbarT < 0:
         bad.append(f"qbarT must be nonnegative; got {params.qbarT:g}")
-    T = params.T if params.T > 0 else 1.0
     for name, strict in (("q", False), ("qbar", False), ("r", True), ("s", True)):
-        for where, v in _nodes(getattr(params, name), T):
+        for where, v in _nodes(getattr(params, name)):
             if not math.isfinite(v):
                 bad.append(f"{name} must be finite{where}; got {v:g}")
             elif (v <= 0) if strict else (v < 0):
@@ -283,7 +249,7 @@ def validate(params: ModelParams) -> tuple[str, ...]:
     if params.variant.uses_disturbance:
         ratios.append(("c^2/s", params.c, params.s))
     for name, x, w in ratios:
-        for where, v in _nodes(w, T):
+        for where, v in _nodes(w):
             if math.isfinite(x * x) and v > 0 and math.isinf(x * x / v):
                 bad.append(f"{name} must be finite{where}; got inf")
     return tuple(bad)

@@ -362,7 +362,7 @@ def estimate_log_girsanov_normalization(ensemble: PathEnsemble,
 def _trapz_weight_integral(coef: Coefficient, T: float) -> float:
     """The integral over [0, T] of a weight, linear between its own nodes and
     constant beyond them: the trapezoid rule on those nodes, 0 and T is exact."""
-    t = np.unique(np.clip(np.concatenate(([0.0, T], coef.sample_points(T))), 0.0, T))
+    t = np.unique(np.clip(np.concatenate(([0.0, T], coef.times)), 0.0, T))
     return float(_cumulative_trapezoid(coef(t), t)[-1])
 
 

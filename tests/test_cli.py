@@ -364,6 +364,13 @@ class TestSolveCommand:
          "T = 1e306\nx0 = 1.0\nm0 = 1.0\n"),        # the default n_steps, 1000 T
         ("n_steps = 200", "n_steps = 200\n[sweep]\nparameter = theta\nstart = 0\n"
                           f"stop = 1\ncount = {10 ** 27}"),
+        ("q = 1.0", "q = ,"),
+        (BENCH_CFG.split("[grid]")[0], ""),             # no [model] section
+        ("\nT = 1.0", "\nT = 0"),
+        ("\nT = 1.0", "\nT = inf"),
+        ("a = -0.5", "a = -0.5\na = 2"),                 # refused by configparser
+        ("n_steps = 200", "n_steps = 200\n[sweep]\nstart = 0\nstop = 1\ncount = 3"),
+        ("q = 1.0", "q = 1.0, inf"),
     ])
     @pytest.mark.parametrize("command", ["solve", "check"])
     def test_bad_input_is_one_line_config_error(self, tmp_path, capsys, monkeypatch,
@@ -876,28 +883,36 @@ class TestVerifyPower:
             tmp_path, n_paths=60000, names=("robust",))
 
 
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(lqmfg.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestModuleEntryPoint:
+    def run(self, *args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "lqmfg", *args],
+                              env=src_env(), capture_output=True, text=True)
+
     def test_python_dash_m_runs_check(self, tmp_path):
-        src = str(Path(lqmfg.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "lqmfg", "check", "--config",
-             write_cfg(tmp_path, BENCH_CFG), "--out-dir", str(tmp_path / "o"), "--quiet"],
-            env=env, capture_output=True, text=True)
+        proc = self.run("check", "--config", write_cfg(tmp_path, BENCH_CFG),
+                        "--out-dir", str(tmp_path / "o"), "--quiet")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (tmp_path / "o" / "check_report.txt").is_file()
+
+    def test_python_dash_m_refuses_a_bad_flag(self, tmp_path):
+        proc = self.run("check", "--config", write_cfg(tmp_path, BENCH_CFG), "--frobnicate")
+        assert proc.returncode == EXIT_CONFIG and proc.stdout == ""
+        assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
 
 
 def modules_after(code: str) -> set[str]:
     """Run code in a fresh interpreter; the top-level modules it left loaded."""
-    src = str(Path(lqmfg.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", code + "\nimport sys\n"
          "print(*{m.split('.')[0] for m in sys.modules})"],
-        env=env, capture_output=True, text=True)
+        env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
@@ -1156,6 +1171,20 @@ count = 5
         row = (out / "sweep.csv").read_text().splitlines()[2].split(",")
         assert row[0] == "1"
         assert row[4] == fmt_float(eq.value.value_at_0)
+
+    def test_qbar_scale_scales_a_constant_qbar(self, tmp_path):
+        # kappa = 1 - theta = -0.5: beta escapes at the scales 4, 6 and 8
+        base = (BENCH_CFG.replace("risk_neutral", "risk_sensitive\ntheta = 1.5")
+                .replace("sigma = 0.2", "sigma = 1.0"))
+        rows = self.sweep_rows(tmp_path, "parameter = qbar-scale\nstart = 0\nstop = 8\n"
+                               "count = 5\n", base)
+        assert [row[7] for row in rows] == ["0"] * 2 + [str(EXIT_BLOWUP)] * 3
+        cfg = parse_config(write_cfg(tmp_path, base, "unscaled.cfg"))
+        for row in rows[:2]:
+            scale = float(row[0])
+            p = replace(cfg.params, qbar=Coefficient(0.5 * scale), qbarT=0.5 * scale)
+            eq = solve_equilibrium_closed_form(p, admissible_beta(p, cfg.grid), cfg.grid)
+            assert row[4] == fmt_float(eq.value.value_at_0)
 
     def test_horizon_sweep_spreads_tabulated_weights(self, tmp_path):
         text = BENCH_CFG.replace("qbar = 0.5", "qbar = 0.5, 1.5, 0.2, 1.0")

@@ -15,8 +15,21 @@ class TestCoefficient:
     def test_constant_evaluates_everywhere(self):
         c = Coefficient(2.5)
         assert c(0.0) == 2.5
-        assert c(0.7) == 2.5
+        assert c(0.7) == 2.5 and isinstance(c(0.7), float)
         np.testing.assert_array_equal(c(np.array([0.0, 0.3, 1.0])), [2.5, 2.5, 2.5])
+
+    def test_constant_is_a_one_node_table(self):
+        c = Coefficient(0.1)
+        assert c.is_constant and c == Coefficient([0.1], [0.0])
+        t = np.linspace(-1.0, 2.0, 7).reshape(7, 1)
+        assert c(t).tobytes() == np.full((7, 1), 0.1).tobytes()
+        assert c.scaled(3.0) == Coefficient(0.1 * 3.0)
+
+    def test_rejects_an_empty_or_mismatched_table(self):
+        with pytest.raises(ValueError):
+            Coefficient([], [])
+        with pytest.raises(ValueError):
+            Coefficient([1.0, 2.0])
 
     def test_tabulated_linear_interpolation(self):
         c = Coefficient(np.array([1.0, 2.0, 0.0]), np.array([0.0, 0.5, 1.0]))

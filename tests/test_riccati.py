@@ -118,6 +118,17 @@ class TestSolveBeta:
         assert not status.admissible
         assert status.blow_up_time == pytest.approx(exc.value.escape_time, abs=1e-9)
 
+    @pytest.mark.parametrize("n_steps", [50, 1000])
+    def test_escape_with_zero_discriminant(self, n_steps):
+        # q = qbar = a = 0 and kappa = 1 - theta = -1: beta' = kappa beta^2,
+        # every step's discriminant is exactly 0, and beta = 1/(t - T + 1/betaT)
+        # escapes at T - 1/(|kappa| betaT) = 1 - 1/1.5
+        p = make_params(variant=Variant.RISK_SENSITIVE, sigma=1.0, theta=2.0,
+                        a=0.0, q=0.0, qbar=0.0, qT=1.0, qbarT=0.5)
+        _, status = solve_beta(p, TimeGrid(T=1.0, n_steps=n_steps))
+        assert not status.admissible
+        assert status.blow_up_time == pytest.approx(1.0 / 3.0, abs=1e-12)
+
     def test_nonnegative_when_kappa_positive(self, grid):
         beta, _ = solve_beta(make_params(), grid)
         assert np.all(beta.values >= 0.0)
