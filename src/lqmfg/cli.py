@@ -553,13 +553,9 @@ def _sweep_row(cfg: RunConfig, value: float) -> dict[str, str]:
         beta = admissible_beta(params, grid)
         rep = check_conditions(params, beta, grid)
         eq = solve_equilibrium_closed_form(params, beta, grid)
-    except BlowUpError as exc:
+    except (BlowUpError, NonConvergenceError) as exc:
         code, status = _failure(exc)
-        return row | {"code": str(code), "blow_up_time": status["blow_up_time"]}
-    # not finite when beta or m leave the floats, where solve exits non_finite
-    if not math.isfinite(eq.value.value_at_0):
-        row["code"] = str(EXIT_NONCONVERGENCE)
-        return row
+        return row | {"code": str(code), "blow_up_time": status.get("blow_up_time", "")}
     row.update(lipschitz_bound=fmt_float(rep.lipschitz_bound), beta0=fmt_float(beta.values[0]),
                contraction=str(rep.contraction).lower(),
                value_at_0=fmt_float(eq.value.value_at_0))

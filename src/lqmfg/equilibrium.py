@@ -46,8 +46,8 @@ class BlowUpError(Exception):
 class NonConvergenceError(Exception):
     """The fixed-point route found no usable mean path.
 
-    reason is "non_finite" (the mean path, alpha or the residual left the
-    floats) or "singular" (a pivot of the backward sweep is <= 0); see
+    reason is "non_finite" (the mean path, alpha, gamma, the value or the
+    residual left the floats) or "singular" (a pivot of the backward sweep is <= 0); see
     solve_equilibrium_picard.  residual_history holds the residual of each
     Phi application made.
     """
@@ -110,9 +110,14 @@ def apply_phi(params: ModelParams, beta: Beta, m: Trajectory,
 def _finalize(params: ModelParams, beta: Beta, m: Trajectory, alpha: Trajectory,
               grid: TimeGrid, iterations: int, residual: float,
               eta: Trajectory | None = None, history: tuple[float, ...] = ()) -> Equilibrium:
-    """The equilibrium at mean path m, with alpha = alpha[m] from its residual's Phi."""
-    gamma = solve_gamma(params, beta, alpha, m, grid)
-    value = assemble_value(params, beta, alpha, gamma)
+    """The equilibrium at mean path m, with alpha = alpha[m] from its residual's Phi;
+    NonConvergenceError "non_finite" when alpha, gamma or the value leave the floats."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = solve_gamma(params, beta, alpha, m, grid)
+        value = assemble_value(params, beta, alpha, gamma)
+    if not (np.isfinite(alpha.values).all() and np.isfinite(gamma.values).all()
+            and math.isfinite(value.value_at_0)):
+        raise NonConvergenceError([residual], "non_finite")
     return Equilibrium(m=m, beta=beta, alpha=alpha, gamma=gamma, value=value,
                        iterations=iterations, residual=residual, eta=eta,
                        residual_history=history)

@@ -18,10 +18,10 @@ fourth-order Magnus exponent built from the coefficients at the step's end,
 midpoint and start (TimeGrid.substages), and the loop applies the resulting
 Moebius map to y.  A solve that reads another solution samples it there too
 (_substages).  beta does not involve m, so the Beta that solve_beta returns
-carries its own substage values and alpha's coefficients there, built once.
-alpha is linear (c2 = 0): Beta carries its affine steps, which the
-fixed-point route's sweep reads, and their products, which solve_alpha
-scans; the loop serves beta, eta and alpha's guarded fallback.
+carries its own substage values and alpha's steps, built once.  alpha is
+linear (c2 = 0), so each of its steps is affine in alpha and in m: the
+fixed-point route's sweep and solve_alpha's one float loop read them, and
+the propagator serves beta and eta.
 The propagator is exact for constant coefficients.  A finite escape
 ("blow-up") is a pole of y, i.e. q reaching zero, located inside its step;
 it is reported as a status, never as an overflow.  gamma is a quadrature.
@@ -46,8 +46,6 @@ __all__ = [
     "solve_eta",
     "assemble_value",
 ]
-
-SCAN_BLOCK = 32     # steps per block of alpha's affine scan
 
 @dataclass(frozen=True)
 class SolveStatus:
@@ -101,7 +99,8 @@ def _propagate(coefs: tuple, yT: float, grid: TimeGrid) -> tuple[np.ndarray, flo
     consumed.  When an exponent overflows (a coefficient times the step
     beyond the float range), or y outgrows the floats under a step map
     without a pole (E10 = 0), the values are all NaN and there is no escape.
-    The loop serves beta, eta and alpha's fallback (see solve_alpha).
+    The loop serves beta and eta; alpha's steps are the same map with
+    c2 = 0 (Beta.alpha_steps).
     """
     n, h = grid.n_steps, grid.dt
     t1 = grid.nodes[1:]
@@ -148,14 +147,18 @@ def _beta_coefficients(params: ModelParams, t: np.ndarray) -> tuple:
     return -(params.q(t) + params.qbar(t)), -2 * params.a, params.kappa(t)
 
 
+def _require_grid(y: Trajectory, grid: TimeGrid) -> None:
+    if y.grid != grid:
+        raise ValueError(f"a trajectory on {y.grid} where one on {grid} is needed")
+
+
 def _substages(grid: TimeGrid, y: Trajectory, slopes: np.ndarray | None = None) -> np.ndarray:
     """y on grid.substages: its node values at each step's ends, and at the
     midpoint the cubic Hermite value (y_k + y_k+1)/2 + dt (y'_k - y'_k+1)/8
     from the slopes y' at the nodes, or without them the linear value, the
     mean of the two.  ValueError when y is tabulated on another grid.
     """
-    if y.grid != grid:
-        raise ValueError(f"a trajectory on {y.grid} where one on {grid} is needed")
+    _require_grid(y, grid)
     v = y.values
     mid = 0.5 * (v[:-1] + v[1:])
     if slopes is not None:
@@ -173,8 +176,7 @@ class Beta(Trajectory):
 
     def solved_for(self, params: ModelParams, grid: TimeGrid) -> "Beta":
         """self, or ValueError when it was solved for other params or grid."""
-        if self.grid != grid:
-            raise ValueError(f"a trajectory on {self.grid} where one on {grid} is needed")
+        _require_grid(self, grid)
         if self.params != params:
             raise ValueError("a beta solved for other params")
         return self
@@ -187,42 +189,19 @@ class Beta(Trajectory):
         return _substages(self.grid, self, c2 * v * v + c1 * v + c0)
 
     @cached_property
-    def alpha_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, c1) of alpha' = c1 alpha + w m on grid.substages."""
-        p, t, bv = self.params, self.grid.substages, self.substages
-        return -(p.abar * bv - p.qbar(t)), -p.a + p.kappa(t) * bv
-
-    @cached_property
     def alpha_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(x, F, U, V) of alpha's steps alpha_k = e^x alpha_k+1 + F (U m_k+1 + V m_k),
-        k = 0 .. n_steps - 1: _propagate's map with c2 = 0, so x = 2 nn and
-        F = expm1(x) / x, and U m_k+1 + V m_k is its w12 of
-        c0 = w (m_k+1, (m_k+1 + m_k) / 2, m_k)."""
-        w, c1 = self.alpha_tables
-        h = self.grid.dt
+        k = 0 .. n_steps - 1: _propagate's map of alpha' = c1 alpha + w m
+        (c2 = 0), so x = 2 nn and F = expm1(x) / x, and U m_k+1 + V m_k is its
+        w12 of c0 = w (m_k+1, (m_k+1 + m_k) / 2, m_k)."""
+        p, t, bv, h = self.params, self.grid.substages, self.substages, self.grid.dt
+        w, c1 = -(p.abar * bv - p.qbar(t)), -p.a + p.kappa(t) * bv
         x = -h / 6 * (c1[0] + 4 * c1[1] + c1[2])
         with np.errstate(over="ignore", invalid="ignore"):
             f = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
             u = -h / 6 * (w[0] + 2 * w[1]) + h * h / 12 * c1[2] * w[0]
             v = -h / 6 * (2 * w[1] + w[2]) - h * h / 12 * c1[0] * w[2]
         return x, f, u, v
-
-    @cached_property
-    def alpha_scan(self) -> tuple | None:
-        """(F U / P, F V / P, P, P at block ends) of alpha_steps, last step
-        first: P runs over blocks of SCAN_BLOCK steps.  None when a P leaves
-        [1e-300, 1e300] or an entry is not finite."""
-        x, f, u, v = self.alpha_steps
-        n = x.size
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # exp of a sum rounds once; a product of rounded exp(x) drifts
-            blocks = np.append(x[::-1], np.zeros(-n % SCAN_BLOCK)).reshape(-1, SCAN_BLOCK)
-            prod = np.exp(np.cumsum(blocks, axis=1))
-            f_over = f[::-1] / prod.ravel()[:n]
-            u, v = f_over * u[::-1], f_over * v[::-1]
-            if np.isfinite(u + v).all() and ((prod >= 1e-300) & (prod <= 1e300)).all():
-                return u, v, prod, prod[:, -1].tolist()
-        return None
 
 
 def solve_beta(params: ModelParams, grid: TimeGrid) -> tuple[Beta, SolveStatus]:
@@ -233,27 +212,22 @@ def solve_beta(params: ModelParams, grid: TimeGrid) -> tuple[Beta, SolveStatus]:
 
 
 def solve_alpha(params: ModelParams, beta: Beta, m: Trajectory, grid: TimeGrid) -> Trajectory:
-    """Solve the linear value-coefficient equation for a given mean path;
+    """Solve the linear value-coefficient equation for a given mean path by
+    one backward loop over its affine steps (Beta.alpha_steps);
     ValueError when beta was solved for other params or grid, or m is on another grid."""
-    beta = beta.solved_for(params, grid)
-    mv, yT = m.values, -params.qbarT * m.values[-1]
-    if beta.alpha_scan is not None and m.grid == grid:
-        # y = P (y_start + cumsum(F w12 / P)) in each block, y_start carried across
-        u, v, prod, ends = beta.alpha_scan
-        terms = np.zeros(prod.size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms[:u.size] = u * mv[:0:-1] + v * mv[-2::-1]
-            sums = np.cumsum(terms.reshape(prod.shape), axis=1)
-            starts = [float(yT)]
-            for end, total in zip(ends[:-1], sums[:-1, -1].tolist()):
-                starts.append(end * (starts[-1] + total))
-            vals = (prod * (np.array(starts)[:, None] + sums)).ravel()[u.size - 1::-1]
-        if np.isfinite(vals).all():
-            return Trajectory(grid, np.append(vals, yT))
-    # the loop where the scan leaves the floats; _substages refuses m on another grid
-    w, c1 = beta.alpha_tables
-    vals, _ = _propagate((w * _substages(grid, m), c1, 0.0), yT, grid)
-    return Trajectory(grid, vals)
+    x, f, u, v = beta.solved_for(params, grid).alpha_steps
+    _require_grid(m, grid)
+    mv = m.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        # y += expm1(x) y + b: the rounding of e^x, the same in every step of
+        # constant coefficients, would compound over the steps
+        steps = zip(np.expm1(x)[::-1].tolist(), (f * (u * mv[1:] + v * mv[:-1]))[::-1].tolist())
+    y = float(-params.qbarT * mv[-1])
+    vals = [y]
+    for e, b in steps:
+        y += e * y + b
+        vals.append(y)
+    return Trajectory(grid, np.array(vals[::-1]))
 
 
 def solve_gamma(params: ModelParams, beta: Beta, alpha: Trajectory,
@@ -274,8 +248,7 @@ def solve_gamma(params: ModelParams, beta: Beta, alpha: Trajectory,
     avt = _substages(grid, alpha, dav)
     f = (-abar * avt * mt - 0.5 * sigma ** 2 * bt
          - 0.5 * qbar(t) * mt * mt + 0.5 * params.kappa(t) * avt * avt)
-    # the midpoint weight 4 summed as 2 + 2, in the order RK4 summed it
-    incr = h / 6 * (f[0] + 2 * f[1] + 2 * f[1] + f[2])
+    incr = h / 6 * (f[0] + 4 * f[1] + f[2])
     gammaT = 0.5 * params.qbarT * mv[-1] * mv[-1]
     # np.cumsum adds in sequence, as the stepwise y - incr would
     vals = np.cumsum(np.concatenate(([gammaT], -incr[::-1])))[::-1]

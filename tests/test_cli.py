@@ -311,6 +311,19 @@ class TestSolveCommand:
         assert expect in written.splitlines() and "blow_up" not in written
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command, report", [("solve", "summary.txt"),
+                                                 ("verify", "verify_report.txt")])
+    def test_value_beyond_the_floats_is_non_finite(self, tmp_path, capsys, command, report):
+        # m and alpha of m0 = 1e200 are floats, but gamma holds m^2: no value
+        # is reported, nor is a Monte Carlo run against it
+        text = BENCH_CFG.replace("m0 = 1.0", "m0 = 1e200")
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path, text), "--out-dir",
+                     str(out), "--quiet"]) == EXIT_NONCONVERGENCE
+        lines = (out / report).read_text().splitlines()
+        assert ("reason=non_finite" if command == "solve" else "reason = non_finite") in lines
+        assert capsys.readouterr().err == ""
+
     def test_csvs_render_each_value_by_fmt_float(self, tmp_path):
         # the robust variant writes the five-column gains.csv
         path = write_cfg(tmp_path, BENCH_CFG.replace("risk_neutral", "robust\nc = 0.5"))

@@ -69,10 +69,8 @@ class TestApplyPhi:
     ], ids=["risk_neutral", "robust_risk_sensitive_tabulated"])
     def test_beta_tables_built_once_per_instance(self, grid, monkeypatch, overrides):
         # beta does not involve m: both routes and the conditions share one
-        # substage table, one set of alpha's coefficient tables, one set of
-        # its step terms and one set of its scan tables
-        builds = {name: [] for name in ("substages", "alpha_tables", "alpha_steps",
-                                        "alpha_scan")}
+        # substage table and one set of alpha's step terms
+        builds = {name: [] for name in ("substages", "alpha_steps")}
         for name, calls in builds.items():
             build = getattr(Beta, name).func
 
@@ -303,6 +301,48 @@ class TestRouteAgreement:
         # peak in the corner a = 1, abar = 0.5: 6.4e-6 in m, 8.9e-6 in the value
         assert np.max(np.abs(eq_p.m.values - eq_c.m.values)) <= 1e-5
         assert eq_p.value.value_at_0 == pytest.approx(eq_c.value.value_at_0, abs=2e-5)
+
+    @staticmethod
+    def solved(p, grid):
+        """(m, alpha, gamma, value_at_0) of each route, or None when p has none."""
+        try:
+            beta = admissible_beta(p, grid)
+            eqs = (solve_equilibrium_picard(p, beta, grid),
+                   solve_equilibrium_closed_form(p, beta, grid))
+        except (BlowUpError, NonConvergenceError):
+            return None
+        return [(eq.m.values, eq.alpha.values, eq.gamma.values, eq.value.value_at_0)
+                for eq in eqs]
+
+    # robust and risk_sensitive are not paired: their lam differs
+    @pytest.mark.parametrize("variant, reduced, zero", [
+        (Variant.RISK_SENSITIVE, Variant.RISK_NEUTRAL, "theta"),
+        (Variant.ROBUST, Variant.RISK_NEUTRAL, "c"),
+        (Variant.ROBUST_RISK_SENSITIVE, Variant.ROBUST, "theta"),
+        (Variant.ROBUST_RISK_SENSITIVE, Variant.RISK_SENSITIVE, "c"),
+    ], ids=["rs_theta0", "robust_c0", "rrs_theta0", "rrs_c0"])
+    @settings(max_examples=30, deadline=None)
+    @given(a=st.floats(-1.0, 1.0), abar=st.floats(-0.5, 0.5), sigma=st.floats(0.0, 0.6),
+           theta=st.floats(0.0, 0.5), c=st.floats(0.0, 0.8),
+           weights=st.lists(st.lists(st.floats(0.5, 1.5), min_size=2, max_size=4),
+                            min_size=4, max_size=4))
+    def test_variant_reductions_are_bit_identical(self, variant, reduced, zero, a, abar,
+                                                  sigma, theta, c, weights):
+        q, qbar, r, s = (tabulated(*w) for w in weights)
+        grid = TimeGrid(T=1.0, n_steps=200)
+
+        def params(variant, theta, c):
+            return make_params(variant=variant, a=a, abar=abar, sigma=sigma, q=q, qbar=qbar,
+                               r=r, s=s, theta=theta if variant.uses_theta else 0.0,
+                               c=c if variant.uses_disturbance else 0.0)
+
+        ref = self.solved(params(reduced, theta, c), grid)
+        assume(ref is not None)
+        other = self.solved(params(variant, **({"theta": theta, "c": c} | {zero: 0.0})), grid)
+        assert other is not None
+        for route, route_ref in zip(other, ref):
+            for got, want in zip(route, route_ref):
+                assert np.array_equal(got, want)
 
     def test_alpha_eta_consistency(self, grid, bench):
         eq = solve_equilibrium_closed_form(bench, admissible_beta(bench, grid), grid)

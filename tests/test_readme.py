@@ -2,11 +2,12 @@
 config keys, flags and verify lines are the ones the command line accepts
 and writes."""
 import argparse
+import importlib
 import re
 import warnings
 from pathlib import Path
 
-from lqmfg import cli
+from lqmfg import cli, equilibrium, model, riccati, simulate
 from lqmfg.model import TimeGrid, Trajectory, Variant
 from lqmfg.riccati import Beta
 from lqmfg.simulate import SimConfig
@@ -109,3 +110,32 @@ def test_documented_verify_lines_are_the_emitted_ones():
                             sim=SimConfig(n_paths=8, dt_sim=0.1, seed=0))
         emitted |= {line.name.split()[0] for line in cli.run_verify_checks(cfg)}
     assert documented_verify_lines() == emitted
+
+
+def lqmfg_classes() -> dict[str, type]:
+    return {name: obj for module in (cli, equilibrium, model, riccati, simulate)
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__.startswith("lqmfg.")}
+
+
+def test_documented_names_resolve():
+    # every backticked Class.attr of an lqmfg class, and every
+    # lqmfg.module.name, is one the package has
+    classes = lqmfg_classes()
+    checked, missing = [], []
+    for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README.read_text()):
+        head, *attrs = name.split(".")
+        if head == "lqmfg":
+            head, *attrs = attrs
+            obj = importlib.import_module(f"lqmfg.{head}")
+        elif head in classes:
+            obj = classes[head]
+        else:
+            continue
+        checked.append(name)
+        try:
+            for attr in attrs:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            missing.append(name)
+    assert "lqmfg.riccati.Beta" in checked and missing == []

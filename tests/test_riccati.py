@@ -11,7 +11,6 @@ from lqmfg.equilibrium import admissible_beta, solve_equilibrium_closed_form
 from lqmfg.model import TimeGrid, Trajectory, Variant
 from lqmfg.riccati import (
     Beta,
-    _propagate,
     _substages,
     assemble_value,
     solve_alpha,
@@ -498,11 +497,8 @@ class TestBetaTables:
         # the slopes from beta's own ODE at the nodes
         slopes = p.kappa(nodes) * v * v - 2 * p.a * v - (p.q(nodes) + p.qbar(nodes))
         np.testing.assert_array_equal(beta.substages, _substages(grid, beta, slopes))
-        w, c1 = beta.alpha_tables
-        np.testing.assert_array_equal(w, -(p.abar * beta.substages - p.qbar(t)))
-        np.testing.assert_array_equal(c1, -p.a + p.kappa(t) * beta.substages)
         assert beta.substages is beta.substages
-        assert beta.alpha_tables is beta.alpha_tables
+        assert beta.alpha_steps is beta.alpha_steps
 
     @pytest.mark.parametrize("other", ["grid", "params"])
     def test_beta_for_another_instance_is_refused(self, grid, other):
@@ -521,19 +517,15 @@ class TestBetaTables:
             solve_eta(p, beta, grid)
 
 
-class TestAlphaScan:
-    """alpha's blocked affine scan against the propagator's loop it replaces."""
-
-    @staticmethod
-    def loop_and_scan(p, beta, grid, m):
-        w, c1 = beta.alpha_tables
-        loop, _ = _propagate((w * _substages(grid, m), c1, 0.0), -p.qbarT * m.values[-1], grid)
-        return loop, solve_alpha(p, beta, m, grid).values
+class TestAlphaLoop:
+    """alpha's one backward float loop against the exact composition of its steps."""
 
     @staticmethod
     def composed_in_decimals(p, beta, grid, m):
-        """The same steps y <- e^x y + w12 (e^x - 1) / x composed in 40 digits."""
-        w, c1 = beta.alpha_tables
+        """alpha's steps y <- e^x y + w12 (e^x - 1) / x, built from the
+        coefficients of alpha' = c1 alpha + w m and composed in 40 digits."""
+        t, bv = grid.substages, beta.substages
+        w, c1 = -(p.abar * bv - p.qbar(t)), -p.a + p.kappa(t) * bv
         c0 = w * _substages(grid, m)
         with localcontext() as ctx:
             ctx.prec = 40
@@ -550,6 +542,14 @@ class TestAlphaScan:
                 out.append(y)
         return np.array([float(v) for v in out[::-1]])
 
+    def assert_near_exact(self, p, beta, grid, m):
+        alpha = solve_alpha(p, beta, m, grid).values
+        exact = self.composed_in_decimals(p, beta, grid, m)
+        # below the normal floats rounding is absolute
+        tol = 1e-14 * np.max(np.abs(exact)) + np.finfo(float).tiny
+        assert np.isfinite(alpha).all()
+        assert np.max(np.abs(alpha - exact)) <= tol
+
     @settings(max_examples=60, deadline=None)
     @example(variant=Variant.RISK_NEUTRAL, n_steps=1000, a=0.625, abar=0.0, q=0.0, qbar=1.6953125,
              r=2.0, qbarT=0.0, T=2.0, c=0.0, theta=0.0, m_shape=(1.0, 0.0, 0.0))
@@ -558,8 +558,8 @@ class TestAlphaScan:
            qbar=st.floats(0.0, 2.0), r=st.floats(0.5, 2.0), qbarT=st.floats(0.0, 1.0),
            T=st.floats(0.2, 2.0), c=st.floats(0.0, 0.7), theta=st.floats(0.0, 0.5),
            m_shape=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 10.0)))
-    def test_matches_the_loop_on_generated_instances(self, variant, n_steps, a, abar, q, qbar,
-                                                     r, qbarT, T, c, theta, m_shape):
+    def test_matches_the_composition_on_generated_instances(self, variant, n_steps, a, abar, q,
+                                                            qbar, r, qbarT, T, c, theta, m_shape):
         p = make_params(variant=variant, a=a, abar=abar, q=tabulated(q, 1.0, 2.0 - q),
                         qbar=qbar, r=r, qbarT=qbarT, T=T, c=c, theta=theta)
         grid = TimeGrid(T=T, n_steps=n_steps)
@@ -567,41 +567,32 @@ class TestAlphaScan:
         m = Trajectory(grid, level + amplitude * np.sin(freq * grid.nodes))
         beta, status = solve_beta(p, grid)
         assume(status.admissible)
-        loop, scan = self.loop_and_scan(p, beta, grid, m)
-        assert beta.alpha_scan is not None
-        # the loop's own rounding drifts from its exact composition (by
-        # 1.1e-14 over 1000 steps of a = 0.625, T = 2, m = 1), so the scan
-        # gets 1e-14 against the exact composition and, beyond the loop's
-        # own error, against the loop; below the normal floats rounding is
-        # absolute
-        exact = self.composed_in_decimals(p, beta, grid, m)
-        tol = 1e-14 * np.max(np.abs(exact)) + np.finfo(float).tiny
-        assert np.max(np.abs(scan - exact)) <= tol
-        assert np.max(np.abs(scan - loop)) <= tol + np.max(np.abs(loop - exact))
+        self.assert_near_exact(p, beta, grid, m)
 
-    @pytest.mark.parametrize("a", [800.0, -800.0])
-    def test_stiff_drift_takes_the_scan(self, grid, a):
+    @pytest.mark.parametrize("a", [800.0, -800.0, 30000.0, -30000.0])
+    def test_stiff_drift(self, grid, a):
+        # at a = +-30000, h |c1| is about 30 in every step
         p, m = make_params(a=a), Trajectory(grid, np.cos(grid.nodes))
-        beta = admissible_beta(p, grid)
-        loop, scan = self.loop_and_scan(p, beta, grid, m)
-        assert beta.alpha_scan is not None
-        assert np.max(np.abs(scan - loop)) <= 1e-14 * np.max(np.abs(loop))
+        self.assert_near_exact(p, admissible_beta(p, grid), grid, m)
 
-    @pytest.mark.parametrize("a", [30000.0, -30000.0])
-    def test_products_beyond_the_floats_take_the_loop(self, grid, a):
-        # h |c1| is about 30: 32 steps multiply y by e^{+-960}
-        p, m = make_params(a=a), Trajectory(grid, np.cos(grid.nodes))
-        beta = admissible_beta(p, grid)
-        loop, scan = self.loop_and_scan(p, beta, grid, m)
-        _, c1 = beta.alpha_tables
-        assert grid.dt * np.max(np.abs(c1)) > 22.0
-        assert beta.alpha_scan is None
-        np.testing.assert_array_equal(scan, loop)
-
-    def test_sums_beyond_the_floats_take_the_loop(self, grid):
-        # the tables hold (P reaches e^-26 in a block), but F w12 / P overflows
+    def test_mean_path_near_the_float_limit(self, grid):
         p, m = make_params(a=-800.0), Trajectory(grid, np.full(grid.n_steps + 1, 1e302))
-        beta = admissible_beta(p, grid)
-        loop, scan = self.loop_and_scan(p, beta, grid, m)
-        assert beta.alpha_scan is not None and np.isfinite(loop).all()
-        np.testing.assert_array_equal(scan, loop)
+        self.assert_near_exact(p, admissible_beta(p, grid), grid, m)
+
+    @pytest.mark.parametrize("a", [0.2, 2.5])
+    def test_constant_steps_do_not_compound_rounding(self, a):
+        # kappa = 0 (robust with c^2/s = b^2/r) and abar = qbar = 0: every
+        # step multiplies alpha by the same e^x, so a loop taking
+        # y <- exp(x) y compounds one rounding of exp(x), to 1e-13 at a = 2.5
+        p = make_params(variant=Variant.ROBUST, c=1.0, a=a, abar=0.0, qbar=0.0,
+                        qbarT=1.0, T=2.0)
+        grid = TimeGrid(T=2.0, n_steps=1000)
+        m = Trajectory(grid, np.full(grid.n_steps + 1, 1.0))
+        assert np.all(p.kappa(grid.nodes) == 0.0)
+        self.assert_near_exact(p, admissible_beta(p, grid), grid, m)
+
+    def test_mean_path_on_another_grid_is_refused(self, grid):
+        p = make_params()
+        m = Trajectory(TimeGrid(T=1.0, n_steps=500), np.full(501, 1.0))
+        with pytest.raises(ValueError, match="n_steps"):
+            solve_alpha(p, admissible_beta(p, grid), m, grid)

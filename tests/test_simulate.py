@@ -486,6 +486,32 @@ class TestEstimators:
         assert est.std_error <= 1e-12
         assert est.mean == pytest.approx(eq.value.value_at_0, abs=2e-3)
 
+    @settings(max_examples=30, deadline=None)
+    @given(variant=st.sampled_from(list(Variant)),
+           a=st.floats(-1.0, 1.0), abar=st.floats(-0.5, 0.5),
+           theta=st.floats(0.0, 0.5), c=st.floats(0.0, 0.8),
+           weights=st.lists(st.lists(st.floats(0.5, 1.5), min_size=2, max_size=4),
+                            min_size=4, max_size=4))
+    def test_sigma_zero_cost_matches_value_on_generated_instances(self, variant, a, abar,
+                                                                  theta, c, weights):
+        # no noise: one path is the equilibrium path.  Its Euler cost misses
+        # the value by O(dt_sim), up to 1.1e-3 at dt_sim = 5e-4; the
+        # Richardson value 2 V(dt/2) - V(dt) leaves the O(dt^2) of both
+        # schemes, at most 1.4e-6 over 420 generated instances of this box
+        q, qbar, r, s = (tabulated(*w) for w in weights)
+        p = make_params(variant=variant, a=a, abar=abar, sigma=0.0, q=q, qbar=qbar, r=r, s=s,
+                        theta=theta if variant.uses_theta else 0.0,
+                        c=c if variant.uses_disturbance else 0.0)
+        grid = TimeGrid(T=1.0, n_steps=1000)
+        try:
+            eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        except BlowUpError:
+            assume(False)
+        v, v_half = (estimate_quadratic_value(
+            simulate_paths(p, eq, eq.m, SimConfig(n_paths=1, dt_sim=dt, seed=0))[0], p).mean
+            for dt in (1e-3, 5e-4))
+        assert 2 * v_half - v == pytest.approx(eq.value.value_at_0, abs=1e-5)
+
     def test_per_path_cost_nonnegative_risk_neutral(self, bench_eq):
         p, eq = bench_eq
         [ens] = simulate_paths(p, eq, eq.m, small_config())
