@@ -15,12 +15,15 @@ The paths are cut into ceil(n_paths / BLOCK_SIZE) blocks whose sizes differ
 by at most 1 (path_blocks), a layout that depends on n_paths alone.  Block b
 draws from its own stream default_rng([seed, b]) and writes only its own
 columns, so the blocks run on a thread pool of min(CPUs, blocks) workers;
-their per-node sums are added in block order afterwards.  A block draws the
-normals of up to CHUNK steps in one call and forms the cost, Girsanov and
-functional terms of those steps in a few whole-chunk calls; the state
-recursion stays per step, and every per-path sum is added in step order.
-Results are therefore bit for bit the same for a given seed and n_paths on
-any number of cores, and for any CHUNK.
+their per-node sums are added in block order afterwards.  A block steps in
+chunks of up to CHUNK steps.  It draws a chunk's normals in one call, by
+Box-Muller from its stream's uniforms (_fill_normals), adds the drift to
+them, and forms the cost, Girsanov and functional terms of those steps in a
+few whole-chunk calls; the state recursion stays per step, and every
+per-path sum adds a chunk's terms in step order by one reduction
+(_add_rows).  A step's draws depend on the block's width alone, so results
+are bit for bit the same for a given seed and n_paths on any number of
+cores, and for any CHUNK.
 """
 from __future__ import annotations
 
@@ -140,14 +143,53 @@ def _cpu_count() -> int:
 
 
 def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
-    """acc += rows[0]; acc += rows[1]; ...: a per-path sum kept in step order.
+    """acc += rows[0]; acc += rows[1]; ...: a per-path sum kept in row order,
+    in two numpy calls; rows[0] is overwritten.
 
-    acc += np.add.reduce(rows, axis=0) rounds acc + (rows[0] + rows[1] + ...)
-    instead and changes the bits; reducing a copy of acc stacked on the rows
-    keeps them but, with the copy, is no faster than this loop.
+    numpy reduces axis 0 of two or more C-ordered columns row after row,
+    from +0, so acc + rows[0] reduced with the other rows has the bits of
+    the loop (a sum the loop leaves at -0 comes out +0).  A single column it
+    sums pairwise, so that one is added row by row.
     """
-    for row in rows:
-        acc += row
+    if rows.shape[1] == 1:
+        for row in rows:
+            acc += row
+        return
+    rows[0] += acc
+    np.add.reduce(rows, axis=0, out=acc)
+
+
+def _fill_normals(rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Standard normals into the rows of out by Box-Muller, from rng's uniforms.
+
+    A row of w normals takes the next 2 ceil(w/2) uniforms u of rng, held in
+    the flat scratch (not out): the first ceil(w/2) give the radii
+    R = sqrt(-2 log(1 - u)), 1 - u being exact for rng's multiples of 2^-53,
+    the others the angles 2 pi (u - 1/2) through t = tan(pi (u - 1/2)),
+    cos = 2 / (1 + t^2) - 1 and sin = 2 t / (1 + t^2), as np.tan is several
+    times cheaper than np.sin and np.cos.  The row's first ceil(w/2) normals
+    are R cos, the others R sin.  So the draws depend on w and the stream
+    alone, not on how many rows one call fills.
+    """
+    rows, w = out.shape
+    h = -(-w // 2)
+    u = scratch[:rows * 2 * h].reshape(rows, 2, h)
+    rng.random(out=u)
+    radius, t = u[:, 0], u[:, 1]
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    t -= 0.5
+    t *= math.pi
+    np.tan(t, out=t)
+    r_cos, r_sin = out[:, :h], out[:, h:]
+    np.multiply(t, t, out=r_cos)
+    r_cos += 1.0
+    np.divide(radius, r_cos, out=r_cos)
+    r_cos += r_cos                      # 2 R / (1 + t^2)
+    np.multiply(r_cos[:, :w - h], t[:, :w - h], out=r_sin)
+    r_cos -= radius
 
 
 def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
@@ -207,7 +249,7 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
                 float(np.sum(w * (qbar * m_k * m_k + r * ou * ou - s * ov * ov))))
 
     e, f, cost_p, cost_q, cost_r = tables(ou, ov)
-    e, f = e.tolist(), f.tolist()       # the per-step scalars
+    e, f = e.tolist(), f[:, None]       # per-step scalars; drift column
     shift_D, alphas, consts = [], [], []
     for du, dv in shifts:
         *_, q_j, r_j = tables(ou + du, ov + dv)
@@ -238,12 +280,16 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         """Step paths lo:hi on stream b in chunks of at most CHUNK nodes.
 
         X holds the chunk's states, Z its normals, and S is the scratch of
-        the scaled noise and the cost, Girsanov and functional terms.  Writes
-        the block's columns of the outputs; returns its per-node sums of x
-        and x^2.
+        their uniforms (one more per row for an odd width), then of the
+        noise f_k + sigma sqrt(dt) z_k, then of the cost, Girsanov and
+        functional terms.  Writes the block's columns of the outputs;
+        returns its per-node sums of x and x^2.
         """
         rng = np.random.default_rng([config.seed, b])
-        X, Z, S = (np.empty((rows, hi - lo)) for rows in (CHUNK + 1, CHUNK, CHUNK))
+        wd = hi - lo
+        X, Z = np.empty((CHUNK + 1, wd)), np.empty((CHUNK, wd))
+        scratch = np.empty(CHUNK * (wd + wd % 2))
+        S = scratch[:CHUNK * wd].reshape(CHUNK, wd)
         cost, gdB, g2dt = run_cost[lo:hi], int_g_dB[lo:hi], int_g2_dt[lo:hi]
         sums = np.zeros((2, n_ode + 1))
         X[0] = params.x0
@@ -253,16 +299,17 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
             ns = min(kc, n_sim - k0)            # the steps taken from them
             nodes = slice(k0, k0 + kc)
             if ns:
-                rng.standard_normal(out=Z[:ns])
-                dW = np.multiply(Z[:ns], sig_sqdt, out=S[:ns])
+                steps = slice(k0, k0 + ns)
+                _fill_normals(rng, Z[:ns], scratch)
+                noise = np.multiply(Z[:ns], sig_sqdt, out=S[:ns])
+                noise += f[steps]
                 for i in range(ns):
                     x = np.multiply(X[i], e[k0 + i], out=X[i + 1])
-                    x += f[k0 + i]
-                    x += dW[i]
+                    x += noise[i]
                 if girsanov:
                     # Ito (left-point) accumulation with the state's increments
-                    g = np.multiply(X[:ns], gb[k0:k0 + ns], out=S[:ns])
-                    g += ga[k0:k0 + ns]
+                    g = np.multiply(X[:ns], gb[steps], out=S[:ns])
+                    g += ga[steps]
                     Z[:ns] *= g
                     g *= g
                     _add_rows(g2dt, g)

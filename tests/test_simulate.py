@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.stats
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -102,16 +103,114 @@ class TestBlockLayout:
     @pytest.mark.parametrize("n", [1, 64, BLOCK_SIZE])
     def test_one_block_keeps_the_seed_stream(self, n):
         # a = abar = 0 and no control: x(T) = x0 + sum_k sigma sqrt(dt) z_k,
-        # with every z_k drawn from default_rng([seed, 0])
+        # with every z_k drawn from default_rng([seed, 0]) one step at a time
         p = make_params(a=0.0, abar=0.0)
         g = TimeGrid(T=1.0, n_steps=10)
         cfg = SimConfig(n_paths=n, dt_sim=0.1, seed=9)
         [ens] = simulate_paths(p, None, Trajectory(g, np.zeros(g.n_steps + 1)), cfg)
         rng = np.random.default_rng([9, 0])
         x = np.full(n, p.x0)
+        z, scratch = np.empty((1, n)), np.empty(n + 1)
         for _ in range(10):
-            x += rng.standard_normal(n) * (p.sigma * math.sqrt(0.1))
+            simulate._fill_normals(rng, z, scratch)
+            x += z[0] * (p.sigma * math.sqrt(0.1))
         np.testing.assert_array_equal(ens.x_final, x)
+
+
+# the largest radius of Box-Muller from 53-bit uniforms: u = 1 - 2^-53
+R_MAX = math.sqrt(-2.0 * math.log(2.0 ** -53))
+
+
+def fill(rng, rows, width):
+    z = np.empty((rows, width))
+    simulate._fill_normals(rng, z, np.empty(rows * 2 * -(-width // 2)))
+    return z
+
+
+class FixedUniforms:
+    """A generator stand-in whose uniforms are the given values, in order."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, out):
+        out[...] = self.values.reshape(out.shape)
+
+
+class TestNormals:
+    """The Box-Muller fill of the block streams."""
+
+    def test_law_is_standard_normal(self):
+        z = fill(np.random.default_rng(2024), 100, 10_001)
+        h = 5001
+        # the whole sample, its cosine and its sine halves
+        for sample in (z.ravel(), z[:, :h].ravel(), z[:, h:].ravel()):
+            assert scipy.stats.kstest(sample, scipy.stats.norm.cdf).pvalue > 1e-3
+        n = z.size
+        assert n >= 10 ** 6
+        # E z^k = 0, 1, 0, 3 within 5 standard errors (Var z^k = 1, 2, 15, 96)
+        for k, want, var in ((1, 0.0, 1.0), (2, 1.0, 2.0), (3, 0.0, 15.0), (4, 3.0, 96.0)):
+            assert abs(np.mean(z ** k) - want) < 5.0 * math.sqrt(var / n), k
+        # the two normals of one pair are uncorrelated
+        pairs = z[:, :h - 1] * z[:, h:]
+        assert abs(pairs.mean()) < 5.0 / math.sqrt(pairs.size)
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 10])
+    def test_draws_are_finite_and_bounded(self, width):
+        z = fill(np.random.default_rng(width), 10 ** 6 // width, width)
+        assert np.isfinite(z).all()
+        assert np.abs(z).max() <= R_MAX
+
+    def test_extreme_uniforms(self):
+        # every pair of a radius uniform and an angle uniform, at the ends
+        # of [0, 1) and at the axes of the angle
+        radii = [0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]
+        angles = [0.0, 2.0 ** -53, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53]
+        pairs = np.array([(r, a) for r in radii for a in angles])
+        z = np.empty((len(pairs), 2))
+        simulate._fill_normals(FixedUniforms(pairs), z, np.empty(2 * len(pairs)))
+        assert np.isfinite(z).all()
+        radius = np.sqrt(-2.0 * np.log1p(-pairs[:, 0]))
+        angle = 2.0 * np.pi * (pairs[:, 1] - 0.5)
+        np.testing.assert_allclose(z[:, 0], radius * np.cos(angle), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(z[:, 1], radius * np.sin(angle), rtol=0, atol=1e-14)
+        # u = 1 - 2^-53 on an axis, to rounding
+        np.testing.assert_allclose(np.abs(z).max(), R_MAX, rtol=1e-15)
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 10])
+    def test_matches_cos_and_sin(self, width):
+        z = fill(np.random.default_rng(6), 3, width)
+        twin = np.random.default_rng(6)
+        want = np.array([box_muller(twin, width) for _ in range(3)])
+        np.testing.assert_allclose(z, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 10])
+    def test_stream_advances_by_whole_pairs(self, width):
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        fill(rng, 3, width)
+        twin.random(3 * 2 * -(-width // 2))
+        np.testing.assert_array_equal(rng.random(5), twin.random(5))
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 10])
+    def test_rows_per_call_change_no_bit(self, width):
+        rng = np.random.default_rng(3)
+        one_by_one = np.concatenate([fill(rng, 1, width) for _ in range(4)])
+        np.testing.assert_array_equal(fill(np.random.default_rng(3), 4, width), one_by_one)
+
+
+class TestAddRows:
+    @pytest.mark.parametrize("width", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("n_rows", [1, 2, 5, 9, 64])
+    def test_equals_the_row_loop_bit_for_bit(self, width, n_rows):
+        rng = np.random.default_rng(100 * width + n_rows)
+        rows = (rng.standard_normal((n_rows, width))
+                * 10.0 ** rng.integers(-12, 13, (n_rows, width)))
+        acc = 1e3 * rng.standard_normal(width)
+        want = acc.copy()
+        for row in rows:
+            want += row
+        simulate._add_rows(acc, rows)
+        np.testing.assert_array_equal(acc.view(np.int64), want.view(np.int64))
 
 
 def _ensembles(monkeypatch, workers, p, eq, m, cfg, shifts=()):
@@ -187,7 +286,7 @@ class TestWorkers:
         draws = []
 
         class FailingDraws:
-            def standard_normal(self, out):
+            def random(self, out):
                 stepping.wait(10)       # block 1 is running when block 0 fails
                 raise FloatingPointError("block 0")
 
@@ -195,10 +294,10 @@ class TestWorkers:
             def __init__(self, seed):
                 self.rng = real(seed)
 
-            def standard_normal(self, out):
+            def random(self, out):
                 stepping.set()
                 draws.append(len(out))
-                return self.rng.standard_normal(out=out)
+                return self.rng.random(out=out)
 
         def rng(seed):
             return FailingDraws() if seed[1] == 0 else CountedDraws(seed)
@@ -212,6 +311,16 @@ class TestWorkers:
         # error reached the caller
         assert sum(draws) == 200
         assert set(threading.enumerate()) == before
+
+
+def box_muller(rng, n):
+    """n standard normals from 2 ceil(n/2) uniforms: radii from the first
+    half, angles 2 pi (u - 1/2) from the second, by np.cos and np.sin."""
+    h = -(-n // 2)
+    u = rng.random(2 * h)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:h]))
+    angle = 2.0 * np.pi * (u[h:] - 0.5)
+    return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))[:n]
 
 
 def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
@@ -259,7 +368,7 @@ def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
                 sum_x2[k // stride] += (x * x).sum()
             if k == n_sim:
                 break
-            dW = math.sqrt(dt) * rng.standard_normal(bn)
+            dW = math.sqrt(dt) * box_muller(rng, bn)
             if girsanov:
                 g = params.sigma * (eq.beta(t[k]) * x + eq.alpha(t[k]))
                 gdB += g * dW
