@@ -14,8 +14,12 @@ variant, never for a shift.
 The paths are cut into ceil(n_paths / BLOCK_SIZE) blocks whose sizes differ
 by at most 1 (path_blocks), a layout that depends on n_paths alone.  Block b
 draws from its own stream default_rng([seed, b]) and writes only its own
-columns, so the blocks run on a thread pool of min(CPUs, blocks) workers;
-their per-node sums are added in block order afterwards.  A block steps in
+columns of the outputs, which live in one shared anonymous map.  So the
+blocks run in min(CPUs, blocks) processes: the caller and children made by
+os.fork, which share no interpreter lock; their per-node sums are added in
+block order afterwards.  Block code calls no BLAS routine, as numpy's BLAS
+threads do not exist in a forked child.  Where os.fork does not exist, the
+caller steps every block.  A block steps in
 chunks of up to CHUNK steps.  It draws a chunk's normals in one call, by
 Box-Muller from its stream's uniforms (_fill_normals), adds the drift to
 them, and forms the cost, Girsanov and functional terms of those steps in a
@@ -126,7 +130,7 @@ def path_blocks(n: int) -> list[tuple[int, int]]:
 
     nb = ceil(n / BLOCK_SIZE) blocks, cut at b n // nb: sizes differ by at
     most 1 and never exceed BLOCK_SIZE.  The layout depends on n alone, so
-    the ensemble does not depend on how many threads step it; n <= BLOCK_SIZE
+    the ensemble does not depend on how many workers step it; n <= BLOCK_SIZE
     is one block.
     """
     nb = -(-n // BLOCK_SIZE)
@@ -190,6 +194,19 @@ def _fill_normals(rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray
     r_cos += r_cos                      # 2 R / (1 + t^2)
     np.multiply(r_cos[:, :w - h], t[:, :w - h], out=r_sin)
     r_cos -= radius
+
+
+def _pickled_failure(b: int, exc: BaseException) -> bytes:
+    """(b, exc) pickled; exc as a RuntimeError of its repr when it does not
+    survive a pickle round trip."""
+    import pickle
+
+    try:
+        sent = pickle.dumps((b, exc))
+        pickle.loads(sent)
+    except Exception:
+        sent = pickle.dumps((b, RuntimeError(repr(exc))))
+    return sent
 
 
 def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
@@ -268,30 +285,43 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         gb = params.sigma * tab(eq.beta)[:, None]
         ga = params.sigma * tab(eq.alpha)[:, None]
 
+    import mmap
+    import pickle
+    import signal
+
+    # every output a worker writes lives in one shared anonymous map, which
+    # starts zeroed, so a forked worker's writes reach the caller: per path
+    # run_cost, x_final, [int_g_dB, int_g2_dt,] one sum_k alpha_k x_k per
+    # shift, then each block's per-node sums of x and x^2
     n = config.n_paths
-    run_cost = np.empty(n)
-    x_final = np.empty(n)
-    int_g_dB = np.zeros(n if girsanov else 0)      # in units of sqrt(dt)
-    int_g2_dt = np.zeros(n if girsanov else 0)     # in units of dt
-    shift_cost = np.zeros((len(shifts), n))        # sum_k alpha_k x_k per shift
+    blocks = path_blocks(n)
+    nb = len(blocks)
+    n_rows = 2 + 2 * girsanov + len(shifts)
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (n_rows * n + nb * 2 * (n_ode + 1))))
+    run_cost, x_final, *rows = shared[:n_rows * n].reshape(n_rows, n)
+    int_g_dB, int_g2_dt = rows[:2] if girsanov else (None, None)    # in units of sqrt(dt), dt
+    shift_cost = rows[2 * girsanov:]
+    node_sums = shared[n_rows * n:].reshape(nb, 2, n_ode + 1)
     sig_sqdt = params.sigma * math.sqrt(dt)
 
-    def block(b: int, lo: int, hi: int) -> np.ndarray:
+    def block(b: int, lo: int, hi: int) -> None:
         """Step paths lo:hi on stream b in chunks of at most CHUNK nodes.
 
         X holds the chunk's states, Z its normals, and S is the scratch of
         their uniforms (one more per row for an odd width), then of the
         noise f_k + sigma sqrt(dt) z_k, then of the cost, Girsanov and
-        functional terms.  Writes the block's columns of the outputs;
-        returns its per-node sums of x and x^2.
+        functional terms.  Writes the block's columns of the outputs and
+        its per-node sums of x and x^2.  Calls no BLAS routine: it may run
+        in a forked child, where numpy's BLAS threads do not exist.
         """
         rng = np.random.default_rng([config.seed, b])
         wd = hi - lo
         X, Z = np.empty((CHUNK + 1, wd)), np.empty((CHUNK, wd))
         scratch = np.empty(CHUNK * (wd + wd % 2))
         S = scratch[:CHUNK * wd].reshape(CHUNK, wd)
-        cost, gdB, g2dt = run_cost[lo:hi], int_g_dB[lo:hi], int_g2_dt[lo:hi]
-        sums = np.zeros((2, n_ode + 1))
+        cost, sums = run_cost[lo:hi], node_sums[b]
+        if girsanov:
+            gdB, g2dt = int_g_dB[lo:hi], int_g2_dt[lo:hi]
         X[0] = params.x0
         cost[...] = cost_r
         for k0 in range(0, n_sim + 1, CHUNK):
@@ -318,8 +348,8 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
             term += cost_q[nodes]
             term *= X[:kc]
             _add_rows(cost, term)
-            for acc, alpha in zip(shift_cost[:, lo:hi], alphas):
-                _add_rows(acc, np.multiply(X[:kc], alpha[nodes], out=S[:kc]))
+            for acc, alpha in zip(shift_cost, alphas):
+                _add_rows(acc[lo:hi], np.multiply(X[:kc], alpha[nodes], out=S[:kc]))
             first = -k0 % stride                # the chunk's recorded nodes
             if first < kc:
                 rec = X[first:kc:stride]
@@ -330,19 +360,68 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
                 x_final[lo:hi] = X[ns]
             else:
                 X[0] = X[kc]
-        return sums
 
-    # imported here: the pool module's import time and memory are paid by
-    # simulations only, not by every command
-    from concurrent.futures import ThreadPoolExecutor
+    workers = min(_cpu_count(), nb) if hasattr(os, "fork") else 1
 
-    blocks = path_blocks(n)
-    with ThreadPoolExecutor(min(_cpu_count(), len(blocks))) as pool:
-        # per-node sums in block order from zero: the same bits for any worker count
-        sum_x, sum_x2 = sum(pool.map(block, range(len(blocks)), *zip(*blocks)),
-                            np.zeros((2, n_ode + 1)))
-    int_g_dB *= math.sqrt(dt)
-    int_g2_dt *= dt
+    def run(i: int) -> tuple[int, BaseException] | None:
+        """Worker i steps blocks i, i + workers, ...; its first failure, with its block."""
+        for b in range(i, nb, workers):
+            try:
+                block(b, *blocks[b])
+            except BaseException as exc:
+                return b, exc
+        return None
+
+    # worker 0 is the caller; workers 1 .. workers - 1 are forked children,
+    # each with a pipe that carries its failure back pickled
+    children, failures = [], []
+    try:
+        for i in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:                # the child: never returns into the caller's frames
+                code = 0
+                try:
+                    os.close(r)
+                    failed = run(i)
+                    if failed is not None:
+                        code = 1
+                        with open(w, "wb") as pipe:
+                            pipe.write(_pickled_failure(*failed))
+                except BaseException:
+                    code = 2
+                finally:
+                    os._exit(code)     # no atexit handler, no stdio flush
+            os.close(w)
+            children.append((i, pid, r))
+        failures.append(run(0))
+    finally:
+        killed = failures != [None]     # the caller is raising or its block failed
+        if killed:
+            for _, pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+        for i, pid, r in children:
+            with open(r, "rb") as pipe:
+                sent = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if sent:
+                failures.append(pickle.loads(sent))
+            elif code and not killed:
+                failures.append((i, RuntimeError(f"simulation worker {i} ended "
+                                                 f"with exit code {code}")))
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    # per-node sums in block order from zero: the same bits for any worker count
+    sum_x, sum_x2 = sum(node_sums, np.zeros((2, n_ode + 1)))
+    if girsanov:
+        int_g_dB *= math.sqrt(dt)
+        int_g2_dt *= dt
     base = PathEnsemble(
         n_paths=n,
         m_values=m.values.copy(),
@@ -350,8 +429,8 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         sum_x2=sum_x2,
         run_cost=run_cost,
         x_final=x_final,
-        int_g_dB=int_g_dB if girsanov else None,
-        int_g2_dt=int_g2_dt if girsanov else None,
+        int_g_dB=int_g_dB,
+        int_g2_dt=int_g2_dt,
     )
 
     def shifted(D: np.ndarray, cost: np.ndarray, const: float) -> PathEnsemble:
@@ -421,7 +500,8 @@ def _log_mean_exp(x: np.ndarray) -> tuple[float, np.ndarray, float]:
     em1 = np.expm1(x - shift)
     m1 = float(em1.mean())
     d = (em1 - m1) / (1.0 + m1)
-    # a ufunc square: d @ d would start BLAS threads that spin against the pool
+    # a ufunc square and numpy's own sum: d @ d would add in an order set by
+    # the BLAS kernel of the CPU and by its thread count
     return math.log1p(m1) + shift, d, x.size / (1.0 + float(np.square(d).mean()))
 
 

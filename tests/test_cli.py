@@ -931,9 +931,8 @@ def modules_after(code: str) -> set[str]:
 
 
 class TestNumpyOnlyRuntime:
-    """The package runs on numpy alone: no command loads scipy.  Only a
-    simulation loads concurrent, the thread pool's package, whose import
-    costs about 10 ms and 0.3 MB that check, solve and sweep do not pay."""
+    """The package runs on numpy alone: no command loads scipy, and none
+    loads concurrent; a simulation forks its block workers with os.fork."""
 
     def test_import_loads_no_scipy(self):
         assert not modules_after("import lqmfg") & {"scipy", "concurrent"}
@@ -956,8 +955,36 @@ class TestNumpyOnlyRuntime:
 
         assert not run(("check", "solve", "sweep"), [[EXIT_OK] * 3]) & {"scipy", "concurrent"}
         verify = run(("verify",), [[EXIT_OK], [EXIT_VERIFY_FAIL]])
-        assert "scipy" not in verify and "concurrent" in verify
+        assert not verify & {"scipy", "concurrent"}
         assert (tmp_path / "verify" / "verify_report.txt").is_file()
+
+
+def affinity() -> set[int]:
+    """The CPUs this process may run on; none where a process cannot be pinned."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+
+
+@pytest.mark.skipif(len(affinity()) < 2, reason="needs two CPUs to pin to one")
+class TestVerifyWorkers:
+    def test_one_cpu_and_all_cpus_write_the_same_report(self, tmp_path):
+        # three blocks: forked workers when unpinned, all in-process on one
+        # CPU; the robust risk-sensitive variant has Girsanov sums and shifts
+        cpu = min(affinity())
+        cfg = BENCH_CFG.replace("risk_neutral", "robust_risk_sensitive\nc = 0.5\ntheta = 0.25")
+        cfg = write_cfg(tmp_path, cfg.replace("n_steps = 200", "n_steps = 10")
+                        + f"\n[sim]\nn_paths = {2 * simulate.BLOCK_SIZE + 10}\n"
+                        + "dt_sim = 0.05\nseed = 3\n")
+        runs = []
+        for name, pin in (("pinned", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+            out = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "lqmfg", "verify", "--config", cfg,
+                 "--out-dir", str(out), "--quiet"],
+                env=src_env(), capture_output=True, text=True, preexec_fn=pin)
+            assert proc.stderr == ""
+            runs.append((proc.returncode, (out / "verify_report.txt").read_bytes()))
+        assert runs[0][0] in (EXIT_OK, EXIT_VERIFY_FAIL)
+        assert runs[0] == runs[1]
 
 
 class TestCheckCommand:

@@ -1,9 +1,12 @@
-import concurrent.futures
 import math
+import os
+import pickle
+import subprocess
 import sys
-import threading
+import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,8 +234,40 @@ def assert_same_bits(got, want):
                 np.testing.assert_array_equal(a, b, err_msg=key)
 
 
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_streams(monkeypatch, actions):
+    """default_rng whose stream [seed, b] runs actions[b]() at its first draw."""
+    real = np.random.default_rng
+
+    class Failing:
+        def __init__(self, action):
+            self.action = action
+
+        def random(self, out):
+            self.action()
+
+    def rng(seed):
+        return Failing(actions[seed[1]]) if seed[1] in actions else real(seed)
+
+    monkeypatch.setattr(simulate.np.random, "default_rng", rng)
+
+
+def raising(exc):
+    def action():
+        raise exc
+    return action
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
 class TestWorkers:
-    """The block threads change no bit of the ensembles or their shifts."""
+    """The forked block workers change no bit of the ensembles or their
+    shifts, every failure reaches the caller, and no child outlives a call."""
 
     def test_worker_count_and_rerun_bit_identical(self, monkeypatch):
         p = make_params(**REFERENCE_INSTANCES["robust_risk_sensitive"])
@@ -240,77 +275,117 @@ class TestWorkers:
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         # three blocks, so two workers share them unevenly
         cfg = SimConfig(n_paths=2 * BLOCK_SIZE + 10, dt_sim=0.05, seed=4)
-        runs = [_ensembles(monkeypatch, w, p, eq, eq.m, cfg, SHIFTS)
-                for w in (1, 2, 2, 4)]
+        runs = []
+        for w in (1, 2, 2, 4):
+            runs.append(_ensembles(monkeypatch, w, p, eq, eq.m, cfg, SHIFTS))
+            assert_no_child()
         for run in runs[1:]:
             assert_same_bits(run, runs[0])
 
-    def test_pool_size_and_no_thread_outlives_the_call(self, monkeypatch):
-        sizes, pools = [], []
+    @needs_fork
+    def test_fork_count_and_no_child_outlives_the_call(self, monkeypatch):
+        forks, real_fork = [], os.fork
 
-        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                super().__init__(max_workers)
-                sizes.append(max_workers)
-                pools.append(self)
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-        before = set(threading.enumerate())
+        monkeypatch.setattr(simulate.os, "fork", counted_fork)
         p, m = make_params(), Trajectory(TimeGrid(T=1.0, n_steps=4), np.zeros(5))
-        for workers, n in ((1, 3 * BLOCK_SIZE), (2, 3 * BLOCK_SIZE), (2, BLOCK_SIZE)):
+        counts = []
+        for workers, n in ((1, 3 * BLOCK_SIZE), (2, 3 * BLOCK_SIZE),
+                           (4, 3 * BLOCK_SIZE), (2, BLOCK_SIZE)):
+            before = len(forks)
             _ensembles(monkeypatch, workers, p, None, m,
                        SimConfig(n_paths=n, dt_sim=0.25, seed=0))
-        # min(CPUs, blocks): the third call is capped at its one block
-        assert sizes == [1, 2, 1]
-        assert all(pool._threads for pool in pools)     # each pool ran threads
-        assert set(threading.enumerate()) == before
+            counts.append(len(forks) - before)
+            assert_no_child()
+        # min(CPUs, blocks) - 1 children: none on one CPU or one block
+        assert counts == [0, 1, 2, 0]
 
-    def test_more_workers_than_cpus_with_fast_switching(self, monkeypatch):
+    def test_without_fork_every_block_runs_in_process(self, monkeypatch):
+        p = make_params(**REFERENCE_INSTANCES["risk_sensitive"])
+        grid = TimeGrid(T=1.0, n_steps=5)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        cfg = SimConfig(n_paths=3 * BLOCK_SIZE, dt_sim=0.1, seed=5)
+        forked = _ensembles(monkeypatch, 3, p, eq, eq.m, cfg, SHIFTS)
+        monkeypatch.delattr(simulate.os, "fork", raising=False)
+        assert_same_bits(_ensembles(monkeypatch, 3, p, eq, eq.m, cfg, SHIFTS), forked)
+        assert_no_child()
+
+    def test_more_workers_than_cpus_bit_identical(self, monkeypatch):
         p = make_params(**REFERENCE_INSTANCES["risk_sensitive"])
         grid = TimeGrid(T=1.0, n_steps=5)
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         cfg = SimConfig(n_paths=4 * BLOCK_SIZE, dt_sim=0.1, seed=2)
         [serial] = _ensembles(monkeypatch, 1, p, eq, eq.m, cfg)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            [threaded] = _ensembles(monkeypatch, 4, p, eq, eq.m, cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        assert_same_bits([threaded], [serial])
+        [forked] = _ensembles(monkeypatch, 4, p, eq, eq.m, cfg)
+        assert_same_bits([forked], [serial])
+        assert_no_child()
 
     def test_block_failure_in_simulate_paths_reaches_caller(self, monkeypatch):
+        # block 0 is the caller's own: it kills and reaps the child, stalled
+        # in block 1, before the error reaches the caller
         p, m = make_params(), Trajectory(TimeGrid(T=1.0, n_steps=4), np.zeros(5))
-        real = np.random.default_rng
-        stepping = threading.Event()
-        draws = []
+        def stall():
+            time.sleep(60)
+            raise FloatingPointError("block 1")
 
-        class FailingDraws:
-            def random(self, out):
-                stepping.wait(10)       # block 1 is running when block 0 fails
-                raise FloatingPointError("block 0")
-
-        class CountedDraws:
-            def __init__(self, seed):
-                self.rng = real(seed)
-
-            def random(self, out):
-                stepping.set()
-                draws.append(len(out))
-                return self.rng.random(out=out)
-
-        def rng(seed):
-            return FailingDraws() if seed[1] == 0 else CountedDraws(seed)
-
-        monkeypatch.setattr(simulate.np.random, "default_rng", rng)
-        before = set(threading.enumerate())
-        with pytest.raises(FloatingPointError, match="block 0"):
+        failing_streams(monkeypatch, {0: raising(FloatingPointError("block 0")), 1: stall})
+        start = time.perf_counter()
+        with pytest.raises(FloatingPointError, match="^block 0$"):
             _ensembles(monkeypatch, 2, p, None, m,
                        SimConfig(n_paths=2 * BLOCK_SIZE, dt_sim=0.005, seed=0))
-        # block 1 drew all 200 steps and its thread was joined before the
-        # error reached the caller
-        assert sum(draws) == 200
-        assert set(threading.enumerate()) == before
+        assert time.perf_counter() - start < 30
+        assert_no_child()
+
+    @needs_fork
+    def test_failure_in_a_child_reaches_caller(self, monkeypatch):
+        p, m = make_params(), Trajectory(TimeGrid(T=1.0, n_steps=4), np.zeros(5))
+        failing_streams(monkeypatch, {1: raising(FloatingPointError("block 1"))})
+        with pytest.raises(FloatingPointError, match="^block 1$"):
+            _ensembles(monkeypatch, 2, p, None, m,
+                       SimConfig(n_paths=2 * BLOCK_SIZE, dt_sim=0.05, seed=0))
+        assert_no_child()
+
+    @needs_fork
+    def test_lowest_failing_block_is_raised(self, monkeypatch):
+        # the caller steps blocks 0 and 2, the child block 1; block 2 fails
+        # only once the child has failed and exited
+        def after_the_child():
+            deadline = time.monotonic() + 30
+            while not os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT | os.WNOHANG):
+                assert time.monotonic() < deadline, "the child did not exit"
+                time.sleep(1e-3)
+            raise FloatingPointError("block 2")
+
+        p, m = make_params(), Trajectory(TimeGrid(T=1.0, n_steps=4), np.zeros(5))
+        failing_streams(monkeypatch, {1: raising(ValueError("block 1")), 2: after_the_child})
+        with pytest.raises(ValueError, match="^block 1$"):
+            _ensembles(monkeypatch, 2, p, None, m,
+                       SimConfig(n_paths=2 * BLOCK_SIZE + 10, dt_sim=0.05, seed=0))
+        assert_no_child()
+
+    @needs_fork
+    def test_unpicklable_failure_arrives_as_its_repr(self, monkeypatch):
+        class LocalError(Exception):
+            pass
+
+        p, m = make_params(), Trajectory(TimeGrid(T=1.0, n_steps=4), np.zeros(5))
+        failing_streams(monkeypatch, {1: raising(LocalError("block 1"))})
+        with pytest.raises(RuntimeError, match=r"^LocalError\('block 1'\)$"):
+            _ensembles(monkeypatch, 2, p, None, m,
+                       SimConfig(n_paths=2 * BLOCK_SIZE, dt_sim=0.05, seed=0))
+        assert_no_child()
+
+    @needs_fork
+    def test_a_child_that_dies_is_a_failure(self, monkeypatch):
+        p, m = make_params(), Trajectory(TimeGrid(T=1.0, n_steps=4), np.zeros(5))
+        failing_streams(monkeypatch, {1: lambda: os._exit(3)})
+        with pytest.raises(RuntimeError, match="^simulation worker 1 ended with exit code 3$"):
+            _ensembles(monkeypatch, 2, p, None, m,
+                       SimConfig(n_paths=2 * BLOCK_SIZE, dt_sim=0.05, seed=0))
+        assert_no_child()
 
 
 def box_muller(rng, n):
@@ -496,10 +571,46 @@ class TestShifts:
             assert ens.int_g_dB is None and ens.int_g2_dt is None
 
 
+RESIDENT_GROWTH = """
+import os, pickle, resource, sys, traceback
+from lqmfg.equilibrium import admissible_beta, solve_equilibrium_picard
+from lqmfg.model import TimeGrid
+from lqmfg.simulate import SimConfig, simulate_paths
+
+# ru_maxrss survives exec, so this interpreter's starts at the peak of the
+# process that started it; a forked child's starts at the child's own size
+if os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+try:
+    p = pickle.load(sys.stdin.buffer)
+    grid = TimeGrid(T=1.0, n_steps=200)
+    eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+    shifts = ((0.5, 0.0), (0.0, 0.5))
+    # the first simulation loads numpy.random (about 6 MB): a 3-path call,
+    # one block in-process, pays it; an empty child sets RUSAGE_CHILDREN to
+    # the size of the image a worker inherits
+    simulate_paths(p, eq, eq.m, SimConfig(n_paths=3, dt_sim=1e-3, seed=7), shifts)
+    if not os.fork():
+        os._exit(0)
+    os.wait()
+    who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    before = [resource.getrusage(w).ru_maxrss for w in who]
+    cfg = SimConfig(n_paths=20000, dt_sim=1e-3, seed=7)
+    assert len(simulate_paths(p, eq, eq.m, cfg, shifts)) == 3
+    print(*(resource.getrusage(w).ru_maxrss - b for w, b in zip(who, before)), flush=True)
+except BaseException:
+    traceback.print_exc()
+    os._exit(1)
+os._exit(0)
+"""
+
+
 class TestMemory:
-    def test_peak_of_the_robust_saddle_pass(self):
+    def test_peak_of_the_robust_saddle_pass(self, monkeypatch):
         # verify's call on the RRS bench instance: 20000 paths in two blocks,
-        # 1000 steps, two shifts; the chunk buffers are most of the peak
+        # 1000 steps, two shifts; the chunk buffers are most of the peak.
+        # One worker steps both blocks in-process, where tracemalloc sees them
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
         p = make_params(**REFERENCE_INSTANCES["robust_risk_sensitive"])
         grid = TimeGrid(T=1.0, n_steps=200)
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
@@ -518,6 +629,22 @@ class TestMemory:
                 tracemalloc.stop()
         assert len(ensembles) == 3
         assert peak <= 4 * 2 ** 20
+
+    @needs_fork
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB on Linux")
+    def test_resident_growth_of_the_forked_pass(self):
+        # the same call on two workers, in a fresh process: how far the peak
+        # RSS of the caller and of its child grow, in KiB.  Measured on
+        # x86-64 Linux over 20 runs: 1.6-1.9 MiB and 4.6-5.0 MiB; CHUNK = 10,
+        # which doubles the block buffers, gave 2.75-2.9 and 5.8-6.1 MiB
+        p = make_params(**REFERENCE_INSTANCES["robust_risk_sensitive"])
+        path = [str(Path(simulate.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        proc = subprocess.run(
+            [sys.executable, "-c", RESIDENT_GROWTH], input=pickle.dumps(p), capture_output=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+        assert proc.returncode == 0, proc.stderr.decode()
+        caller, child = map(int, proc.stdout.split())
+        assert caller <= 2.3 * 1024 and child <= 5.4 * 1024, (caller, child)
 
 
 class TestDegenerateDynamics:
