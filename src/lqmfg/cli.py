@@ -433,7 +433,10 @@ def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
     # perturbed policies (u + du, v) and (u, v + dv), on the same draws
     robust = params.variant.uses_disturbance
     shifts = ((SADDLE_SHIFT, 0.0), (0.0, SADDLE_SHIFT)) if robust else ()
-    ens, *moved = simulate_paths(params, eq, eq.m, cfg.sim, shifts)
+    try:
+        ens, *moved = simulate_paths(params, eq, eq.m, cfg.sim, shifts)
+    except MemoryError as exc:      # no shared map holds the paths
+        raise ConfigError(f"[sim] {exc}") from None
     L = per_path_cost(ens, params)
 
     # mean consistency: |sample mean - m| <= 3 se at every node with noise

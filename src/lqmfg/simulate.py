@@ -19,15 +19,17 @@ blocks run in min(CPUs, blocks) processes: the caller and children made by
 os.fork, which share no interpreter lock; their per-node sums are added in
 block order afterwards.  Block code calls no BLAS routine, as numpy's BLAS
 threads do not exist in a forked child.  Where os.fork does not exist, the
-caller steps every block.  A block steps in
-chunks of up to CHUNK steps.  It draws a chunk's normals in one call, by
-Box-Muller from its stream's uniforms (_fill_normals), adds the drift to
-them, and forms the cost, Girsanov and functional terms of those steps in a
-few whole-chunk calls; the state recursion stays per step, and every
-per-path sum adds a chunk's terms in step order by one reduction
-(_add_rows).  A step's draws depend on the block's width alone, so results
-are bit for bit the same for a given seed and n_paths on any number of
-cores, and for any CHUNK.
+caller steps every block.  A child sends back nothing but its exit status:
+the caller steps again the blocks of a child that could not be forked or
+did not exit 0, so a failure is raised from the caller's own frames with
+its type and message.  A block steps in chunks of up to CHUNK steps.  It
+draws a chunk's normals in one call, by Box-Muller from its stream's
+uniforms (_fill_normals), adds the drift to them, and forms the cost,
+Girsanov and functional terms of those steps in a few whole-chunk calls;
+the state recursion stays per step, and every per-path sum adds a chunk's
+terms in step order by one reduction (_add_rows).  A step's draws depend on
+the block's width alone, so results are bit for bit the same for a given
+seed and n_paths on any number of cores, and for any CHUNK.
 """
 from __future__ import annotations
 
@@ -196,19 +198,6 @@ def _fill_normals(rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray
     r_cos -= radius
 
 
-def _pickled_failure(b: int, exc: BaseException) -> bytes:
-    """(b, exc) pickled; exc as a RuntimeError of its repr when it does not
-    survive a pickle round trip."""
-    import pickle
-
-    try:
-        sent = pickle.dumps((b, exc))
-        pickle.loads(sent)
-    except Exception:
-        sent = pickle.dumps((b, RuntimeError(repr(exc))))
-    return sent
-
-
 def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
                    config: SimConfig,
                    shifts: Sequence[tuple[float, float]] = ()) -> list[PathEnsemble]:
@@ -226,6 +215,14 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
     shift.  States are recorded (as sums) at the nodes of m's grid, which
     the simulation grid must refine exactly.  Returns the policy's
     ensemble, then one per shift, in order.
+
+    The blocks run on min(CPUs, blocks) workers: the caller and forked
+    children.  A failure in the caller's own blocks kills and reaps the
+    children and is raised.  Otherwise the caller steps again, in block
+    order, every block of a child that could not be forked or did not exit
+    0, so the lowest such block that fails again is raised, and a child
+    that died changes no bit.  MemoryError when the shared map of the
+    outputs cannot be made.
     """
     T = params.T
     n_ode = m.grid.n_steps
@@ -286,35 +283,42 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         ga = params.sigma * tab(eq.alpha)[:, None]
 
     import mmap
-    import pickle
     import signal
 
-    # every output a worker writes lives in one shared anonymous map, which
-    # starts zeroed, so a forked worker's writes reach the caller: per path
-    # run_cost, x_final, [int_g_dB, int_g2_dt,] one sum_k alpha_k x_k per
-    # shift, then each block's per-node sums of x and x^2
+    # every output a worker writes lives in one shared anonymous map, so a
+    # forked worker's writes reach the caller: per path run_cost, x_final,
+    # [int_g_dB, int_g2_dt,] one sum_k alpha_k x_k per shift, then each
+    # block's per-node sums of x and x^2
     n = config.n_paths
-    blocks = path_blocks(n)
-    nb = len(blocks)
+    nb = -(-n // BLOCK_SIZE)
     n_rows = 2 + 2 * girsanov + len(shifts)
-    shared = np.frombuffer(mmap.mmap(-1, 8 * (n_rows * n + nb * 2 * (n_ode + 1))))
-    run_cost, x_final, *rows = shared[:n_rows * n].reshape(n_rows, n)
+    size = 8 * (n_rows * n + nb * 2 * (n_ode + 1))
+    try:
+        shared = np.frombuffer(mmap.mmap(-1, size))
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"n_paths = {n} needs a shared map of {size} bytes: {exc}") from None
+    per_path = shared[:n_rows * n].reshape(n_rows, n)
+    run_cost, x_final, *rows = per_path
     int_g_dB, int_g2_dt = rows[:2] if girsanov else (None, None)    # in units of sqrt(dt), dt
     shift_cost = rows[2 * girsanov:]
     node_sums = shared[n_rows * n:].reshape(nb, 2, n_ode + 1)
+    blocks = path_blocks(n)
     sig_sqdt = params.sigma * math.sqrt(dt)
 
-    def block(b: int, lo: int, hi: int) -> None:
-        """Step paths lo:hi on stream b in chunks of at most CHUNK nodes.
+    def block(b: int) -> None:
+        """Step block b, paths lo:hi, on stream b in chunks of at most CHUNK nodes.
 
         X holds the chunk's states, Z its normals, and S is the scratch of
         their uniforms (one more per row for an odd width), then of the
         noise f_k + sigma sqrt(dt) z_k, then of the cost, Girsanov and
-        functional terms.  Writes the block's columns of the outputs and
-        its per-node sums of x and x^2.  Calls no BLAS routine: it may run
-        in a forked child, where numpy's BLAS threads do not exist.
+        functional terms.  Writes the block's columns of the outputs, each
+        sum from its start, so a block stepped again after a failed worker
+        gives the same bits, and its per-node sums of x and x^2.  Calls no
+        BLAS routine: it may run in a forked child, where numpy's BLAS
+        threads do not exist.
         """
         rng = np.random.default_rng([config.seed, b])
+        lo, hi = blocks[b]
         wd = hi - lo
         X, Z = np.empty((CHUNK + 1, wd)), np.empty((CHUNK, wd))
         scratch = np.empty(CHUNK * (wd + wd % 2))
@@ -324,6 +328,7 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
             gdB, g2dt = int_g_dB[lo:hi], int_g2_dt[lo:hi]
         X[0] = params.x0
         cost[...] = cost_r
+        per_path[2:, lo:hi] = 0.0       # the Girsanov and shift sums
         for k0 in range(0, n_sim + 1, CHUNK):
             kc = min(CHUNK, n_sim + 1 - k0)     # nodes k0 .. k0 + kc - 1
             ns = min(kc, n_sim - k0)            # the steps taken from them
@@ -363,60 +368,41 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
 
     workers = min(_cpu_count(), nb) if hasattr(os, "fork") else 1
 
-    def run(i: int) -> tuple[int, BaseException] | None:
-        """Worker i steps blocks i, i + workers, ...; its first failure, with its block."""
+    def run(i: int) -> None:
+        """Worker i steps blocks i, i + workers, ..."""
         for b in range(i, nb, workers):
-            try:
-                block(b, *blocks[b])
-            except BaseException as exc:
-                return b, exc
-        return None
+            block(b)
 
-    # worker 0 is the caller; workers 1 .. workers - 1 are forked children,
-    # each with a pipe that carries its failure back pickled
-    children, failures = [], []
+    # worker 0 is the caller; workers 1 .. workers - 1 are forked children
+    children, failed = [], []
     try:
         for i in range(1, workers):
-            r, w = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
+            except OSError:             # EAGAIN, ENOMEM
+                failed.append(i)
+                continue
             if pid == 0:                # the child: never returns into the caller's frames
-                code = 0
+                code = 1
                 try:
-                    os.close(r)
-                    failed = run(i)
-                    if failed is not None:
-                        code = 1
-                        with open(w, "wb") as pipe:
-                            pipe.write(_pickled_failure(*failed))
-                except BaseException:
-                    code = 2
+                    run(i)
+                    code = 0
                 finally:
                     os._exit(code)     # no atexit handler, no stdio flush
-            os.close(w)
-            children.append((i, pid, r))
-        failures.append(run(0))
+            children.append((i, pid))
+        run(0)
+    except BaseException:
+        for _, pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        killed = failures != [None]     # the caller is raising or its block failed
-        if killed:
-            for _, pid, _ in children:
-                os.kill(pid, signal.SIGKILL)
-        for i, pid, r in children:
-            with open(r, "rb") as pipe:
-                sent = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if sent:
-                failures.append(pickle.loads(sent))
-            elif code and not killed:
-                failures.append((i, RuntimeError(f"simulation worker {i} ended "
-                                                 f"with exit code {code}")))
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        for i, pid in children:
+            if os.waitpid(pid, 0)[1]:
+                failed.append(i)
+    # each block is a function of (seed, b) alone: the caller steps again,
+    # in block order, those of the workers that failed or were not forked
+    for b in sorted(b for i in failed for b in range(i, nb, workers)):
+        block(b)
     # per-node sums in block order from zero: the same bits for any worker count
     sum_x, sum_x2 = sum(node_sums, np.zeros((2, n_ode + 1)))
     if girsanov:

@@ -33,7 +33,7 @@ from lqmfg.cli import (
 )
 from lqmfg.equilibrium import (BlowUpError, NonConvergenceError, admissible_beta,
                                solve_equilibrium_closed_form)
-from lqmfg.model import Coefficient, TimeGrid, Variant, fmt_float
+from lqmfg.model import MAX_COUNT, Coefficient, TimeGrid, Variant, fmt_float
 from lqmfg.simulate import SimConfig
 from conftest import make_params, saddle_gaps, tabulated
 from riccati_oracle import FiniteEscapeError, closed_form_constant_riccati
@@ -653,16 +653,18 @@ class TestVerifyCommand:
         assert report[:2] == ["status = blow_up", "equation = beta"]
         assert report[2].startswith("blow_up_time = 0.68") and len(report) == 3
 
-    @pytest.mark.parametrize("dt_sim, n_steps, message", [
-        ("0.003", 200, "does not divide T"),
-        ("0.004", 200, "must be a multiple of the ODE grid steps"),
+    @pytest.mark.parametrize("sim, n_steps, message", [
+        ("dt_sim = 0.003", 200, "does not divide T"),
+        ("dt_sim = 0.004", 200, "must be a multiple of the ODE grid steps"),
         # T / dt_sim is inf, or a step count no numpy array can hold
-        ("1e-320", 200, "makes more than"),
-        ("1e-200", 2, "makes more than"),
+        ("dt_sim = 1e-320", 200, "makes more than"),
+        ("dt_sim = 1e-200", 2, "makes more than"),
+        # a shared map of the paths larger than any 64-bit address space
+        (f"dt_sim = 0.1\nn_paths = {MAX_COUNT}", 10, f"n_paths = {MAX_COUNT} needs"),
     ])
-    def test_bad_sim_grid_is_config_error(self, tmp_path, capsys, dt_sim, n_steps, message):
+    def test_bad_sim_grid_is_config_error(self, tmp_path, capsys, sim, n_steps, message):
         path = write_cfg(tmp_path, BENCH_CFG.replace("n_steps = 200", f"n_steps = {n_steps}")
-                         + f"\n[sim]\ndt_sim = {dt_sim}\n")
+                         + f"\n[sim]\n{sim}\n")
         assert main(["verify", "--config", path, "--out-dir",
                      str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err

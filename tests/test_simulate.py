@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import pickle
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from lqmfg.model import Coefficient, TimeGrid, Trajectory, Variant
-from lqmfg.equilibrium import (BlowUpError, admissible_beta,
+from lqmfg.equilibrium import (BlowUpError, NonConvergenceError, admissible_beta,
                                solve_equilibrium_closed_form, solve_equilibrium_picard)
 from lqmfg.simulate import (
     BLOCK_SIZE,
@@ -76,6 +77,29 @@ class TestDeterminism:
         np.testing.assert_array_equal(e1.x_final, e2.x_final)
         np.testing.assert_array_equal(e1.sum_x, e2.sum_x)
         np.testing.assert_array_equal(e1.run_cost, e2.run_cost)
+
+    @settings(max_examples=20, deadline=None)
+    @given(variant=st.sampled_from(list(Variant)),
+           a=st.floats(-1.0, 1.0), abar=st.floats(-0.5, 0.5), sigma=st.floats(0.0, 0.6),
+           theta=st.floats(0.0, 0.5), c=st.floats(0.0, 0.8), seed=st.integers(0, 2 ** 31))
+    def test_generated_instances_rerun_bit_identical(self, variant, a, abar, sigma, theta,
+                                                     c, seed):
+        p = make_params(variant=variant, a=a, abar=abar, sigma=sigma,
+                        theta=theta if variant.uses_theta else 0.0,
+                        c=c if variant.uses_disturbance else 0.0)
+        grid = TimeGrid(T=1.0, n_steps=10)
+        try:
+            eq, again = (solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+                         for _ in range(2))
+        except (BlowUpError, NonConvergenceError):
+            assume(False)
+        assert pickle.dumps(eq) == pickle.dumps(again)
+        # two blocks, on one worker and on two
+        cfg = SimConfig(n_paths=BLOCK_SIZE + 2000, dt_sim=0.1, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            serial, forked = (_ensembles(mp, w, p, eq, eq.m, cfg, SHIFTS) for w in (1, 2))
+        assert_same_bits(forked, serial)
+        assert_no_child()
 
     def test_seed_changes_draws(self, bench_eq):
         p, eq = bench_eq
@@ -350,41 +374,83 @@ class TestWorkers:
 
     @needs_fork
     def test_lowest_failing_block_is_raised(self, monkeypatch):
-        # the caller steps blocks 0 and 2, the child block 1; block 2 fails
-        # only once the child has failed and exited
-        def after_the_child():
-            deadline = time.monotonic() + 30
-            while not os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT | os.WNOHANG):
-                assert time.monotonic() < deadline, "the child did not exit"
-                time.sleep(1e-3)
-            raise FloatingPointError("block 2")
-
         p, m = make_params(), Trajectory(TimeGrid(T=1.0, n_steps=4), np.zeros(5))
-        failing_streams(monkeypatch, {1: raising(ValueError("block 1")), 2: after_the_child})
-        with pytest.raises(ValueError, match="^block 1$"):
-            _ensembles(monkeypatch, 2, p, None, m,
-                       SimConfig(n_paths=2 * BLOCK_SIZE + 10, dt_sim=0.05, seed=0))
+        # the caller steps blocks 0 and 2, the child block 1: the caller's
+        # own failure kills the child and is raised
+        with monkeypatch.context() as mp:
+            failing_streams(mp, {1: raising(ValueError("block 1")),
+                                 2: raising(FloatingPointError("block 2"))})
+            with pytest.raises(FloatingPointError, match="^block 2$"):
+                _ensembles(mp, 2, p, None, m,
+                           SimConfig(n_paths=2 * BLOCK_SIZE + 10, dt_sim=0.05, seed=0))
+        assert_no_child()
+        # the children step blocks 1 and 4, and 2; the caller steps theirs
+        # again in block order, so block 2 fails before block 4
+        failing_streams(monkeypatch, {4: raising(ValueError("block 4")),
+                                      2: raising(FloatingPointError("block 2"))})
+        with pytest.raises(FloatingPointError, match="^block 2$"):
+            _ensembles(monkeypatch, 3, p, None, m,
+                       SimConfig(n_paths=4 * BLOCK_SIZE + 10, dt_sim=0.05, seed=0))
         assert_no_child()
 
     @needs_fork
-    def test_unpicklable_failure_arrives_as_its_repr(self, monkeypatch):
+    def test_unpicklable_failure_arrives_as_itself(self, monkeypatch):
         class LocalError(Exception):
             pass
 
         p, m = make_params(), Trajectory(TimeGrid(T=1.0, n_steps=4), np.zeros(5))
         failing_streams(monkeypatch, {1: raising(LocalError("block 1"))})
-        with pytest.raises(RuntimeError, match=r"^LocalError\('block 1'\)$"):
+        with pytest.raises(LocalError, match="^block 1$"):
             _ensembles(monkeypatch, 2, p, None, m,
                        SimConfig(n_paths=2 * BLOCK_SIZE, dt_sim=0.05, seed=0))
         assert_no_child()
 
     @needs_fork
-    def test_a_child_that_dies_is_a_failure(self, monkeypatch):
-        p, m = make_params(), Trajectory(TimeGrid(T=1.0, n_steps=4), np.zeros(5))
-        failing_streams(monkeypatch, {1: lambda: os._exit(3)})
-        with pytest.raises(RuntimeError, match="^simulation worker 1 ended with exit code 3$"):
-            _ensembles(monkeypatch, 2, p, None, m,
-                       SimConfig(n_paths=2 * BLOCK_SIZE, dt_sim=0.05, seed=0))
+    def test_a_child_that_dies_mid_block_changes_no_bit(self, monkeypatch):
+        # the child dies at its third draw, with two chunks of block 1's sums
+        # written; the caller steps block 1 again from zero
+        p = make_params(**REFERENCE_INSTANCES["robust_risk_sensitive"])
+        grid = TimeGrid(T=1.0, n_steps=4)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        cfg = SimConfig(n_paths=2 * BLOCK_SIZE, dt_sim=0.05, seed=3)
+        serial = _ensembles(monkeypatch, 1, p, eq, eq.m, cfg, SHIFTS)
+        caller, real, streams = os.getpid(), np.random.default_rng, []
+
+        class Dying:
+            def __init__(self, seed):
+                self.rng, self.draws = real(seed), 0
+                streams.append(seed[1])
+
+            def random(self, out):
+                self.draws += 1
+                if self.draws == 3 and os.getpid() != caller:
+                    os._exit(3)
+                return self.rng.random(out=out)
+
+        monkeypatch.setattr(simulate.np.random, "default_rng", Dying)
+        assert_same_bits(_ensembles(monkeypatch, 2, p, eq, eq.m, cfg, SHIFTS), serial)
+        assert streams == [0, 1]        # the caller's own streams
+        assert_no_child()
+
+    @needs_fork
+    def test_a_failed_fork_leaves_its_blocks_to_the_caller(self, monkeypatch):
+        forks, real_fork = [], os.fork
+
+        def fork():
+            forks.append(1)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real_fork()
+
+        p = make_params(**REFERENCE_INSTANCES["robust_risk_sensitive"])
+        grid = TimeGrid(T=1.0, n_steps=5)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        # three workers on four blocks: worker 2, never forked, has block 2
+        cfg = SimConfig(n_paths=3 * BLOCK_SIZE + 10, dt_sim=0.1, seed=6)
+        serial = _ensembles(monkeypatch, 1, p, eq, eq.m, cfg, SHIFTS)
+        monkeypatch.setattr(simulate.os, "fork", fork)
+        assert_same_bits(_ensembles(monkeypatch, 3, p, eq, eq.m, cfg, SHIFTS), serial)
+        assert len(forks) == 2
         assert_no_child()
 
 
