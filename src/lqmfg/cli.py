@@ -98,7 +98,7 @@ class RunConfig:
 
 def _default_dt_sim(grid: TimeGrid) -> float:
     """The largest simulation step <= 1/DEFAULT_STEPS_PER_UNIT_TIME that
-    refines the ODE grid; past MAX_COUNT steps, inf included, verify refuses it."""
+    refines the ODE grid; past max_steps() steps, inf included, verify refuses it."""
     per_step = math.ceil(min(DEFAULT_STEPS_PER_UNIT_TIME * grid.T / grid.n_steps,
                              MAX_COUNT + 1))
     return grid.T / (grid.n_steps * per_step)
@@ -106,7 +106,7 @@ def _default_dt_sim(grid: TimeGrid) -> float:
 
 def _step_count(steps: float) -> int:
     """round(steps), at least 2; a count past MAX_COUNT, inf included, stays
-    past it for TimeGrid to refuse."""
+    past max_steps() for TimeGrid to refuse."""
     return max(2, round(min(steps, MAX_COUNT + 1)))
 
 
@@ -435,7 +435,8 @@ def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
     shifts = ((SADDLE_SHIFT, 0.0), (0.0, SADDLE_SHIFT)) if robust else ()
     try:
         ens, *moved = simulate_paths(params, eq, eq.m, cfg.sim, shifts)
-    except MemoryError as exc:      # no shared map holds the paths
+    except (MemoryError, ValueError) as exc:
+        # no shared map holds the paths, or dt_sim makes an Euler step factor <= 0
         raise ConfigError(f"[sim] {exc}") from None
     L = per_path_cost(ens, params)
 
@@ -478,13 +479,17 @@ def run_verify_checks(cfg: RunConfig) -> list[CheckLine]:
 
 def _mc_line(name: str, est: MCEstimate, theory: float, bias: float) -> CheckLine:
     """A Monte Carlo mean passes within 3 se plus bias * max(1, |theory|).  A
-    weighted one names its ESS, and below ESS_FLOOR fails whatever its miss."""
+    weighted one names its ESS, and below ESS_FLOOR fails whatever its miss.
+    An estimate, se or ESS that is not finite fails."""
     tol = 3 * est.std_error + bias * max(1.0, abs(theory))
+    finite = all(map(math.isfinite, (est.mean, est.std_error, est.ess or 0.0)))
     enough = est.ess is None or est.ess >= ESS_FLOOR
     if est.ess is not None:
-        name += f" (ess {int(est.ess)}{'' if enough else f' < floor {ESS_FLOOR}'})"
+        ess = int(est.ess) if math.isfinite(est.ess) else est.ess
+        name += f" (ess {ess}{'' if enough else f' < floor {ESS_FLOOR}'})"
     return CheckLine(name=name, estimate=est.mean, theory=theory, tolerance=tol,
-                     std_error=est.std_error, passed=enough and abs(est.mean - theory) <= tol)
+                     std_error=est.std_error,
+                     passed=finite and enough and abs(est.mean - theory) <= tol)
 
 
 def _saddle_line(name: str, gap: MCEstimate, theory: float) -> CheckLine:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union, get_type_hints
@@ -21,15 +22,30 @@ __all__ = [
     "ModelParams",
     "PARAM_TYPES",
     "MAX_COUNT",
+    "max_steps",
     "validate",
     "fmt_float",
 ]
 
 
-# the most grid steps, simulation steps or paths: numpy refuses an array of
-# 2**63 bytes or more before allocating it; this leaves room for tables of
-# eight float64 rows of such a count
+# the most paths or sweep rows, and the most steps on any host (max_steps):
+# numpy refuses an array of 2**63 bytes or more before allocating it; this
+# leaves room for tables of eight float64 rows of such a count
 MAX_COUNT = np.iinfo(np.intp).max // 64
+
+
+def max_steps() -> int:
+    """The most grid or simulation steps a run may take, at 1 KiB per step in
+    the host's physical memory, and never more than MAX_COUNT.  A solve's
+    peak grows by 770-960 bytes per grid step (its curves, tables and CSV
+    text; risk-neutral to robust risk-sensitive) and a simulation's by less,
+    so a count past this limit cannot fit: it is refused before any array
+    is allocated."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):   # no sysconf, or no such name
+        return MAX_COUNT
+    return min(MAX_COUNT, memory // 1024)
 
 
 def fmt_float(x: float) -> str:
@@ -107,8 +123,9 @@ class TimeGrid:
     def __post_init__(self):
         if self.T <= 0:
             raise ValueError("T must be positive")
-        if not 2 <= self.n_steps <= MAX_COUNT:
-            raise ValueError(f"n_steps must be >= 2 and <= {MAX_COUNT}")
+        if not 2 <= self.n_steps <= max_steps():
+            raise ValueError(f"n_steps must be >= 2 and <= {max_steps()}, "
+                             "1 KiB per step in physical memory")
 
     @property
     def dt(self) -> float:

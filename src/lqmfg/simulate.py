@@ -2,14 +2,15 @@
 
 Under a linear feedback policy the drift is affine in the state and the
 running cost is quadratic in it, so every variant and policy reduces to
-per-time coefficients: the Euler step x <- e_k x + f_k + sigma dW and the
-trapezoid-weighted running cost (p_k x + q_k) x + r_k are tabulated once per
-call.  One call steps one policy: an equilibrium's feedback laws, or the
-zero policy.  Constant shifts of its offsets move every path by one
-deterministic curve, so their costs are linear functionals of the same
-paths, summed on the same draws (simulate_paths).  The Girsanov sums are
-formed exactly where theta reads them: for an equilibrium of a theta
-variant, never for a shift.
+per-time coefficients.  The Euler step x <- e_k x + f_k + sigma sqrt(dt) z_k
+splits into the policy's sigma = 0 path d, d <- e_k d + f_k from x0, and a
+deviation x - d = sigma sqrt(dt) xi with xi <- e_k xi + z_k from 0.  Only xi
+is stepped.  One call steps one policy, an equilibrium's feedback laws or
+the zero policy, and its constant shifts of the offsets: they share the
+gains, so they share e_k and xi, and differ only in d.  So every cost is a
+quadratic in xi, summed on the same draws (simulate_paths).  The Girsanov
+sums are formed exactly where theta reads them: for an equilibrium of a
+theta variant, never for a shift.
 
 The paths are cut into ceil(n_paths / BLOCK_SIZE) blocks whose sizes differ
 by at most 1 (path_blocks), a layout that depends on n_paths alone.  Block b
@@ -24,12 +25,12 @@ the caller steps again the blocks of a child that could not be forked or
 did not exit 0, so a failure is raised from the caller's own frames with
 its type and message.  A block steps in chunks of up to CHUNK steps.  It
 draws a chunk's normals in one call, by Box-Muller from its stream's
-uniforms (_fill_normals), adds the drift to them, and forms the cost,
-Girsanov and functional terms of those steps in a few whole-chunk calls;
-the state recursion stays per step, and every per-path sum adds a chunk's
-terms in step order by one reduction (_add_rows).  A step's draws depend on
-the block's width alone, so results are bit for bit the same for a given
-seed and n_paths on any number of cores, and for any CHUNK.
+uniforms (_fill_normals), and forms the cost, Girsanov and functional terms
+of those steps in a few whole-chunk calls; the xi recursion stays per step,
+and every per-path sum adds a chunk's terms in step order by one reduction
+(_add_rows).  A step's draws depend on the block's width alone, so results
+are bit for bit the same for a given seed and n_paths on any number of
+cores, and for any CHUNK.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .equilibrium import Equilibrium, _cumulative_trapezoid
-from .model import MAX_COUNT, Coefficient, ModelParams, Trajectory
+from .model import MAX_COUNT, Coefficient, ModelParams, Trajectory, max_steps
 
 __all__ = [
     "SimConfig",
@@ -74,9 +75,9 @@ class SimConfig:
 
     def n_sim_steps(self, T: float) -> int:
         steps = T / self.dt_sim
-        if not steps <= MAX_COUNT:      # inf included
-            raise ValueError(f"dt_sim = {self.dt_sim:g} makes more than {MAX_COUNT} "
-                             f"steps on T = {T:g}")
+        if not steps <= max_steps():    # inf included
+            raise ValueError(f"dt_sim = {self.dt_sim:g} makes more than {max_steps()} "
+                             f"steps on T = {T:g}, 1 KiB per step in physical memory")
         n = round(steps)
         if n < 1 or abs(n * self.dt_sim - T) > 1e-12 * max(T, 1.0):
             raise ValueError(f"dt_sim = {self.dt_sim:g} does not divide T = {T:g}")
@@ -205,23 +206,24 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
 
     The policy is eq's feedback laws u = gu x + ou, v = gv x + ov; eq None
     is the zero policy.  A shift (du, dv) adds constant offsets to its u and
-    v.  Under the linear dynamics it moves every Euler path by the same
-    deterministic curve D, D_0 = 0 and D_{k+1} = e_k D_k + (b du + c dv) dt,
-    so it is no second simulation: its running cost is the policy's plus
-    sum_k alpha_k x_k plus a constant, alpha_k = 2 p_k D_k + (q'_k - q_k)
-    from the cost tables of the two policies, summed per path on the same
-    draws (common random numbers, exactly).  Girsanov sums are formed for
-    eq's policy when the variant uses theta, never for the zero policy or a
-    shift.  States are recorded (as sums) at the nodes of m's grid, which
-    the simulation grid must refine exactly.  Returns the policy's
-    ensemble, then one per shift, in order.
+    v.  The policies share the gains, so they share the step factor
+    e_k = 1 + (a + b gu + c gv) dt and the deviation xi: policy j's paths
+    are x = d_j + cs xi about its own sigma = 0 path d_j, cs = sigma
+    sqrt(dt), and a shift is no second simulation.  Its running cost is the
+    policy's plus a constant plus sum_k (Q_j - Q_0)_k xi_k, summed per path
+    on the same draws (common random numbers, exactly).  Girsanov sums are
+    formed for eq's policy when the variant uses theta, never for the zero
+    policy or a shift.  States are recorded (as sums) at the nodes of m's
+    grid, which the simulation grid must refine exactly.  Returns the
+    policy's ensemble, then one per shift, in order.
 
-    The blocks run on min(CPUs, blocks) workers: the caller and forked
-    children.  A failure in the caller's own blocks kills and reaps the
-    children and is raised.  Otherwise the caller steps again, in block
-    order, every block of a child that could not be forked or did not exit
-    0, so the lowest such block that fails again is raised, and a child
-    that died changes no bit.  MemoryError when the shared map of the
+    ValueError when dt_sim makes some e_k <= 0, naming the bound that dt_sim
+    must stay below.  The blocks run on min(CPUs, blocks) workers: the caller
+    and forked children.  A failure in the caller's own blocks kills and
+    reaps the children and is raised.  Otherwise the caller steps again, in
+    block order, every block of a child that could not be forked or did
+    not exit 0, so the lowest such block that fails again is raised, and a
+    child that died changes no bit.  MemoryError when the shared map of the
     outputs cannot be made.
     """
     T = params.T
@@ -234,7 +236,7 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
     def tab(fn) -> np.ndarray:
         return np.asarray(fn(t_sim), dtype=float)
 
-    # model tables on the simulation grid; outside the robust variants
+    # model coefficients on the simulation grid; outside the robust variants
     # c = s = 0 switch the disturbance channel off
     robust = params.variant.uses_disturbance
     c = params.c if robust else 0.0
@@ -250,45 +252,51 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         gu, ou = tab(law.feedback_gain), tab(law.feedback_offset)
         if law.disturbance_gain is not None:
             gv, ov = tab(law.disturbance_gain), tab(law.disturbance_offset)
+    rate = params.a + params.b * gu + c * gv
+    e = 1.0 + rate * dt
+    if np.any(e <= 0.0):
+        raise ValueError(f"dt_sim = {config.dt_sim:g} makes the Euler step factor 1 + (a + b gu"
+                         f" + c gv) dt_sim <= 0; dt_sim must be below {1.0 / np.max(-rate):.17g}")
+    e = e.tolist()
+    cs = params.sigma * math.sqrt(dt)
+    cost_p = w * (q + qbar + r * gu * gu - s * gv * gv)
 
-    def tables(ou: np.ndarray, ov: np.ndarray):
-        """(e, f, cost_p, cost_q, cost_r) of the policy with offsets ou, ov:
-        the step is x <- e x + f + sigma dW, and the running cost at node k is
-        w (q x^2 + qbar (x-m)^2 + r u^2 - s v^2) = (cost_p x + cost_q) x + r_k,
-        whose x-free r_k are summed once into cost_r."""
-        return (1.0 + (params.a + params.b * gu + c * gv) * dt,
-                (params.abar * m_k + params.b * ou + c * ov) * dt,
-                w * (q + qbar + r * gu * gu - s * gv * gv),
-                2.0 * w * (r * gu * ou - s * gv * ov - qbar * m_k),
-                float(np.sum(w * (qbar * m_k * m_k + r * ou * ou - s * ov * ov))))
+    def policy(ou: np.ndarray, ov: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """(d, Q, const) of the policy with offsets ou, ov: its sigma = 0
+        path d <- e_k d + f_k from x0, and its running cost at node k,
+        w (q x^2 + qbar (x-m)^2 + r u^2 - s v^2) = (cost_p x + cost_q) x + ...,
+        restated in x = d + cs xi as (P xi + Q) xi + ..., P = cs^2 cost_p and
+        Q = cs (2 cost_p d + cost_q), whose xi-free terms sum to const."""
+        f = (params.abar * m_k + params.b * ou + c * ov) * dt
+        d = [params.x0]
+        for e_k, f_k in zip(e[:-1], f.tolist()):
+            d.append(e_k * d[-1] + f_k)
+        d = np.array(d)
+        cost_q = 2.0 * w * (r * gu * ou - s * gv * ov - qbar * m_k)
+        const = np.sum((cost_p * d + cost_q) * d + w * (qbar * m_k * m_k + r * ou * ou
+                                                         - s * ov * ov))
+        return d, cs * (2.0 * cost_p * d + cost_q), float(const)
 
-    e, f, cost_p, cost_q, cost_r = tables(ou, ov)
-    e, f = e.tolist(), f[:, None]       # per-step scalars; drift column
-    shift_D, alphas, consts = [], [], []
-    for du, dv in shifts:
-        *_, q_j, r_j = tables(ou + du, ov + dv)
-        h = (params.b * du + c * dv) * dt
-        D = [0.0]
-        for e_k in e[:-1]:
-            D.append(e_k * D[-1] + h)
-        D = np.array(D)
-        shift_D.append(D)
-        alphas.append((2.0 * cost_p * D + (q_j - cost_q))[:, None])
-        consts.append(float(np.sum((cost_p * D + q_j) * D)) + (r_j - cost_r))
-    cost_p, cost_q = cost_p[:, None], cost_q[:, None]
+    # a cost past the floats is inf or NaN, as are its estimates: verify fails them
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0, Q0, const0 = policy(ou, ov)
+        moved = [policy(ou + du, ov + dv) for du, dv in shifts]
+    alphas = [(Q - Q0)[:, None] for _, Q, _ in moved]
+    P, Q0 = (cs * cs * cost_p)[:, None], Q0[:, None]
     girsanov = eq is not None and params.variant.uses_theta
     if girsanov:
-        # g = sigma (beta x + alpha) = gb x + ga
-        gb = params.sigma * tab(eq.beta)[:, None]
-        ga = params.sigma * tab(eq.alpha)[:, None]
+        # g = sigma (beta x + alpha) = gb xi + ga
+        beta = tab(eq.beta)
+        gb = (params.sigma * cs * beta)[:, None]
+        ga = (params.sigma * (beta * d0 + tab(eq.alpha)))[:, None]
 
     import mmap
     import signal
 
     # every output a worker writes lives in one shared anonymous map, so a
-    # forked worker's writes reach the caller: per path run_cost, x_final,
-    # [int_g_dB, int_g2_dt,] one sum_k alpha_k x_k per shift, then each
-    # block's per-node sums of x and x^2
+    # forked worker's writes reach the caller: per path run_cost, xi_N,
+    # [int_g_dB, int_g2_dt,] one sum_k (Q_j - Q_0)_k xi_k per shift, then
+    # each block's per-node sums of xi and xi^2
     n = config.n_paths
     nb = -(-n // BLOCK_SIZE)
     n_rows = 2 + 2 * girsanov + len(shifts)
@@ -298,24 +306,22 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
     except (OSError, OverflowError) as exc:
         raise MemoryError(f"n_paths = {n} needs a shared map of {size} bytes: {exc}") from None
     per_path = shared[:n_rows * n].reshape(n_rows, n)
-    run_cost, x_final, *rows = per_path
+    run_cost, xi_final, *rows = per_path
     int_g_dB, int_g2_dt = rows[:2] if girsanov else (None, None)    # in units of sqrt(dt), dt
     shift_cost = rows[2 * girsanov:]
     node_sums = shared[n_rows * n:].reshape(nb, 2, n_ode + 1)
     blocks = path_blocks(n)
-    sig_sqdt = params.sigma * math.sqrt(dt)
 
     def block(b: int) -> None:
         """Step block b, paths lo:hi, on stream b in chunks of at most CHUNK nodes.
 
-        X holds the chunk's states, Z its normals, and S is the scratch of
-        their uniforms (one more per row for an odd width), then of the
-        noise f_k + sigma sqrt(dt) z_k, then of the cost, Girsanov and
-        functional terms.  Writes the block's columns of the outputs, each
-        sum from its start, so a block stepped again after a failed worker
-        gives the same bits, and its per-node sums of x and x^2.  Calls no
-        BLAS routine: it may run in a forked child, where numpy's BLAS
-        threads do not exist.
+        X holds the chunk's xi, Z its normals, and S is the scratch of their
+        uniforms (one more per row for an odd width), then of the cost,
+        Girsanov and functional terms.  Writes the block's columns of the
+        outputs, each sum from its start, so a block stepped again after a
+        failed worker gives the same bits, and its per-node sums of xi and
+        xi^2.  Calls no BLAS routine: it may run in a forked child, where
+        numpy's BLAS threads do not exist.
         """
         rng = np.random.default_rng([config.seed, b])
         lo, hi = blocks[b]
@@ -326,8 +332,8 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         cost, sums = run_cost[lo:hi], node_sums[b]
         if girsanov:
             gdB, g2dt = int_g_dB[lo:hi], int_g2_dt[lo:hi]
-        X[0] = params.x0
-        cost[...] = cost_r
+        X[0] = 0.0
+        cost[...] = const0
         per_path[2:, lo:hi] = 0.0       # the Girsanov and shift sums
         for k0 in range(0, n_sim + 1, CHUNK):
             kc = min(CHUNK, n_sim + 1 - k0)     # nodes k0 .. k0 + kc - 1
@@ -336,11 +342,9 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
             if ns:
                 steps = slice(k0, k0 + ns)
                 _fill_normals(rng, Z[:ns], scratch)
-                noise = np.multiply(Z[:ns], sig_sqdt, out=S[:ns])
-                noise += f[steps]
                 for i in range(ns):
-                    x = np.multiply(X[i], e[k0 + i], out=X[i + 1])
-                    x += noise[i]
+                    xi = np.multiply(X[i], e[k0 + i], out=X[i + 1])
+                    xi += Z[i]
                 if girsanov:
                     # Ito (left-point) accumulation with the state's increments
                     g = np.multiply(X[:ns], gb[steps], out=S[:ns])
@@ -349,8 +353,8 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
                     g *= g
                     _add_rows(g2dt, g)
                     _add_rows(gdB, Z[:ns])
-            term = np.multiply(X[:kc], cost_p[nodes], out=S[:kc])
-            term += cost_q[nodes]
+            term = np.multiply(X[:kc], P[nodes], out=S[:kc])
+            term += Q0[nodes]
             term *= X[:kc]
             _add_rows(cost, term)
             for acc, alpha in zip(shift_cost, alphas):
@@ -362,7 +366,7 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
                 rec.sum(axis=1, out=sums[0, j])
                 np.multiply(rec, rec, out=S[:len(rec)]).sum(axis=1, out=sums[1, j])
             if ns < kc:
-                x_final[lo:hi] = X[ns]
+                xi_final[lo:hi] = X[ns]
             else:
                 X[0] = X[kc]
 
@@ -404,32 +408,26 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
     for b in sorted(b for i in failed for b in range(i, nb, workers)):
         block(b)
     # per-node sums in block order from zero: the same bits for any worker count
-    sum_x, sum_x2 = sum(node_sums, np.zeros((2, n_ode + 1)))
+    sum_xi, sum_xi2 = sum(node_sums, np.zeros((2, n_ode + 1)))
     if girsanov:
         int_g_dB *= math.sqrt(dt)
         int_g2_dt *= dt
-    base = PathEnsemble(
-        n_paths=n,
-        m_values=m.values.copy(),
-        sum_x=sum_x,
-        sum_x2=sum_x2,
-        run_cost=run_cost,
-        x_final=x_final,
-        int_g_dB=int_g_dB,
-        int_g2_dt=int_g2_dt,
-    )
 
-    def shifted(D: np.ndarray, cost: np.ndarray, const: float) -> PathEnsemble:
-        """The base ensemble moved by D: x' = x + D at every node."""
-        cost += const
-        cost += run_cost
-        D_rec = D[::stride]
-        return replace(base, run_cost=cost, x_final=x_final + D[-1],
-                       sum_x=sum_x + n * D_rec,
-                       sum_x2=sum_x2 + (2.0 * sum_x + n * D_rec) * D_rec,
-                       int_g_dB=None, int_g2_dt=None)
+    def ensemble(d: np.ndarray, cost: np.ndarray, int_g_dB=None, int_g2_dt=None) -> PathEnsemble:
+        """The ensemble of the policy whose sigma = 0 path is d: x = d + cs xi.
+        Its sum x^2 is (sum x)^2 / n plus cs^2 times the spread of xi, so se_x
+        takes the spread from xi alone, and is 0 where sigma = 0."""
+        sum_x = n * d[::stride] + cs * sum_xi
+        return PathEnsemble(n_paths=n, m_values=m.values.copy(), sum_x=sum_x,
+                            sum_x2=sum_x ** 2 / n + cs * cs * (sum_xi2 - sum_xi ** 2 / n),
+                            run_cost=cost, x_final=xi_final * cs + d[-1],
+                            int_g_dB=int_g_dB, int_g2_dt=int_g2_dt)
 
-    return [base, *map(shifted, shift_D, shift_cost, consts)]
+    for acc, (_, _, const) in zip(shift_cost, moved):
+        acc += const - const0
+        acc += run_cost
+    return [ensemble(d0, run_cost, int_g_dB, int_g2_dt),
+            *(ensemble(d, acc) for (d, _, _), acc in zip(moved, shift_cost))]
 
 
 def _mc_estimate(values: np.ndarray) -> MCEstimate:

@@ -34,7 +34,7 @@ from lqmfg.cli import (
 from lqmfg.equilibrium import (BlowUpError, NonConvergenceError, admissible_beta,
                                solve_equilibrium_closed_form)
 from lqmfg.model import MAX_COUNT, Coefficient, TimeGrid, Variant, fmt_float
-from lqmfg.simulate import SimConfig
+from lqmfg.simulate import MCEstimate, SimConfig
 from conftest import make_params, saddle_gaps, tabulated
 from riccati_oracle import FiniteEscapeError, closed_form_constant_riccati
 
@@ -373,6 +373,8 @@ class TestSolveCommand:
         # counts no numpy array can hold, refused before any allocation
         ("n_steps = 200", f"n_steps = {10 ** 30}"),
         ("n_steps = 200", f"n_steps = {2 ** 63 - 1}"),
+        # below MAX_COUNT, but past 1 KiB per step in any host's memory
+        ("n_steps = 200", f"n_steps = {10 ** 16}"),
         ("T = 1.0\nx0 = 1.0\nm0 = 1.0\n\n[grid]\nn_steps = 200\n",
          "T = 1e306\nx0 = 1.0\nm0 = 1.0\n"),        # the default n_steps, 1000 T
         ("n_steps = 200", "n_steps = 200\n[sweep]\nparameter = theta\nstart = 0\n"
@@ -659,6 +661,7 @@ class TestVerifyCommand:
         # T / dt_sim is inf, or a step count no numpy array can hold
         ("dt_sim = 1e-320", 200, "makes more than"),
         ("dt_sim = 1e-200", 2, "makes more than"),
+        ("dt_sim = 1e-16", 200, "makes more than"),   # 10^16 steps fit in no memory
         # a shared map of the paths larger than any 64-bit address space
         (f"dt_sim = 0.1\nn_paths = {MAX_COUNT}", 10, f"n_paths = {MAX_COUNT} needs"),
     ])
@@ -744,6 +747,57 @@ class TestVerifyThetaLines:
         assert mart.estimate == 0.0 and not mart.passed
         assert mart.name == f"martingale_normalization (ess {ESS_FLOOR - 1} < floor {ESS_FLOOR})"
         assert not lines["value_identity_exponential"].passed
+
+    def test_non_finite_weights_fail_their_lines(self, tmp_path, capsys):
+        # r = 1e308 in mid-horizon and x0 = 700 overflow the cost of every
+        # path: the certainty equivalent, its se and its ESS are NaN
+        text = (BENCH_CFG.replace("risk_neutral", "risk_sensitive\ntheta = 0.25")
+                .replace("r = 1.0", "r = 1, 1e308, 1").replace("x0 = 1.0", "x0 = 700")
+                .replace("n_steps = 200", "n_steps = 2") + "\n[sim]\nn_paths = 3\nseed = 7\n")
+        assert main(["verify", "--config", write_cfg(tmp_path, text), "--out-dir",
+                     str(tmp_path / "o")]) == EXIT_VERIFY_FAIL
+        out = capsys.readouterr().out.splitlines()
+        assert [ln.split()[:2] for ln in out] == [
+            ["FAIL", "mean_consistency"], ["FAIL", "value_identity_quadratic:"],
+            ["FAIL", "value_identity_exponential"], ["FAIL", "martingale_normalization"]]
+        exp_line = next(ln for ln in out if "value_identity_exponential" in ln)
+        assert exp_line.startswith("FAIL  value_identity_exponential (ess nan < floor 100):")
+
+    @pytest.mark.parametrize("std_error, ess", [(math.inf, 500.0), (math.nan, 500.0),
+                                                (0.1, math.inf)])
+    def test_a_non_finite_se_or_ess_fails(self, std_error, ess):
+        line = cli._mc_line("value_identity_exponential",
+                            MCEstimate(mean=1.0, std_error=std_error, ess=ess), 1.0, 1e-3)
+        assert not line.passed and line.render().startswith("FAIL  value_identity_exponential")
+
+    def test_a_finite_ess_is_truncated(self):
+        line = cli._mc_line("martingale_normalization",
+                            MCEstimate(mean=0.0, std_error=0.1, ess=499.9), 0.0, 1e-3)
+        assert line.passed and line.name == "martingale_normalization (ess 499)"
+
+
+class TestEulerStepFactor:
+    """verify refuses a dt_sim at which some Euler step factor
+    e_k = 1 + (a + b gu + c gv) dt_sim is not positive."""
+
+    @pytest.mark.parametrize("q, bound", [("1e6", "0.000999999625"), ("1e7", "0.000316227754")])
+    def test_stiff_feedback_is_one_config_error(self, tmp_path, capsys, q, bound):
+        # at q = 1e6 the feedback gain makes e_k slightly negative at the
+        # default dt_sim = 1e-3, at q = 1e7 far below zero
+        text = (BENCH_CFG.replace("q = 1.0", f"q = {q}").replace("n_steps = 200", "n_steps = 1000")
+                + "\n[sim]\nn_paths = 200\n")
+        assert main(["verify", "--config", write_cfg(tmp_path, text), "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [sim] dt_sim = 0.001 makes the Euler step factor")
+        assert f"dt_sim must be below {bound}" in err and err.count("\n") == 1
+
+    def test_a_step_below_the_named_bound_runs(self, tmp_path):
+        # the q = 1e6 instance at dt_sim = 1e-3 / 2, below 0.000999999625
+        text = (BENCH_CFG.replace("q = 1.0", "q = 1e6").replace("n_steps = 200", "n_steps = 1000")
+                + "\n[sim]\nn_paths = 200\ndt_sim = 0.0005\n")
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert len(cli.run_verify_checks(cfg)) == 2
 
 
 @pytest.fixture(scope="module")
@@ -1172,6 +1226,14 @@ count = 5
             tmp_path, "parameter = T\nstart = 1\nstop = 1e300\ncount = 3\n")
         assert [row[-1] for row in rows] == [str(EXIT_OK), str(EXIT_CONFIG), str(EXIT_CONFIG)]
         assert rows[0][4] != "" and rows[1][1:] == [""] * 6 + [str(EXIT_CONFIG)]
+        assert capsys.readouterr().err == ""
+
+    def test_horizon_past_the_memory_limit_gives_row_code(self, tmp_path, capsys):
+        # T = 5e13 scales the 200-step grid to 10^16 steps: below MAX_COUNT,
+        # but past 1 KiB per step in any host's memory, so refused unallocated
+        rows = self.sweep_rows(tmp_path, "parameter = T\nstart = 1\nstop = 5e13\ncount = 2\n")
+        assert [row[-1] for row in rows] == [str(EXIT_OK), str(EXIT_CONFIG)]
+        assert rows[1][1:] == [""] * 6 + [str(EXIT_CONFIG)]
         assert capsys.readouterr().err == ""
 
     def test_non_finite_rows_are_not_successes(self, tmp_path, capsys):

@@ -129,19 +129,20 @@ class TestBlockLayout:
 
     @pytest.mark.parametrize("n", [1, 64, BLOCK_SIZE])
     def test_one_block_keeps_the_seed_stream(self, n):
-        # a = abar = 0 and no control: x(T) = x0 + sum_k sigma sqrt(dt) z_k,
-        # with every z_k drawn from default_rng([seed, 0]) one step at a time
+        # a = abar = 0 and no control: e_k = 1 and the sigma = 0 path is x0,
+        # so x(T) = x0 + sigma sqrt(dt) xi_N with xi_N = sum_k z_k, every z_k
+        # drawn from default_rng([seed, 0]) one step at a time
         p = make_params(a=0.0, abar=0.0)
         g = TimeGrid(T=1.0, n_steps=10)
         cfg = SimConfig(n_paths=n, dt_sim=0.1, seed=9)
         [ens] = simulate_paths(p, None, Trajectory(g, np.zeros(g.n_steps + 1)), cfg)
         rng = np.random.default_rng([9, 0])
-        x = np.full(n, p.x0)
+        xi = np.zeros(n)
         z, scratch = np.empty((1, n)), np.empty(n + 1)
         for _ in range(10):
             simulate._fill_normals(rng, z, scratch)
-            x += z[0] * (p.sigma * math.sqrt(0.1))
-        np.testing.assert_array_equal(ens.x_final, x)
+            xi += z[0]
+        np.testing.assert_array_equal(ens.x_final, p.x0 + p.sigma * math.sqrt(0.1) * xi)
 
 
 # the largest radius of Box-Muller from 53-bit uniforms: u = 1 - 2^-53
@@ -725,6 +726,33 @@ class TestDegenerateDynamics:
         expected = p.x0 * (1.0 + p.a * dt) ** np.arange(101)
         np.testing.assert_allclose(ens.mean_x(), expected, rtol=1e-13)
         assert np.all(ens.x_final == ens.x_final[0])
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+    def test_sigma_zero_paths_are_each_policys_euler_path(self, name):
+        # without noise every path of a policy and of each shift is its
+        # sigma = 0 Euler path: one constant x_final, se 0 at every node, and
+        # the mean path of the explicit recursion x += (a x + abar m + b u + c v) dt
+        p = make_params(**REFERENCE_INSTANCES[name], sigma=0.0)
+        grid = TimeGrid(T=1.0, n_steps=20)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        cfg = SimConfig(n_paths=300, dt_sim=1.0 / 40, seed=4)
+        shifts = ((0.5, 0.0), (0.0, 0.5))
+        ensembles = simulate_paths(p, eq, eq.m, cfg, shifts)
+        t = np.linspace(0.0, 1.0, 41)
+        law, c = eq.value, p.c if p.variant.uses_disturbance else 0.0
+        gv = ov = np.zeros(t.size)
+        if law.disturbance_gain is not None:
+            gv, ov = law.disturbance_gain(t), law.disturbance_offset(t)
+        for (du, dv), ens in zip(((0.0, 0.0), *shifts), ensembles, strict=True):
+            x = [p.x0]
+            for k in range(40):
+                u = law.feedback_gain(t[k]) * x[-1] + law.feedback_offset(t[k]) + du
+                v = gv[k] * x[-1] + ov[k] + dv
+                x.append(x[-1] + (p.a * x[-1] + p.abar * eq.m(t[k]) + p.b * u + c * v) / 40)
+            assert np.all(ens.x_final == ens.x_final[0])
+            assert np.all(ens.se_x() == 0.0)
+            np.testing.assert_allclose(ens.mean_x(), x[::2], rtol=1e-12, atol=1e-12)
+            assert abs(ens.x_final[0] - x[-1]) <= 1e-12 * max(1.0, abs(x[-1]))
 
     def test_mean_consistency_smoke(self, bench_eq):
         p, eq = bench_eq
