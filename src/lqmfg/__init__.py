@@ -35,7 +35,6 @@ from .simulate import (
     SimConfig,
     estimate_log_girsanov_normalization,
     estimate_quadratic_value,
-    per_path_cost,
     simulate_paths,
 )
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, TimeGrid, Trajectory
+from .model import MAX_COUNT, ModelParams, TimeGrid, Trajectory
 from .riccati import (
     Beta,
     SolveStatus,
@@ -47,16 +47,17 @@ class NonConvergenceError(Exception):
     """The fixed-point route found no usable mean path.
 
     reason is "non_finite" (the mean path, alpha, gamma, the value or the
-    residual left the floats) or "singular" (a pivot of the backward sweep is <= 0); see
+    residual left the floats), "singular" (a pivot of the backward sweep is
+    <= 0) or "step_ratio" (a step ratio m_k+1 / m_k of the sweep is <= 0); see
     solve_equilibrium_picard.  residual_history holds the residual of each
-    Phi application made.
+    Phi application made; detail, if any, ends the message.
     """
 
-    def __init__(self, residual_history: list[float], reason: str):
+    def __init__(self, residual_history: list[float], reason: str, detail: str = ""):
         self.residual_history = residual_history
         self.reason = reason
-        super().__init__(
-            f"no convergence ({reason}); last residual {residual_history[-1]:.3e}")
+        super().__init__(f"no convergence ({reason}); last residual "
+                         f"{residual_history[-1]:.3e}" + (f"; {detail}" if detail else ""))
 
 
 @dataclass(frozen=True)
@@ -153,12 +154,17 @@ def solve_equilibrium_picard(params: ModelParams, beta: Beta, grid: TimeGrid) ->
     NonConvergenceError "non_finite" when that residual is not finite (m,
     alpha or Phi[m] left the floats, e.g. at a = 1e300), otherwise
     "singular" when a pivot is <= 0, where m_k+1 is not fixed by m_k with
-    the sign a resolved path keeps.  On a long horizon with strong mean
-    coupling (a = 1, abar = qbar = qbarT = 4, q = qT = 0, T = 3) the
-    smallest pivot is -0.053, -16.2 and -1.79 at n_steps 150, 300 and 600,
-    and m(T) is -281, -1124 and -4503: the residual, 1e-11 or less, bounds
-    nothing there.  The smallest pivot is 1.0 on the benchmark instances and
-    0.60 and 1.40 at a = +-800.
+    the sign a resolved path keeps, otherwise "step_ratio" when a ratio
+    R_k <= 0: the exact mean keeps its sign, but the trapezoid's ratio
+    (1 + h c/2) / (1 - h c/2) tends to -1 as h c -> -inf, so m flips sign
+    once h |c| passes about 2, at a residual of rounding level (q = 1e6 on
+    the benchmark instance gave value_at_0 = -1900, not 519.9, at n_steps
+    = 10); the message gives h max|c| and an n_steps that brings it to 1.
+    On a long horizon with strong mean coupling (a = 1, abar = qbar = qbarT
+    = 4, q = qT = 0, T = 3) the smallest pivot is -0.053, -16.2 and -1.79 at
+    n_steps 150, 300 and 600, and m(T) is -281, -1124 and -4503: the
+    residual, 1e-11 or less, bounds nothing there.  The smallest pivot is
+    1.0 on the benchmark instances and 0.60 and 1.40 at a = +-800.
     """
     nodes = grid.nodes
     x, f, u, v = beta.solved_for(params, grid).alpha_steps
@@ -187,6 +193,12 @@ def solve_equilibrium_picard(params: ModelParams, beta: Beta, grid: TimeGrid) ->
         raise NonConvergenceError([residual], "non_finite")
     if min(pivots) <= 0.0:
         raise NonConvergenceError([residual], "singular")
+    if min(ratios) <= 0.0:
+        hc = grid.dt * float(np.max(np.abs(c)))
+        n_min = math.ceil(min(grid.n_steps * hc, MAX_COUNT))
+        raise NonConvergenceError([residual], "step_ratio", (
+            f"h max|a + abar - lam beta| = {hc:.4g} must stay below 2 or the mean "
+            f"changes sign; n_steps >= {n_min} brings it to 1 or below"))
     return _finalize(params, beta, m, alpha, grid, 1, residual, history=(residual,))
 
 
@@ -198,10 +210,12 @@ def solve_equilibrium_closed_form(params: ModelParams, beta: Beta, grid: TimeGri
         raise BlowUpError(eta_status, which="eta")
     nodes = grid.nodes
     lam = np.asarray(params.lam(nodes), dtype=float)
-    exponent = (params.a + params.abar) - lam * (beta.values + eta.values)
-    m = Trajectory(grid, params.m0 * np.exp(_cumulative_trapezoid(exponent, nodes)))
-    phi, alpha = apply_phi(params, beta, m, grid)
-    residual = float(np.max(np.abs(phi.values - m.values)))
+    # an m past the floats makes alpha non-finite, which _finalize reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = (params.a + params.abar) - lam * (beta.values + eta.values)
+        m = Trajectory(grid, params.m0 * np.exp(_cumulative_trapezoid(exponent, nodes)))
+        phi, alpha = apply_phi(params, beta, m, grid)
+        residual = float(np.max(np.abs(phi.values - m.values)))
     return _finalize(params, beta, m, alpha, grid, 0, residual, eta=eta)
 
 
@@ -228,10 +242,12 @@ def check_conditions(params: ModelParams, beta: Beta, grid: TimeGrid) -> Conditi
     qbar = np.asarray(params.qbar(nodes), dtype=float)
     T = params.T
 
-    g = float(np.max(np.abs(params.a + params.abar - lam * bv)))
-    g_tilde = float(np.max(np.abs(lam)))
-    eps = float(np.max(np.abs(params.abar * bv - qbar)))
-    exponent_norm = float(np.max(np.abs(params.a - kap * bv)))
+    # a sup-norm past the floats is inf, and so is the bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = float(np.max(np.abs(params.a + params.abar - lam * bv)))
+        g_tilde = float(np.max(np.abs(lam)))
+        eps = float(np.max(np.abs(params.abar * bv - qbar)))
+        exponent_norm = float(np.max(np.abs(params.a - kap * bv)))
     try:
         growth = eps * math.exp(T * exponent_norm) if eps else 0.0
     except OverflowError:

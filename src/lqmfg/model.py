@@ -1,7 +1,7 @@
 """Game instance definition: variants, coefficients, grids, trajectories.
 
-All types here are immutable after construction and safe to share across
-threads; the operations are pure functions.
+All types here are immutable after construction; the operations are pure
+functions.
 """
 from __future__ import annotations
 
@@ -100,8 +100,10 @@ class Coefficient:
         return np.interp(t, self.times, self.values)
 
     def scaled(self, factor: float) -> "Coefficient":
-        """This coefficient times factor, at the same times."""
-        return Coefficient(factor * self.values, self.times)
+        """This coefficient times factor, at the same times; a product past
+        the floats is inf or NaN, which validate refuses."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return Coefficient(factor * self.values, self.times)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coefficient):

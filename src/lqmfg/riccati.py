@@ -183,10 +183,12 @@ class Beta(Trajectory):
 
     @cached_property
     def substages(self) -> np.ndarray:
-        """beta on grid.substages; its own ODE's slopes keep the solves reading it 4th order."""
+        """beta on grid.substages; its own ODE's slopes keep the solves reading it 4th order
+        (a slope past the floats leaves them non-finite, and those solves non_finite)."""
         c0, c1, c2 = _beta_coefficients(self.params, self.grid.nodes)
         v = self.values
-        return _substages(self.grid, self, c2 * v * v + c1 * v + c0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _substages(self.grid, self, c2 * v * v + c1 * v + c0)
 
     @cached_property
     def alpha_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -195,9 +197,9 @@ class Beta(Trajectory):
         (c2 = 0), so x = 2 nn and F = expm1(x) / x, and U m_k+1 + V m_k is its
         w12 of c0 = w (m_k+1, (m_k+1 + m_k) / 2, m_k)."""
         p, t, bv, h = self.params, self.grid.substages, self.substages, self.grid.dt
-        w, c1 = -(p.abar * bv - p.qbar(t)), -p.a + p.kappa(t) * bv
-        x = -h / 6 * (c1[0] + 4 * c1[1] + c1[2])
         with np.errstate(over="ignore", invalid="ignore"):
+            w, c1 = -(p.abar * bv - p.qbar(t)), -p.a + p.kappa(t) * bv
+            x = -h / 6 * (c1[0] + 4 * c1[1] + c1[2])
             f = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
             u = -h / 6 * (w[0] + 2 * w[1]) + h * h / 12 * c1[2] * w[0]
             v = -h / 6 * (2 * w[1] + w[2]) - h * h / 12 * c1[0] * w[2]
@@ -267,7 +269,9 @@ def solve_eta(params: ModelParams, beta: Beta, grid: TimeGrid) -> tuple[Trajecto
     abar, t = params.abar, grid.substages
     lam = params.lam(t)
     kap = lam - params.theta_term
-    coefs = -(abar * bv - params.qbar(t)), -(2 * params.a + abar - (kap + lam) * bv), lam
+    # a coefficient past the floats leaves _propagate no step map: eta is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefs = -(abar * bv - params.qbar(t)), -(2 * params.a + abar - (kap + lam) * bv), lam
     vals, t_blow = _propagate(coefs, -params.qbarT, grid)
     return Trajectory(grid, vals), SolveStatus(t_blow)
 

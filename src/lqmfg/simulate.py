@@ -7,10 +7,10 @@ splits into the policy's sigma = 0 path d, d <- e_k d + f_k from x0, and a
 deviation x - d = sigma sqrt(dt) xi with xi <- e_k xi + z_k from 0.  Only xi
 is stepped.  One call steps one policy, an equilibrium's feedback laws or
 the zero policy, and its constant shifts of the offsets: they share the
-gains, so they share e_k and xi, and differ only in d.  So every cost is a
-quadratic in xi, summed on the same draws (simulate_paths).  The Girsanov
-sums are formed exactly where theta reads them: for an equilibrium of a
-theta variant, never for a shift.
+gains, so they share e_k and xi, and differ only in d.  So every cost, the
+running cost and the terminal one at the last node, is a quadratic in xi,
+summed on the same draws (simulate_paths).  The Girsanov sums are formed
+exactly where theta reads them: for an equilibrium of a theta variant.
 
 The paths are cut into ceil(n_paths / BLOCK_SIZE) blocks whose sizes differ
 by at most 1 (path_blocks), a layout that depends on n_paths alone.  Block b
@@ -50,7 +50,6 @@ __all__ = [
     "MCEstimate",
     "simulate_paths",
     "path_blocks",
-    "per_path_cost",
     "estimate_quadratic_value",
     "estimate_log_girsanov_normalization",
 ]
@@ -83,14 +82,6 @@ class SimConfig:
             raise ValueError(f"dt_sim = {self.dt_sim:g} does not divide T = {T:g}")
         return n
 
-    def record_stride(self, T: float, n_ode: int) -> int:
-        """Simulation steps per step of an n_ode-step grid on [0, T]."""
-        n_sim = self.n_sim_steps(T)
-        if n_sim % n_ode:
-            raise ValueError(f"simulation steps ({n_sim}) must be a multiple of "
-                             f"the ODE grid steps ({n_ode})")
-        return n_sim // n_ode
-
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -101,31 +92,21 @@ class MCEstimate:
 
 @dataclass
 class PathEnsemble:
-    """Summary of a simulated ensemble.
+    """What verify reads of a simulated ensemble.
 
-    Per-node sums of x and x^2 support the mean-consistency check; the
-    per-path arrays hold the running cost
-    (1/2) int q x^2 + qbar (x-m)^2 + r u^2 [- s v^2] dt (trapezoid rule),
-    terminal states and (for an equilibrium of a theta variant) the
+    Per path: the whole cost L = (1/2) int q x^2 + qbar (x-m)^2 + r u^2
+    [- s v^2] dt (trapezoid rule) + (1/2) (qT x_T^2 + qbarT (x_T - m_T)^2),
+    the terminal state and (for an equilibrium of a theta variant) the
     stochastic-exponential accumulators int sigma(beta x+alpha) dB and
-    int sigma^2 (beta x+alpha)^2 dt.
+    int sigma^2 (beta x+alpha)^2 dt.  Per node of m's grid: the sample mean
+    of x and its standard error, for the mean-consistency check.
     """
-    n_paths: int
-    m_values: np.ndarray          # mean path at the nodes where x is recorded
-    sum_x: np.ndarray
-    sum_x2: np.ndarray
-    run_cost: np.ndarray
+    cost: np.ndarray
     x_final: np.ndarray
+    mean_x: np.ndarray
+    se_x: np.ndarray
     int_g_dB: np.ndarray | None = None
     int_g2_dt: np.ndarray | None = None
-
-    def mean_x(self) -> np.ndarray:
-        return self.sum_x / self.n_paths
-
-    def se_x(self) -> np.ndarray:
-        n = self.n_paths
-        var = (self.sum_x2 - self.sum_x ** 2 / n) / max(n - 1, 1)
-        return np.sqrt(np.maximum(var, 0.0) / n)
 
 
 def path_blocks(n: int) -> list[tuple[int, int]]:
@@ -209,27 +190,31 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
     v.  The policies share the gains, so they share the step factor
     e_k = 1 + (a + b gu + c gv) dt and the deviation xi: policy j's paths
     are x = d_j + cs xi about its own sigma = 0 path d_j, cs = sigma
-    sqrt(dt), and a shift is no second simulation.  Its running cost is the
+    sqrt(dt), and a shift is no second simulation.  Its cost is the
     policy's plus a constant plus sum_k (Q_j - Q_0)_k xi_k, summed per path
     on the same draws (common random numbers, exactly).  Girsanov sums are
     formed for eq's policy when the variant uses theta, never for the zero
-    policy or a shift.  States are recorded (as sums) at the nodes of m's
-    grid, which the simulation grid must refine exactly.  Returns the
+    policy or a shift.  The mean of x and its se are formed at the nodes of
+    m's grid, which the simulation grid must refine exactly.  Returns the
     policy's ensemble, then one per shift, in order.
 
-    ValueError when dt_sim makes some e_k <= 0, naming the bound that dt_sim
-    must stay below.  The blocks run on min(CPUs, blocks) workers: the caller
-    and forked children.  A failure in the caller's own blocks kills and
-    reaps the children and is raised.  Otherwise the caller steps again, in
-    block order, every block of a child that could not be forked or did
-    not exit 0, so the lowest such block that fails again is raised, and a
-    child that died changes no bit.  MemoryError when the shared map of the
-    outputs cannot be made.
+    ValueError when dt_sim does not divide T into at most max_steps() steps
+    that refine m's grid, or makes some e_k <= 0, naming the bound that
+    dt_sim must stay below.  The blocks run on min(CPUs, blocks) workers,
+    the caller and forked children.  A failure in the caller's own blocks
+    kills and reaps the children and is raised.  Otherwise the caller steps
+    again, in block order, every block of a child that could not be forked
+    or did not exit 0, so the lowest such block that fails again is raised,
+    and a child that died changes no bit.  MemoryError when the shared map
+    of the outputs cannot be made.
     """
     T = params.T
     n_ode = m.grid.n_steps
-    stride = config.record_stride(T, n_ode)
-    n_sim = stride * n_ode
+    n_sim = config.n_sim_steps(T)
+    if n_sim % n_ode:
+        raise ValueError(f"simulation steps ({n_sim}) must be a multiple of "
+                         f"the ODE grid steps ({n_ode})")
+    stride = n_sim // n_ode
     dt = T / n_sim
     t_sim = np.linspace(0.0, T, n_sim + 1)
 
@@ -259,12 +244,11 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
                          f" + c gv) dt_sim <= 0; dt_sim must be below {1.0 / np.max(-rate):.17g}")
     e = e.tolist()
     cs = params.sigma * math.sqrt(dt)
-    cost_p = w * (q + qbar + r * gu * gu - s * gv * gv)
 
     def policy(ou: np.ndarray, ov: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """(d, Q, const) of the policy with offsets ou, ov: its sigma = 0
-        path d <- e_k d + f_k from x0, and its running cost at node k,
-        w (q x^2 + qbar (x-m)^2 + r u^2 - s v^2) = (cost_p x + cost_q) x + ...,
+        path d <- e_k d + f_k from x0, and its cost at node k,
+        wq x^2 + wqbar (x-m)^2 + w (r u^2 - s v^2) = (cost_p x + cost_q) x + ...,
         restated in x = d + cs xi as (P xi + Q) xi + ..., P = cs^2 cost_p and
         Q = cs (2 cost_p d + cost_q), whose xi-free terms sum to const."""
         f = (params.abar * m_k + params.b * ou + c * ov) * dt
@@ -272,13 +256,18 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         for e_k, f_k in zip(e[:-1], f.tolist()):
             d.append(e_k * d[-1] + f_k)
         d = np.array(d)
-        cost_q = 2.0 * w * (r * gu * ou - s * gv * ov - qbar * m_k)
-        const = np.sum((cost_p * d + cost_q) * d + w * (qbar * m_k * m_k + r * ou * ou
-                                                         - s * ov * ov))
+        cost_q = 2.0 * (w * (r * gu * ou - s * gv * ov) - wqbar * m_k)
+        const = np.sum((cost_p * d + cost_q) * d + wqbar * m_k * m_k
+                       + w * (r * ou * ou - s * ov * ov))
         return d, cs * (2.0 * cost_p * d + cost_q), float(const)
 
     # a cost past the floats is inf or NaN, as are its estimates: verify fails them
     with np.errstate(over="ignore", invalid="ignore"):
+        # the terminal cost (1/2) (qT x^2 + qbarT (x-m)^2) is node N's
+        wq, wqbar = w * q, w * qbar
+        wq[-1] += 0.5 * params.qT
+        wqbar[-1] += 0.5 * params.qbarT
+        cost_p = wq + wqbar + w * (r * gu * gu - s * gv * gv)
         d0, Q0, const0 = policy(ou, ov)
         moved = [policy(ou + du, ov + dv) for du, dv in shifts]
     alphas = [(Q - Q0)[:, None] for _, Q, _ in moved]
@@ -294,7 +283,7 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
     import signal
 
     # every output a worker writes lives in one shared anonymous map, so a
-    # forked worker's writes reach the caller: per path run_cost, xi_N,
+    # forked worker's writes reach the caller: per path cost, xi_N,
     # [int_g_dB, int_g2_dt,] one sum_k (Q_j - Q_0)_k xi_k per shift, then
     # each block's per-node sums of xi and xi^2
     n = config.n_paths
@@ -306,7 +295,7 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
     except (OSError, OverflowError) as exc:
         raise MemoryError(f"n_paths = {n} needs a shared map of {size} bytes: {exc}") from None
     per_path = shared[:n_rows * n].reshape(n_rows, n)
-    run_cost, xi_final, *rows = per_path
+    cost, xi_final, *rows = per_path
     int_g_dB, int_g2_dt = rows[:2] if girsanov else (None, None)    # in units of sqrt(dt), dt
     shift_cost = rows[2 * girsanov:]
     node_sums = shared[n_rows * n:].reshape(nb, 2, n_ode + 1)
@@ -329,11 +318,11 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         X, Z = np.empty((CHUNK + 1, wd)), np.empty((CHUNK, wd))
         scratch = np.empty(CHUNK * (wd + wd % 2))
         S = scratch[:CHUNK * wd].reshape(CHUNK, wd)
-        cost, sums = run_cost[lo:hi], node_sums[b]
+        L, sums = cost[lo:hi], node_sums[b]
         if girsanov:
             gdB, g2dt = int_g_dB[lo:hi], int_g2_dt[lo:hi]
         X[0] = 0.0
-        cost[...] = const0
+        L[...] = const0
         per_path[2:, lo:hi] = 0.0       # the Girsanov and shift sums
         for k0 in range(0, n_sim + 1, CHUNK):
             kc = min(CHUNK, n_sim + 1 - k0)     # nodes k0 .. k0 + kc - 1
@@ -356,7 +345,7 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
             term = np.multiply(X[:kc], P[nodes], out=S[:kc])
             term += Q0[nodes]
             term *= X[:kc]
-            _add_rows(cost, term)
+            _add_rows(L, term)
             for acc, alpha in zip(shift_cost, alphas):
                 _add_rows(acc[lo:hi], np.multiply(X[:kc], alpha[nodes], out=S[:kc]))
             first = -k0 % stride                # the chunk's recorded nodes
@@ -413,35 +402,27 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         int_g_dB *= math.sqrt(dt)
         int_g2_dt *= dt
 
+    # x = d + cs xi: the spread of x is cs times that of xi for every policy
+    se_x = cs * np.sqrt(np.maximum(sum_xi2 - sum_xi ** 2 / n, 0.0) / max(n - 1, 1) / n)
+
     def ensemble(d: np.ndarray, cost: np.ndarray, int_g_dB=None, int_g2_dt=None) -> PathEnsemble:
-        """The ensemble of the policy whose sigma = 0 path is d: x = d + cs xi.
-        Its sum x^2 is (sum x)^2 / n plus cs^2 times the spread of xi, so se_x
-        takes the spread from xi alone, and is 0 where sigma = 0."""
-        sum_x = n * d[::stride] + cs * sum_xi
-        return PathEnsemble(n_paths=n, m_values=m.values.copy(), sum_x=sum_x,
-                            sum_x2=sum_x ** 2 / n + cs * cs * (sum_xi2 - sum_xi ** 2 / n),
-                            run_cost=cost, x_final=xi_final * cs + d[-1],
+        """The ensemble of the policy whose sigma = 0 path is d."""
+        return PathEnsemble(cost=cost, x_final=xi_final * cs + d[-1],
+                            mean_x=d[::stride] + cs * sum_xi / n, se_x=se_x,
                             int_g_dB=int_g_dB, int_g2_dt=int_g2_dt)
 
     for acc, (_, _, const) in zip(shift_cost, moved):
         acc += const - const0
-        acc += run_cost
-    return [ensemble(d0, run_cost, int_g_dB, int_g2_dt),
+        acc += cost
+    return [ensemble(d0, cost, int_g_dB, int_g2_dt),
             *(ensemble(d, acc) for (d, _, _), acc in zip(moved, shift_cost))]
 
 
 def _mc_estimate(values: np.ndarray) -> MCEstimate:
     n = values.size
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MCEstimate(mean=float(values.mean()), std_error=se)
-
-
-def per_path_cost(ensemble: PathEnsemble, params: ModelParams) -> np.ndarray:
-    """Per-path quadratic cost; robust variants include the -s v^2/2 term."""
-    mT = ensemble.m_values[-1]
-    xT = ensemble.x_final
-    terminal = 0.5 * (params.qT * xT * xT + params.qbarT * (xT - mT) ** 2)
-    return ensemble.run_cost + terminal
+    with np.errstate(over="ignore", invalid="ignore"):  # a spread past the floats fails its line
+        se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        return MCEstimate(mean=float(values.mean()), std_error=se)
 
 
 def estimate_quadratic_value(ensemble: PathEnsemble, params: ModelParams) -> MCEstimate:
@@ -451,11 +432,11 @@ def estimate_quadratic_value(ensemble: PathEnsemble, params: ModelParams) -> MCE
     equilibrium, so this estimates value_at_0 in every variant; without
     theta it is the mean of L.
     """
-    cost = per_path_cost(ensemble, params)
+    cost = ensemble.cost
     if params.variant.uses_theta:
         if ensemble.int_g2_dt is None:
             raise ValueError("ensemble was simulated without beta/alpha accumulators")
-        cost += 0.5 * params.theta * ensemble.int_g2_dt
+        cost = cost + 0.5 * params.theta * ensemble.int_g2_dt
     return _mc_estimate(cost)
 
 

@@ -6,8 +6,7 @@ from scipy.integrate import solve_ivp
 
 from lqmfg.model import Coefficient, ModelParams, TimeGrid, Variant
 from lqmfg.riccati import solve_beta
-from lqmfg.simulate import (_certainty_equivalent_gap, _trapz_weight_integral,
-                            per_path_cost, simulate_paths)
+from lqmfg.simulate import _certainty_equivalent_gap, _trapz_weight_integral, simulate_paths
 
 
 def make_params(**overrides) -> ModelParams:
@@ -42,7 +41,7 @@ def saddle_gaps(params: ModelParams, eq, config, d: float):
     (u, v), which completes to (d^2/2) int r, and that at (u, v) less that at
     (u, v + d), which completes to (d^2/2) int s."""
     base, up, vp = simulate_paths(params, eq, eq.m, config, ((d, 0.0), (0.0, d)))
-    L, L_u, L_v = (per_path_cost(e, params) for e in (base, up, vp))
+    L, L_u, L_v = (e.cost for e in (base, up, vp))
     theta = params.theta if params.variant.uses_theta else 0.0
     half_d2 = 0.5 * d * d
     return ((_certainty_equivalent_gap(L_u, L, theta),

@@ -25,7 +25,6 @@ from lqmfg.simulate import (
     _mc_estimate,
     estimate_log_girsanov_normalization,
     estimate_quadratic_value,
-    per_path_cost,
     simulate_paths,
 )
 from lqmfg.cli import ESS_FLOOR, main as cli_main
@@ -108,8 +107,8 @@ def test_criterion_03_route_agreement(grid, bench_eq):
 def test_criterion_04_mean_consistency(bench_eq, bench_ensemble):
     p, eq = bench_eq
     ens = bench_ensemble
-    diff = np.abs(ens.mean_x() - eq.m.values)
-    se = ens.se_x()
+    diff = np.abs(ens.mean_x - eq.m.values)
+    se = ens.se_x
     noisy = se > 0
     worst = float(np.max(diff[noisy] / (3.0 * se[noisy])))
     ok = worst <= 1.0 and bool(np.all(diff[~noisy] <= 1e-12))
@@ -129,7 +128,7 @@ def test_criterion_05_value_identity_and_control_gap(bench_eq, bench_ensemble):
     delta = 0.5
     cfg = SimConfig(n_paths=N_PATHS, dt_sim=1e-3, seed=SEED)
     [_, pert] = simulate_paths(p, eq, eq.m, cfg, ((delta, 0.0),))
-    gap = _mc_estimate(per_path_cost(pert, p) - per_path_cost(bench_ensemble, p))
+    gap = _mc_estimate(pert.cost - bench_ensemble.cost)
     gap_theory = 0.5 * 1.0 * delta ** 2 * p.T
     ok_gap = abs(gap.mean - gap_theory) <= 3 * gap.std_error + bias
     report("criterion 5: quadratic cost matches the value and the perturbed "
@@ -141,7 +140,7 @@ def test_criterion_05_value_identity_and_control_gap(bench_eq, bench_ensemble):
 def test_criterion_06_exponential_identity_and_martingale(rs_setup):
     # on the log scale: (1/theta) log E e^{theta L} = value_at_0 and log E w = 0
     p, eq, ens = rs_setup
-    est = _certainty_equivalent_gap(per_path_cost(ens, p), None, p.theta)
+    est = _certainty_equivalent_gap(ens.cost, None, p.theta)
     theory = eq.value.value_at_0
     bias = 1e-3 * max(1.0, abs(theory))
     ok_value = abs(est.mean - theory) <= 3 * est.std_error + bias

@@ -269,6 +269,23 @@ class TestSolveCommand:
         summary = (out / "summary.txt").read_text().splitlines()
         assert "status=non_convergence" in summary and "reason=singular" in summary
 
+    @pytest.mark.parametrize("n_steps, code", [(10, EXIT_NONCONVERGENCE), (1000, EXIT_OK)])
+    def test_sign_flipping_mean_is_refused(self, tmp_path, capsys, n_steps, code):
+        # q = 1e6 once exited 0 at n_steps = 10 with value_at_0 = -1900 (519.9 true)
+        text = (BENCH_CFG.replace("q = 1.0", "q = 1e6")
+                .replace("n_steps = 200", f"n_steps = {n_steps}"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_cfg(tmp_path, text), "--out-dir",
+                     str(out)]) == code
+        summary = dict(ln.split("=", 1) for ln in (out / "summary.txt").read_text().splitlines())
+        if code == EXIT_OK:
+            assert float(summary["value_at_0"]) == pytest.approx(519.876, abs=0.02)
+            return
+        assert summary["reason"] == "step_ratio"
+        assert capsys.readouterr().out.endswith(
+            "h max|a + abar - lam beta| = 99.97 must stay below 2 or the mean changes sign; "
+            "n_steps >= 1000 brings it to 1 or below\n")
+
     def test_solves_where_picard_diverges(self, tmp_path):
         # the benchmark sweep's instance at theta = 1.7, where rho(L) = 1.14
         text = (BENCH_CFG.replace("risk_neutral", "risk_sensitive\ntheta = 1.7")
@@ -780,16 +797,20 @@ class TestEulerStepFactor:
     """verify refuses a dt_sim at which some Euler step factor
     e_k = 1 + (a + b gu + c gv) dt_sim is not positive."""
 
-    @pytest.mark.parametrize("q, bound", [("1e6", "0.000999999625"), ("1e7", "0.000316227754")])
-    def test_stiff_feedback_is_one_config_error(self, tmp_path, capsys, q, bound):
+    @pytest.mark.parametrize("q, n_steps, dt_sim, bound", [
+        ("1e6", 1000, "0.001", "0.000999999625"),
+        ("1e7", 2000, "0.0005", "0.000316227754")])
+    def test_stiff_feedback_is_one_config_error(self, tmp_path, capsys, q, n_steps, dt_sim,
+                                                bound):
         # at q = 1e6 the feedback gain makes e_k slightly negative at the
-        # default dt_sim = 1e-3, at q = 1e7 far below zero
-        text = (BENCH_CFG.replace("q = 1.0", f"q = {q}").replace("n_steps = 200", "n_steps = 1000")
-                + "\n[sim]\nn_paths = 200\n")
+        # default dt_sim = 1e-3, at q = 1e7 far below zero at the default 5e-4
+        # of a 2000-step grid, on which the solve runs (h max|c| = 1.58)
+        text = (BENCH_CFG.replace("q = 1.0", f"q = {q}")
+                .replace("n_steps = 200", f"n_steps = {n_steps}") + "\n[sim]\nn_paths = 200\n")
         assert main(["verify", "--config", write_cfg(tmp_path, text), "--out-dir",
                      str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: [sim] dt_sim = 0.001 makes the Euler step factor")
+        assert err.startswith(f"config error: [sim] dt_sim = {dt_sim} makes the Euler step factor")
         assert f"dt_sim must be below {bound}" in err and err.count("\n") == 1
 
     def test_a_step_below_the_named_bound_runs(self, tmp_path):
@@ -909,26 +930,24 @@ class TestVerifyPower:
         return failed
 
     @staticmethod
-    def terminal_cost(weight: float, qbarT_scale: float):
-        """per_path_cost with the terminal weight 1/2 and qbarT replaced."""
-        def cost(ensemble, params):
-            mT, xT = ensemble.m_values[-1], ensemble.x_final
-            qbarT = qbarT_scale * params.qbarT
-            return ensemble.run_cost + weight * (params.qT * xT * xT + qbarT * (xT - mT) ** 2)
-        return cost
+    def mutate_terminal_cost(monkeypatch, weight: float, qbarT_scale: float) -> None:
+        """The terminal cost's weight 1/2 and qbarT replaced in the params that
+        verify's simulate_paths costs the paths with: L = ensemble.cost."""
+        real = cli.simulate_paths
 
-    @staticmethod
-    def mutate_cost(monkeypatch, cost) -> None:
-        """per_path_cost replaced where simulate and verify's certainty equivalent read it."""
-        monkeypatch.setattr(simulate, "per_path_cost", cost)
-        monkeypatch.setattr(cli, "per_path_cost", cost)
+        def mutated(params, *args, **kwargs):
+            scale = weight / 0.5
+            return real(replace(params, qT=scale * params.qT,
+                                qbarT=scale * qbarT_scale * params.qbarT), *args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_paths", mutated)
 
     def test_unmutated_instances_pass(self, tmp_path):
         assert self.failing_lines(tmp_path) == set()
 
     def test_terminal_weight_is_caught_by_the_saddle_lines(self, tmp_path, monkeypatch):
-        # L' is per_path_cost of the shifted ensemble, so the saddle lines see it
-        self.mutate_cost(monkeypatch, self.terminal_cost(0.52, 1.0))
+        # L' is the cost of the shifted ensemble, so the saddle lines see it
+        self.mutate_terminal_cost(monkeypatch, 0.52, 1.0)
         assert SADDLE_LINES <= self.failing_lines(tmp_path)
 
     def test_abar_sign_in_the_forward_drift_is_caught(self, tmp_path, monkeypatch):
@@ -947,7 +966,7 @@ class TestVerifyPower:
         # the error moves the control gap by about 0.5 tol at 4000 paths,
         # too little to fail reliably; at 60000 paths it is about 1.9 tol
         # (1.5 to 2.5 over seeds 1-12), so any seed fails the line
-        self.mutate_cost(monkeypatch, self.terminal_cost(0.5, 1.05))
+        self.mutate_terminal_cost(monkeypatch, 0.5, 1.05)
         assert ("robust", "saddle_gap_control") in self.failing_lines(
             tmp_path, n_paths=60000, names=("robust",))
 
@@ -1119,6 +1138,54 @@ class TestOverflowingSquare:
         assert capsys.readouterr().err == ""
 
 
+SWEEP_SECTION = "\n[sweep]\nparameter = {}\nstart = {}\nstop = {}\ncount = 2\n"
+
+
+class TestOverflowWarnsNothing:
+    """An overflow that ends in a documented outcome prints no numpy warning:
+    each case once printed a RuntimeWarning from the site its id names."""
+
+    @pytest.mark.parametrize("command, edits, tail, code, expect", [
+        # a sweep row asked an invalid instance for its admissibility: lam = b^2/r
+        ("sweep", {"r = 1.0": "r = 0"}, SWEEP_SECTION.format("theta", 0, 1), EXIT_OK,
+         "1,,,,,,,1"),
+        ("sweep", {"qbar = 0.5": "qbar = 1e300"}, SWEEP_SECTION.format("qbar-scale", 1, 1e300),
+         EXIT_OK, "1.0000000000000001e+300,,,,,,,1"),
+        ("solve", {"qbarT = 0.5": "qbarT = 1e300"}, "", EXIT_NONCONVERGENCE,
+         "reason=non_finite"),
+        ("solve", {"qT = 1.0": "qT = 1e300", "abar = 0.3": "abar = 0",
+                   "n_steps = 200": "n_steps = 28"}, "", EXIT_NONCONVERGENCE,
+         "reason=non_finite"),
+        ("sweep", {"risk_neutral": "risk_sensitive", "abar = 0.3": "abar = -1e300",
+                   "b = 1.0": "b = 700", "qT = 1.0": "qT = 1e7", "n_steps = 200": "n_steps = 8"},
+         SWEEP_SECTION.format("theta", 0, 1), EXIT_OK, "0,true,,,,,,3"),
+        ("sweep", {"risk_neutral": "robust", "abar = 0.3": "abar = 1e16",
+                   "sigma = 0.2": "sigma = 0", "n_steps = 200": "n_steps = 6"},
+         SWEEP_SECTION.format("c", 0, 1), EXIT_OK, "0,true,,,,,,3"),
+        ("check", {"abar = 0.3": "abar = -1e300", "qbarT = 0.5": "qbarT = 1e300",
+                   "n_steps = 200": "n_steps = 3"}, "", EXIT_OK, "  eps = inf"),
+        ("verify", {"risk_neutral": "robust\nc = 0.5", "qbar = 0.5": "qbar = 0",
+                    "r = 1.0": "r = 1e300", "n_steps = 200": "n_steps = 31"},
+         "\n[sim]\nn_paths = 13\ndt_sim = 0.03225806451612903\n", EXIT_VERIFY_FAIL,
+         "FAIL  saddle_gap_control"),
+        # a subnormal se: the miss of the Euler mean is inf standard errors
+        ("verify", {"sigma = 0.2": "sigma = 1e-320", "n_steps = 200": "n_steps = 20"},
+         "\n[sim]\nn_paths = 49\ndt_sim = 0.05\n", EXIT_VERIFY_FAIL,
+         "FAIL  mean_consistency (max |mean-m| / 3se over nodes): estimate inf"),
+    ], ids=["model.lam", "Coefficient.scaled", "Beta.substages", "Beta.alpha_steps",
+            "solve_eta", "closed_form", "check_conditions", "mc_estimate_std",
+            "mean_consistency"])
+    def test_documented_outcome(self, tmp_path, capsys, command, edits, tail, code, expect):
+        text = BENCH_CFG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        out = tmp_path / "out"
+        assert main([command, "--config", write_cfg(tmp_path, text + tail), "--out-dir",
+                     str(out), "--quiet"]) == code
+        assert expect in "".join(p.read_text() for p in out.glob("*.*"))
+        assert capsys.readouterr().err == ""
+
+
 class TestOverflowingExpValue:
     """theta value_at_0 past log(max float) ~ 709.8: exp_value is inf, not a
     traceback.  kappa = 1 - 5000 * 0.01^2 = 0.5 > 0, so the instance is
@@ -1218,6 +1285,14 @@ count = 5
         for row in rows[:2]:
             assert row[1:] == [""] * 6 + [str(EXIT_CONFIG)]
         assert rows[2][-1] == str(EXIT_OK) and rows[2][4] != ""
+
+    def test_horizon_scaling_the_grid_to_minus_inf_gives_row_code(self, tmp_path, capsys):
+        # 200 * -1e300 / 1e-10 steps is -inf, which once raised OverflowError
+        rows = self.sweep_rows(tmp_path,
+                               "parameter = T\nstart = -1e300\nstop = 1e-10\ncount = 2\n",
+                               BENCH_CFG.replace("T = 1.0", "T = 1e-10"))
+        assert [row[-1] for row in rows] == [str(EXIT_CONFIG), str(EXIT_OK)]
+        assert capsys.readouterr().err == ""
 
     def test_horizon_past_the_array_limit_gives_row_code(self, tmp_path, capsys):
         # T = 5e299 and 1e300 ask for more grid steps than a numpy array can

@@ -205,6 +205,45 @@ class TestFixedPointRoute:
             solve_equilibrium_picard(p, admissible_beta(p, g), g)
         assert exc.value.reason == "singular"
 
+    @pytest.mark.parametrize("q, n_steps, hc, n_min", [
+        (1e6, 10, "99.97", 1000), (1e6, 30, "33.32", 1000), (1e6, 100, "9.997", 1000),
+        (1e6, 499, "2.003", 1000), (1e7, 1000, "3.162", 3162)])
+    def test_sign_flipping_mean_is_refused(self, q, n_steps, hc, n_min):
+        # c = a + abar - lam beta is about -sqrt(q): the trapezoid's ratio
+        # (1 + h c/2) / (1 - h c/2) is < 0 once h |c| > 2.  At q = 1e6 and
+        # n_steps = 10 the sweep gave value_at_0 = -1900 against 519.9
+        p = make_params(q=q)
+        g = TimeGrid(T=1.0, n_steps=n_steps)
+        with pytest.raises(NonConvergenceError) as exc:
+            solve_equilibrium_picard(p, admissible_beta(p, g), g)
+        assert exc.value.reason == "step_ratio"
+        assert exc.value.residual_history[-1] <= 1e-10
+        assert str(exc.value).endswith(
+            f"h max|a + abar - lam beta| = {hc} must stay below 2 or the mean changes "
+            f"sign; n_steps >= {n_min} brings it to 1 or below")
+        g = TimeGrid(T=1.0, n_steps=n_min)
+        assert np.all(solve_equilibrium_picard(p, admissible_beta(p, g), g).m.values >= 0.0)
+
+    def test_both_routes_converge_from_the_first_accepted_grid(self):
+        # q = 1e6: every R_k > 0 from n_steps = 500 on (refused at 499 above).
+        # Against the closed form at 64000 steps (519.8762) the observed
+        # orders of the doublings from 500 are 1.87, 1.96, 2.00 (fixed
+        # point) and 1.69, 1.91, 1.98 (closed form): second order once
+        # h |c| <= 1, short of it at h |c| = 2
+        p = make_params(q=1e6)
+
+        def values(n):
+            g = TimeGrid(T=1.0, n_steps=n)
+            beta = admissible_beta(p, g)
+            return np.array([solve_equilibrium_picard(p, beta, g).value.value_at_0,
+                             solve_equilibrium_closed_form(p, beta, g).value.value_at_0])
+
+        ref = values(64000)[1]
+        err = [np.abs(values(n) - ref) for n in (500, 1000, 2000, 4000)]
+        order = [np.log2(e / e_half) for e, e_half in zip(err, err[1:])]
+        assert np.all(order[0] >= 1.65)
+        assert np.all(np.array(order[1:]) >= 1.9)
+
     def test_overflowing_phi_is_non_finite(self):
         # no warning either: the suite turns warnings into errors
         p = make_params(a=1e300)

@@ -29,7 +29,6 @@ from lqmfg.simulate import (
     _mc_estimate,
     estimate_quadratic_value,
     path_blocks,
-    per_path_cost,
     simulate_paths,
 )
 from lqmfg import simulate
@@ -75,8 +74,8 @@ class TestDeterminism:
         [e1] = simulate_paths(p, eq, eq.m, cfg)
         [e2] = simulate_paths(p, eq, eq.m, cfg)
         np.testing.assert_array_equal(e1.x_final, e2.x_final)
-        np.testing.assert_array_equal(e1.sum_x, e2.sum_x)
-        np.testing.assert_array_equal(e1.run_cost, e2.run_cost)
+        np.testing.assert_array_equal(e1.mean_x, e2.mean_x)
+        np.testing.assert_array_equal(e1.cost, e2.cost)
 
     @settings(max_examples=20, deadline=None)
     @given(variant=st.sampled_from(list(Variant)),
@@ -247,7 +246,7 @@ def _ensembles(monkeypatch, workers, p, eq, m, cfg, shifts=()):
 
 
 SHIFTS = ((0.5, 0.0), (0.0, 0.5), (-0.3, 0.2))
-FIELDS = ("x_final", "run_cost", "sum_x", "sum_x2", "int_g_dB", "int_g2_dt")
+FIELDS = ("x_final", "cost", "mean_x", "se_x", "int_g_dB", "int_g2_dt")
 
 
 def assert_same_bits(got, want):
@@ -489,13 +488,13 @@ def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
     w = np.full(n_sim + 1, dt)
     w[0] = w[-1] = dt / 2
     mt, q, qbar, r, s = m(t), params.q(t), params.qbar(t), params.r(t), params.s(t)
-    sum_x, sum_x2 = np.zeros((2, m.grid.n_steps + 1))
-    out = {key: [] for key in ("cost", "x_final", "int_g_dB", "int_g2_dt")}
+    out = {key: [] for key in ("cost", "x_final", "int_g_dB", "int_g2_dt", "x")}
     for bi, (lo, hi) in enumerate(path_blocks(config.n_paths)):
         bn = hi - lo
         rng = np.random.default_rng([config.seed, bi])
         x = np.full(bn, params.x0)
         qx2, qdev, ru2, sv2, gdB, g2dt = (np.zeros(bn) for _ in range(6))
+        recorded = []
         for k in range(n_sim + 1):
             u = gu[k] * x + ou[k] + shift[0]
             v = gv[k] * x + ov[k] + shift[1]
@@ -506,8 +505,7 @@ def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
             if robust:
                 sv2 += w[k] * s[k] * v * v
             if k % stride == 0:
-                sum_x[k // stride] += x.sum()
-                sum_x2[k // stride] += (x * x).sum()
+                recorded.append(x)
             if k == n_sim:
                 break
             dW = math.sqrt(dt) * box_muller(rng, bn)
@@ -524,8 +522,12 @@ def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
         out["x_final"].append(x)
         out["int_g_dB"].append(gdB)
         out["int_g2_dt"].append(g2dt)
-    out = {key: np.concatenate(parts) for key, parts in out.items()}
-    out["sum_x"], out["sum_x2"] = sum_x, sum_x2
+        out["x"].append(np.array(recorded))
+    out = {key: np.concatenate(parts, axis=-1) for key, parts in out.items()}
+    # two-pass moments of the recorded states, node by node
+    x = out.pop("x")
+    out["mean_x"] = x.mean(axis=1)
+    out["se_x"] = x.std(axis=1, ddof=1) / math.sqrt(x.shape[1])
     return out
 
 
@@ -545,8 +547,8 @@ def assert_matches_reference(p, eq, m, cfg, shifts):
     ensembles = simulate_paths(p, eq, m, cfg, shifts)
     for i, (shift, ens) in enumerate(zip(((0.0, 0.0), *shifts), ensembles, strict=True)):
         ref = reference_paths(p, eq, m, cfg, shift)
-        got = {"cost": per_path_cost(ens, p), "x_final": ens.x_final,
-               "sum_x": ens.sum_x, "sum_x2": ens.sum_x2,
+        got = {"cost": ens.cost, "x_final": ens.x_final,
+               "mean_x": ens.mean_x, "se_x": ens.se_x,
                "int_g_dB": ens.int_g_dB, "int_g2_dt": ens.int_g2_dt}
         # Girsanov sums for an equilibrium of a theta variant only, never
         # for its shifts
@@ -619,7 +621,7 @@ class TestShifts:
         p, eq = bench_eq
         base, same = simulate_paths(p, eq, eq.m, small_config(),
                                     ((0.0, 0.0),))
-        np.testing.assert_array_equal(same.run_cost, base.run_cost)
+        np.testing.assert_array_equal(same.cost, base.cost)
         np.testing.assert_array_equal(same.x_final, base.x_final)
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
@@ -724,7 +726,7 @@ class TestDegenerateDynamics:
         [ens] = simulate_paths(p, None, m, cfg)
         dt = 0.01
         expected = p.x0 * (1.0 + p.a * dt) ** np.arange(101)
-        np.testing.assert_allclose(ens.mean_x(), expected, rtol=1e-13)
+        np.testing.assert_allclose(ens.mean_x, expected, rtol=1e-13)
         assert np.all(ens.x_final == ens.x_final[0])
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
@@ -750,24 +752,24 @@ class TestDegenerateDynamics:
                 v = gv[k] * x[-1] + ov[k] + dv
                 x.append(x[-1] + (p.a * x[-1] + p.abar * eq.m(t[k]) + p.b * u + c * v) / 40)
             assert np.all(ens.x_final == ens.x_final[0])
-            assert np.all(ens.se_x() == 0.0)
-            np.testing.assert_allclose(ens.mean_x(), x[::2], rtol=1e-12, atol=1e-12)
+            assert np.all(ens.se_x == 0.0)
+            np.testing.assert_allclose(ens.mean_x, x[::2], rtol=1e-12, atol=1e-12)
             assert abs(ens.x_final[0] - x[-1]) <= 1e-12 * max(1.0, abs(x[-1]))
 
     def test_mean_consistency_smoke(self, bench_eq):
         p, eq = bench_eq
         [ens] = simulate_paths(p, eq, eq.m,
                                small_config(n_paths=4096, seed=7))
-        err = np.abs(ens.mean_x() - eq.m.values)
+        err = np.abs(ens.mean_x - eq.m.values)
         # 4 SE plus a small discretization allowance
-        assert np.all(err <= 4.0 * ens.se_x() + 5e-3)
+        assert np.all(err <= 4.0 * ens.se_x + 5e-3)
 
 
 class TestEstimators:
     def test_theta_zero_certainty_equivalent_is_the_mean_cost(self, bench_eq):
         p, eq = bench_eq
         [ens] = simulate_paths(p, eq, eq.m, small_config())
-        L = per_path_cost(ens, p)
+        L = ens.cost
         est, plain = _certainty_equivalent_gap(L, None, p.theta), _mc_estimate(L)
         assert (est.mean, est.std_error) == (plain.mean, plain.std_error)
         assert est.ess == 256 and plain.ess is None
@@ -842,10 +844,10 @@ class TestEstimators:
             for dt in (1e-3, 5e-4))
         assert 2 * v_half - v == pytest.approx(eq.value.value_at_0, abs=1e-5)
 
-    def test_per_path_cost_nonnegative_risk_neutral(self, bench_eq):
+    def test_cost_nonnegative_risk_neutral(self, bench_eq):
         p, eq = bench_eq
         [ens] = simulate_paths(p, eq, eq.m, small_config())
-        assert np.all(per_path_cost(ens, p) >= 0.0)
+        assert np.all(ens.cost >= 0.0)
 
     def test_estimate_type(self, bench_eq):
         p, eq = bench_eq
@@ -996,12 +998,12 @@ class TestThetaTheories:
             value = eq.value.value_at_0
             slack = dt_sim * max(1.0, abs(value))    # verify's Euler allowance
             new = estimate_quadratic_value(ens, p)
-            old = _mc_estimate(per_path_cost(ens, p))
+            old = _mc_estimate(ens.cost)
             assert abs(new.mean - value) <= 3 * new.std_error + slack
             assert value - old.mean > 3 * old.std_error + slack
             if not variant.uses_disturbance:
                 continue
-            base, up, vp = (per_path_cost(e, p) for e in simulate_paths(
+            base, up, vp = (e.cost for e in simulate_paths(
                 p, eq, eq.m, cfg, ((0.5, 0.0), (0.0, 0.5))))
             (gap_u, theory_u), (gap_v, theory_v), _ = saddle_gaps(p, eq, cfg, 0.5)
 
