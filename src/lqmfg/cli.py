@@ -32,6 +32,7 @@ from .model import (
     TimeGrid,
     Variant,
     fmt_float,
+    max_steps,
     validate,
 )
 from .equilibrium import (
@@ -219,8 +220,9 @@ def parse_config(path: str | Path,
         cfg.sweep_start = _value(cp, "sweep", "start", _finite)
         cfg.sweep_stop = _value(cp, "sweep", "stop", _finite)
         cfg.sweep_count = _value(cp, "sweep", "count", int)
-        if not 2 <= cfg.sweep_count <= MAX_COUNT:
-            raise ConfigError(f"[sweep] count must be >= 2 and <= {MAX_COUNT}")
+        if not 2 <= cfg.sweep_count <= max_steps():
+            raise ConfigError(f"[sweep] count must be >= 2 and <= {max_steps()}, "
+                              "1 KiB per row in physical memory")
         # checked and dropped: accepted for old configs; rows run serially
         _value(cp, "sweep", "workers", int, 1)
     return cfg
@@ -533,9 +535,8 @@ def _sweep_params(cfg: RunConfig, value: float) -> tuple[ModelParams, TimeGrid]:
         weights = {name: _weight(getattr(p, name).values, value)
                    for name, kind in PARAM_TYPES.items() if kind is Coefficient}
         return replace(p, T=value, **weights), grid
-    if name == "qbar-scale":
-        return replace(p, qbar=p.qbar.scaled(value), qbarT=value * p.qbarT), grid
-    raise ConfigError(f"unknown sweep parameter {name!r}")
+    # qbar-scale: parse_config admits no other parameter
+    return replace(p, qbar=p.qbar.scaled(value), qbarT=value * p.qbarT), grid
 
 
 def _sweep_row(cfg: RunConfig, value: float) -> dict[str, str]:
@@ -602,9 +603,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in _FLAGS:
             sp.add_argument("--" + flag.replace("_", "-"), default=None)
         sp.add_argument("--quiet", action="store_true")
-        if name == "sweep":
-            # accepted for old scripts; the sweep runs serially
-            sp.add_argument("--workers", type=int, default=None)
     return ap
 
 

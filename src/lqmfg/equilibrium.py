@@ -70,7 +70,6 @@ class Equilibrium:
     iterations: int
     residual: float
     eta: Trajectory | None = None      # the closed form's refined coefficient
-    residual_history: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def apply_phi(params: ModelParams, beta: Beta, m: Trajectory,
 
 def _finalize(params: ModelParams, beta: Beta, m: Trajectory, alpha: Trajectory,
               grid: TimeGrid, iterations: int, residual: float,
-              eta: Trajectory | None = None, history: tuple[float, ...] = ()) -> Equilibrium:
+              eta: Trajectory | None = None) -> Equilibrium:
     """The equilibrium at mean path m, with alpha = alpha[m] from its residual's Phi;
     NonConvergenceError "non_finite" when alpha, gamma or the value leave the floats."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -120,8 +119,7 @@ def _finalize(params: ModelParams, beta: Beta, m: Trajectory, alpha: Trajectory,
             and math.isfinite(value.value_at_0)):
         raise NonConvergenceError([residual], "non_finite")
     return Equilibrium(m=m, beta=beta, alpha=alpha, gamma=gamma, value=value,
-                       iterations=iterations, residual=residual, eta=eta,
-                       residual_history=history)
+                       iterations=iterations, residual=residual, eta=eta)
 
 
 def admissible_beta(params: ModelParams, grid: TimeGrid) -> Beta:
@@ -149,7 +147,7 @@ def solve_equilibrium_picard(params: ModelParams, beta: Beta, grid: TimeGrid) ->
     R_k = m_k+1 / m_k = (1 + h/2 (c_k - lam_k F_k V_k)) / piv_k and
     E_k = G R_k + F_k V_k; then m = m0 cumprod(R).  One true Phi application
     gives the residual sup |Phi[m] - m|, at rounding level; iterations = 1
-    counts it, and residual_history holds it.
+    counts it.
 
     NonConvergenceError "non_finite" when that residual is not finite (m,
     alpha or Phi[m] left the floats, e.g. at a = 1e300), otherwise
@@ -199,7 +197,7 @@ def solve_equilibrium_picard(params: ModelParams, beta: Beta, grid: TimeGrid) ->
         raise NonConvergenceError([residual], "step_ratio", (
             f"h max|a + abar - lam beta| = {hc:.4g} must stay below 2 or the mean "
             f"changes sign; n_steps >= {n_min} brings it to 1 or below"))
-    return _finalize(params, beta, m, alpha, grid, 1, residual, history=(residual,))
+    return _finalize(params, beta, m, alpha, grid, 1, residual)
 
 
 def solve_equilibrium_closed_form(params: ModelParams, beta: Beta, grid: TimeGrid) -> Equilibrium:

@@ -28,19 +28,19 @@ __all__ = [
 ]
 
 
-# the most paths or sweep rows, and the most steps on any host (max_steps):
+# the most paths, and the most steps or sweep rows on any host (max_steps):
 # numpy refuses an array of 2**63 bytes or more before allocating it; this
 # leaves room for tables of eight float64 rows of such a count
 MAX_COUNT = np.iinfo(np.intp).max // 64
 
 
 def max_steps() -> int:
-    """The most grid or simulation steps a run may take, at 1 KiB per step in
-    the host's physical memory, and never more than MAX_COUNT.  A solve's
-    peak grows by 770-960 bytes per grid step (its curves, tables and CSV
-    text; risk-neutral to robust risk-sensitive) and a simulation's by less,
-    so a count past this limit cannot fit: it is refused before any array
-    is allocated."""
+    """The most grid or simulation steps or sweep rows a run may take, at
+    1 KiB each in the host's physical memory, and never more than MAX_COUNT.
+    A solve's peak grows by 770-960 bytes per grid step (its curves, tables
+    and CSV text; risk-neutral to robust risk-sensitive) and a simulation's
+    by less, so a count past this limit cannot fit: it is refused before
+    any array is allocated."""
     try:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):   # no sysconf, or no such name

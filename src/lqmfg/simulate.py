@@ -26,11 +26,11 @@ did not exit 0, so a failure is raised from the caller's own frames with
 its type and message.  A block steps in chunks of up to CHUNK steps.  It
 draws a chunk's normals in one call, by Box-Muller from its stream's
 uniforms (_fill_normals), and forms the cost, Girsanov and functional terms
-of those steps in a few whole-chunk calls; the xi recursion stays per step,
-and every per-path sum adds a chunk's terms in step order by one reduction
-(_add_rows).  A step's draws depend on the block's width alone, so results
-are bit for bit the same for a given seed and n_paths on any number of
-cores, and for any CHUNK.
+of those steps in a few whole-chunk calls, each per-path sum taking a
+chunk's terms by one sum; the xi recursion stays per step.  A step's draws
+depend on the block's width alone, so results are bit for bit the same for a
+given seed and n_paths on any number of cores; CHUNK moves only the rounding
+of the per-path sums.
 """
 from __future__ import annotations
 
@@ -99,7 +99,8 @@ class PathEnsemble:
     the terminal state and (for an equilibrium of a theta variant) the
     stochastic-exponential accumulators int sigma(beta x+alpha) dB and
     int sigma^2 (beta x+alpha)^2 dt.  Per node of m's grid: the sample mean
-    of x and its standard error, for the mean-consistency check.
+    and its standard error of the state of a population started at m0 on
+    the same draws, for the mean-consistency check.
     """
     cost: np.ndarray
     x_final: np.ndarray
@@ -128,23 +129,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:      # no sched_getaffinity on this platform
         return os.cpu_count() or 1
-
-
-def _add_rows(acc: np.ndarray, rows: np.ndarray) -> None:
-    """acc += rows[0]; acc += rows[1]; ...: a per-path sum kept in row order,
-    in two numpy calls; rows[0] is overwritten.
-
-    numpy reduces axis 0 of two or more C-ordered columns row after row,
-    from +0, so acc + rows[0] reduced with the other rows has the bits of
-    the loop (a sum the loop leaves at -0 comes out +0).  A single column it
-    sums pairwise, so that one is added row by row.
-    """
-    if rows.shape[1] == 1:
-        for row in rows:
-            acc += row
-        return
-    rows[0] += acc
-    np.add.reduce(rows, axis=0, out=acc)
 
 
 def _fill_normals(rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -194,9 +178,10 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
     policy's plus a constant plus sum_k (Q_j - Q_0)_k xi_k, summed per path
     on the same draws (common random numbers, exactly).  Girsanov sums are
     formed for eq's policy when the variant uses theta, never for the zero
-    policy or a shift.  The mean of x and its se are formed at the nodes of
-    m's grid, which the simulation grid must refine exactly.  Returns the
-    policy's ensemble, then one per shift, in order.
+    policy or a shift.  The mean of the state of a population started at m0
+    and its se are formed at the nodes of m's grid, which the simulation
+    grid must refine exactly.  Returns the policy's ensemble, then one per
+    shift, in order.
 
     ValueError when dt_sim does not divide T into at most max_steps() steps
     that refine m's grid, or makes some e_k <= 0, naming the bound that
@@ -245,21 +230,22 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
     e = e.tolist()
     cs = params.sigma * math.sqrt(dt)
 
-    def policy(ou: np.ndarray, ov: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """(d, Q, const) of the policy with offsets ou, ov: its sigma = 0
-        path d <- e_k d + f_k from x0, and its cost at node k,
+    def policy(ou: np.ndarray, ov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(d, dm, Q, const) of the policy with offsets ou, ov: its sigma = 0
+        path d <- e_k d + f_k from x0, dm the same from m0, and its cost at node k,
         wq x^2 + wqbar (x-m)^2 + w (r u^2 - s v^2) = (cost_p x + cost_q) x + ...,
         restated in x = d + cs xi as (P xi + Q) xi + ..., P = cs^2 cost_p and
         Q = cs (2 cost_p d + cost_q), whose xi-free terms sum to const."""
         f = (params.abar * m_k + params.b * ou + c * ov) * dt
-        d = [params.x0]
+        d, dm = [params.x0], [params.m0]
         for e_k, f_k in zip(e[:-1], f.tolist()):
             d.append(e_k * d[-1] + f_k)
+            dm.append(e_k * dm[-1] + f_k)
         d = np.array(d)
         cost_q = 2.0 * (w * (r * gu * ou - s * gv * ov) - wqbar * m_k)
         const = np.sum((cost_p * d + cost_q) * d + wqbar * m_k * m_k
                        + w * (r * ou * ou - s * ov * ov))
-        return d, cs * (2.0 * cost_p * d + cost_q), float(const)
+        return d, np.array(dm[::stride]), cs * (2.0 * cost_p * d + cost_q), float(const)
 
     # a cost past the floats is inf or NaN, as are its estimates: verify fails them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -268,9 +254,9 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         wq[-1] += 0.5 * params.qT
         wqbar[-1] += 0.5 * params.qbarT
         cost_p = wq + wqbar + w * (r * gu * gu - s * gv * gv)
-        d0, Q0, const0 = policy(ou, ov)
+        d0, dm0, Q0, const0 = policy(ou, ov)
         moved = [policy(ou + du, ov + dv) for du, dv in shifts]
-    alphas = [(Q - Q0)[:, None] for _, Q, _ in moved]
+    alphas = [(Q - Q0)[:, None] for _, _, Q, _ in moved]
     P, Q0 = (cs * cs * cost_p)[:, None], Q0[:, None]
     girsanov = eq is not None and params.variant.uses_theta
     if girsanov:
@@ -340,14 +326,14 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
                     g += ga[steps]
                     Z[:ns] *= g
                     g *= g
-                    _add_rows(g2dt, g)
-                    _add_rows(gdB, Z[:ns])
+                    g2dt += g.sum(axis=0)
+                    gdB += Z[:ns].sum(axis=0)
             term = np.multiply(X[:kc], P[nodes], out=S[:kc])
             term += Q0[nodes]
             term *= X[:kc]
-            _add_rows(L, term)
+            L += term.sum(axis=0)
             for acc, alpha in zip(shift_cost, alphas):
-                _add_rows(acc[lo:hi], np.multiply(X[:kc], alpha[nodes], out=S[:kc]))
+                acc[lo:hi] += np.multiply(X[:kc], alpha[nodes], out=S[:kc]).sum(axis=0)
             first = -k0 % stride                # the chunk's recorded nodes
             if first < kc:
                 rec = X[first:kc:stride]
@@ -405,17 +391,17 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
     # x = d + cs xi: the spread of x is cs times that of xi for every policy
     se_x = cs * np.sqrt(np.maximum(sum_xi2 - sum_xi ** 2 / n, 0.0) / max(n - 1, 1) / n)
 
-    def ensemble(d: np.ndarray, cost: np.ndarray, int_g_dB=None, int_g2_dt=None) -> PathEnsemble:
-        """The ensemble of the policy whose sigma = 0 path is d."""
+    def ensemble(d, dm, cost: np.ndarray, int_g_dB=None, int_g2_dt=None) -> PathEnsemble:
+        """The ensemble of the policy whose sigma = 0 paths are d and dm."""
         return PathEnsemble(cost=cost, x_final=xi_final * cs + d[-1],
-                            mean_x=d[::stride] + cs * sum_xi / n, se_x=se_x,
+                            mean_x=dm + cs * sum_xi / n, se_x=se_x,
                             int_g_dB=int_g_dB, int_g2_dt=int_g2_dt)
 
-    for acc, (_, _, const) in zip(shift_cost, moved):
+    for acc, (_, _, _, const) in zip(shift_cost, moved):
         acc += const - const0
         acc += cost
-    return [ensemble(d0, cost, int_g_dB, int_g2_dt),
-            *(ensemble(d, acc) for (d, _, _), acc in zip(moved, shift_cost))]
+    return [ensemble(d0, dm0, cost, int_g_dB, int_g2_dt),
+            *(ensemble(d, dm, acc) for (d, dm, _, _), acc in zip(moved, shift_cost))]
 
 
 def _mc_estimate(values: np.ndarray) -> MCEstimate:

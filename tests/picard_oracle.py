@@ -19,8 +19,9 @@ def solve_picard(params: ModelParams, beta: Beta, grid: TimeGrid,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                  initial: Trajectory | None = None):
     """Iterate m <- Phi[m] from initial (default the constant m0) until the
-    sup-norm step is <= tol; iterations counts the steps, and residual is
-    that of the returned iterate itself.  NonConvergenceError ("max_iter")
+    sup-norm step is <= tol.  Returns the Equilibrium, whose iterations counts
+    the steps and whose residual is that of the returned iterate itself, and
+    the history of the steps' sup-norms.  NonConvergenceError ("max_iter")
     after max_iter steps."""
     if initial is None:
         initial = Trajectory(grid, np.full(grid.n_steps + 1, params.m0))
@@ -34,6 +35,5 @@ def solve_picard(params: ModelParams, beta: Beta, grid: TimeGrid,
         if res <= tol:
             final, alpha = apply_phi(params, beta, m, grid)
             res = float(np.max(np.abs(final.values - m.values)))
-            return _finalize(params, beta, m, alpha, grid, it, res,
-                             history=tuple(history))
+            return _finalize(params, beta, m, alpha, grid, it, res), tuple(history)
     raise NonConvergenceError(history, "max_iter")

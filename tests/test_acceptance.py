@@ -195,14 +195,14 @@ def test_criterion_09_contraction_uniqueness():
     p = make_params(a=-0.5, abar=0.1, q=0.1, qbar=0.05, qT=0.1, qbarT=0.05,
                     T=0.5)
     g = TimeGrid(T=0.5, n_steps=500)
-    eq1 = solve_picard(p, admissible_beta(p, g), g)
+    eq1, history = solve_picard(p, admissible_beta(p, g), g)
     shifted = np.full(g.n_steps + 1, p.m0 + 1.0)
     shifted[0] = p.m0
-    eq2 = solve_picard(p, admissible_beta(p, g), g, initial=Trajectory(g, shifted))
+    eq2, _ = solve_picard(p, admissible_beta(p, g), g, initial=Trajectory(g, shifted))
     gap = float(np.max(np.abs(eq1.m.values - eq2.m.values)))
 
     rep = check_conditions(p, eq1.beta, g)
-    hist = [r for r in eq1.residual_history if r > 1e-14]
+    hist = [r for r in history if r > 1e-14]
     factor = max(hist[i + 1] / hist[i] for i in range(len(hist) - 1))
     ok = rep.contraction and gap <= 1e-8 and factor <= rep.lipschitz_bound + 0.1
     report("criterion 9: on a contractive instance two starting guesses reach "
@@ -253,13 +253,12 @@ def test_criterion_10_determinism(tmp_path):
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     ok_solve = outs[0] == outs[1]
 
-    sweep_cfg = tmp_path / "sweep.cfg"
-    sweep_cfg.write_text(SWEEP_CFG)
     bytes_by_workers = []
     for i, workers in enumerate(("1", "4")):
-        out = tmp_path / f"s{i}"
+        sweep_cfg, out = tmp_path / f"sweep{i}.cfg", tmp_path / f"s{i}"
+        sweep_cfg.write_text(SWEEP_CFG + f"workers = {workers}\n")
         assert cli_main(["sweep", "--config", str(sweep_cfg), "--out-dir",
-                         str(out), "--workers", workers, "--quiet"]) == 0
+                         str(out), "--quiet"]) == 0
         bytes_by_workers.append((out / "sweep.csv").read_bytes())
     ok_sweep = bytes_by_workers[0] == bytes_by_workers[1]
     report("criterion 10: repeated runs and different worker counts produce "

@@ -33,7 +33,7 @@ from lqmfg.cli import (
 )
 from lqmfg.equilibrium import (BlowUpError, NonConvergenceError, admissible_beta,
                                solve_equilibrium_closed_form)
-from lqmfg.model import MAX_COUNT, Coefficient, TimeGrid, Variant, fmt_float
+from lqmfg.model import MAX_COUNT, Coefficient, TimeGrid, Variant, fmt_float, max_steps
 from lqmfg.simulate import MCEstimate, SimConfig
 from conftest import make_params, saddle_gaps, tabulated
 from riccati_oracle import FiniteEscapeError, closed_form_constant_riccati
@@ -170,6 +170,19 @@ class TestParseConfig:
         cfg = parse_config(write_cfg(tmp_path, text))
         assert cfg.sweep_parameter == "theta"
         assert cfg.sweep_count == 5
+
+    @pytest.mark.parametrize("count", ["1", "-3", str(10 ** 16), str(MAX_COUNT),
+                                       str(2 ** 63)])
+    def test_sweep_count_out_of_range(self, tmp_path, capsys, count):
+        # 10^16 rows are past 1 KiB per row in any host's memory, and
+        # np.linspace would fail to allocate them
+        text = BENCH_CFG + ("\n[sweep]\nparameter = theta\nstart = 0\nstop = 1\n"
+                            f"count = {count}\n")
+        assert main(["sweep", "--config", write_cfg(tmp_path, text), "--out-dir",
+                     str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"config error: [sweep] count must be >= 2 and <= {max_steps()}, "
+                       "1 KiB per row in physical memory\n")
 
     def test_sweep_bad_parameter(self, tmp_path):
         text = BENCH_CFG + "\n[sweep]\nparameter = b\nstart = 0\nstop = 1\ncount = 5\n"
@@ -590,18 +603,17 @@ class TestUsageErrors:
         (["solve"], "the following arguments are required: --config"),
         (["solve", "--config", "run.cfg", "--bogus"], "unrecognized arguments: --bogus"),
         (["sweep", "--config", "run.cfg", "--workers", "many"],
-         "argument --workers: invalid int value: 'many'"),
+         "unrecognized arguments: --workers many"),
     ])
     def test_usage_error_is_one_line_config_error(self, capsys, argv, message):
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_commands_in_one_process_share_the_parser(self, tmp_path, capsys):
-        # the parser is built once per process; --workers belongs to sweep only
+        # the parser is built once per process; --workers belongs to no command
         path = write_cfg(tmp_path, TestSweepCommand.SWEEP)
         runs = [["solve", "--config", path, "--out-dir", str(tmp_path / "s"), "--quiet"],
-                ["sweep", "--config", path, "--out-dir", str(tmp_path / "w"),
-                 "--workers", "2", "--quiet"],
+                ["sweep", "--config", path, "--out-dir", str(tmp_path / "w"), "--quiet"],
                 ["solve", "--config", path, "--workers", "2"]]
         results = [(main(argv), capsys.readouterr().err) for argv in runs]
         assert results == [(EXIT_OK, ""), (EXIT_OK, ""),
@@ -662,6 +674,25 @@ class TestVerifyCommand:
         assert "PASS" in report and "FAIL" not in report
         assert "mean_consistency" in report
         assert "value_identity_quadratic" in report
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_player_start_apart_from_the_mean_passes(self, tmp_path, variant):
+        # m is the mean of a population started at m0, not of the player
+        # started at x0; on the same draws their paths differ by a
+        # deterministic term, so the mean line reads as at x0 = m0
+        model = BENCH_CFG.replace("risk_neutral", variant.value).replace(
+            "m0 = 1.0", "m0 = 1.0\nc = 0.5\ntheta = 0.25")
+        sim = "\n[sim]\nn_paths = 4000\ndt_sim = 1e-3\nseed = 7\n"
+        reports = []
+        for x0 in ("1.0", "2.0"):
+            path = write_cfg(tmp_path, model.replace("x0 = 1.0", f"x0 = {x0}") + sim)
+            out = tmp_path / f"x0_{x0}"
+            assert main(["verify", "--config", path, "--out-dir", str(out),
+                         "--quiet"]) == EXIT_OK
+            reports.append((out / "verify_report.txt").read_text().splitlines())
+        assert reports[1][0].startswith("PASS  mean_consistency")
+        assert reports[1][0] == reports[0][0]
+        assert all(line.startswith("PASS") for line in reports[1])
 
     def test_blow_up_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, BLOWUP_CFG)
@@ -1245,12 +1276,22 @@ count = 5
         assert len(lines) == 6
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
-        path = write_cfg(tmp_path, self.SWEEP)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        main(["sweep", "--config", path, "--out-dir", str(out1), "--quiet"])
-        main(["sweep", "--config", path, "--out-dir", str(out2),
-              "--workers", "4", "--quiet"])
-        assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+        outs = []
+        for workers in ("1", "4"):
+            path = write_cfg(tmp_path, self.SWEEP + f"workers = {workers}\n")
+            outs.append(tmp_path / f"o{workers}")
+            assert main(["sweep", "--config", path, "--out-dir", str(outs[-1]),
+                         "--quiet"]) == EXIT_OK
+        assert (outs[0] / "sweep.csv").read_bytes() == (outs[1] / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("count, code", [(3, EXIT_OK), (4, EXIT_CONFIG)])
+    def test_count_is_bounded_by_the_size_rule(self, tmp_path, monkeypatch, count, code):
+        # max_steps() rows run; one more is refused before any row is made
+        monkeypatch.setattr(cli, "max_steps", lambda: 3)
+        path = write_cfg(tmp_path, self.SWEEP.replace("count = 5", f"count = {count}"))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", path, "--out-dir", str(out), "--quiet"]) == code
+        assert (out / "sweep.csv").is_file() == (code == EXIT_OK)
 
     def test_sweep_without_section(self, tmp_path):
         path = write_cfg(tmp_path, BENCH_CFG)

@@ -1,10 +1,11 @@
 """cli.main over generated configs: every input ends in a documented exit.
 
 Each example takes the benchmark instance, sets one to four [model] keys to
-extreme values and runs one command in process on a small grid.  Whatever
-the input, the run exits 0-4, a config error is one `config error:` line,
-nothing else reaches stderr (no traceback, no numpy warning), and a solve's
-summary holds no nan or inf where it reports a number of its own.
+extreme values (and a sweep's bounds and count) and runs one command in
+process on a small grid.  Whatever the input, the run exits 0-4, a config
+error is one `config error:` line, nothing else reaches stderr (no
+traceback, no numpy warning), and a solve's summary holds no nan or inf
+where it reports a number of its own.
 """
 import contextlib
 import io
@@ -28,7 +29,10 @@ WEIGHTS = ("q", "qbar", "r", "s")
 # T rows scale n_steps by value / T: these keep a row's grid at 80 steps or
 # past any host's memory
 SWEEP_VALUES = {"T": ["0", "-0", "1e-320", "0.5", "2", "1e16", "1e300", "-1e300"]}
-MAX_GRID = 10 ** 5      # the most steps any grid of an example may take
+MAX_GRID = 10 ** 5      # the most steps any grid or sweep of an example may take
+# sweep counts outside 2 .. MAX_GRID: none is run, as none may allocate
+COUNTS = ["0", "1", "-1", "1e3", str(MAX_GRID + 1), str(10 ** 16), str(model.MAX_COUNT),
+          str(2 ** 63)]
 
 value = st.sampled_from(EXTREMES)
 # a tabulated weight: two node values, extreme or not
@@ -59,7 +63,8 @@ def configs(draw):
     if command == "sweep":
         parameter = draw(st.sampled_from(cli.SWEEP_PARAMETERS))
         values = st.sampled_from(SWEEP_VALUES.get(parameter, EXTREMES))
-        count = draw(st.integers(2, 3 if parameter == "T" else 5))
+        count = draw(st.one_of(st.integers(2, 3 if parameter == "T" else 5),
+                               st.sampled_from(COUNTS)))
         text += (f"[sweep]\nparameter = {parameter}\nstart = {draw(values)}\n"
                  f"stop = {draw(values)}\ncount = {count}\n")
     return command, text
@@ -74,9 +79,9 @@ def non_finite(text: str) -> bool:
 def test_every_input_ends_in_a_documented_exit(case):
     command, text = case
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        # every grid capped at MAX_GRID steps: a larger one is refused, as
-        # one past the host's memory is
-        for module in (model, simulate):
+        # every grid and sweep capped at MAX_GRID steps or rows: a larger one
+        # is refused, as one past the host's memory is
+        for module in (model, simulate, cli):
             mp.setattr(module, "max_steps", lambda: MAX_GRID)
         path, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
         path.write_text(text)

@@ -66,12 +66,11 @@ def documented_sections() -> dict[str, set[str]]:
     return sections
 
 
-def documented_flags() -> tuple[set[str], set[str]]:
-    """The flags the README gives every command, and those only sweep takes."""
+def documented_flags() -> set[str]:
+    """The flags the README gives every command."""
     text = README.read_text()
     text = text[text.index("Flags of every command"):]
-    every, _, sweep = text[:text.index("\n\n")].partition("`sweep` also takes")
-    return set(re.findall(r"`(--[\w-]+)`", every)), set(re.findall(r"`(--[\w-]+)`", sweep))
+    return set(re.findall(r"`(--[\w-]+)`", text[:text.index("\n\n")]))
 
 
 def test_documented_keys_are_the_accepted_ones():
@@ -80,14 +79,14 @@ def test_documented_keys_are_the_accepted_ones():
 
 
 def test_documented_flags_are_the_parsers():
-    every, sweep_only = documented_flags()
+    every = documented_flags()
     [subparsers] = [action for action in cli._build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction)]
     assert set(subparsers.choices) == {"solve", "verify", "sweep", "check"}
     for name, parser in subparsers.choices.items():
         flags = {flag for action in parser._actions for flag in action.option_strings
                  if flag.startswith("--") and flag != "--help"}
-        assert flags == every | (sweep_only if name == "sweep" else set()), name
+        assert flags == every, name
 
 
 def documented_verify_lines() -> set[str]:

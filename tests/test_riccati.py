@@ -341,7 +341,7 @@ class TestTabulatedCore:
         # the benchmark's four solve instances at n_steps = 1000
         p = make_params(**overrides)
         beta = admissible_beta(p, grid)
-        eq_p = solve_picard(p, beta, grid)
+        eq_p, _ = solve_picard(p, beta, grid)
         eq_c = solve_equilibrium_closed_form(p, beta, grid)
         assert eq_p.iterations == iterations
         assert eq_p.value.value_at_0 == pytest.approx(picard_value, abs=1e-13)

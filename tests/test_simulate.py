@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,21 +226,6 @@ class TestNormals:
         np.testing.assert_array_equal(fill(np.random.default_rng(3), 4, width), one_by_one)
 
 
-class TestAddRows:
-    @pytest.mark.parametrize("width", [1, 2, 3, 1000])
-    @pytest.mark.parametrize("n_rows", [1, 2, 5, 9, 64])
-    def test_equals_the_row_loop_bit_for_bit(self, width, n_rows):
-        rng = np.random.default_rng(100 * width + n_rows)
-        rows = (rng.standard_normal((n_rows, width))
-                * 10.0 ** rng.integers(-12, 13, (n_rows, width)))
-        acc = 1e3 * rng.standard_normal(width)
-        want = acc.copy()
-        for row in rows:
-            want += row
-        simulate._add_rows(acc, rows)
-        np.testing.assert_array_equal(acc.view(np.int64), want.view(np.int64))
-
-
 def _ensembles(monkeypatch, workers, p, eq, m, cfg, shifts=()):
     monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
     return simulate_paths(p, eq, m, cfg, shifts)
@@ -249,13 +235,14 @@ SHIFTS = ((0.5, 0.0), (0.0, 0.5), (-0.3, 0.2))
 FIELDS = ("x_final", "cost", "mean_x", "se_x", "int_g_dB", "int_g2_dt")
 
 
-def assert_same_bits(got, want):
+def assert_same_bits(got, want, rtol=0.0):
+    """Every field of every ensemble equal, or within rtol relative."""
     for a_ens, b_ens in zip(got, want, strict=True):
         for key in FIELDS:
             a, b = getattr(a_ens, key), getattr(b_ens, key)
             assert (a is None) == (b is None), key
             if b is not None:
-                np.testing.assert_array_equal(a, b, err_msg=key)
+                np.testing.assert_allclose(a, b, rtol=rtol, atol=0, err_msg=key)
 
 
 def assert_no_child():
@@ -467,7 +454,8 @@ def box_muller(rng, n):
 def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
     """Per-step Euler-Maruyama with u, v, x - m and four separate cost sums,
     for eq's policy (None: the zero policy) with its offsets shifted by
-    (du, dv).
+    (du, dv).  The player starts at x0; the moments of the state are those
+    of a population stepped from m0 on the same draws.
 
     Draws the same per-block streams as simulate_paths: block b, the paths
     lo:hi of path_blocks, uses default_rng([seed, b]).
@@ -492,12 +480,22 @@ def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
     for bi, (lo, hi) in enumerate(path_blocks(config.n_paths)):
         bn = hi - lo
         rng = np.random.default_rng([config.seed, bi])
-        x = np.full(bn, params.x0)
+        x, pop = np.full(bn, params.x0), np.full(bn, params.m0)
         qx2, qdev, ru2, sv2, gdB, g2dt = (np.zeros(bn) for _ in range(6))
         recorded = []
+
+        def controls(k, x):
+            return gu[k] * x + ou[k] + shift[0], gv[k] * x + ov[k] + shift[1]
+
+        def step(k, x, dW):
+            u, v = controls(k, x)
+            drift = params.a * x + params.abar * mt[k] + params.b * u
+            if robust:
+                drift = drift + params.c * v
+            return x + drift * dt + params.sigma * dW
+
         for k in range(n_sim + 1):
-            u = gu[k] * x + ou[k] + shift[0]
-            v = gv[k] * x + ov[k] + shift[1]
+            u, v = controls(k, x)
             dev = x - mt[k]
             qx2 += w[k] * q[k] * x * x
             qdev += w[k] * qbar[k] * dev * dev
@@ -505,7 +503,7 @@ def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
             if robust:
                 sv2 += w[k] * s[k] * v * v
             if k % stride == 0:
-                recorded.append(x)
+                recorded.append(pop)
             if k == n_sim:
                 break
             dW = math.sqrt(dt) * box_muller(rng, bn)
@@ -513,10 +511,7 @@ def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
                 g = params.sigma * (eq.beta(t[k]) * x + eq.alpha(t[k]))
                 gdB += g * dW
                 g2dt += g * g * dt
-            drift = params.a * x + params.abar * mt[k] + params.b * u
-            if robust:
-                drift = drift + params.c * v
-            x = x + drift * dt + params.sigma * dW
+            x, pop = step(k, x, dW), step(k, pop, dW)
         terminal = 0.5 * (params.qT * x * x + params.qbarT * (x - mt[-1]) ** 2)
         out["cost"].append(0.5 * (qx2 + qdev + ru2 - sv2) + terminal)
         out["x_final"].append(x)
@@ -569,6 +564,22 @@ class TestReferenceEuler:
         assert_matches_reference(p, eq, eq.m, cfg, SHIFTS)
         assert_matches_reference(p, None, eq.m, cfg, SHIFTS[:1])
 
+    @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+    def test_player_apart_from_the_population(self, name):
+        # the player starts at x0 = 2.5, the population at m0 = 1: costs and
+        # terminal states are the player's, the moments the population's
+        p = make_params(**REFERENCE_INSTANCES[name], x0=2.5)
+        grid = TimeGrid(T=1.0, n_steps=20)
+        eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
+        cfg = SimConfig(n_paths=300, dt_sim=1.0 / 40, seed=5)
+        assert_matches_reference(p, eq, eq.m, cfg, SHIFTS)
+        assert_matches_reference(p, None, eq.m, cfg, SHIFTS[:1])
+        # the population's moments do not depend on where the player starts
+        at_m0 = simulate_paths(replace(p, x0=p.m0), eq, eq.m, cfg, SHIFTS)
+        for ens, same in zip(simulate_paths(p, eq, eq.m, cfg, SHIFTS), at_m0, strict=True):
+            np.testing.assert_array_equal(ens.mean_x, same.mean_x)
+            np.testing.assert_array_equal(ens.se_x, same.se_x)
+
 
 class TestShifts:
     """Shifted offsets as path functionals of the one simulated policy."""
@@ -580,11 +591,11 @@ class TestShifts:
            c=st.floats(0.0, 0.8), sigma=st.floats(0.0, 0.6),
            theta=st.floats(0.0, 0.5),
            du=st.floats(-1.0, 1.0), dv=st.floats(-1.0, 1.0),
-           seed=st.integers(0, 2 ** 31))
+           x0=st.floats(-2.0, 2.0), seed=st.integers(0, 2 ** 31))
     def test_shifted_costs_match_the_reference_of_the_shifted_policy(
-            self, variant, a, abar, c, sigma, theta, du, dv, seed):
+            self, variant, a, abar, c, sigma, theta, du, dv, x0, seed):
         p = make_params(variant=variant, a=a, abar=abar, c=c, sigma=sigma, theta=theta,
-                        r=tabulated(1.0, 0.7, 1.3), s=tabulated(1.2, 0.9))
+                        x0=x0, r=tabulated(1.0, 0.7, 1.3), s=tabulated(1.2, 0.9))
         grid = TimeGrid(T=1.0, n_steps=10)
         try:
             eq = solve_equilibrium_closed_form(p, admissible_beta(p, grid), grid)
@@ -606,16 +617,18 @@ class TestShifts:
         assert_same_bits(shifted[:1], alone)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
-    def test_chunk_length_changes_no_bit(self, monkeypatch, chunk):
+    def test_chunk_length_changes_only_rounding(self, monkeypatch, chunk):
         # CHUNK = 1 is the plain per-step loop; a stride of 3 puts the
-        # recorded nodes at every offset within the longer chunks
+        # recorded nodes at every offset within the longer chunks.  A chunk
+        # adds its steps' terms to the per-path sums as one sum, so only
+        # their rounding may move
         p = make_params(**REFERENCE_INSTANCES["robust_risk_sensitive"])
         grid = TimeGrid(T=1.0, n_steps=10)
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         cfg = SimConfig(n_paths=302, dt_sim=1.0 / 30, seed=8)
         want = simulate_paths(p, eq, eq.m, cfg, SHIFTS)
         monkeypatch.setattr(simulate, "CHUNK", chunk)
-        assert_same_bits(simulate_paths(p, eq, eq.m, cfg, SHIFTS), want)
+        assert_same_bits(simulate_paths(p, eq, eq.m, cfg, SHIFTS), want, rtol=1e-12)
 
     def test_zero_shift_is_the_policy_itself(self, bench_eq):
         p, eq = bench_eq
