@@ -616,19 +616,37 @@ class TestShifts:
         assert len(shifted) == 1 + len(SHIFTS)
         assert_same_bits(shifted[:1], alone)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
-    def test_chunk_length_changes_only_rounding(self, monkeypatch, chunk):
-        # CHUNK = 1 is the plain per-step loop; a stride of 3 puts the
-        # recorded nodes at every offset within the longer chunks.  A chunk
-        # adds its steps' terms to the per-path sums as one sum, so only
-        # their rounding may move
+    @staticmethod
+    def at_chunk(monkeypatch, chunk):
+        """The ensembles at CHUNK = chunk and at the default CHUNK.
+
+        CHUNK = 1 is the plain per-step loop; a stride of 3 puts the
+        recorded nodes at every offset within the longer chunks.
+        """
         p = make_params(**REFERENCE_INSTANCES["robust_risk_sensitive"])
         grid = TimeGrid(T=1.0, n_steps=10)
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         cfg = SimConfig(n_paths=302, dt_sim=1.0 / 30, seed=8)
         want = simulate_paths(p, eq, eq.m, cfg, SHIFTS)
         monkeypatch.setattr(simulate, "CHUNK", chunk)
-        assert_same_bits(simulate_paths(p, eq, eq.m, cfg, SHIFTS), want, rtol=1e-12)
+        return simulate_paths(p, eq, eq.m, cfg, SHIFTS), want
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+    def test_chunk_length_changes_only_rounding(self, monkeypatch, chunk):
+        # a chunk adds its steps' terms to the per-path sums as one sum, so
+        # only their rounding may move
+        got, want = self.at_chunk(monkeypatch, chunk)
+        assert_same_bits(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+    def test_chunk_length_changes_no_bit(self, monkeypatch, chunk):
+        # the xi recursion is per step and a recorded node's moments sum
+        # one row of paths, so the state and its moments keep every bit
+        got, want = self.at_chunk(monkeypatch, chunk)
+        for a_ens, b_ens in zip(got, want, strict=True):
+            for key in ("x_final", "mean_x", "se_x"):
+                np.testing.assert_array_equal(getattr(a_ens, key), getattr(b_ens, key),
+                                              err_msg=key)
 
     def test_zero_shift_is_the_policy_itself(self, bench_eq):
         p, eq = bench_eq
