@@ -162,11 +162,6 @@ class Trajectory:
     def __call__(self, t):
         return np.interp(t, self.grid.nodes, self.values)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Trajectory):
-            return NotImplemented
-        return self.grid == other.grid and np.array_equal(self.values, other.values)
-
     def __repr__(self) -> str:
         return f"Trajectory(n={self.grid.n_steps}, T={self.grid.T})"
 

@@ -25,12 +25,13 @@ the caller steps again the blocks of a child that could not be forked or
 did not exit 0, so a failure is raised from the caller's own frames with
 its type and message.  A block steps in chunks of up to CHUNK steps.  It
 draws a chunk's normals in one call, by Box-Muller from its stream's
-uniforms (_fill_normals), and forms the cost, Girsanov and functional terms
-of those steps in a few whole-chunk calls, each per-path sum taking a
-chunk's terms by one sum; the xi recursion stays per step.  A step's draws
-depend on the block's width alone, so results are bit for bit the same for a
-given seed and n_paths on any number of cores; CHUNK moves only the rounding
-of the per-path sums.
+uniforms (_fill_normals), and forms each per-path sum of those steps, the
+cost, a shift's term and the Girsanov sums, as one product-sum over the
+chunk's rows (np.einsum, at its default optimize=False numpy's own loop, no
+BLAS).  The xi recursion stays per step, and the draws are read-only after
+it.  A step's draws depend on the block's width alone, so results are bit
+for bit the same for a given seed and n_paths on any number of cores; CHUNK
+moves only the rounding of the per-path sums.
 """
 from __future__ import annotations
 
@@ -256,14 +257,14 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         cost_p = wq + wqbar + w * (r * gu * gu - s * gv * gv)
         d0, dm0, Q0, const0 = policy(ou, ov)
         moved = [policy(ou + du, ov + dv) for du, dv in shifts]
-    alphas = [(Q - Q0)[:, None] for _, _, Q, _ in moved]
+    alphas = [Q - Q0 for _, _, Q, _ in moved]
     P, Q0 = (cs * cs * cost_p)[:, None], Q0[:, None]
     girsanov = eq is not None and params.variant.uses_theta
     if girsanov:
-        # g = sigma (beta x + alpha) = gb xi + ga
+        # sqrt(dt) g = cs (beta x + alpha) = gb xi + ga, so g dB = (gb xi + ga) z
         beta = tab(eq.beta)
-        gb = (params.sigma * cs * beta)[:, None]
-        ga = (params.sigma * (beta * d0 + tab(eq.alpha)))[:, None]
+        gb = (cs * cs * beta)[:, None]
+        ga = (cs * (beta * d0 + tab(eq.alpha)))[:, None]
 
     import mmap
     import signal
@@ -282,7 +283,7 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         raise MemoryError(f"n_paths = {n} needs a shared map of {size} bytes: {exc}") from None
     per_path = shared[:n_rows * n].reshape(n_rows, n)
     cost, xi_final, *rows = per_path
-    int_g_dB, int_g2_dt = rows[:2] if girsanov else (None, None)    # in units of sqrt(dt), dt
+    int_g_dB, int_g2_dt = rows[:2] if girsanov else (None, None)
     shift_cost = rows[2 * girsanov:]
     node_sums = shared[n_rows * n:].reshape(nb, 2, n_ode + 1)
     blocks = path_blocks(n)
@@ -291,12 +292,12 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         """Step block b, paths lo:hi, on stream b in chunks of at most CHUNK nodes.
 
         X holds the chunk's xi, Z its normals, and S is the scratch of their
-        uniforms (one more per row for an odd width), then of the cost,
-        Girsanov and functional terms.  Writes the block's columns of the
-        outputs, each sum from its start, so a block stepped again after a
-        failed worker gives the same bits, and its per-node sums of xi and
-        xi^2.  Calls no BLAS routine: it may run in a forked child, where
-        numpy's BLAS threads do not exist.
+        uniforms (one more per row for an odd width), then of the factors
+        P xi + Q0 and sqrt(dt) g of the product-sums.  Writes the block's
+        columns of the outputs, each sum from its start, so a block stepped
+        again after a failed worker gives the same bits, and its per-node
+        sums of xi and xi^2.  Calls no BLAS routine: it may run in a forked
+        child, where numpy's BLAS threads do not exist.
         """
         rng = np.random.default_rng([config.seed, b])
         lo, hi = blocks[b]
@@ -324,16 +325,13 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
                     # Ito (left-point) accumulation with the state's increments
                     g = np.multiply(X[:ns], gb[steps], out=S[:ns])
                     g += ga[steps]
-                    Z[:ns] *= g
-                    g *= g
-                    g2dt += g.sum(axis=0)
-                    gdB += Z[:ns].sum(axis=0)
+                    gdB += np.einsum("kp,kp->p", g, Z[:ns])
+                    g2dt += np.einsum("kp,kp->p", g, g)
             term = np.multiply(X[:kc], P[nodes], out=S[:kc])
             term += Q0[nodes]
-            term *= X[:kc]
-            L += term.sum(axis=0)
+            L += np.einsum("kp,kp->p", term, X[:kc])
             for acc, alpha in zip(shift_cost, alphas):
-                acc[lo:hi] += np.multiply(X[:kc], alpha[nodes], out=S[:kc]).sum(axis=0)
+                acc[lo:hi] += np.einsum("kp,k->p", X[:kc], alpha[nodes])
             first = -k0 % stride                # the chunk's recorded nodes
             if first < kc:
                 rec = X[first:kc:stride]
@@ -384,9 +382,6 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         block(b)
     # per-node sums in block order from zero: the same bits for any worker count
     sum_xi, sum_xi2 = sum(node_sums, np.zeros((2, n_ode + 1)))
-    if girsanov:
-        int_g_dB *= math.sqrt(dt)
-        int_g2_dt *= dt
 
     # x = d + cs xi: the spread of x is cs times that of xi for every policy
     se_x = cs * np.sqrt(np.maximum(sum_xi2 - sum_xi ** 2 / n, 0.0) / max(n - 1, 1) / n)

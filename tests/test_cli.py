@@ -661,6 +661,17 @@ class TestOutDir:
                                 f"{os.strerror(errno.EISDIR)}\n")
         assert captured.out == ""
 
+    def test_unremovable_stale_file_is_config_error(self, tmp_path, capsys):
+        # a failed solve removes an earlier solve's curves; this m.csv is a directory
+        out = tmp_path / "out"
+        (out / "m.csv").mkdir(parents=True)
+        assert main(["solve", "--config", write_cfg(tmp_path, BLOWUP_CFG),
+                     "--out-dir", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err in {f"config error: cannot remove {out / 'm.csv'}: "
+                                f"{os.strerror(code)}\n" for code in (errno.EISDIR, errno.EPERM)}
+        assert captured.out == ""
+
 
 class TestVerifyCommand:
     def test_benchmark_passes(self, tmp_path):

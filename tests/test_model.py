@@ -1,11 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
 from lqmfg.model import (
+    MAX_COUNT,
     Coefficient,
     TimeGrid,
     Trajectory,
     Variant,
+    max_steps,
     validate,
 )
 from conftest import make_params
@@ -80,6 +84,18 @@ class TestTrajectory:
         g = TimeGrid(T=1.0, n_steps=4)
         with pytest.raises(ValueError):
             Trajectory(g, np.zeros(4))
+
+
+class TestMaxSteps:
+    @pytest.mark.parametrize("missing", ["page names", "sysconf"])
+    def test_without_the_page_names_is_max_count(self, monkeypatch, missing):
+        if missing == "sysconf":
+            monkeypatch.delattr(os, "sysconf")
+        else:
+            def sysconf(name):
+                raise ValueError(f"unrecognized configuration name {name!r}")
+            monkeypatch.setattr(os, "sysconf", sysconf)
+        assert max_steps() == MAX_COUNT
 
 
 class TestValidate:
