@@ -6,7 +6,7 @@ per-time coefficients.  The Euler step x <- e_k x + f_k + sigma sqrt(dt) z_k
 splits into the policy's sigma = 0 path d, d <- e_k d + f_k from x0, and a
 deviation x - d = sigma sqrt(dt) xi with xi <- e_k xi + z_k from 0.  Only xi
 is stepped.  One call steps one policy, an equilibrium's feedback laws or
-the zero policy, and its constant shifts of the offsets: they share the
+the zero policy, and its constant shifts of the controls: they share the
 gains, so they share e_k and xi, and differ only in d.  So every cost, the
 running cost and the terminal one at the last node, is a quadratic in xi,
 summed on the same draws (simulate_paths).  The Girsanov sums are formed
@@ -170,10 +170,11 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
                    shifts: Sequence[tuple[float, float]] = ()) -> list[PathEnsemble]:
     """Euler-Maruyama forward integration of eq's policy, and of its shifts.
 
-    The policy is eq's feedback laws u = gu x + ou, v = gv x + ov; eq None
-    is the zero policy.  A shift (du, dv) adds constant offsets to its u and
-    v.  The policies share the gains, so they share the step factor
-    e_k = 1 + (a + b gu + c gv) dt and the deviation xi: policy j's paths
+    The policy is eq's feedback laws u = -(b/r) y, v = (c/s) y in
+    y = beta x + alpha, the paper's square completion; eq None is the zero
+    policy.  A shift (du, dv) adds constants to its u and v.  The policies
+    share the gains, so they share the step factor e_k = 1 + (a - lam beta) dt
+    and the deviation xi: policy j's paths
     are x = d_j + cs xi about its own sigma = 0 path d_j, cs = sigma
     sqrt(dt), and a shift is no second simulation.  Its cost is the
     policy's plus a constant plus sum_k (Q_j - Q_0)_k xi_k, summed per path
@@ -207,45 +208,47 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
     def tab(fn) -> np.ndarray:
         return np.asarray(fn(t_sim), dtype=float)
 
-    # model coefficients on the simulation grid; outside the robust variants
-    # c = s = 0 switch the disturbance channel off
+    # the equilibrium as y = beta x + alpha on the simulation grid, beta =
+    # alpha = 0 for the zero policy: its feedback laws u = -(b/r) y and
+    # v = (c/s) y push the drift by -lam y at the control cost
+    # r u^2 - s v^2 = lam y^2.  Outside the robust variants c = s = 0 switch
+    # the disturbance channel off
     robust = params.variant.uses_disturbance
     c = params.c if robust else 0.0
     s = tab(params.s) if robust else 0.0
-    m_k = tab(m)
+    m_k, lam = tab(m), tab(params.lam)
     q, qbar, r = tab(params.q), tab(params.qbar), tab(params.r)
+    beta = alpha = np.zeros(n_sim + 1)
+    if eq is not None:
+        beta, alpha = tab(eq.beta), tab(eq.alpha)
     # trapezoid weights times 1/2
     w = np.full(n_sim + 1, 0.5 * dt)
     w[0] = w[-1] = 0.25 * dt
-    gu = ou = gv = ov = np.zeros(n_sim + 1)
-    if eq is not None:
-        law = eq.value
-        gu, ou = tab(law.feedback_gain), tab(law.feedback_offset)
-        if law.disturbance_gain is not None:
-            gv, ov = tab(law.disturbance_gain), tab(law.disturbance_offset)
-    rate = params.a + params.b * gu + c * gv
+    rate = params.a - lam * beta
     e = 1.0 + rate * dt
     if np.any(e <= 0.0):
-        raise ValueError(f"dt_sim = {config.dt_sim:g} makes the Euler step factor 1 + (a + b gu"
-                         f" + c gv) dt_sim <= 0; dt_sim must be below {1.0 / np.max(-rate):.17g}")
+        raise ValueError(f"dt_sim = {config.dt_sim:g} makes the Euler step factor 1 + (a - lam"
+                         f" beta) dt_sim <= 0; dt_sim must be below {1.0 / np.max(-rate):.17g}")
     e = e.tolist()
     cs = params.sigma * math.sqrt(dt)
 
-    def policy(ou: np.ndarray, ov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """(d, dm, Q, const) of the policy with offsets ou, ov: its sigma = 0
-        path d <- e_k d + f_k from x0, dm the same from m0, and its cost at node k,
-        wq x^2 + wqbar (x-m)^2 + w (r u^2 - s v^2) = (cost_p x + cost_q) x + ...,
-        restated in x = d + cs xi as (P xi + Q) xi + ..., P = cs^2 cost_p and
-        Q = cs (2 cost_p d + cost_q), whose xi-free terms sum to const."""
-        f = (params.abar * m_k + params.b * ou + c * ov) * dt
+    def policy(push: float, penalty) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(d, dm, Q, const) of the policy shifted by (du, dv), whose push is
+        b du + c dv and penalty r du^2 - s dv^2: its sigma = 0 path
+        d <- e_k d + f_k from x0, dm the same from m0, and its cost at node k,
+        wq x^2 + wqbar (x-m)^2 + w (lam y^2 - 2 push y + penalty)
+        = (cost_p x + cost_q) x + ..., restated in x = d + cs xi as
+        (P xi + Q) xi + ..., P = cs^2 cost_p and Q = cs (2 cost_p d + cost_q),
+        whose xi-free terms sum to const."""
+        f = (params.abar * m_k - lam * alpha + push) * dt
         d, dm = [params.x0], [params.m0]
         for e_k, f_k in zip(e[:-1], f.tolist()):
             d.append(e_k * d[-1] + f_k)
             dm.append(e_k * dm[-1] + f_k)
         d = np.array(d)
-        cost_q = 2.0 * (w * (r * gu * ou - s * gv * ov) - wqbar * m_k)
+        cost_q = 2.0 * (w * beta * (lam * alpha - push) - wqbar * m_k)
         const = np.sum((cost_p * d + cost_q) * d + wqbar * m_k * m_k
-                       + w * (r * ou * ou - s * ov * ov))
+                       + w * (alpha * (lam * alpha - 2.0 * push) + penalty))
         return d, np.array(dm[::stride]), cs * (2.0 * cost_p * d + cost_q), float(const)
 
     # a cost past the floats is inf or NaN, as are its estimates: verify fails them
@@ -254,17 +257,17 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
         wq, wqbar = w * q, w * qbar
         wq[-1] += 0.5 * params.qT
         wqbar[-1] += 0.5 * params.qbarT
-        cost_p = wq + wqbar + w * (r * gu * gu - s * gv * gv)
-        d0, dm0, Q0, const0 = policy(ou, ov)
-        moved = [policy(ou + du, ov + dv) for du, dv in shifts]
-    alphas = [Q - Q0 for _, _, Q, _ in moved]
+        cost_p = wq + wqbar + w * lam * beta * beta
+        d0, dm0, Q0, const0 = policy(0.0, 0.0)
+        moved = [policy(params.b * du + c * dv, r * du * du - s * dv * dv)
+                 for du, dv in shifts]
+    dQs = [Q - Q0 for _, _, Q, _ in moved]
     P, Q0 = (cs * cs * cost_p)[:, None], Q0[:, None]
     girsanov = eq is not None and params.variant.uses_theta
     if girsanov:
         # sqrt(dt) g = cs (beta x + alpha) = gb xi + ga, so g dB = (gb xi + ga) z
-        beta = tab(eq.beta)
         gb = (cs * cs * beta)[:, None]
-        ga = (cs * (beta * d0 + tab(eq.alpha)))[:, None]
+        ga = (cs * (beta * d0 + alpha))[:, None]
 
     import mmap
     import signal
@@ -330,8 +333,8 @@ def simulate_paths(params: ModelParams, eq: Equilibrium | None, m: Trajectory,
             term = np.multiply(X[:kc], P[nodes], out=S[:kc])
             term += Q0[nodes]
             L += np.einsum("kp,kp->p", term, X[:kc])
-            for acc, alpha in zip(shift_cost, alphas):
-                acc[lo:hi] += np.einsum("kp,k->p", X[:kc], alpha[nodes])
+            for acc, dQ in zip(shift_cost, dQs):
+                acc[lo:hi] += np.einsum("kp,k->p", X[:kc], dQ[nodes])
             first = -k0 % stride                # the chunk's recorded nodes
             if first < kc:
                 rec = X[first:kc:stride]
@@ -461,11 +464,13 @@ def _certainty_equivalent_gap(L_hi: np.ndarray, L_lo: np.ndarray | None,
     sample means.  The ess is that of the weights e^{theta L}, the smaller
     one for a gap.  theta = 0 gives the mean of L_hi - L_lo: all weights are 1.
     """
-    if theta == 0.0:
-        diff = L_hi if L_lo is None else L_hi - L_lo
-        return replace(_mc_estimate(diff), ess=float(diff.size))
-    log_a, influence, ess = _log_mean_exp(theta * L_hi)
-    if L_lo is not None:
-        log_a_lo, influence_lo, ess_lo = _log_mean_exp(theta * L_lo)
-        log_a, influence, ess = log_a - log_a_lo, influence - influence_lo, min(ess, ess_lo)
-    return replace(_mc_estimate(influence / theta), mean=log_a / theta, ess=ess)
+    # a theta L past the floats leaves the estimate, its se and its ess NaN: verify fails them
+    with np.errstate(over="ignore", invalid="ignore"):
+        if theta == 0.0:
+            diff = L_hi if L_lo is None else L_hi - L_lo
+            return replace(_mc_estimate(diff), ess=float(diff.size))
+        log_a, influence, ess = _log_mean_exp(theta * L_hi)
+        if L_lo is not None:
+            log_a_lo, influence_lo, ess_lo = _log_mean_exp(theta * L_lo)
+            log_a, influence, ess = log_a - log_a_lo, influence - influence_lo, min(ess, ess_lo)
+        return replace(_mc_estimate(influence / theta), mean=log_a / theta, ess=ess)

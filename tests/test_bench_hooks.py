@@ -95,22 +95,23 @@ def test_tracer_reads_every_hook(tmp_path, monkeypatch):
     assert metrics["riccati.solve_alpha.calls"] == 2 * 2 + 1
     # both routes take that Phi through the public apply_phi, so its span sees each
     assert metrics["equilibrium.apply_phi.calls"] == 5
-    # the fixed-point route's one Phi application in solve and in verify
-    # (Picard took 19 steps each)
-    assert metrics["equilibrium.picard.iterations"] == 2
+    # the fixed-point route's one Phi application in solve, in verify and in
+    # the sweep's one row without an escape (Picard took 19 steps each)
+    assert metrics["equilibrium.picard.iterations"] == 3
     assert metrics["riccati.blowups"] == 2
     # beta is solved once per instance: solve, verify and each sweep row
     assert metrics["riccati.solve_beta.calls"] == 5
     assert metrics["simulate.simulate_paths.calls"] == 1
     # Trajectory.__call__ only tabulates simulate_paths' inputs on the
-    # simulation grid: m, the 4 feedback laws once for the policy and its
-    # shifts, and beta, alpha for the Girsanov sums; the solvers read node
-    # values
-    assert metrics["model.traj_evals"] == 1 + 4 + 2
+    # simulation grid: m, and beta and alpha once for the policy, its shifts
+    # and the Girsanov sums; the solvers read node values
+    assert metrics["model.traj_evals"] == 3
     # Coefficient.__call__: beta's substage table and alpha's coefficient
     # tables are built once per instance (219 when every solve rebuilt them);
     # lam on the nodes reads r and s, once per Phi and once for the sweep
-    # (175 when the fixed-point route made 10 Phi applications per solve)
+    # (175 when the fixed-point route made 10 Phi applications per solve).
+    # The sweep row's fixed-point route reads 2 fewer than the closed form's
+    # eta did, and simulate_paths 2 more, the r and s of its lam
     assert metrics["model.coef_evals"] == 143
     assert metrics["simulate.path_steps"] == 64 * 40
     # solve and verify ran the same solve; at n_steps = 20 both routes are

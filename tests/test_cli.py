@@ -32,7 +32,7 @@ from lqmfg.cli import (
     parse_config,
 )
 from lqmfg.equilibrium import (BlowUpError, NonConvergenceError, admissible_beta,
-                               solve_equilibrium_closed_form)
+                               solve_equilibrium_picard)
 from lqmfg.model import MAX_COUNT, Coefficient, TimeGrid, Variant, fmt_float, max_steps
 from lqmfg.simulate import MCEstimate, SimConfig
 from conftest import make_params, saddle_gaps, tabulated
@@ -808,14 +808,17 @@ class TestVerifyThetaLines:
         assert not lines["value_identity_exponential"].passed
 
     def test_non_finite_weights_fail_their_lines(self, tmp_path, capsys):
-        # r = 1e308 in mid-horizon and x0 = 700 overflow the cost of every
-        # path: the certainty equivalent, its se and its ESS are NaN
-        text = (BENCH_CFG.replace("risk_neutral", "risk_sensitive\ntheta = 0.25")
-                .replace("r = 1.0", "r = 1, 1e308, 1").replace("x0 = 1.0", "x0 = 700")
+        # x0 = 1.3e154, whose square is 1.69e308, puts the value at 7.7e307
+        # and theta L = 4 L past the floats on every path: the certainty
+        # equivalent, its se and its ESS are NaN, and nothing reaches stderr
+        text = (BENCH_CFG.replace("risk_neutral", "risk_sensitive\ntheta = 4")
+                .replace("x0 = 1.0", "x0 = 1.3e154")
                 .replace("n_steps = 200", "n_steps = 2") + "\n[sim]\nn_paths = 3\nseed = 7\n")
         assert main(["verify", "--config", write_cfg(tmp_path, text), "--out-dir",
                      str(tmp_path / "o")]) == EXIT_VERIFY_FAIL
-        out = capsys.readouterr().out.splitlines()
+        out, err = capsys.readouterr()
+        assert err == ""
+        out = out.splitlines()
         assert [ln.split()[:2] for ln in out] == [
             ["FAIL", "mean_consistency"], ["FAIL", "value_identity_quadratic:"],
             ["FAIL", "value_identity_exponential"], ["FAIL", "martingale_normalization"]]
@@ -837,7 +840,7 @@ class TestVerifyThetaLines:
 
 class TestEulerStepFactor:
     """verify refuses a dt_sim at which some Euler step factor
-    e_k = 1 + (a + b gu + c gv) dt_sim is not positive."""
+    e_k = 1 + (a - lam beta) dt_sim is not positive."""
 
     @pytest.mark.parametrize("q, n_steps, dt_sim, bound", [
         ("1e6", 1000, "0.001", "0.000999999625"),
@@ -944,13 +947,28 @@ class TestVerifySaddleLines:
         assert shifts_passed == [((SADDLE_SHIFT, 0.0), (0.0, SADDLE_SHIFT))]
         eq = cli.run_solve_pipeline(cfg).eq_picard
         gap_u, gap_v, _ = saddle_gaps(cfg.params, eq, cfg.sim, SADDLE_SHIFT)
-        got = {line.name: line for line in lines}
+        got = {line.name.split()[0]: line for line in lines}
         for name, (gap, theory) in (("saddle_gap_control", gap_u),
                                     ("saddle_gap_disturbance", gap_v)):
             line = got[name]
+            assert line.name == f"{name} (ess {int(gap.ess)})" and line.passed
             assert (line.estimate, line.std_error, line.theory) == (
                 gap.mean, gap.std_error, theory)
             assert theory == 0.5 * SADDLE_SHIFT ** 2     # r = s = 1 on T = 1
+
+    def test_a_saddle_line_on_few_effective_paths_fails(self, tmp_path, capsys, report_line):
+        # at theta sigma^2 = 0.9 a dozen of 200 paths carry the weights e^{theta L}:
+        # the disturbance gap lands within 3 se of theory, but rests on an ESS of 13
+        text = (BENCH_CFG.replace("risk_neutral", ROBUST_VARIANTS["robust_risk_sensitive"])
+                .replace("theta = 0.25", "theta = 0.9").replace("sigma = 0.2", "sigma = 1.0")
+                + "\n[sim]\nn_paths = 200\ndt_sim = 1e-3\nseed = 2\n")
+        assert main(["verify", "--config", write_cfg(tmp_path, text), "--out-dir",
+                     str(tmp_path / "o")]) == EXIT_VERIFY_FAIL
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("FAIL  saddle_gap_disturbance (ess 13 < floor 100): ")
+        # within its tolerance: the ESS alone fails it
+        m = report_line.match(line)
+        assert abs(float(m["estimate"]) - float(m["theory"])) <= float(m["tol"])
 
 
 class TestVerifyPower:
@@ -1392,8 +1410,8 @@ count = 5
     def test_qbar_scale_keeps_tabulation_times(self, tmp_path):
         text = BENCH_CFG.replace("qbar = 0.5", "qbar = 0.5, 1.5, 0.2, 1.0")
         cfg = parse_config(write_cfg(tmp_path, text, "unscaled.cfg"))
-        eq = solve_equilibrium_closed_form(cfg.params, admissible_beta(cfg.params, cfg.grid),
-                                           cfg.grid)
+        eq = solve_equilibrium_picard(cfg.params, admissible_beta(cfg.params, cfg.grid),
+                                      cfg.grid)
         path = write_cfg(tmp_path, text + "\n[sweep]\nparameter = qbar-scale\n"
                          "start = 0.5\nstop = 1.5\ncount = 3\n")
         out = tmp_path / "out"
@@ -1414,15 +1432,15 @@ count = 5
         for row in rows[:2]:
             scale = float(row[0])
             p = replace(cfg.params, qbar=Coefficient(0.5 * scale), qbarT=0.5 * scale)
-            eq = solve_equilibrium_closed_form(p, admissible_beta(p, cfg.grid), cfg.grid)
+            eq = solve_equilibrium_picard(p, admissible_beta(p, cfg.grid), cfg.grid)
             assert row[4] == fmt_float(eq.value.value_at_0)
 
     def test_horizon_sweep_spreads_tabulated_weights(self, tmp_path):
         text = BENCH_CFG.replace("qbar = 0.5", "qbar = 0.5, 1.5, 0.2, 1.0")
         at_half = text.replace("\nT = 1.0", "\nT = 0.5").replace("n_steps = 200", "n_steps = 100")
         cfg = parse_config(write_cfg(tmp_path, at_half, "half.cfg"))
-        eq = solve_equilibrium_closed_form(cfg.params, admissible_beta(cfg.params, cfg.grid),
-                                           cfg.grid)
+        eq = solve_equilibrium_picard(cfg.params, admissible_beta(cfg.params, cfg.grid),
+                                      cfg.grid)
         path = write_cfg(tmp_path, text + "\n[sweep]\nparameter = T\n"
                          "start = 0.5\nstop = 1.0\ncount = 2\n")
         out = tmp_path / "out"
@@ -1431,3 +1449,61 @@ count = 5
         row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
         assert row[0] == "0.5"
         assert row[4] == fmt_float(eq.value.value_at_0)
+
+
+class TestSweepAgreesWithSolve:
+    """Each sweep row is what solve reports on the row's instance: the same
+    value_at_0, bit for bit, and the code solve exits with."""
+
+    @staticmethod
+    def solve_of_rows(cfg: RunConfig) -> list[tuple[dict[str, str], int, str]]:
+        """Each row of cfg's sweep, with solve's exit code and value_at_0 on
+        the row's instance, as the sweep builds it."""
+        header, *lines = cli.cmd_sweep(cfg).files["sweep.csv"].splitlines()
+        out = []
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            try:
+                params, grid = cli._sweep_params(cfg, float(row["value"]))
+                run = cli.cmd_solve(replace(cfg, params=params, grid=grid))
+            except (ValueError, ConfigError):
+                out.append((row, EXIT_CONFIG, ""))
+                continue
+            summary = dict(ln.split("=", 1) for ln in run.files["summary.txt"].splitlines())
+            out.append((row, run.code, summary.get("value_at_0", "")))
+        return out
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(variant=st.sampled_from(list(Variant)), a=st.floats(-1.0, 1.0),
+           abar=st.floats(-1.0, 4.0), qbar=st.floats(0.0, 4.0), sigma=st.floats(0.0, 1.0),
+           theta=st.floats(0.0, 1.0), c=st.floats(0.0, 1.0),
+           parameter=st.sampled_from(cli.SWEEP_PARAMETERS),
+           start=st.floats(0.0, 3.0), stop=st.floats(0.0, 3.0))
+    def test_each_row_is_solves_value_and_code(self, variant, a, abar, qbar, sigma, theta,
+                                               c, parameter, start, stop):
+        params = make_params(variant=variant, a=a, abar=abar, qbar=qbar, qbarT=qbar,
+                             sigma=sigma, theta=theta, c=c, r=tabulated(1.0, 0.7, 1.3))
+        cfg = RunConfig(params=params, grid=TimeGrid(T=1.0, n_steps=20),
+                        sim=SimConfig(n_paths=2, dt_sim=0.05, seed=0),
+                        sweep_parameter=parameter, sweep_start=start, sweep_stop=stop,
+                        sweep_count=3)
+        for row, code, value in self.solve_of_rows(cfg):
+            assert (row["code"], row["value_at_0"]) == (str(code), value), row
+
+    def test_singular_rows_are_solves_non_convergence(self):
+        # a long horizon with strong mean coupling: the sweep's smallest
+        # pivot is below 0 at every scale, where the closed form once gave
+        # rows of 124777.5, 73127.9 and 85301.6 with code 0
+        params = make_params(a=1.0, abar=4.0, qbar=4.0, qbarT=4.0, q=0.0, qT=0.0, T=3.0)
+        cfg = RunConfig(params=params, grid=TimeGrid(T=3.0, n_steps=300),
+                        sim=SimConfig(n_paths=2, dt_sim=0.01, seed=0),
+                        sweep_parameter="qbar-scale", sweep_start=0.5, sweep_stop=1.0,
+                        sweep_count=3)
+        rows = self.solve_of_rows(cfg)
+        assert [row["value"] for row, _, _ in rows] == ["0.5", "0.75", "1"]
+        for row, code, value in rows:
+            assert (row["code"], row["value_at_0"], code) == (
+                str(EXIT_NONCONVERGENCE), "", EXIT_NONCONVERGENCE)
+        with pytest.raises(NonConvergenceError, match="singular"):
+            cli.run_solve_pipeline(cfg)

@@ -453,9 +453,11 @@ def box_muller(rng, n):
 
 def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
     """Per-step Euler-Maruyama with u, v, x - m and four separate cost sums,
-    for eq's policy (None: the zero policy) with its offsets shifted by
-    (du, dv).  The player starts at x0; the moments of the state are those
-    of a population stepped from m0 on the same draws.
+    for eq's policy (None: the zero policy) shifted by (du, dv): the paper's
+    feedback laws u = -(b/r(t)) y + du and v = (c/s(t)) y + dv in
+    y = beta(t) x + alpha(t), each factor evaluated at t.  The player starts
+    at x0; the moments of the state are those of a population stepped from
+    m0 on the same draws.
 
     Draws the same per-block streams as simulate_paths: block b, the paths
     lo:hi of path_blocks, uses default_rng([seed, b]).
@@ -466,12 +468,9 @@ def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
     dt = T / n_sim
     t = np.linspace(0.0, T, n_sim + 1)
     robust = params.variant.uses_disturbance
-    zero = np.zeros(n_sim + 1)
-    gu = ou = gv = ov = zero
+    beta = alpha = np.zeros(n_sim + 1)
     if eq is not None:
-        gu, ou = eq.value.feedback_gain(t), eq.value.feedback_offset(t)
-        if robust:
-            gv, ov = eq.value.disturbance_gain(t), eq.value.disturbance_offset(t)
+        beta, alpha = eq.beta(t), eq.alpha(t)
     girsanov = eq is not None and params.variant.uses_theta
     w = np.full(n_sim + 1, dt)
     w[0] = w[-1] = dt / 2
@@ -485,7 +484,9 @@ def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
         recorded = []
 
         def controls(k, x):
-            return gu[k] * x + ou[k] + shift[0], gv[k] * x + ov[k] + shift[1]
+            y = beta[k] * x + alpha[k]
+            return (-params.b / r[k] * y + shift[0],
+                    (params.c / s[k] * y if robust else 0.0) + shift[1])
 
         def step(k, x, dW):
             u, v = controls(k, x)
@@ -508,7 +509,7 @@ def reference_paths(params, eq, m, config, shift=(0.0, 0.0)):
                 break
             dW = math.sqrt(dt) * box_muller(rng, bn)
             if girsanov:
-                g = params.sigma * (eq.beta(t[k]) * x + eq.alpha(t[k]))
+                g = params.sigma * (beta[k] * x + alpha[k])
                 gdB += g * dW
                 g2dt += g * g * dt
             x, pop = step(k, x, dW), step(k, pop, dW)
@@ -534,6 +535,11 @@ REFERENCE_INSTANCES = {
     "robust_risk_sensitive": dict(variant=Variant.ROBUST_RISK_SENSITIVE,
                                   c=0.5, theta=0.25),
 }
+# r and s kink between the nodes of the 20-step ODE grids below, where a
+# gain b beta / r interpolated from those nodes is not b beta(t) / r(t)
+KINKED = dict(variant=Variant.ROBUST_RISK_SENSITIVE, c=0.5, theta=0.25,
+              r=Coefficient(np.array([1.0, 0.6, 1.4, 0.9]), np.array([0.0, 0.33, 0.61, 1.0])),
+              s=Coefficient(np.array([1.2, 2.0, 1.0]), np.array([0.0, 0.27, 0.78])))
 
 
 def assert_matches_reference(p, eq, m, cfg, shifts):
@@ -555,9 +561,9 @@ def assert_matches_reference(p, eq, m, cfg, shifts):
 
 
 class TestReferenceEuler:
-    @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+    @pytest.mark.parametrize("name", [*sorted(REFERENCE_INSTANCES), "kinked"])
     def test_matches_per_step_reference(self, name):
-        p = make_params(**REFERENCE_INSTANCES[name])
+        p = make_params(**REFERENCE_INSTANCES.get(name, KINKED))
         grid = TimeGrid(T=1.0, n_steps=20)
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         cfg = SimConfig(n_paths=BLOCK_SIZE + 6, dt_sim=1.0 / 40, seed=4)
@@ -760,28 +766,28 @@ class TestDegenerateDynamics:
         np.testing.assert_allclose(ens.mean_x, expected, rtol=1e-13)
         assert np.all(ens.x_final == ens.x_final[0])
 
-    @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+    @pytest.mark.parametrize("name", [*sorted(REFERENCE_INSTANCES), "kinked"])
     def test_sigma_zero_paths_are_each_policys_euler_path(self, name):
         # without noise every path of a policy and of each shift is its
         # sigma = 0 Euler path: one constant x_final, se 0 at every node, and
         # the mean path of the explicit recursion x += (a x + abar m + b u + c v) dt
-        p = make_params(**REFERENCE_INSTANCES[name], sigma=0.0)
+        # under the paper's feedback laws u = -(b/r) y + du, v = (c/s) y + dv in
+        # y = beta x + alpha, every factor read at the step's own time
+        p = make_params(**REFERENCE_INSTANCES.get(name, KINKED), sigma=0.0)
         grid = TimeGrid(T=1.0, n_steps=20)
         eq = solve_equilibrium_picard(p, admissible_beta(p, grid), grid)
         cfg = SimConfig(n_paths=300, dt_sim=1.0 / 40, seed=4)
         shifts = ((0.5, 0.0), (0.0, 0.5))
         ensembles = simulate_paths(p, eq, eq.m, cfg, shifts)
-        t = np.linspace(0.0, 1.0, 41)
-        law, c = eq.value, p.c if p.variant.uses_disturbance else 0.0
-        gv = ov = np.zeros(t.size)
-        if law.disturbance_gain is not None:
-            gv, ov = law.disturbance_gain(t), law.disturbance_offset(t)
+        robust = p.variant.uses_disturbance
         for (du, dv), ens in zip(((0.0, 0.0), *shifts), ensembles, strict=True):
             x = [p.x0]
             for k in range(40):
-                u = law.feedback_gain(t[k]) * x[-1] + law.feedback_offset(t[k]) + du
-                v = gv[k] * x[-1] + ov[k] + dv
-                x.append(x[-1] + (p.a * x[-1] + p.abar * eq.m(t[k]) + p.b * u + c * v) / 40)
+                t = k / 40
+                y = eq.beta(t) * x[-1] + eq.alpha(t)
+                u = -p.b / p.r(t) * y + du
+                v = p.c / p.s(t) * y + dv if robust else 0.0
+                x.append(x[-1] + (p.a * x[-1] + p.abar * eq.m(t) + p.b * u + p.c * v) / 40)
             assert np.all(ens.x_final == ens.x_final[0])
             assert np.all(ens.se_x == 0.0)
             np.testing.assert_allclose(ens.mean_x, x[::2], rtol=1e-12, atol=1e-12)
